@@ -53,6 +53,7 @@ from .simulate import (
     MomentEstimates,
     draw_dataset,
     estimate_moments,
+    estimate_moments_by_law,
     forecast_extend,
     simulate_realization,
 )

@@ -40,10 +40,15 @@ class TargetBelief:
 @dataclass
 class AdjustedBelief:
     """Adjusted means/variances per target plus per-quantity blocks for
-    adjustment diagnostics (mean shift and resolved variance)."""
+    adjustment diagnostics.
+
+    A block holds the kind's mean shift and its rows of the adjustment
+    weights cov(B,D) var(D)^+ and of cov(B,D); the kind's resolved variance
+    is weights @ cov', formed only when a diagnostic asks for it.
+    """
 
     rows: list
-    blocks: dict  # kind -> (shift vector, resolved variance matrix)
+    blocks: dict  # kind -> (shift vector, weight rows, cov_targets rows)
     moments: MomentEstimates
 
     def rows_for(self, kind: str, component=None) -> list:
@@ -107,16 +112,15 @@ def adjust_from_moments(
         )
 
     if n_obs == 0:
+        weights = np.zeros_like(moments.cov_targets)
         adj_mean = moments.e_targets.copy()
         adj_var = moments.var_targets.copy()
-        resolved = np.zeros((len(targets), len(targets)))
     else:
         pinv, _ = linalg.pinv_with_rank(moments.var_y)
         weights = moments.cov_targets @ pinv  # (n_targets, n_obs)
         adj_mean = moments.e_targets + weights @ (observed_y - moments.e_y)
-        resolved = weights @ moments.cov_targets.T
-        resolved = 0.5 * (resolved + resolved.T)
-        adj_var = moments.var_targets - np.diag(resolved)
+        # diagonal of the resolved variance weights @ cov_targets'
+        adj_var = moments.var_targets - np.einsum("ij,ij->i", weights, moments.cov_targets)
 
     rows = []
     for j, (kind, c, t) in enumerate(targets):
@@ -133,7 +137,8 @@ def adjust_from_moments(
         idx = np.array([j for j, k in enumerate(kinds) if k == kind], dtype=int)
         blocks[kind] = (
             adj_mean[idx] - moments.e_targets[idx],
-            resolved[np.ix_(idx, idx)],
+            weights[idx],
+            moments.cov_targets[idx],
         )
     return AdjustedBelief(rows, blocks, moments)
 

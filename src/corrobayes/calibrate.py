@@ -6,6 +6,12 @@ statistic of the observed data, (iii) re-simulates observation moments under
 the adjusted variances, and (iv) scores the observed data by the discrepancy
 ratio H.  The candidate whose H is nearest unity wins; ties break toward the
 smaller local variance.
+
+All candidates share two ensembles, one per pass, on two seeds spawned from
+the run seed: the learning pass simulates every candidate at the prior
+mu_wx, and the rescoring pass every candidate at its learned mu_wx.  Every
+candidate of a pass sees the same random numbers, so the H curve is scored on
+common random numbers.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import numpy as np
 
 from . import linalg, varlearn
 from .errors import ConfigError
-from .simulate import _as_seedseq, estimate_moments
+from .simulate import _as_seedseq, estimate_moments, estimate_moments_by_law
 from .system import InspectionDataset, PriorSpecification, SystemTopology
 
 
@@ -52,6 +58,37 @@ def select_index(h_values) -> int:
     return best
 
 
+def _scan(prior, topology, dataset, observed_y, scheme, candidates, seeds, n_realizations):
+    """Both passes over ``candidates`` on the pass seeds ``seeds``.  Returns
+    (rows, learned moments, rescored moments), one entry per candidate."""
+    learned = estimate_moments_by_law(
+        prior, topology, dataset,
+        [(sr, prior.hyper.mu_wx) for sr in candidates],
+        n_realizations=n_realizations, seed=seeds[0], scheme=scheme,
+    )
+    adjusted = [
+        varlearn.adjust_wx(
+            varlearn.build_dbar_statistic(dataset, scheme, prior.hyper, mom), prior.hyper
+        )
+        for mom in learned
+    ]
+    rescored = estimate_moments_by_law(
+        prior, topology, dataset,
+        [(sr, mu) for sr, (mu, _) in zip(candidates, adjusted)],
+        n_realizations=n_realizations, seed=seeds[1],
+    )
+    rows = [
+        CandidateRow(
+            sr, mu, var,
+            linalg.mahalanobis_discrepancy(
+                observed_y, mom.y_moment_pair(), sample_size=n_realizations
+            ),
+        )
+        for sr, (mu, var), mom in zip(candidates, adjusted, rescored)
+    ]
+    return rows, learned, rescored
+
+
 def calibrate_candidate(
     prior: PriorSpecification,
     topology: SystemTopology,
@@ -64,31 +101,31 @@ def calibrate_candidate(
 ):
     """One grid point: learn mu_wx under this local variance, re-simulate,
     and score the observed data.  Returns (row, learned moments, rescored
-    moments)."""
-    learn_moments = estimate_moments(
-        prior,
-        topology,
-        dataset,
-        n_realizations=n_realizations,
-        seed=seeds[0],
-        sigma_r=sigma_r,
-        scheme=scheme,
+    moments).  With ``calibrate``'s two pass seeds it reproduces that
+    candidate's row."""
+    rows, learned, rescored = _scan(
+        prior, topology, dataset, observed_y, scheme, (sigma_r,), seeds, n_realizations
     )
-    dbar = varlearn.build_dbar_statistic(dataset, scheme, prior.hyper, learn_moments)
-    adj_mu, adj_var = varlearn.adjust_wx(dbar, prior.hyper)
-    rescored = estimate_moments(
-        prior,
-        topology,
-        dataset,
-        n_realizations=n_realizations,
-        seed=seeds[1],
-        sigma_r=sigma_r,
-        mu_wx=adj_mu,
+    return rows[0], learned[0], rescored[0]
+
+
+def _calibrate(prior, topology, dataset, observed_y, seed, n_realizations):
+    """``calibrate`` plus the rescored moments of every candidate."""
+    candidates = prior.sigma_r_candidates
+    if not candidates:
+        raise ConfigError("candidate grid is empty")
+    seed = prior.rng_seed if seed is None else seed
+    n = prior.ensemble_size if n_realizations is None else int(n_realizations)
+    if observed_y is None:
+        observed_y = dataset.values_vector()
+    observed_y = np.asarray(observed_y, dtype=float)
+
+    scheme = varlearn.build_scheme(dataset, prior.hyper.lam)
+    rows, _, rescored = _scan(
+        prior, topology, dataset, observed_y, scheme,
+        candidates, _as_seedseq(seed).spawn(2), n,
     )
-    h = linalg.mahalanobis_discrepancy(
-        observed_y, rescored.y_moment_pair(), sample_size=n_realizations
-    )
-    return CandidateRow(sigma_r, adj_mu, adj_var, h), learn_moments, rescored
+    return CalibrationResult(rows, select_index([r.h for r in rows]), seed, n), rescored
 
 
 def calibrate(
@@ -100,25 +137,7 @@ def calibrate(
     n_realizations: int | None = None,
 ) -> CalibrationResult:
     """Run the fitting loop over the candidate grid; deterministic per seed."""
-    candidates = prior.sigma_r_candidates
-    if not candidates:
-        raise ConfigError("candidate grid is empty")
-    seed = prior.rng_seed if seed is None else seed
-    n = prior.ensemble_size if n_realizations is None else int(n_realizations)
-    if observed_y is None:
-        observed_y = dataset.values_vector()
-    observed_y = np.asarray(observed_y, dtype=float)
-
-    scheme = varlearn.build_scheme(dataset, prior.hyper.lam)
-    streams = _as_seedseq(seed).spawn(2 * len(candidates))
-    rows = []
-    for i, sr in enumerate(candidates):
-        row, _, _ = calibrate_candidate(
-            prior, topology, dataset, observed_y, scheme,
-            sr, (streams[2 * i], streams[2 * i + 1]), n,
-        )
-        rows.append(row)
-    return CalibrationResult(rows, select_index([r.h for r in rows]), seed, n)
+    return _calibrate(prior, topology, dataset, observed_y, seed, n_realizations)[0]
 
 
 def h_curve(result: CalibrationResult) -> list:
@@ -138,19 +157,14 @@ def calibrate_replicates(
 
     The point calibration uses ``dataset``; the 5th/95th percentiles of H per
     candidate come from rescoring each replicate dataset against the same
-    re-simulated moments (replicates are free in simulation-study mode).
+    rescoring-pass moments that scored ``dataset`` (replicates are free in
+    simulation-study mode).
     """
-    base = calibrate(prior, topology, dataset, seed=seed, n_realizations=n_realizations)
+    base, rescored = _calibrate(prior, topology, dataset, None, seed, n_realizations)
     n = base.n_realizations
-    streams = _as_seedseq(base.seed).spawn(2 * len(prior.sigma_r_candidates))
     rows = []
-    for i, row in enumerate(base.rows):
-        rescored = estimate_moments(
-            prior, topology, dataset,
-            n_realizations=n, seed=streams[2 * i + 1],
-            sigma_r=row.sigma_r, mu_wx=row.adjusted_mu_wx,
-        )
-        pair = rescored.y_moment_pair()
+    for row, mom in zip(base.rows, rescored):
+        pair = mom.y_moment_pair()
         hs = [
             linalg.mahalanobis_discrepancy(rep.values_vector(), pair, sample_size=n)
             for rep in replicate_datasets

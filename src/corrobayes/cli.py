@@ -59,7 +59,8 @@ def _stage(name: str):
             return self
 
         def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, ConfigError):
+            # interrupts and exits (BaseException only) pass through unchanged
+            if isinstance(exc, Exception) and not isinstance(exc, ConfigError):
                 raise RuntimeError(f"pipeline stage '{name}' failed: {exc}") from exc
             return False
 

@@ -99,9 +99,11 @@ def adjustment_diagnostics(beliefs, threshold: float = DEFAULT_THRESHOLD) -> Dia
     """Discrepancy of each quantity block's mean shift against its resolved
     variance (zero when no adjustment occurred)."""
     rows = []
-    for kind, (shift, resolved) in beliefs.blocks.items():
+    for kind, (shift, weights, cov) in beliefs.blocks.items():
         if shift.size == 0:
             continue
+        resolved = weights @ cov.T
+        resolved = 0.5 * (resolved + resolved.T)
         if not np.any(shift) and not np.any(resolved):
             rows.append(DiagnosticRow(kind, None, None, 0.0, False))
             continue

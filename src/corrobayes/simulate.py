@@ -1,25 +1,35 @@
 """Forward simulation and Monte Carlo moment estimation.
 
-Each realization draws fresh evolution covariance matrices from the variance
-hyperprior (so uncertainty about the variances propagates into var(Y)), runs
-the linear-growth model forward, evolves per-location local random walks, and
-observes the minimum over locations with measurement error.  Moments are
-accumulated streaming, so memory is O(design size squared) rather than
-O(realizations).
+Each realization draws variance scales W_c from the variance hyperprior (so
+uncertainty about the variances propagates into var(Y)), runs the
+linear-growth model forward, evolves per-location local random walks, and
+observes the minimum over locations with measurement error.
 
 Separability of the min: Y_{c,t} = X_{c,t} + M_{c,t} with
 M_{c,t} = min_l(r_{l,c,t} + eps_y), which is how the local min-difference
 moments needed by variance learning are extracted per realization.
+
+``estimate_moments_by_law`` estimates moments for a list of laws
+(sigma_r, mu_wx) from one ensemble.  Realizations are processed in blocks
+whose noise buffers hold about ``BLOCK_ELEMENTS`` floats.  A block draws its
+standard-normal noise once, from one child stream per realization, and forms
+the unit local walk cumsum(z_r) and the unit-scale level and rate paths once.
+Each law then only rescales them: the walk by sqrt(sigma_r), the linear part
+by sqrt(W_c) drawn for that law's mu_wx from a separate scale stream that all
+laws share.  The measurement error eps_y is drawn at the observed cells only.
+The per-realization observation and target values of every law are kept for
+the whole ensemble (they are small next to the (T, C, L) noise), and the
+moments come from one centered pass of matrix products, so they do not
+depend on the block size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import varlearn
 from .errors import ConfigError, InsufficientDataError, ShapeError
 from .system import (
     InspectionDataset,
@@ -31,10 +41,18 @@ from .system import (
 
 TARGET_KINDS = ("zmin", "x", "alpha")
 
+#: Element budget (float64 count) of one block's local-walk noise buffer: a
+#: block holds max(1, BLOCK_ELEMENTS // (T * C * L)) realizations.
+BLOCK_ELEMENTS = 2**16
+
 
 def _as_seedseq(seed) -> np.random.SeedSequence:
+    """A fresh SeedSequence: spawning from it never advances the caller's
+    object, so the same seed always gives the same child streams."""
     if isinstance(seed, np.random.SeedSequence):
-        return seed
+        return np.random.SeedSequence(
+            seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size
+        )
     return np.random.SeedSequence(seed)
 
 
@@ -49,50 +67,6 @@ def _noise(rng: np.random.Generator, shape, dist: str, dof: float) -> np.ndarray
         return rng.standard_normal(shape)
     # unit-variance Student t
     return rng.standard_t(dof, shape) / math.sqrt(dof / (dof - 2.0))
-
-
-@dataclass
-class _PathArrays:
-    """One realization's trajectories, rows indexed by t-1 for t=1..T."""
-
-    x: np.ndarray       # (T, C) wall thickness
-    alpha: np.ndarray   # (T, C) corrosion rate
-    mr: np.ndarray      # (T, C) min over locations of local effects
-    m: np.ndarray       # (T, C) min over locations of local effects + meas. error
-    w_x: np.ndarray
-    w_alpha: np.ndarray
-    m_wx: float
-
-
-def _simulate_paths(
-    prior: PriorSpecification,
-    factor: np.ndarray,
-    horizon: int,
-    rng: np.random.Generator,
-    sigma_r: float,
-    mu_wx: float,
-    fixed_scales=None,
-) -> _PathArrays:
-    hyper = prior.hyper.with_mean(mu_wx)
-    n = factor.shape[0]
-    if fixed_scales is not None:
-        w_x, m_wx, w_a = fixed_scales
-    else:
-        w_x, m_wx = draw_variance_scales(hyper, n, rng, prior.w_dist)
-        w_a = hyper.lam * w_x
-
-    t_len = horizon
-    l_cnt = prior.locations_per_component
-    dist, dof = prior.noise_dist, prior.t_dof
-
-    eps_a = (_noise(rng, (t_len, n), dist, dof) @ factor.T) * np.sqrt(w_a)
-    alpha = prior.alpha0 + np.cumsum(eps_a, axis=0)
-    eps_x = (_noise(rng, (t_len, n), dist, dof) @ factor.T) * np.sqrt(w_x)
-    x = prior.x0 + np.cumsum(alpha + eps_x, axis=0)
-
-    r = np.cumsum(math.sqrt(sigma_r) * _noise(rng, (t_len, l_cnt, n), dist, dof), axis=0)
-    noisy = r + math.sqrt(prior.sigma_y) * _noise(rng, (t_len, l_cnt, n), dist, dof)
-    return _PathArrays(x, alpha, r.min(axis=1), noisy.min(axis=1), w_x, w_a, m_wx)
 
 
 @dataclass
@@ -229,32 +203,181 @@ def _target_arrays(targets, topology, horizon):
     return kinds, np.array(comps, dtype=int), np.array(times, dtype=int)
 
 
-def estimate_moments(
+def _fill_noise(rng: np.random.Generator, out: np.ndarray, dist: str, dof: float) -> None:
+    if dist == "gaussian":
+        rng.standard_normal(out=out)
+    else:
+        out[...] = _noise(rng, out.shape, dist, dof)
+
+
+def _child(root: np.random.SeedSequence, i: int) -> np.random.SeedSequence:
+    """Child i of ``root.spawn``, built on demand instead of all at once."""
+    return np.random.SeedSequence(
+        root.entropy, spawn_key=root.spawn_key + (i,), pool_size=root.pool_size
+    )
+
+
+def _draw_scales(prior: PriorSpecification, mu_wx: float, n: int, n_comp: int, seed):
+    """Variance scales W (n, C) and drawn population means (n,) of one law,
+    read from the start of the scale stream ``seed``."""
+    rng = np.random.default_rng(seed)
+    hyper = prior.hyper.with_mean(mu_wx)
+    w_x, m_wx = np.empty((n, n_comp)), np.empty(n)
+    for i in range(n):
+        w_x[i], m_wx[i] = draw_variance_scales(hyper, n_comp, rng, prior.w_dist)
+    return w_x, m_wx
+
+
+def _run_blocks(prior, factor_t, horizon, root, n, laws, scales, obs, tgt, keep_min):
+    """The blocked kernel over ``n`` realizations.  ``obs`` = (times,
+    component indices) of the observed cells; ``tgt`` = (times, component
+    indices, is_alpha, is_zmin) of the targets.  Returns, per law and
+    realization, the observations and targets minus their prior trend, and
+    (with ``keep_min``) the local min-effects at the observed cells."""
+    n_law = len(laws)
+    obs_t, obs_c = obs
+    tgt_t, tgt_c, is_alpha, is_zmin = tgt
+    n_comp, l_cnt = factor_t.shape[0], prior.locations_per_component
+    dist, dof = prior.noise_dist, prior.t_dof
+    root_lam, root_y = math.sqrt(prior.hyper.lam), math.sqrt(prior.sigma_y)
+    y = np.empty((n_law, n, len(obs_t)))
+    m = np.empty((n_law, n, len(obs_t))) if keep_min else None
+    tv = np.empty((n_law, n, len(tgt_t)))
+
+    block = max(1, BLOCK_ELEMENTS // (horizon * n_comp * l_cnt))
+    za = np.empty((block, horizon, n_comp))
+    zx = np.empty((block, horizon, n_comp))
+    zr = np.empty((block, horizon, n_comp, l_cnt))
+    zy = np.empty((block, len(obs_t), l_cnt))
+    noisy = np.empty_like(zy)
+    for i0 in range(0, n, block):
+        b = min(block, n - i0)
+        rows = slice(i0, i0 + b)
+        for j in range(b):
+            rng = np.random.default_rng(_child(root, i0 + j))
+            for buf in (za, zx, zr, zy):
+                _fill_noise(rng, buf[j], dist, dof)
+        # unit-scale paths: with W_c the law's variance scale,
+        # alpha_t - alpha0 = sqrt(W_c) a_std and x_t - x0 - alpha0 t = sqrt(W_c) x_std
+        a_std = np.cumsum(za[:b] @ factor_t, axis=1)
+        a_std *= root_lam
+        x_std = np.cumsum(a_std, axis=1)
+        x_std += np.cumsum(zx[:b] @ factor_t, axis=1)
+        walk = np.cumsum(zr[:b], axis=1, out=zr[:b])
+        obs_walk = walk[:, obs_t - 1, obs_c]
+        zy[:b] *= root_y
+        obs_lin = x_std[:, obs_t - 1, obs_c]
+        tgt_lin = np.where(is_alpha, a_std[:, tgt_t - 1, tgt_c], x_std[:, tgt_t - 1, tgt_c])
+        tgt_min = 0.0
+        if is_zmin.any():
+            tgt_min = np.where(is_zmin, walk.min(axis=-1)[:, tgt_t - 1, tgt_c], 0.0)
+        for k, (sr, mu) in enumerate(laws):
+            root_w = np.sqrt(scales[mu][0][rows])
+            np.multiply(obs_walk, math.sqrt(sr), out=noisy[:b])
+            noisy[:b] += zy[:b]
+            mo = noisy[:b].min(axis=-1)
+            y[k, rows] = root_w[:, obs_c] * obs_lin + mo
+            if keep_min:
+                m[k, rows] = mo
+            tv[k, rows] = root_w[:, tgt_c] * tgt_lin + math.sqrt(sr) * tgt_min
+    return y, m, tv
+
+
+def _cov(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sample cross-covariance of the columns of two centered ensembles."""
+    return a.T @ b / (a.shape[0] - 1)
+
+
+def _add_scheme_moments(est, scheme, comp_idx, y, m, w_x, m_wx, hyper) -> None:
+    """Attach the local min-difference moments and the Dbar moments.
+
+    ``y`` and ``m`` are the (n, n_obs) observations and their local
+    min-effects.  ``y`` may omit the prior trend: every difference
+    combination annihilates level and slope.
+    """
+    est.scheme = scheme
+    est.skipped_components = scheme.skipped
+    entries = scheme.entries
+    n = y.shape[0]
+    pos = {pt: j for j, pt in enumerate(est.design_points)}
+    p0, p1, p2 = (
+        np.array([pos[(e.component, getattr(e, t))] for e in entries], dtype=int)
+        for t in ("t0", "t1", "t2")
+    )
+    # ensemble-sized temporaries are built in place to keep them few
+    m1 = m[:, p0]
+    m1 -= m[:, p1]
+    m2 = m[:, p0]
+    m2 -= m[:, p2]
+    est.m1_sq = np.einsum("ij,ij->j", m1, m1) / n
+    est.m2_sq = np.einsum("ij,ij->j", m2, m2) / n
+    est.m1m2 = np.einsum("ij,ij->j", m1, m2) / n
+    del m1, m2
+    if not entries:
+        return
+    ent_k = np.array([e.k for e in entries], dtype=float)
+    ent_l = np.array([e.l for e in entries], dtype=float)
+    ent_w = np.array([e.weight for e in entries], dtype=float)
+    # 0/1 matrix summing entry terms into their component's Dbar
+    segments = np.zeros((len(entries), len(scheme.components)))
+    segments[np.arange(len(entries)), scheme.entry_component_indices()] = 1.0
+    t_eff = segments.sum(axis=0)
+
+    # k (y0 - y2) - l (y0 - y1), squared and divided by the lag weight
+    comb = y[:, p0]
+    comb -= y[:, p2]
+    comb *= ent_k
+    lag1 = y[:, p0]
+    lag1 -= y[:, p1]
+    lag1 *= ent_l
+    comb -= lag1
+    del lag1
+    comb *= comb
+    comb /= ent_w
+    dvec = comb @ segments
+    # conditional residual: the drawn-variance contribution has known
+    # conditional mean (T_c - 2) * W_c, so only the remainder's covariance
+    # needs Monte Carlo (law of total variance).
+    res = dvec - t_eff * w_x[:, [comp_idx[c] for c in scheme.components]]
+    res -= res.mean(axis=0)
+    gam, sig = hyper.gamma_wx, hyper.sigma_wx
+    dv = gam * np.outer(t_eff, t_eff) + np.diag(t_eff**2 * (sig - gam)) + _cov(res, res)
+    est.dbar_mean = dvec.mean(axis=0)
+    est.dbar_var = 0.5 * (dv + dv.T)
+    mw = m_wx - m_wx.mean()
+    est.mw_mean = float(m_wx.mean())
+    est.mw_var = float(mw @ mw / (n - 1))
+    est.mw_dbar_cov = mw @ (dvec - est.dbar_mean) / (n - 1)
+
+
+def estimate_moments_by_law(
     prior: PriorSpecification,
     topology: SystemTopology,
     design: InspectionDataset,
+    laws,
     targets=(),
     n_realizations: int | None = None,
     seed: int | None = None,
-    sigma_r: float | None = None,
-    mu_wx: float | None = None,
     scheme=None,
     store_target_samples: bool = False,
-    redraw_variances: bool = True,
     allow_empty_design: bool = False,
-) -> MomentEstimates:
-    """Sample moments over independent realizations; deterministic given seed.
+) -> list:
+    """Sample moments under each law (sigma_r, mu_wx) of ``laws`` from one
+    shared ensemble; deterministic given seed.
 
-    When a difference scheme is supplied, the Dbar statistic and the local
-    min-difference moments of each scheme entry are accumulated alongside the
-    observation moments.
+    Every law sees the same standard-normal noise and the same variance-scale
+    stream (common random numbers), so a one-law call equals that law's entry
+    of a multi-law call, and differences between laws are not Monte Carlo
+    noise.  Returns one MomentEstimates per law, in order.  When a difference
+    scheme is supplied, the Dbar statistic and the local min-difference
+    moments of each scheme entry are estimated alongside the observation
+    moments.
     """
     n = prior.ensemble_size if n_realizations is None else int(n_realizations)
     if n < 2:
         raise ConfigError("need at least 2 realizations")
     seed = prior.rng_seed if seed is None else seed
-    sigma_r = prior.sigma_r if sigma_r is None else float(sigma_r)
-    mu_wx = prior.hyper.mu_wx if mu_wx is None else float(mu_wx)
+    laws = [(float(sr), float(mu)) for sr, mu in laws]
     targets = tuple(targets)
 
     points = design.design_points()
@@ -268,155 +391,75 @@ def estimate_moments(
     obs_t = np.array([t for _, t in points], dtype=int)
     if points and (obs_t.min() < 1 or obs_t.max() > design.horizon):
         raise ConfigError("design times outside horizon")
-
     kinds, tgt_c, tgt_t = _target_arrays(targets, topology, design.horizon)
+    is_alpha = np.array([k == "alpha" for k in kinds], dtype=bool)
+    is_zmin = np.array([k == "zmin" for k in kinds], dtype=bool)
 
-    pi = build_correlation(topology, prior.corr)
-    factor = correlation_factor(pi)
-
-    n_obs, n_tgt = len(points), len(targets)
-    base_y = prior.x0[obs_c] + prior.alpha0[obs_c] * obs_t
-    base_t = np.where(
-        np.array([k == "alpha" for k in kinds]),
-        prior.alpha0[tgt_c] if n_tgt else 0.0,
-        (prior.x0[tgt_c] + prior.alpha0[tgt_c] * tgt_t) if n_tgt else 0.0,
-    ) if n_tgt else np.zeros(0)
-
-    s_y = np.zeros(n_obs)
-    s_yy = np.zeros((n_obs, n_obs))
-    s_t = np.zeros(n_tgt)
-    s_tt = np.zeros(n_tgt)
-    s_ty = np.zeros((n_tgt, n_obs))
-    samples = np.empty((n, n_tgt)) if store_target_samples else None
-
-    if scheme is not None:
-        entries = scheme.entries
-        ent_c = np.array([comp_idx[e.component] for e in entries], dtype=int)
-        ent_t0 = np.array([e.t0 for e in entries], dtype=int)
-        ent_t1 = np.array([e.t1 for e in entries], dtype=int)
-        ent_t2 = np.array([e.t2 for e in entries], dtype=int)
-        ent_k = np.array([e.k for e in entries], dtype=float)
-        ent_l = np.array([e.l for e in entries], dtype=float)
-        ent_w = np.array([e.weight for e in entries], dtype=float)
-        pos = {pt: j for j, pt in enumerate(points)}
-        pos0 = np.array([pos[(e.component, e.t0)] for e in entries], dtype=int)
-        pos1 = np.array([pos[(e.component, e.t1)] for e in entries], dtype=int)
-        pos2 = np.array([pos[(e.component, e.t2)] for e in entries], dtype=int)
-        seg = scheme.entry_component_indices()
-        n_comp_eff = len(scheme.components)
-        n_ent = len(entries)
-        sc_idx = np.array([comp_idx[c] for c in scheme.components], dtype=int)
-        tc_eff = np.zeros(n_comp_eff)
-        np.add.at(tc_eff, seg, 1.0)
-        s_m1sq = np.zeros(n_ent)
-        s_m2sq = np.zeros(n_ent)
-        s_m1m2 = np.zeros(n_ent)
-        s_d = np.zeros(n_comp_eff)
-        s_r = np.zeros(n_comp_eff)
-        s_rr = np.zeros((n_comp_eff, n_comp_eff))
-        s_mw = 0.0
-        s_mwsq = 0.0
-        s_mwd = np.zeros(n_comp_eff)
-
-    streams = _as_seedseq(seed).spawn(n + 1)
-    fixed_scales = None
-    if not redraw_variances:
-        rng0 = np.random.default_rng(streams[n])
-        hyper = prior.hyper.with_mean(mu_wx)
-        w_x, m_wx = draw_variance_scales(hyper, topology.component_count, rng0, prior.w_dist)
-        fixed_scales = (w_x, m_wx, hyper.lam * w_x)
-
-    for i in range(n):
-        rng = np.random.default_rng(streams[i])
-        paths = _simulate_paths(prior, factor, design.horizon, rng, sigma_r, mu_wx, fixed_scales)
-        y = paths.x[obs_t - 1, obs_c] + paths.m[obs_t - 1, obs_c]
-        yc = y - base_y
-        s_y += yc
-        s_yy += np.outer(yc, yc)
-
-        if n_tgt:
-            tv = np.empty(n_tgt)
-            for j, kind in enumerate(kinds):
-                row, col = tgt_t[j] - 1, tgt_c[j]
-                if kind == "zmin":
-                    tv[j] = paths.x[row, col] + paths.mr[row, col]
-                elif kind == "x":
-                    tv[j] = paths.x[row, col]
-                else:
-                    tv[j] = paths.alpha[row, col]
-            if samples is not None:
-                samples[i] = tv
-            tc = tv - base_t
-            s_t += tc
-            s_tt += tc * tc
-            s_ty += np.outer(tc, yc)
-
-        if scheme is not None and n_ent:
-            m1 = paths.m[ent_t0 - 1, ent_c] - paths.m[ent_t1 - 1, ent_c]
-            m2 = paths.m[ent_t0 - 1, ent_c] - paths.m[ent_t2 - 1, ent_c]
-            s_m1sq += m1 * m1
-            s_m2sq += m2 * m2
-            s_m1m2 += m1 * m2
-            comb = ent_k * (y[pos0] - y[pos2]) - ent_l * (y[pos0] - y[pos1])
-            terms = comb * comb / ent_w
-            dvec = np.zeros(n_comp_eff)
-            np.add.at(dvec, seg, terms)
-            s_d += dvec
-            # conditional residual: the drawn-variance contribution has known
-            # conditional mean (T_c - 2) * W_c, so only the remainder's
-            # covariance needs Monte Carlo (law of total variance).
-            res = dvec - tc_eff * paths.w_x[sc_idx]
-            s_r += res
-            s_rr += np.outer(res, res)
-            s_mw += paths.m_wx
-            s_mwsq += paths.m_wx**2
-            s_mwd += paths.m_wx * dvec
-
-    def _cov(sxy, sx, sy_):
-        c = (sxy - np.outer(sx, sy_) / n) / (n - 1)
-        return c
-
-    e_y = s_y / n + base_y
-    var_y = _cov(s_yy, s_y, s_y)
-    var_y = 0.5 * (var_y + var_y.T)
-
-    e_t = s_t / n + base_t if n_tgt else np.zeros(0)
-    var_t = np.clip((s_tt - s_t**2 / n) / (n - 1), 0.0, None) if n_tgt else np.zeros(0)
-    cov_ty = _cov(s_ty, s_t, s_y) if n_tgt else np.zeros((0, n_obs))
-
-    est = MomentEstimates(
-        design_points=points,
-        e_y=e_y,
-        var_y=var_y,
-        targets=targets,
-        e_targets=e_t,
-        var_targets=var_t,
-        cov_targets=cov_ty,
-        n_realizations=n,
-        seed=seed,
-        sigma_r=sigma_r,
-        mu_wx=mu_wx,
-        target_samples=samples,
+    # realization i draws its noise from child i of the seed; child n is the
+    # variance-scale stream, read from its start once per distinct mu_wx
+    root = _as_seedseq(seed)
+    scales = {
+        mu: _draw_scales(prior, mu, n, topology.component_count, _child(root, n))
+        for _, mu in laws
+    }
+    factor_t = correlation_factor(build_correlation(topology, prior.corr)).T
+    y, m, tv = _run_blocks(
+        prior, factor_t, design.horizon, root, n, laws, scales,
+        (obs_t, obs_c), (tgt_t, tgt_c, is_alpha, is_zmin), scheme is not None,
     )
-    if scheme is not None:
-        est.scheme = scheme
-        est.skipped_components = scheme.skipped
-        est.m1_sq = s_m1sq / n
-        est.m2_sq = s_m2sq / n
-        est.m1m2 = s_m1m2 / n
-        if n_ent:
-            est.dbar_mean = s_d / n
-            res_cov = _cov(s_rr, s_r, s_r)
-            if fixed_scales is None:
-                gam, sig = prior.hyper.gamma_wx, prior.hyper.sigma_wx
-                drawn = gam * np.outer(tc_eff, tc_eff) + np.diag(tc_eff**2 * (sig - gam))
-            else:
-                drawn = 0.0
-            dv = drawn + res_cov
-            est.dbar_var = 0.5 * (dv + dv.T)
-            est.mw_mean = s_mw / n
-            est.mw_var = (s_mwsq - s_mw**2 / n) / (n - 1)
-            est.mw_dbar_cov = (s_mwd - s_mw * s_d / n) / (n - 1)
+
+    base_y = prior.x0[obs_c] + prior.alpha0[obs_c] * obs_t
+    base_t = np.where(is_alpha, prior.alpha0[tgt_c], prior.x0[tgt_c] + prior.alpha0[tgt_c] * tgt_t)
+    out = []
+    for k, (sr, mu) in enumerate(laws):
+        e_y, e_t = y[k].mean(axis=0), tv[k].mean(axis=0)
+        yc, tc = y[k] - e_y, tv[k] - e_t
+        var_y = _cov(yc, yc)
+        est = MomentEstimates(
+            design_points=points,
+            e_y=e_y + base_y,
+            var_y=0.5 * (var_y + var_y.T),
+            targets=targets,
+            e_targets=e_t + base_t,
+            var_targets=np.einsum("ij,ij->j", tc, tc) / (n - 1),
+            cov_targets=_cov(tc, yc),
+            n_realizations=n,
+            seed=seed,
+            sigma_r=sr,
+            mu_wx=mu,
+            target_samples=tv[k] + base_t if store_target_samples else None,
+        )
+        del yc, tc
+        if scheme is not None:
+            w_x, m_wx = scales[mu]
+            _add_scheme_moments(est, scheme, comp_idx, y[k], m[k], w_x, m_wx, prior.hyper)
+        out.append(est)
+    return out
+
+
+def estimate_moments(
+    prior: PriorSpecification,
+    topology: SystemTopology,
+    design: InspectionDataset,
+    targets=(),
+    n_realizations: int | None = None,
+    seed: int | None = None,
+    sigma_r: float | None = None,
+    mu_wx: float | None = None,
+    scheme=None,
+    store_target_samples: bool = False,
+    allow_empty_design: bool = False,
+) -> MomentEstimates:
+    """Sample moments under one law; ``sigma_r`` and ``mu_wx`` default to
+    the prior's.  The one-law case of ``estimate_moments_by_law``."""
+    law = (
+        prior.sigma_r if sigma_r is None else sigma_r,
+        prior.hyper.mu_wx if mu_wx is None else mu_wx,
+    )
+    (est,) = estimate_moments_by_law(
+        prior, topology, design, [law], targets, n_realizations, seed,
+        scheme, store_target_samples, allow_empty_design,
+    )
     return est
 
 

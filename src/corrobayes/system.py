@@ -100,17 +100,13 @@ class CorrelationParams:
 def build_correlation(topology: SystemTopology, corr: CorrelationParams) -> np.ndarray:
     """Assemble Pi[c,c'] = rho0 + rhoC*[same circuit] + rhoD*exp(-nu*s_cc')."""
     comps = topology.components
-    n = len(comps)
-    pi = np.empty((n, n))
-    for i, c in enumerate(comps):
-        for j, cp in enumerate(comps):
-            if j < i:
-                pi[i, j] = pi[j, i]
-                continue
-            s = topology.distance(c, cp)
-            same = 1.0 if topology.same_circuit(c, cp) else 0.0
-            decay = 0.0 if math.isinf(s) else math.exp(-corr.nu * s)
-            pi[i, j] = corr.rho0 + corr.rhoC * same + corr.rhoD * decay
+    codes = {}
+    circuit = np.array([codes.setdefault(topology.circuit_of[c], len(codes)) for c in comps])
+    pos = np.array([topology.position_of[c] for c in comps], dtype=float)
+    # components on different circuits are infinitely far apart: no decay term
+    same = circuit[:, None] == circuit[None, :]
+    decay = np.where(same, np.exp(-corr.nu * np.abs(pos[:, None] - pos[None, :])), 0.0)
+    pi = corr.rho0 + corr.rhoC * same + corr.rhoD * decay
     # a correlation matrix has unit diagonal even when the three terms sum
     # below one; the surplus only strengthens positive definiteness
     np.fill_diagonal(pi, 1.0)

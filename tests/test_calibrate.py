@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from corrobayes import varlearn
 from corrobayes.calibrate import (
     calibrate as run_calibration,
+    calibrate_candidate,
     calibrate_replicates,
     estimator_study,
     h_curve,
@@ -61,6 +63,35 @@ def test_replicate_bands_bracket_the_median_dataset(topo16, design16):
     row = result.rows[0]
     assert row.h_lo is not None and row.h_hi is not None
     assert row.h_lo <= row.h_hi
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_candidate_call_on_the_pass_seeds_reproduces_the_calibration_rows(topo16, design16):
+    grid = (0.0016, 0.0064, 0.0256)
+    prior = make_prior(topo16, sigma_r_candidates=grid)
+    data = draw_dataset(prior, topo16, design16, seed=2)
+    result = run_calibration(prior, topo16, data, seed=5, n_realizations=200)
+    scheme = varlearn.build_scheme(data, prior.hyper.lam)
+    pass_seeds = np.random.SeedSequence(5).spawn(2)  # learning, rescoring
+    for sr, expected in zip(grid, result.rows):
+        row, _, _ = calibrate_candidate(
+            prior, topo16, data, data.values_vector(), scheme, sr, pass_seeds, 200
+        )
+        assert row.sigma_r == expected.sigma_r
+        assert row.adjusted_mu_wx == pytest.approx(expected.adjusted_mu_wx, rel=1e-12)
+        assert row.adjusted_var_wx == pytest.approx(expected.adjusted_var_wx, rel=1e-12)
+        assert row.h == pytest.approx(expected.h, rel=1e-9)
+
+
+def test_replicate_bands_score_against_the_calibration_moments(topo16, design16):
+    # the point dataset as its only replicate: both band edges are its H,
+    # which must be the H calibrate scored it at
+    prior = make_prior(topo16, sigma_r_candidates=(0.0064, 0.0256))
+    data = draw_dataset(prior, topo16, design16, seed=4)
+    point = run_calibration(prior, topo16, data, seed=9, n_realizations=300)
+    bands = calibrate_replicates(prior, topo16, data, [data], seed=9, n_realizations=300)
+    for p, b in zip(point.rows, bands.rows):
+        assert b.h_lo == b.h_hi == p.h
 
 
 def test_h_scored_against_its_own_generator_averages_one(topo16, design16):

@@ -85,6 +85,19 @@ def test_validate_fails_on_records_for_unknown_components(tmp_path, capsys):
     assert not out.exists()  # nothing written for an invalid dataset
 
 
+def test_an_interrupt_inside_a_stage_is_not_turned_into_a_stage_failure(tmp_path, monkeypatch):
+    config = _write_workspace(tmp_path)
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "estimate_moments", interrupted)
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["validate", "--config", str(config), "--out", str(out)])
+    assert not out.exists()
+
+
 def test_missing_config_keys_exit_with_the_config_code(tmp_path, capsys):
     config = _write_workspace(tmp_path)
     text = config.read_text().replace("horizon = 24\n", "")

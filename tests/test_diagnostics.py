@@ -157,3 +157,31 @@ def test_adjustment_diagnostics_report_zero_rows_without_data(topo16, prior16):
     report = diagnostics.adjustment_diagnostics(beliefs)
     (row,) = report.rows
     assert row.value == 0.0 and not row.flagged
+
+
+def test_adjustment_diagnostics_equal_the_full_resolved_variance_form(topo16, design16):
+    # reference: the whole n_t x n_t resolved variance, then each kind's block
+    prior = make_prior(topo16)
+    data = draw_dataset(prior, topo16, design16, seed=21)
+    targets = [("zmin", c, t) for c in topo16.components for t in (10, 40)]
+    targets += [("x", c, 40) for c in topo16.components]
+    beliefs = adjust_targets(prior, topo16, data, data.values_vector(), targets,
+                             seed=3, n_realizations=400)
+    mom = beliefs.moments
+    pinv, _ = linalg.pinv_with_rank(mom.var_y)
+    resolved = mom.cov_targets @ pinv @ mom.cov_targets.T
+    resolved = 0.5 * (resolved + resolved.T)
+    adjusted_var = np.array([r.adjusted_var for r in beliefs.rows])
+    expected_var = mom.var_targets - np.diag(resolved)
+    assert np.max(np.abs(adjusted_var - expected_var)) <= 1e-10 * np.max(mom.var_targets)
+
+    report = diagnostics.adjustment_diagnostics(beliefs)
+    assert [r.label for r in report.rows] == ["zmin", "x"]
+    for row in report.rows:
+        idx = [j for j, (kind, _, _) in enumerate(targets) if kind == row.label]
+        shift = np.array([beliefs.rows[j].adjusted_mean - beliefs.rows[j].prior_mean for j in idx])
+        ref = linalg.adjustment_discrepancy(
+            shift, np.zeros_like(shift), resolved[np.ix_(idx, idx)],
+            sample_size=mom.n_realizations,
+        )
+        assert row.value == pytest.approx(ref, rel=1e-10)

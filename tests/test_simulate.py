@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from corrobayes import designs, varlearn
+from corrobayes import designs, simulate, varlearn
 from corrobayes.errors import ConfigError, InsufficientDataError
 from corrobayes.simulate import (
     draw_dataset,
     estimate_moments,
+    estimate_moments_by_law,
     forecast_extend,
     simulate_realization,
 )
@@ -171,3 +172,79 @@ def test_student_t_noise_option_runs(topo16, design16):
     prior = make_prior(topo16, noise_dist="student_t", t_dof=6.0)
     mom = estimate_moments(prior, topo16, design16, n_realizations=300, seed=12)
     assert np.all(np.isfinite(mom.e_y))
+
+
+def test_kernel_agrees_with_a_brute_force_loop_over_realizations(topo8):
+    # independent ensembles of the same law: the oracle runs the model one
+    # realization at a time, the kernel in blocks with its own stream layout
+    prior = make_prior(topo8, sigma_wx=2e-5, gamma_wx=1e-5)
+    design = small_irregular_design(topo8, horizon=12, visits=3)
+    targets = [("zmin", c, t) for c in topo8.components[:4] for t in (4, 12)]
+    n = 2000
+    rng = np.random.default_rng(123)
+    ys, zs = [], []
+    for _ in range(n):
+        real = simulate_realization(prior, topo8, design, rng)
+        ys.append([real.y[pt] for pt in design.design_points()])
+        zs.append([real.zmin[t, topo8.index_of(c)] for _, c, t in targets])
+    ys, zs = np.array(ys), np.array(zs)
+    mom = estimate_moments(prior, topo8, design, targets, n_realizations=n, seed=321)
+
+    def mean_z(samples, estimate):
+        se = np.sqrt(2.0 * samples.var(axis=0, ddof=1) / n)
+        return np.abs(samples.mean(axis=0) - estimate) / se
+
+    yc = ys - ys.mean(axis=0)
+    var = (yc * yc).sum(axis=0) / (n - 1)
+    var_se = np.sqrt(2.0 * ((yc**4).mean(axis=0) - var**2) / n)
+    var_z = np.abs(var - np.diag(mom.var_y)) / var_se
+    worst = max(mean_z(ys, mom.e_y).max(), mean_z(zs, mom.e_targets).max(), var_z.max())
+    assert worst < 4.0
+
+
+def _assert_close(a, b, rtol=1e-12):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.max(np.abs(a - b), initial=0.0) <= rtol * np.max(np.abs(b), initial=0.0)
+
+
+MOMENT_FIELDS = (
+    "e_y", "var_y", "e_targets", "var_targets", "cov_targets",
+    "m1_sq", "m2_sq", "m1m2", "dbar_mean", "dbar_var", "mw_dbar_cov",
+)
+
+
+def test_one_law_call_equals_its_slice_of_a_multi_law_call(topo16, design16, prior16):
+    scheme = varlearn.build_scheme(design16, prior16.hyper.lam)
+    targets = [("zmin", topo16.components[0], 30), ("alpha", topo16.components[3], 40)]
+    laws = [(0.0016, 0.01), (0.0064, 0.004), (0.0256, 0.03)]
+    many = estimate_moments_by_law(
+        prior16, topo16, design16, laws, targets, n_realizations=300, seed=4, scheme=scheme
+    )
+    for (sr, mu), est in zip(laws, many):
+        one = estimate_moments(
+            prior16, topo16, design16, targets, n_realizations=300, seed=4,
+            sigma_r=sr, mu_wx=mu, scheme=scheme,
+        )
+        assert (one.sigma_r, one.mu_wx) == (est.sigma_r, est.mu_wx) == (sr, mu)
+        for name in MOMENT_FIELDS:
+            _assert_close(getattr(one, name), getattr(est, name))
+        assert one.mw_mean == pytest.approx(est.mw_mean, rel=1e-12)
+    assert not np.allclose(many[0].var_y, many[2].var_y)
+
+
+def test_moments_do_not_depend_on_the_block_size(topo16, design16, prior16, monkeypatch):
+    scheme = varlearn.build_scheme(design16, prior16.hyper.lam)
+    targets = [("zmin", c, 20) for c in topo16.components] + [("x", topo16.components[1], 40)]
+
+    def run():
+        return estimate_moments(
+            prior16, topo16, design16, targets, n_realizations=47, seed=13,
+            scheme=scheme, store_target_samples=True,
+        )
+
+    default = run()
+    monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 1)  # one realization per block
+    single = run()
+    for name in MOMENT_FIELDS + ("target_samples",):
+        assert np.array_equal(getattr(default, name), getattr(single, name)), name

@@ -1,5 +1,7 @@
 """Topology, correlation assembly, and variance hyperstructure draws."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,22 @@ def test_correlation_entries_follow_the_three_term_form(topo16):
     # different circuits: only the universal floor survives
     assert pi[0, 4] == pytest.approx(0.2)
     assert np.allclose(pi, pi.T)
+
+
+def test_correlation_matches_the_pairwise_definition():
+    # reference: one entry at a time from the topology's own distance and
+    # circuit predicates
+    topo = designs.four_circuit_topology()
+    corr = CorrelationParams(**APPENDIX_CORR, nu=0.7)
+    n = topo.component_count
+    ref = np.empty((n, n))
+    for i, c in enumerate(topo.components):
+        for j, cp in enumerate(topo.components):
+            s = topo.distance(c, cp)
+            decay = 0.0 if np.isinf(s) else math.exp(-corr.nu * s)
+            same = 1.0 if topo.same_circuit(c, cp) else 0.0
+            ref[i, j] = 1.0 if i == j else corr.rho0 + corr.rhoC * same + corr.rhoD * decay
+    np.testing.assert_allclose(build_correlation(topo, corr), ref, rtol=1e-15, atol=0)
 
 
 def test_reference_correlation_matrix_is_positive_semidefinite():
