@@ -23,7 +23,6 @@ from .calibrate import (
     EstimatorStudy,
     calibrate,
     estimator_study,
-    h_curve,
 )
 from .diagnostics import (
     DiagnosticReport,
@@ -40,13 +39,11 @@ from .errors import (
     ShapeError,
 )
 from .linalg import (
-    CrossMoment,
     MomentPair,
     adjusted_expectation,
     adjusted_variance,
     mahalanobis_discrepancy,
     pseudo_inverse,
-    resolved_variance,
 )
 from .simulate import (
     EnsembleRealization,

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .calibrate import CalibrationResult, calibrate
 from .errors import ShapeError
 from .simulate import MomentEstimates, estimate_moments
@@ -39,16 +38,18 @@ class TargetBelief:
 
 @dataclass
 class AdjustedBelief:
-    """Adjusted means/variances per target plus per-quantity blocks for
-    adjustment diagnostics.
+    """Adjusted means/variances per target plus what adjustment diagnostics
+    need, kept in whitened data space.
 
-    A block holds the kind's mean shift and its rows of the adjustment
-    weights cov(B,D) var(D)^+ and of cov(B,D); the kind's resolved variance
-    is weights @ cov', formed only when a diagnostic asks for it.
+    With R = Q_k Lambda_k^(-1/2) from the factor of var(Y), ``z`` is the
+    whitened residual R'(y - E(Y)) and a kind's block holds its rows of
+    G = cov(B,D) R: the kind's mean shift is G z and its resolved variance
+    G G', which is never formed.
     """
 
     rows: list
-    blocks: dict  # kind -> (shift vector, weight rows, cov_targets rows)
+    blocks: dict  # kind -> rows of G
+    z: np.ndarray
     moments: MomentEstimates
 
     def rows_for(self, kind: str, component=None) -> list:
@@ -100,7 +101,8 @@ def adjust_from_moments(
     dataset: InspectionDataset,
     observed_y: np.ndarray | None = None,
 ) -> AdjustedBelief:
-    """Apply the Bayes linear update given precomputed moments."""
+    """Apply the Bayes linear update given precomputed moments, in whitened
+    data space: E_D(B) = E(B) + G z and var_D(B) = var(B) - rowsum(G * G)."""
     targets = moments.targets
     n_obs = len(moments.design_points)
     if observed_y is None:
@@ -111,16 +113,11 @@ def adjust_from_moments(
             f"observed vector has shape {observed_y.shape}, design has {n_obs} points"
         )
 
-    if n_obs == 0:
-        weights = np.zeros_like(moments.cov_targets)
-        adj_mean = moments.e_targets.copy()
-        adj_var = moments.var_targets.copy()
-    else:
-        pinv, _ = linalg.pinv_with_rank(moments.var_y)
-        weights = moments.cov_targets @ pinv  # (n_targets, n_obs)
-        adj_mean = moments.e_targets + weights @ (observed_y - moments.e_y)
-        # diagonal of the resolved variance weights @ cov_targets'
-        adj_var = moments.var_targets - np.einsum("ij,ij->i", weights, moments.cov_targets)
+    factor = moments.y_moment_pair().factor
+    z = factor.whiten(observed_y - moments.e_y)
+    g = moments.cov_targets @ factor.root  # (n_targets, rank)
+    adj_mean = moments.e_targets + g @ z
+    adj_var = moments.var_targets - np.einsum("ij,ij->i", g, g)
 
     rows = []
     for j, (kind, c, t) in enumerate(targets):
@@ -131,16 +128,9 @@ def adjust_from_moments(
                 float(moments.var_targets[j]), float(adj_var[j]),
             )
         )
-    blocks = {}
-    kinds = [k for k, _, _ in targets]
-    for kind in dict.fromkeys(kinds):
-        idx = np.array([j for j, k in enumerate(kinds) if k == kind], dtype=int)
-        blocks[kind] = (
-            adj_mean[idx] - moments.e_targets[idx],
-            weights[idx],
-            moments.cov_targets[idx],
-        )
-    return AdjustedBelief(rows, blocks, moments)
+    kinds = np.array([k for k, _, _ in targets])
+    blocks = {kind: g[kinds == kind] for kind in dict.fromkeys(kinds.tolist())}
+    return AdjustedBelief(rows, blocks, z, moments)
 
 
 def _first_crossing(times: np.ndarray, values: np.ndarray, critical: float):

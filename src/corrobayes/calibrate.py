@@ -23,7 +23,7 @@ import numpy as np
 from . import linalg, varlearn
 from .errors import ConfigError
 from .simulate import _as_seedseq, estimate_moments, estimate_moments_by_law
-from .system import InspectionDataset, PriorSpecification, SystemTopology
+from .system import VARIANCE_FLOOR, InspectionDataset, PriorSpecification, SystemTopology
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,11 @@ class CandidateRow:
     h: float
     h_lo: float | None = None
     h_hi: float | None = None
+
+    @property
+    def floored(self) -> bool:
+        """The learned mu_wx came out below the floor and was raised to it."""
+        return self.adjusted_mu_wx <= VARIANCE_FLOOR
 
 
 @dataclass
@@ -138,11 +143,6 @@ def calibrate(
 ) -> CalibrationResult:
     """Run the fitting loop over the candidate grid; deterministic per seed."""
     return _calibrate(prior, topology, dataset, observed_y, seed, n_realizations)[0]
-
-
-def h_curve(result: CalibrationResult) -> list:
-    """(sigma_r, adjusted_mu_wx, H) rows in grid order, ready for plotting."""
-    return [(r.sigma_r, r.adjusted_mu_wx, r.h) for r in result.rows]
 
 
 def calibrate_replicates(

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import designs, diagnostics, fileio
+from . import designs, diagnostics, fileio, linalg
 from .adjust import BAND_CONVENTION, compare_with_without_variance_learning
-from .calibrate import calibrate, estimator_study, h_curve
+from .calibrate import calibrate, estimator_study
 from .errors import ConfigError
 from .simulate import estimate_moments, forecast_extend
 from .system import validate_dataset
@@ -158,7 +158,8 @@ def run_analysis(rc: RunConfig) -> int:
         )
 
     with _stage("diagnostics"):
-        final_h = diagnostics.global_discrepancy(observed, comparison.with_learning.moments)
+        learned_moments = comparison.with_learning.moments
+        final_h = diagnostics.global_discrepancy(observed, learned_moments)
         adj_diag = diagnostics.adjustment_diagnostics(comparison.with_learning)
 
     with _stage("emit"):
@@ -176,8 +177,8 @@ def run_analysis(rc: RunConfig) -> int:
         )
         fileio.write_csv(
             os.path.join(out, "h_curve.csv"),
-            ["sigma_r", "adjusted_mu_WX", "H"],
-            h_curve(calibration),
+            ["sigma_r", "adjusted_mu_WX", "H", "floored"],
+            [(r.sigma_r, r.adjusted_mu_wx, r.h, int(r.floored)) for r in calibration.rows],
         )
         sel = calibration.selected
         fileio.write_csv(
@@ -230,6 +231,9 @@ def run_analysis(rc: RunConfig) -> int:
             "discrepancy_grouping = per-observation rows; per-component aggregates",
             f"selected_sigma_r = {fileio.fmt(sel.sigma_r)}",
             f"selected_mu_WX = {fileio.fmt(sel.adjusted_mu_wx)}",
+            f"var_y_rank = {learned_moments.y_moment_pair().factor.rank}",
+            f"var_y_dim = {len(learned_moments.design_points)}",
+            f"pinv_rtol = {fileio.fmt(linalg.DEFAULT_RTOL)}",
         ]
         fileio.atomic_write_text(os.path.join(out, "run_metadata.txt"), "\n".join(meta) + "\n")
     print(f"analysis complete: final H = {final_h:.6g} (artifacts in {out})")

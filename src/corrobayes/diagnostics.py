@@ -97,20 +97,16 @@ def global_discrepancy(observed_y: np.ndarray, moments: MomentEstimates) -> floa
 
 def adjustment_diagnostics(beliefs, threshold: float = DEFAULT_THRESHOLD) -> DiagnosticReport:
     """Discrepancy of each quantity block's mean shift against its resolved
-    variance (zero when no adjustment occurred)."""
+    variance (zero when no adjustment occurred), computed in whitened data
+    space from the block's rows of G and the belief's z."""
     rows = []
-    for kind, (shift, weights, cov) in beliefs.blocks.items():
-        if shift.size == 0:
-            continue
-        resolved = weights @ cov.T
-        resolved = 0.5 * (resolved + resolved.T)
-        if not np.any(shift) and not np.any(resolved):
+    for kind, g in beliefs.blocks.items():
+        if not np.any(g):
             rows.append(DiagnosticRow(kind, None, None, 0.0, False))
             continue
         try:
-            value = linalg.adjustment_discrepancy(
-                shift, np.zeros_like(shift), resolved,
-                sample_size=beliefs.moments.n_realizations,
+            value = linalg.whitened_adjustment_discrepancy(
+                g, beliefs.z, sample_size=beliefs.moments.n_realizations
             )
         except DegenerateVarianceError:
             rows.append(DiagnosticRow(kind, None, None, float("nan"), False, True))

@@ -1,14 +1,19 @@
 """Bayes linear algebra primitives.
 
-Adjusted expectation and variance, resolved variance, and Mahalanobis
-discrepancies, all built on a spectral Moore-Penrose pseudo-inverse so that
-rank-deficient covariance matrices (common here because of min-function
-degeneracies) are handled consistently.  A single relative tolerance governs
-both the pseudo-inverse and the rank used to normalize discrepancies, so the
-numerator and denominator of every discrepancy ratio agree about which
-directions carry information.
+Adjusted expectation and variance and rank-normalized Mahalanobis
+discrepancies, all read off one spectral factor per variance matrix.  The
+factor checks symmetry, runs a single eigendecomposition, checks positive
+semi-definiteness from its eigenvalues, and applies the one cutoff of
+the package: eigenvalues with |lambda| <= DEFAULT_RTOL * max|lambda| count as
+zero.  What it keeps is R = Q_k |Lambda_k|^(-1/2), so the pseudo-inverse is
+R R' and the numerical rank is R's column count; rank-deficient covariance
+matrices (common here because of min-function degeneracies) are handled
+consistently, and the numerator and denominator of every discrepancy ratio
+agree about which directions carry information.  No entry point takes a
+tolerance: the cutoff is the module constant.
 
-All functions are pure; there is no shared mutable state.
+A ``MomentPair`` builds its factor once, so every update and discrepancy
+against the same data moments shares one decomposition.
 """
 
 from __future__ import annotations
@@ -19,11 +24,11 @@ import numpy as np
 
 from .errors import DegenerateVarianceError, ShapeError
 
-#: Relative eigenvalue cutoff shared by pseudo_inverse and rank computation.
+#: Relative eigenvalue cutoff shared by the pseudo-inverse and rank computation.
 DEFAULT_RTOL = 1e-10
 
 #: Relative Frobenius tolerance for symmetry checks.
-SYMMETRY_RTOL = 1e-8
+SYMMETRY_RTOL = 1e-10
 
 #: Eigenvalues of a covariance may dip this far (relative to the largest
 #: eigenvalue) below zero before we call the matrix indefinite.
@@ -46,20 +51,40 @@ def _as_square(m, name: str) -> np.ndarray:
     return arr
 
 
-def check_symmetric(m: np.ndarray, rtol: float = SYMMETRY_RTOL, name: str = "matrix") -> None:
-    scale = np.linalg.norm(m)
-    if scale == 0.0:
-        return
-    if np.linalg.norm(m - m.T) > rtol * scale:
-        raise ShapeError(f"{name} is not symmetric within tolerance {rtol}")
+class _SpectralFactor:
+    """One eigendecomposition of a symmetric positive semi-definite matrix V,
+    truncated at the package cutoff.  ``root`` (dim x rank) satisfies
+    V^+ = root @ root.T."""
+
+    def __init__(self, m: np.ndarray, name: str):
+        scale = np.linalg.norm(m)
+        if scale > 0.0 and np.linalg.norm(m - m.T) > SYMMETRY_RTOL * scale:
+            raise ShapeError(f"{name} is not symmetric within tolerance {SYMMETRY_RTOL}")
+        # a 1 x 1 matrix is its own eigendecomposition
+        vals, vecs = (m[0], np.ones((1, 1))) if m.shape == (1, 1) else np.linalg.eigh(m)
+        top = max(vals.max(initial=0.0), np.finfo(float).tiny)
+        if vals.size and vals[0] < -PSD_RTOL * top:
+            raise ShapeError(f"{name} is not positive semi-definite (min eigenvalue {vals[0]:g})")
+        keep = np.abs(vals) > DEFAULT_RTOL * np.abs(vals).max(initial=0.0)
+        self.root = vecs[:, keep] / np.sqrt(np.abs(vals[keep]))
+
+    @property
+    def rank(self) -> int:
+        return self.root.shape[1]
+
+    def whiten(self, x: np.ndarray) -> np.ndarray:
+        """R' x: coordinates in which V^+ is the identity."""
+        return self.root.T @ x
 
 
 @dataclass
 class MomentPair:
-    """First- and second-order belief specification for a vector quantity."""
+    """First- and second-order belief specification for a vector quantity,
+    with the spectral factor of its covariance."""
 
     mean: np.ndarray
     covariance: np.ndarray
+    factor: _SpectralFactor = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.mean = _as_vector(self.mean, "mean")
@@ -69,64 +94,30 @@ class MomentPair:
             raise ShapeError(
                 f"covariance shape {self.covariance.shape} does not match mean length {n}"
             )
-        check_symmetric(self.covariance, 1e-10, name="covariance")
-        eig = np.linalg.eigvalsh(self.covariance)
-        top = max(eig[-1], 0.0)
-        if eig[0] < -PSD_RTOL * max(top, np.finfo(float).tiny):
-            raise ShapeError(
-                f"covariance is not positive semi-definite (min eigenvalue {eig[0]:g})"
-            )
+        self.factor = _SpectralFactor(self.covariance, "covariance")
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
 
 
-@dataclass
-class CrossMoment:
-    """cov(targets, data): rows index targets, columns index data."""
-
-    matrix: np.ndarray = field()
-
-    def __post_init__(self):
-        self.matrix = np.atleast_2d(np.asarray(self.matrix, dtype=float))
-        if self.matrix.ndim != 2:
-            raise ShapeError(f"cross-moment must be a matrix, got shape {self.matrix.shape}")
+def pinv_with_rank(m):
+    """Pseudo-inverse of a symmetric positive semi-definite matrix together
+    with its numerical rank."""
+    f = _SpectralFactor(_as_square(m, "matrix"), "matrix")
+    return f.root @ f.root.T, f.rank
 
 
-def _eig_pinv(m: np.ndarray, rtol: float):
-    """Spectral pseudo-inverse; returns (pinv, rank)."""
-    vals, vecs = np.linalg.eigh(m)
-    cutoff = rtol * np.max(np.abs(vals)) if vals.size else 0.0
-    keep = np.abs(vals) > cutoff
-    inv_vals = np.zeros_like(vals)
-    inv_vals[keep] = 1.0 / vals[keep]
-    pinv = (vecs * inv_vals) @ vecs.T
-    return pinv, int(np.count_nonzero(keep))
+def pseudo_inverse(m) -> np.ndarray:
+    """Moore-Penrose inverse of a symmetric positive semi-definite matrix
+    via eigendecomposition; eigenvalues at or below the cutoff count as zero."""
+    return pinv_with_rank(m)[0]
 
 
-def pseudo_inverse(m, rtol: float = DEFAULT_RTOL) -> np.ndarray:
-    """Moore-Penrose inverse of a symmetric matrix via eigendecomposition.
-
-    Eigenvalues with magnitude below ``rtol`` times the largest magnitude
-    eigenvalue are treated as exactly zero.
-    """
-    arr = _as_square(m, "matrix")
-    check_symmetric(arr, name="matrix")
-    pinv, _ = _eig_pinv(arr, rtol)
-    return pinv
-
-
-def pinv_with_rank(m, rtol: float = DEFAULT_RTOL):
-    """Pseudo-inverse together with the numerical rank at the same cutoff."""
-    arr = _as_square(m, "matrix")
-    check_symmetric(arr, name="matrix")
-    return _eig_pinv(arr, rtol)
-
-
-def _check_adjustment_dims(prior, data_prior, cross):
-    mat = cross.matrix if isinstance(cross, CrossMoment) else np.atleast_2d(np.asarray(cross, float))
-    if prior is not None and mat.shape[0] != prior.dim:
+def _whitened_cross(prior: MomentPair, data_prior: MomentPair, cross) -> np.ndarray:
+    """G = cov(B,D) R, so that Rvar_D(B) = G G'."""
+    mat = np.atleast_2d(np.asarray(cross, float))
+    if mat.shape[0] != prior.dim:
         raise ShapeError(
             f"cross-moment has {mat.shape[0]} rows but prior has dimension {prior.dim}"
         )
@@ -134,7 +125,7 @@ def _check_adjustment_dims(prior, data_prior, cross):
         raise ShapeError(
             f"cross-moment has {mat.shape[1]} columns but data prior has dimension {data_prior.dim}"
         )
-    return mat
+    return mat @ data_prior.factor.root
 
 
 def adjusted_expectation(
@@ -142,33 +133,21 @@ def adjusted_expectation(
     data_prior: MomentPair,
     cross,
     observed,
-    rtol: float = DEFAULT_RTOL,
 ) -> np.ndarray:
     """E_D(B) = E(B) + cov(B,D) var(D)^+ (d - E(D))."""
-    cov_bd = _check_adjustment_dims(prior, data_prior, cross)
+    g = _whitened_cross(prior, data_prior, cross)
     d = _as_vector(observed, "observed")
     if d.shape[0] != data_prior.dim:
         raise ShapeError(
             f"observed has length {d.shape[0]} but data prior has dimension {data_prior.dim}"
         )
-    pinv, _ = _eig_pinv(data_prior.covariance, rtol)
-    return prior.mean + cov_bd @ (pinv @ (d - data_prior.mean))
+    return prior.mean + g @ data_prior.factor.whiten(d - data_prior.mean)
 
 
-def resolved_variance(data_prior: MomentPair, cross, rtol: float = DEFAULT_RTOL) -> np.ndarray:
-    """Rvar_D(B) = cov(B,D) var(D)^+ cov(D,B)."""
-    cov_bd = _check_adjustment_dims(None, data_prior, cross)
-    pinv, _ = _eig_pinv(data_prior.covariance, rtol)
-    rv = cov_bd @ pinv @ cov_bd.T
-    return 0.5 * (rv + rv.T)
-
-
-def adjusted_variance(
-    prior: MomentPair, data_prior: MomentPair, cross, rtol: float = DEFAULT_RTOL
-) -> np.ndarray:
-    """var_D(B) = var(B) - Rvar_D(B)."""
-    cov_bd = _check_adjustment_dims(prior, data_prior, cross)
-    return prior.covariance - resolved_variance(data_prior, cov_bd, rtol)
+def adjusted_variance(prior: MomentPair, data_prior: MomentPair, cross) -> np.ndarray:
+    """var_D(B) = var(B) - cov(B,D) var(D)^+ cov(D,B)."""
+    g = _whitened_cross(prior, data_prior, cross)
+    return prior.covariance - g @ g.T
 
 
 def _finite_sample_factor(rank: int, sample_size) -> float:
@@ -183,40 +162,28 @@ def _finite_sample_factor(rank: int, sample_size) -> float:
     return (n - rank - 2) / (n - 1)
 
 
-def mahalanobis_raw(observed, prior: MomentPair, rtol: float = DEFAULT_RTOL):
-    """Unnormalized quadratic form (y-E(Y))' var(Y)^+ (y-E(Y)) and its rank."""
-    y = _as_vector(observed, "observed")
-    if y.shape[0] != prior.dim:
-        raise ShapeError(f"observed has length {y.shape[0]} but prior has dimension {prior.dim}")
-    pinv, rank = _eig_pinv(prior.covariance, rtol)
-    resid = y - prior.mean
-    return float(resid @ pinv @ resid), rank
+def _rank_normalized(w: np.ndarray, rank: int, sample_size, name: str) -> float:
+    """|w|^2 / rank with the finite-ensemble correction, where w is a vector
+    in whitened coordinates of a rank-``rank`` variance."""
+    if rank == 0:
+        raise DegenerateVarianceError(f"{name} has rank zero")
+    return float(w @ w) / rank * _finite_sample_factor(rank, sample_size)
 
 
-def mahalanobis_discrepancy(
-    observed,
-    prior: MomentPair,
-    rtol: float = DEFAULT_RTOL,
-    sample_size=None,
-) -> float:
+def mahalanobis_discrepancy(observed, prior: MomentPair, sample_size=None) -> float:
     """Rank-normalized Mahalanobis discrepancy; expectation 1 under the prior.
 
     When the prior moments were estimated from ``sample_size`` Monte Carlo
     realizations, a finite-ensemble bias correction is applied.
     """
-    raw, rank = mahalanobis_raw(observed, prior, rtol)
-    if rank == 0:
-        raise DegenerateVarianceError("variance matrix has rank zero")
-    return raw / rank * _finite_sample_factor(rank, sample_size)
+    y = _as_vector(observed, "observed")
+    if y.shape[0] != prior.dim:
+        raise ShapeError(f"observed has length {y.shape[0]} but prior has dimension {prior.dim}")
+    f = prior.factor
+    return _rank_normalized(f.whiten(y - prior.mean), f.rank, sample_size, "variance matrix")
 
 
-def adjustment_discrepancy(
-    adjusted_mean,
-    prior_mean,
-    resolved_var,
-    rtol: float = DEFAULT_RTOL,
-    sample_size=None,
-) -> float:
+def adjustment_discrepancy(adjusted_mean, prior_mean, resolved_var, sample_size=None) -> float:
     """Rank-normalized discrepancy of the mean shift against resolved variance.
 
     (E_D(B)-E(B))' Rvar^+ (E_D(B)-E(B)) / rank(Rvar).  When the resolved
@@ -230,8 +197,23 @@ def adjustment_discrepancy(
     rv = _as_square(resolved_var, "resolved_var")
     if rv.shape[0] != a.shape[0]:
         raise ShapeError("resolved_var dimension does not match means")
-    pinv, rank = _eig_pinv(rv, rtol)
-    if rank == 0:
-        raise DegenerateVarianceError("resolved variance has rank zero")
-    shift = a - p
-    return float(shift @ pinv @ shift) / rank * _finite_sample_factor(rank, sample_size)
+    f = _SpectralFactor(rv, "resolved_var")
+    return _rank_normalized(f.whiten(a - p), f.rank, sample_size, "resolved variance")
+
+
+def whitened_adjustment_discrepancy(g, z, sample_size=None) -> float:
+    """``adjustment_discrepancy`` of the shift G z against the resolved
+    variance G G', computed in data space without forming G G'.
+
+    G = cov(B,D) R are whitened cross-covariance rows and z = R'(d - E(D))
+    the whitened data residual.  With the thin SVD G = U S V', the form
+    equals |V_r' z|^2 over the r singular values whose squares (the
+    eigenvalues of G G') pass the cutoff.
+    """
+    g = np.atleast_2d(np.asarray(g, dtype=float))
+    _, s, vt = np.linalg.svd(g, full_matrices=False)
+    keep = s * s > DEFAULT_RTOL * (s[0] * s[0] if s.size else 0.0)
+    return _rank_normalized(
+        vt[keep] @ np.asarray(z, dtype=float), int(np.count_nonzero(keep)),
+        sample_size, "resolved variance",
+    )

@@ -26,11 +26,12 @@ depend on the block size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError, ShapeError
+from .linalg import MomentPair
 from .system import (
     InspectionDataset,
     PriorSpecification,
@@ -180,11 +181,14 @@ class MomentEstimates:
     mw_dbar_cov: np.ndarray = None
     target_samples: np.ndarray = None
     skipped_components: tuple = ()
+    _y_pair: MomentPair = field(default=None, init=False, repr=False, compare=False)
 
-    def y_moment_pair(self):
-        from .linalg import MomentPair
-
-        return MomentPair(self.e_y, self.var_y)
+    def y_moment_pair(self) -> MomentPair:
+        """(e_y, var_y) as one MomentPair, built on first use, so H, the
+        adjustment and its diagnostics share one factor of var(Y)."""
+        if self._y_pair is None:
+            self._y_pair = MomentPair(self.e_y, self.var_y)
+        return self._y_pair
 
 
 def _target_arrays(targets, topology, horizon):

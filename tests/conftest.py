@@ -68,3 +68,19 @@ def design16(topo16):
 @pytest.fixture
 def prior16(topo16):
     return make_prior(topo16)
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Sizes of the matrices passed to np.linalg.eigh / eigvalsh while the
+    test runs, in call order."""
+    sizes = []
+    for name in ("eigh", "eigvalsh"):
+        orig = getattr(np.linalg, name)
+
+        def counted(a, *args, _orig=orig, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return _orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return sizes

@@ -9,7 +9,6 @@ from corrobayes.calibrate import (
     calibrate_candidate,
     calibrate_replicates,
     estimator_study,
-    h_curve,
     select_index,
 )
 from corrobayes.errors import ConfigError
@@ -42,14 +41,6 @@ def test_empty_candidate_grid_is_rejected(topo16, design16):
     object.__setattr__(prior, "sigma_r_candidates", ())
     with pytest.raises(ConfigError):
         run_calibration(prior, topo16, data, seed=1, n_realizations=100)
-
-
-def test_h_curve_rows_mirror_the_calibration_result(topo16, design16):
-    prior = make_prior(topo16, sigma_r_candidates=(0.0064, 0.0256))
-    data = draw_dataset(prior, topo16, design16, seed=3)
-    result = run_calibration(prior, topo16, data, seed=7, n_realizations=200)
-    rows = h_curve(result)
-    assert [(r.sigma_r, r.adjusted_mu_wx, r.h) for r in result.rows] == rows
 
 
 def test_replicate_bands_bracket_the_median_dataset(topo16, design16):

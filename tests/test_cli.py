@@ -139,7 +139,7 @@ def test_analysis_artifacts_have_the_documented_headers(tmp_path):
     out = tmp_path / "out"
     assert _run_analysis(config, out) == cli.EXIT_OK
     heads = {
-        "h_curve.csv": "sigma_r,adjusted_mu_WX,H",
+        "h_curve.csv": "sigma_r,adjusted_mu_WX,H,floored",
         "selected_variances.csv": "sigma_r,adjusted_mu_WX,adjusted_var_WX,H",
         "remnant_life.csv": "component,mean_crossing,lower_band_crossing,upper_band_crossing",
     }
@@ -147,6 +147,13 @@ def test_analysis_artifacts_have_the_documented_headers(tmp_path):
         assert (out / name).read_text().splitlines()[0] == head
     meta = (out / "run_metadata.txt").read_text()
     assert "seed = 3" in meta and "selected_sigma_r" in meta
+    # 8 components x 4 visits; 200 realizations leave var(Y) full rank
+    assert "var_y_rank = 32\n" in meta and "var_y_dim = 32\n" in meta
+    assert "pinv_rtol = 1e-10\n" in meta
+    h_rows = [line.split(",") for line in (out / "h_curve.csv").read_text().splitlines()[1:]]
+    assert len(h_rows) == 3
+    for _, mu, _, floored in h_rows:
+        assert floored == str(int(float(mu) <= 1e-12))
     final = (out / "final_discrepancy.txt").read_text()
     assert final.startswith("prior_H = ") and "final_H = " in final
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from corrobayes import diagnostics, linalg
-from corrobayes.adjust import adjust_targets
+from corrobayes.adjust import adjust_from_moments, adjust_targets
 from corrobayes.errors import ConfigError
 from corrobayes.simulate import draw_dataset, estimate_moments
 from conftest import make_prior
@@ -159,16 +159,21 @@ def test_adjustment_diagnostics_report_zero_rows_without_data(topo16, prior16):
     assert row.value == 0.0 and not row.flagged
 
 
-def test_adjustment_diagnostics_equal_the_full_resolved_variance_form(topo16, design16):
-    # reference: the whole n_t x n_t resolved variance, then each kind's block
+@pytest.mark.parametrize("n_realizations", [400, 40])
+def test_adjustment_diagnostics_equal_the_full_resolved_variance_form(
+    topo16, design16, n_realizations
+):
+    # reference: the whole n_t x n_t resolved variance, then each kind's block;
+    # 40 realizations leave var(Y) rank-deficient (rank 39 of 64)
     prior = make_prior(topo16)
     data = draw_dataset(prior, topo16, design16, seed=21)
     targets = [("zmin", c, t) for c in topo16.components for t in (10, 40)]
     targets += [("x", c, 40) for c in topo16.components]
     beliefs = adjust_targets(prior, topo16, data, data.values_vector(), targets,
-                             seed=3, n_realizations=400)
+                             seed=3, n_realizations=n_realizations)
     mom = beliefs.moments
-    pinv, _ = linalg.pinv_with_rank(mom.var_y)
+    pinv, rank = linalg.pinv_with_rank(mom.var_y)
+    assert rank == min(len(mom.design_points), n_realizations - 1)
     resolved = mom.cov_targets @ pinv @ mom.cov_targets.T
     resolved = 0.5 * (resolved + resolved.T)
     adjusted_var = np.array([r.adjusted_var for r in beliefs.rows])
@@ -185,3 +190,19 @@ def test_adjustment_diagnostics_equal_the_full_resolved_variance_form(topo16, de
             sample_size=mom.n_realizations,
         )
         assert row.value == pytest.approx(ref, rel=1e-10)
+
+
+def test_update_h_and_adjustment_diagnostics_share_one_factor_of_var_y(
+    topo16, design16, decompositions
+):
+    prior = make_prior(topo16)
+    data = draw_dataset(prior, topo16, design16, seed=21)
+    targets = [("zmin", c, t) for c in topo16.components for t in (10, 40)]
+    targets += [("x", c, 40) for c in topo16.components]
+    mom = estimate_moments(prior, topo16, design16, targets=targets,
+                           n_realizations=400, seed=3)
+    decompositions.clear()  # simulation factors the correlation matrix
+    beliefs = adjust_from_moments(mom, data)
+    diagnostics.global_discrepancy(data.values_vector(), mom)
+    diagnostics.adjustment_diagnostics(beliefs)
+    assert decompositions == [len(mom.design_points)]

@@ -151,3 +151,29 @@ def test_adjustment_discrepancy_restricts_to_resolved_space():
     rv = np.diag([4.0, 0.0])
     val = linalg.adjustment_discrepancy([2.0, 7.0], [0.0, 7.0], rv)
     assert val == pytest.approx(1.0)
+
+
+@st.composite
+def whitened_adjustments(draw):
+    # G = U diag(s) V' of rank k < min(n_t, r): orthonormal U, V and singular
+    # values in [0.1, 10], times an overall scale
+    n_t = draw(st.integers(min_value=2, max_value=30))
+    r = draw(st.integers(min_value=2, max_value=30))
+    k = draw(st.integers(min_value=1, max_value=min(n_t, r) - 1))
+    scale = 10.0 ** draw(st.integers(min_value=-6, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    u = np.linalg.qr(rng.standard_normal((n_t, k)))[0]
+    v = np.linalg.qr(rng.standard_normal((r, k)))[0]
+    g = scale * (u * rng.uniform(0.1, 10.0, k)) @ v.T
+    sample_size = draw(st.sampled_from([None, 200]))
+    return g, rng.standard_normal(r), sample_size
+
+
+@settings(max_examples=60, deadline=None)
+@given(whitened_adjustments())
+def test_data_space_adjustment_discrepancy_equals_the_resolved_variance_form(case):
+    g, z, sample_size = case
+    shift = g @ z
+    ref = linalg.adjustment_discrepancy(shift, np.zeros_like(shift), g @ g.T, sample_size)
+    val = linalg.whitened_adjustment_discrepancy(g, z, sample_size)
+    assert val == pytest.approx(ref, rel=1e-9)

@@ -171,3 +171,17 @@ def test_estimator_mean_close_to_truth_over_replicates(topo16, design16, prior16
         replicates=50, seed=8, n_realizations=1500,
     )
     assert abs(study.mean - prior16.hyper.mu_wx) < 0.15 * prior16.hyper.mu_wx
+
+
+def test_adjustment_factors_the_dbar_variance_once(topo16, design16, prior16, decompositions):
+    scheme = varlearn.build_scheme(design16, prior16.hyper.lam)
+    mom = estimate_moments(
+        prior16, topo16, design16, n_realizations=400, seed=3, scheme=scheme
+    )
+    data = draw_dataset(prior16, topo16, design16, seed=5)
+    dbar = varlearn.build_dbar_statistic(data, scheme, prior16.hyper, mom)
+    decompositions.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        varlearn.adjust_wx(dbar, prior16.hyper)
+    assert decompositions == [len(scheme.components)]
