@@ -49,6 +49,7 @@ from .simulate import (
     EnsembleRealization,
     MomentEstimates,
     draw_dataset,
+    draw_observations,
     estimate_moments,
     estimate_moments_by_law,
     forecast_extend,

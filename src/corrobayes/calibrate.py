@@ -12,6 +12,12 @@ the run seed: the learning pass simulates every candidate at the prior
 mu_wx, and the rescoring pass every candidate at its learned mu_wx.  Every
 candidate of a pass sees the same random numbers, so the H curve is scored on
 common random numbers.
+
+The estimator study shares everything that does not depend on a replicate's
+data: one ensemble for the Dbar moments, one factor of Pi for drawing, one
+Dbar kernel and one factor of var(Dbar) for the adjustment.  Replicates are
+drawn in blocks and reduced to their Dbar rows block by block, then adjusted
+together.
 """
 
 from __future__ import annotations
@@ -21,8 +27,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg, varlearn
-from .errors import ConfigError
-from .simulate import _as_seedseq, estimate_moments, estimate_moments_by_law
+from .errors import ConfigError, InsufficientDataError
+from .simulate import (
+    _as_seedseq,
+    _child,
+    draw_observations,
+    estimate_moments,
+    estimate_moments_by_law,
+)
 from .system import VARIANCE_FLOOR, InspectionDataset, PriorSpecification, SystemTopology
 
 
@@ -175,12 +187,14 @@ def calibrate_replicates(
 
 @dataclass
 class EstimatorStudy:
-    """Replicated variance-learning estimates under known truth."""
+    """Replicated variance-learning estimates under known truth; ``floored``
+    counts the replicates whose estimate was raised to the floor."""
 
     estimates: np.ndarray
     mean: float
     q05: float
     q95: float
+    floored: int
 
 
 def estimator_study(
@@ -196,34 +210,39 @@ def estimator_study(
     """Distribution of the adjusted variance estimate over replicate systems.
 
     Moments (Dbar variance and local min-difference moments) depend only on
-    the design and priors, so they are estimated once and shared by all
-    replicates; each replicate then draws a fresh system, computes Dbar, and
-    adjusts.
+    the design and priors, so they are estimated once, from one seed spawned
+    from ``seed``, and shared by all replicates.  Replicate i draws a fresh
+    system from child i of the other spawned seed.  The replicates are drawn
+    in blocks (``draw_observations``) and each block is reduced to its Dbar
+    rows at once, so only the (replicates, n_components) Dbar array is kept.
+    All rows are then adjusted together against one factor of var(Dbar),
+    and each estimate below the floor is raised to it with a warning.
     """
-    from .simulate import draw_dataset
-
     if replicates < 1:
         raise ConfigError("replicate count must be at least 1")
     seed = prior.rng_seed if seed is None else seed
     n = prior.ensemble_size if n_realizations is None else int(n_realizations)
     scheme = varlearn.build_scheme(design, prior.hyper.lam)
+    if not scheme.components:
+        raise InsufficientDataError("no component has three or more observations")
     moment_seed, data_seed = _as_seedseq(seed).spawn(2)
     moments = estimate_moments(
         prior, topology, design,
         n_realizations=n, seed=moment_seed, sigma_r=true_sigma_r, scheme=scheme,
     )
-    data_streams = data_seed.spawn(replicates)
-    estimates = np.empty(replicates)
-    for i in range(replicates):
-        data = draw_dataset(
-            prior, topology, design, data_streams[i],
-            sigma_r=true_sigma_r, mu_wx=true_mu_wx, fix_scales=True,
-        )
-        dbar = varlearn.build_dbar_statistic(data, scheme, prior.hyper, moments)
-        estimates[i], _ = varlearn.adjust_wx(dbar, prior.hyper)
+    kernel = scheme.kernel(design.design_points())
+    blocks = draw_observations(
+        prior, topology, design, (_child(data_seed, i) for i in range(replicates)),
+        sigma_r=true_sigma_r, mu_wx=true_mu_wx, fix_scales=True,
+    )
+    dbar = varlearn.build_dbar_statistic(
+        np.concatenate([kernel(y) for y in blocks]), scheme, prior.hyper, moments
+    )
+    estimates, _ = varlearn.adjust_wx(dbar, prior.hyper)
     return EstimatorStudy(
         estimates,
         float(estimates.mean()),
         float(np.quantile(estimates, 0.05)),
         float(np.quantile(estimates, 0.95)),
+        int(np.count_nonzero(estimates <= VARIANCE_FLOOR)),
     )

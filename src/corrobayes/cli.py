@@ -183,8 +183,8 @@ def run_analysis(rc: RunConfig) -> int:
         sel = calibration.selected
         fileio.write_csv(
             os.path.join(out, "selected_variances.csv"),
-            ["sigma_r", "adjusted_mu_WX", "adjusted_var_WX", "H"],
-            [(sel.sigma_r, sel.adjusted_mu_wx, sel.adjusted_var_wx, sel.h)],
+            ["sigma_r", "adjusted_mu_WX", "adjusted_var_WX", "H", "floored"],
+            [(sel.sigma_r, sel.adjusted_mu_wx, sel.adjusted_var_wx, sel.h, int(sel.floored))],
         )
         fileio.write_csv(
             os.path.join(out, "adjusted_beliefs.csv"),
@@ -231,6 +231,7 @@ def run_analysis(rc: RunConfig) -> int:
             "discrepancy_grouping = per-observation rows; per-component aggregates",
             f"selected_sigma_r = {fileio.fmt(sel.sigma_r)}",
             f"selected_mu_WX = {fileio.fmt(sel.adjusted_mu_wx)}",
+            f"selected_floored = {int(sel.floored)}",
             f"var_y_rank = {learned_moments.y_moment_pair().factor.rank}",
             f"var_y_dim = {len(learned_moments.design_points)}",
             f"pinv_rtol = {fileio.fmt(linalg.DEFAULT_RTOL)}",
@@ -310,8 +311,9 @@ def run_study(rc: RunConfig, args) -> int:
     )
     fileio.write_csv(
         os.path.join(rc.out_dir, "estimator_summary.csv"),
-        ["mean", "q05", "q95", "true_mu_WX", "true_sigma_r", "replicates"],
-        [(study.mean, study.q05, study.q95, args.true_wx, args.true_sigr, args.replicates)],
+        ["mean", "q05", "q95", "true_mu_WX", "true_sigma_r", "replicates", "floored"],
+        [(study.mean, study.q05, study.q95, args.true_wx, args.true_sigr, args.replicates,
+          study.floored)],
     )
     print(
         f"estimator over {args.replicates} replicates: mean {study.mean:.6g} "

@@ -134,14 +134,21 @@ def adjusted_expectation(
     cross,
     observed,
 ) -> np.ndarray:
-    """E_D(B) = E(B) + cov(B,D) var(D)^+ (d - E(D))."""
+    """E_D(B) = E(B) + cov(B,D) var(D)^+ (d - E(D)).
+
+    ``observed`` is one data vector d, or an (n, dim) array whose rows are
+    data vectors adjusted against the same moments; the result then has one
+    row per data vector.
+    """
     g = _whitened_cross(prior, data_prior, cross)
-    d = _as_vector(observed, "observed")
-    if d.shape[0] != data_prior.dim:
+    d = np.asarray(observed, dtype=float)
+    if d.ndim == 0:
+        d = d.reshape(1)
+    if d.ndim > 2 or d.shape[-1] != data_prior.dim:
         raise ShapeError(
-            f"observed has length {d.shape[0]} but data prior has dimension {data_prior.dim}"
+            f"observed has shape {d.shape} but data prior has dimension {data_prior.dim}"
         )
-    return prior.mean + g @ data_prior.factor.whiten(d - data_prior.mean)
+    return prior.mean + (g @ data_prior.factor.whiten((d - data_prior.mean).T)).T
 
 
 def adjusted_variance(prior: MomentPair, data_prior: MomentPair, cross) -> np.ndarray:

@@ -21,6 +21,14 @@ The per-realization observation and target values of every law are kept for
 the whole ensemble (they are small next to the (T, C, L) noise), and the
 moments come from one centered pass of matrix products, so they do not
 depend on the block size.
+
+``draw_observations`` is the data drawer next to this moment kernel: it
+draws whole synthetic datasets (one per seed, in blocks under the same
+element budget) with each dataset's stream consumed exactly as
+``simulate_realization`` consumes it, building Pi's factor and the observed
+cell indices once.  ``draw_dataset`` is its one-seed case.  Both the
+ensemble's Dbar moments and the estimator study reduce observation rows with
+the difference scheme's one Dbar kernel (``DifferenceScheme.kernel``).
 """
 
 from __future__ import annotations
@@ -96,6 +104,8 @@ def simulate_realization(
 ) -> EnsembleRealization:
     """Run the model forward once, observing at the designed points.
 
+    Keeps every trajectory; the pipeline draws datasets with
+    ``draw_observations`` and tests use this as its brute-force reference.
     With ``fix_scales`` every component's evolution variance is held at
     ``mu_wx`` exactly (known-truth data generation) instead of being drawn
     from the hyperprior.
@@ -133,20 +143,90 @@ def simulate_realization(
     return EnsembleRealization(x, alpha, r, zmin, y, w_x, w_a, m_wx)
 
 
+def _observed_cells(design: InspectionDataset, topology: SystemTopology):
+    """(times, component indices) of the design's points in canonical order."""
+    points = design.design_points()
+    comp_idx = {c: i for i, c in enumerate(topology.components)}
+    obs_c = np.array([comp_idx[c] for c, _ in points], dtype=int)
+    obs_t = np.array([t for _, t in points], dtype=int)
+    if points and (obs_t.min() < 1 or obs_t.max() > design.horizon):
+        raise ConfigError("design times outside horizon")
+    return obs_t, obs_c
+
+
+def draw_observations(
+    prior: PriorSpecification,
+    topology: SystemTopology,
+    design: InspectionDataset,
+    seeds,
+    sigma_r: float | None = None,
+    mu_wx: float | None = None,
+    fix_scales: bool = False,
+):
+    """Observation vectors of independent synthetic datasets, in blocks.
+
+    Dataset j is drawn from the j-th seed of the iterable ``seeds``, which is
+    read lazily, one block at a time.  Yields (b, n_obs) arrays whose rows are
+    the datasets' values in the design's canonical point order.  Each row
+    consumes its stream exactly as ``simulate_realization`` does (W unless
+    ``fix_scales``, then eps_alpha (T, C), eps_x (T, C), r (T, L, C) and
+    eps_y (T, L, C)), so it equals that realization's observations.  Pi's
+    factor and the observed-cell indices are built once for all datasets.
+    """
+    sigma_r = prior.sigma_r if sigma_r is None else sigma_r
+    mu_wx = prior.hyper.mu_wx if mu_wx is None else mu_wx
+    hyper = prior.hyper.with_mean(mu_wx)
+    obs_t, obs_c = _observed_cells(design, topology)
+    factor_t = correlation_factor(build_correlation(topology, prior.corr)).T
+    t_len, n_comp, l_cnt = design.horizon, topology.component_count, prior.locations_per_component
+    dist, dof = prior.noise_dist, prior.t_dof
+
+    block = max(1, BLOCK_ELEMENTS // (t_len * n_comp * l_cnt))
+    w_x = np.full((block, n_comp), float(mu_wx))
+    za = np.empty((block, t_len, n_comp))
+    zx = np.empty((block, t_len, n_comp))
+    zr = np.empty((block, t_len, l_cnt, n_comp))
+    zy = np.empty((block, t_len, l_cnt, n_comp))
+    seeds = iter(seeds)
+    # zip stops at the end of range before taking a seed past the block
+    while chunk := [seed for _, seed in zip(range(block), seeds)]:
+        b = len(chunk)
+        for j, seed in enumerate(chunk):
+            rng = np.random.default_rng(_as_seedseq(seed))
+            if not fix_scales:
+                w_x[j], _ = draw_variance_scales(hyper, n_comp, rng, prior.w_dist)
+            for buf in (za, zx, zr, zy):
+                _fill_noise(rng, buf[j], dist, dof)
+        # alpha_t = alpha0 + cumsum(eps_alpha), then x_t = x0 + cumsum(alpha_t
+        # + eps_x), in one buffer and in simulate_realization's operation order
+        x = (za[:b] @ factor_t) * np.sqrt(hyper.lam * w_x[:b, None, :])
+        np.cumsum(x, axis=1, out=x)
+        x += prior.alpha0
+        x += (zx[:b] @ factor_t) * np.sqrt(w_x[:b, None, :])
+        np.cumsum(x, axis=1, out=x)
+        x += prior.x0
+        walk = zr[:b]
+        walk *= math.sqrt(sigma_r)
+        np.cumsum(walk, axis=1, out=walk)
+        noisy = zy[:b]
+        noisy *= math.sqrt(prior.sigma_y)
+        noisy += walk
+        yield x[:, obs_t - 1, obs_c] + noisy.min(axis=2)[:, obs_t - 1, obs_c]
+
+
 def draw_dataset(
     prior: PriorSpecification,
     topology: SystemTopology,
     design: InspectionDataset,
-    seed: int,
+    seed,
     sigma_r: float | None = None,
     mu_wx: float | None = None,
     fix_scales: bool = False,
 ) -> InspectionDataset:
-    """One synthetic inspection dataset drawn under the model."""
-    rng = np.random.default_rng(_as_seedseq(seed))
-    real = simulate_realization(prior, topology, design, rng, sigma_r, mu_wx, fix_scales)
-    values = np.array([real.y[pt] for pt in design.design_points()])
-    return design.with_values(values)
+    """One synthetic inspection dataset drawn under the model: the one-seed
+    case of ``draw_observations``."""
+    (values,) = draw_observations(prior, topology, design, [seed], sigma_r, mu_wx, fix_scales)
+    return design.with_values(values[0])
 
 
 @dataclass
@@ -292,22 +372,18 @@ def _cov(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.T @ b / (a.shape[0] - 1)
 
 
-def _add_scheme_moments(est, scheme, comp_idx, y, m, w_x, m_wx, hyper) -> None:
+def _add_scheme_moments(est, scheme, kernel, comp_idx, y, m, w_x, m_wx, hyper) -> None:
     """Attach the local min-difference moments and the Dbar moments.
 
     ``y`` and ``m`` are the (n, n_obs) observations and their local
-    min-effects.  ``y`` may omit the prior trend: every difference
-    combination annihilates level and slope.
+    min-effects; ``kernel`` is the scheme's Dbar kernel for their columns.
+    ``y`` may omit the prior trend: every difference combination
+    annihilates level and slope.
     """
     est.scheme = scheme
     est.skipped_components = scheme.skipped
-    entries = scheme.entries
     n = y.shape[0]
-    pos = {pt: j for j, pt in enumerate(est.design_points)}
-    p0, p1, p2 = (
-        np.array([pos[(e.component, getattr(e, t))] for e in entries], dtype=int)
-        for t in ("t0", "t1", "t2")
-    )
+    p0, p1, p2 = kernel.p0, kernel.p1, kernel.p2
     # ensemble-sized temporaries are built in place to keep them few
     m1 = m[:, p0]
     m1 -= m[:, p1]
@@ -317,28 +393,10 @@ def _add_scheme_moments(est, scheme, comp_idx, y, m, w_x, m_wx, hyper) -> None:
     est.m2_sq = np.einsum("ij,ij->j", m2, m2) / n
     est.m1m2 = np.einsum("ij,ij->j", m1, m2) / n
     del m1, m2
-    if not entries:
+    if not scheme.entries:
         return
-    ent_k = np.array([e.k for e in entries], dtype=float)
-    ent_l = np.array([e.l for e in entries], dtype=float)
-    ent_w = np.array([e.weight for e in entries], dtype=float)
-    # 0/1 matrix summing entry terms into their component's Dbar
-    segments = np.zeros((len(entries), len(scheme.components)))
-    segments[np.arange(len(entries)), scheme.entry_component_indices()] = 1.0
-    t_eff = segments.sum(axis=0)
-
-    # k (y0 - y2) - l (y0 - y1), squared and divided by the lag weight
-    comb = y[:, p0]
-    comb -= y[:, p2]
-    comb *= ent_k
-    lag1 = y[:, p0]
-    lag1 -= y[:, p1]
-    lag1 *= ent_l
-    comb -= lag1
-    del lag1
-    comb *= comb
-    comb /= ent_w
-    dvec = comb @ segments
+    t_eff = np.array([scheme.t_counts[c] - 2 for c in scheme.components], dtype=float)
+    dvec = kernel(y)
     # conditional residual: the drawn-variance contribution has known
     # conditional mean (T_c - 2) * W_c, so only the remainder's covariance
     # needs Monte Carlo (law of total variance).
@@ -390,11 +448,7 @@ def estimate_moments_by_law(
     if prior.x0.shape[0] != topology.component_count:
         raise ShapeError("x0 length does not match component count")
 
-    comp_idx = {c: i for i, c in enumerate(topology.components)}
-    obs_c = np.array([comp_idx[c] for c, _ in points], dtype=int)
-    obs_t = np.array([t for _, t in points], dtype=int)
-    if points and (obs_t.min() < 1 or obs_t.max() > design.horizon):
-        raise ConfigError("design times outside horizon")
+    obs_t, obs_c = _observed_cells(design, topology)
     kinds, tgt_c, tgt_t = _target_arrays(targets, topology, design.horizon)
     is_alpha = np.array([k == "alpha" for k in kinds], dtype=bool)
     is_zmin = np.array([k == "zmin" for k in kinds], dtype=bool)
@@ -414,6 +468,9 @@ def estimate_moments_by_law(
 
     base_y = prior.x0[obs_c] + prior.alpha0[obs_c] * obs_t
     base_t = np.where(is_alpha, prior.alpha0[tgt_c], prior.x0[tgt_c] + prior.alpha0[tgt_c] * tgt_t)
+    if scheme is not None:
+        comp_idx = {c: i for i, c in enumerate(topology.components)}
+        kernel = scheme.kernel(points)
     out = []
     for k, (sr, mu) in enumerate(laws):
         e_y, e_t = y[k].mean(axis=0), tv[k].mean(axis=0)
@@ -436,7 +493,9 @@ def estimate_moments_by_law(
         del yc, tc
         if scheme is not None:
             w_x, m_wx = scales[mu]
-            _add_scheme_moments(est, scheme, comp_idx, y[k], m[k], w_x, m_wx, prior.hyper)
+            _add_scheme_moments(
+                est, scheme, kernel, comp_idx, y[k], m[k], w_x, m_wx, prior.hyper
+            )
         out.append(est)
     return out
 

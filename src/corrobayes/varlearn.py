@@ -48,6 +48,83 @@ class SchemeEntry:
     weight: float
 
 
+def _lag_arrays(scheme: DifferenceScheme):
+    """(k, l, K) of every scheme entry, as float arrays."""
+    return tuple(
+        np.array([getattr(e, name) for e in scheme.entries], dtype=float)
+        for name in ("k", "l", "weight")
+    )
+
+
+def _rank_groups(scheme: DifferenceScheme) -> list:
+    """(entry columns, component columns) of each component's r-th entry, for
+    r = 0, 1, ...; no component appears twice in one group."""
+    comp = scheme.entry_component_indices()
+    rank = np.empty(len(comp), dtype=int)
+    seen = {}
+    for j, c in enumerate(comp):
+        rank[j] = seen.get(c, 0)
+        seen[c] = rank[j] + 1
+    return [
+        (np.flatnonzero(rank == r), comp[rank == r])
+        for r in range(max(seen.values(), default=0))
+    ]
+
+
+def _sum_by_component(terms: np.ndarray, groups: list, n_components: int) -> np.ndarray:
+    """(n, n_entries) per-entry terms -> (n, n_components) sums.
+
+    Each component's terms are added one at a time in entry order, so a
+    row's sums do not depend on the other rows and equal the explicit
+    per-entry loop bit for bit (a product with a 0/1 matrix would not).
+    """
+    out = np.zeros((terms.shape[0], n_components))
+    for cols, comps in groups:
+        out[:, comps] += terms[:, cols]
+    return out
+
+
+class DbarKernel:
+    """Dbar of many datasets at once.
+
+    Maps an (n, n_obs) array whose rows are observation vectors, in the
+    order of ``points``, to the (n, n_components) array of their Dbar rows.
+    The ensemble moments, ``compute_dbar`` and the estimator study all run
+    through it.
+    """
+
+    def __init__(self, scheme: DifferenceScheme, points):
+        pos = {pt: j for j, pt in enumerate(points)}
+        #: positions of each entry's y_i, y_{i-1}, y_{i-2} in an observation row
+        self.p0, self.p1, self.p2 = (
+            np.array([pos[(e.component, getattr(e, t))] for e in scheme.entries], dtype=int)
+            for t in ("t0", "t1", "t2")
+        )
+        self.k, self.l, self.weight = _lag_arrays(scheme)
+        self._groups = _rank_groups(scheme)
+        self._n_components = len(scheme.components)
+
+    def terms(self, y: np.ndarray, normalized: bool = True) -> np.ndarray:
+        """Per-entry (k*Y^(2) - l*Y^(1))^2 terms, optionally divided by K_i."""
+        # k (y0 - y2) - l (y0 - y1); temporaries are built in place to keep
+        # them few for ensemble-sized inputs
+        comb = y[:, self.p0]
+        comb -= y[:, self.p2]
+        comb *= self.k
+        lag1 = y[:, self.p0]
+        lag1 -= y[:, self.p1]
+        lag1 *= self.l
+        comb -= lag1
+        del lag1
+        comb *= comb
+        if normalized:
+            comb /= self.weight
+        return comb
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        return _sum_by_component(self.terms(y), self._groups, self._n_components)
+
+
 @dataclass(frozen=True)
 class DifferenceScheme:
     """Per-component observation times with lags and weights.
@@ -68,6 +145,10 @@ class DifferenceScheme:
     def entry_component_indices(self) -> np.ndarray:
         idx = self.component_index()
         return np.array([idx[e.component] for e in self.entries], dtype=int)
+
+    def kernel(self, points) -> DbarKernel:
+        """The Dbar kernel for observation rows ordered as ``points``."""
+        return DbarKernel(self, points)
 
 
 def build_scheme(dataset: InspectionDataset, lam: float) -> DifferenceScheme:
@@ -91,31 +172,16 @@ def build_scheme(dataset: InspectionDataset, lam: float) -> DifferenceScheme:
     return DifferenceScheme(tuple(entries), comps, t_counts, lam, tuple(skipped))
 
 
-def dbar_terms(values_at, scheme: DifferenceScheme, normalized: bool = True) -> np.ndarray:
-    """Per-entry (k*Y^(2) - l*Y^(1))^2 terms, optionally divided by K_i.
-
-    ``values_at`` maps (component, time) to the observed value.
-    """
-    out = np.empty(len(scheme.entries))
-    for j, e in enumerate(scheme.entries):
-        y0 = values_at[(e.component, e.t0)]
-        y1 = values_at[(e.component, e.t1)]
-        y2 = values_at[(e.component, e.t2)]
-        comb = e.k * (y0 - y2) - e.l * (y0 - y1)
-        term = comb * comb
-        out[j] = term / e.weight if normalized else term
-    return out
-
-
-def compute_dbar(
-    dataset: InspectionDataset, scheme: DifferenceScheme, normalized: bool = True
-) -> np.ndarray:
+def compute_dbar(dataset: InspectionDataset, scheme: DifferenceScheme) -> np.ndarray:
     """Dbar vector over scheme.components from the dataset's observed values."""
-    values = {(r.component, r.time): r.value for r in dataset.records}
-    terms = dbar_terms(values, scheme, normalized)
-    out = np.zeros(len(scheme.components))
-    np.add.at(out, scheme.entry_component_indices(), terms)
-    return out
+    y = dataset.values_vector()[None, :]
+    return scheme.kernel(dataset.design_points())(y)[0]
+
+
+def _term_expectation(k, l, weight, mu_wx, m1_sq, m2_sq, m1m2, normalized):
+    m_part = l**2 * m1_sq + k**2 * m2_sq - 2.0 * k * l * m1m2
+    raw = weight * mu_wx + m_part
+    return raw / weight if normalized else raw
 
 
 def entry_expectation(
@@ -127,9 +193,7 @@ def entry_expectation(
     normalized: bool = True,
 ) -> float:
     """E of one Dbar term: K*mu_wx plus the local min-difference moments."""
-    m_part = entry.l**2 * m1_sq + entry.k**2 * m2_sq - 2.0 * entry.k * entry.l * m1m2
-    raw = entry.weight * mu_wx + m_part
-    return raw / entry.weight if normalized else raw
+    return _term_expectation(entry.k, entry.l, entry.weight, mu_wx, m1_sq, m2_sq, m1m2, normalized)
 
 
 def expected_dbar(
@@ -152,24 +216,19 @@ def expected_dbar(
                 f"m_moments.{name} missing or misaligned with scheme "
                 f"(first entry: component {getattr(missing, 'component', '?')})"
             )
-    out = np.zeros(len(scheme.components))
-    idx = scheme.entry_component_indices()
-    vals = np.array(
-        [
-            entry_expectation(e, hyper.mu_wx, m1, m2, m12, normalized)
-            for e, m1, m2, m12 in zip(
-                scheme.entries, m_moments.m1_sq, m_moments.m2_sq, m_moments.m1m2
-            )
-        ]
+    terms = _term_expectation(
+        *_lag_arrays(scheme), hyper.mu_wx,
+        np.asarray(m_moments.m1_sq), np.asarray(m_moments.m2_sq), np.asarray(m_moments.m1m2),
+        normalized,
     )
-    np.add.at(out, idx, vals)
-    return out
+    return _sum_by_component(terms[None, :], _rank_groups(scheme), len(scheme.components))[0]
 
 
 @dataclass
 class DbarStatistic:
     """Dbar with its closed-form expectation, cross-covariance, and
-    simulation-estimated variance."""
+    simulation-estimated variance.  ``values`` is one Dbar vector, or an
+    (n, n_components) array of Dbar rows of datasets on one design."""
 
     components: tuple
     values: np.ndarray
@@ -180,19 +239,27 @@ class DbarStatistic:
 
 
 def build_dbar_statistic(
-    dataset: InspectionDataset,
+    data,
     scheme: DifferenceScheme,
     hyper: VarianceHyperprior,
     moments,
 ) -> DbarStatistic:
-    """Assemble the adjustment inputs for the observed dataset.
+    """Assemble the adjustment inputs for the observed data.
 
-    ``moments`` must provide m1_sq/m2_sq/m1m2 (entry-aligned) and dbar_var
-    (the ensemble variance matrix of Dbar over scheme.components).
+    ``data`` is the observed InspectionDataset, or an (n, n_components)
+    array of Dbar rows already computed (by ``scheme.kernel``) from n
+    datasets on the scheme's design.  ``moments`` must provide
+    m1_sq/m2_sq/m1m2 (entry-aligned) and dbar_var (the ensemble variance
+    matrix of Dbar over scheme.components).
     """
     if not scheme.components:
         raise InsufficientDataError("no component has three or more observations")
-    values = compute_dbar(dataset, scheme)
+    if isinstance(data, InspectionDataset):
+        values = compute_dbar(data, scheme)
+    else:
+        values = np.asarray(data, dtype=float)
+        if values.ndim != 2 or values.shape[1] != len(scheme.components):
+            raise ShapeError("dbar rows do not match scheme components")
     expectation = expected_dbar(scheme, hyper, moments)
     cross = np.array([(scheme.t_counts[c] - 2) * hyper.gamma_wx for c in scheme.components])
     variance = np.asarray(moments.dbar_var, dtype=float)
@@ -203,18 +270,24 @@ def build_dbar_statistic(
 
 def adjust_wx(dbar: DbarStatistic, hyper: VarianceHyperprior, floor: float = VARIANCE_FLOOR):
     """Scalar adjusted expectation and variance of the population mean
-    variance M(W_X) given Dbar."""
+    variance M(W_X) given Dbar.
+
+    For one Dbar vector both are floats.  For Dbar rows the expectation is
+    an array with one entry per row, all adjusted against one factor of
+    var(Dbar); the adjusted variance does not depend on the data and stays
+    one float.  Each expectation below ``floor`` is raised to it with its
+    own warning.
+    """
     prior = linalg.MomentPair([hyper.mu_wx], [[hyper.gamma_wx]])
     data_prior = linalg.MomentPair(dbar.expectation, dbar.variance)
     cross = dbar.cross_cov.reshape(1, -1)
-    mean = float(linalg.adjusted_expectation(prior, data_prior, cross, dbar.values)[0])
+    mean = linalg.adjusted_expectation(prior, data_prior, cross, dbar.values)[..., 0]
     var = float(linalg.adjusted_variance(prior, data_prior, cross)[0, 0])
-    if mean < floor:
-        warnings.warn(
-            f"adjusted variance expectation {mean:g} floored at {floor:g}", stacklevel=2
-        )
-        mean = floor
+    low = mean < floor
+    for m in mean[low]:
+        warnings.warn(f"adjusted variance expectation {m:g} floored at {floor:g}", stacklevel=2)
+    mean = np.where(low, floor, mean)
     if var < floor:
         warnings.warn(f"adjusted variance {var:g} floored at {floor:g}", stacklevel=2)
         var = floor
-    return mean, var
+    return (float(mean) if mean.ndim == 0 else mean), var

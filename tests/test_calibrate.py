@@ -1,9 +1,12 @@
 """Local-variance calibration by discrepancy ratio."""
 
+import importlib
+import warnings
+
 import numpy as np
 import pytest
 
-from corrobayes import varlearn
+from corrobayes import designs, linalg, varlearn
 from corrobayes.calibrate import (
     calibrate as run_calibration,
     calibrate_candidate,
@@ -11,8 +14,8 @@ from corrobayes.calibrate import (
     estimator_study,
     select_index,
 )
-from corrobayes.errors import ConfigError
-from corrobayes.simulate import draw_dataset
+from corrobayes.errors import ConfigError, InsufficientDataError
+from corrobayes.simulate import _as_seedseq, draw_dataset, estimate_moments, simulate_realization
 from conftest import make_prior
 
 
@@ -114,4 +117,62 @@ def test_estimator_study_reports_distribution_summaries(topo16, design16, prior1
     with pytest.raises(ConfigError):
         estimator_study(
             prior16, topo16, design16, 0.01, 0.01, replicates=0, seed=1, n_realizations=100
+        )
+
+
+def test_estimator_study_equals_a_per_replicate_reference_loop(topo16, design16, prior16):
+    # a true mu_wx well below the prior mean drives some estimates below the floor
+    truth = dict(true_mu_wx=0.0002, true_sigma_r=0.01)
+    reps, seed, n = 40, 17, 400
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        study = estimator_study(
+            prior16, topo16, design16, **truth, replicates=reps, seed=seed, n_realizations=n
+        )
+    study_warnings = sum("floored at" in str(w.message) for w in caught)
+
+    hyper = prior16.hyper
+    scheme = varlearn.build_scheme(design16, hyper.lam)
+    moment_seed, data_seed = _as_seedseq(seed).spawn(2)
+    moments = estimate_moments(
+        prior16, topo16, design16, n_realizations=n, seed=moment_seed,
+        sigma_r=truth["true_sigma_r"], scheme=scheme,
+    )
+    prior_pair = linalg.MomentPair([hyper.mu_wx], [[hyper.gamma_wx]])
+    data_pair = linalg.MomentPair(varlearn.expected_dbar(scheme, hyper, moments), moments.dbar_var)
+    cross = np.array([[(scheme.t_counts[c] - 2) * hyper.gamma_wx for c in scheme.components]])
+    expected, floor_events = [], 0
+    for stream in data_seed.spawn(reps):
+        real = simulate_realization(
+            prior16, topo16, design16, np.random.default_rng(stream),
+            sigma_r=truth["true_sigma_r"], mu_wx=truth["true_mu_wx"], fix_scales=True,
+        )
+        data = design16.with_values([real.y[pt] for pt in design16.design_points()])
+        dbar = varlearn.compute_dbar(data, scheme)
+        est = float(linalg.adjusted_expectation(prior_pair, data_pair, cross, dbar)[0])
+        if est < 1e-12:
+            floor_events += 1
+            est = 1e-12
+        expected.append(est)
+    expected = np.array(expected)
+
+    assert 0 < study.floored == np.count_nonzero(expected == 1e-12) < reps
+    assert study_warnings == floor_events
+    np.testing.assert_allclose(study.estimates, expected, rtol=1e-12, atol=0.0)
+    assert np.array_equal(study.estimates == 1e-12, expected == 1e-12)
+
+
+def test_estimator_study_without_learnable_components_draws_nothing(topo16, prior16, monkeypatch):
+    design = designs.design_from_times({c: [3, 9] for c in topo16.components}, 12)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a replicate was drawn")
+
+    # the package exports a function of the same name as the module
+    module = importlib.import_module("corrobayes.calibrate")
+    monkeypatch.setattr(module, "draw_observations", no_draws)
+    monkeypatch.setattr(module, "estimate_moments", no_draws)
+    with pytest.raises(InsufficientDataError):
+        estimator_study(
+            prior16, topo16, design, 0.01, 0.01, replicates=5, seed=1, n_realizations=50
         )

@@ -140,7 +140,7 @@ def test_analysis_artifacts_have_the_documented_headers(tmp_path):
     assert _run_analysis(config, out) == cli.EXIT_OK
     heads = {
         "h_curve.csv": "sigma_r,adjusted_mu_WX,H,floored",
-        "selected_variances.csv": "sigma_r,adjusted_mu_WX,adjusted_var_WX,H",
+        "selected_variances.csv": "sigma_r,adjusted_mu_WX,adjusted_var_WX,H,floored",
         "remnant_life.csv": "component,mean_crossing,lower_band_crossing,upper_band_crossing",
     }
     for name, head in heads.items():
@@ -154,6 +154,12 @@ def test_analysis_artifacts_have_the_documented_headers(tmp_path):
     assert len(h_rows) == 3
     for _, mu, _, floored in h_rows:
         assert floored == str(int(float(mu) <= 1e-12))
+    (selected,) = [
+        line.split(",") for line in (out / "selected_variances.csv").read_text().splitlines()[1:]
+    ]
+    sel_floored = str(int(float(selected[1]) <= 1e-12))
+    assert selected[4] == sel_floored
+    assert f"selected_floored = {sel_floored}\n" in meta
     final = (out / "final_discrepancy.txt").read_text()
     assert final.startswith("prior_H = ") and "final_H = " in final
 
@@ -171,5 +177,10 @@ def test_simulate_study_falls_back_to_the_reference_design(tmp_path, capsys):
     assert code == cli.EXIT_OK
     assert (out / "estimator_distribution.csv").exists()
     summary = (out / "estimator_summary.csv").read_text().splitlines()
-    assert summary[0] == "mean,q05,q95,true_mu_WX,true_sigma_r,replicates"
+    assert summary[0] == "mean,q05,q95,true_mu_WX,true_sigma_r,replicates,floored"
+    estimates = [
+        float(line.split(",")[1])
+        for line in (out / "estimator_distribution.csv").read_text().splitlines()[1:]
+    ]
+    assert summary[1].split(",")[-1] == str(sum(e <= 1e-12 for e in estimates))
     assert "estimator over 3 replicates" in capsys.readouterr().out

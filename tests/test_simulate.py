@@ -7,6 +7,7 @@ from corrobayes import designs, simulate, varlearn
 from corrobayes.errors import ConfigError, InsufficientDataError
 from corrobayes.simulate import (
     draw_dataset,
+    draw_observations,
     estimate_moments,
     estimate_moments_by_law,
     forecast_extend,
@@ -248,3 +249,43 @@ def test_moments_do_not_depend_on_the_block_size(topo16, design16, prior16, monk
     single = run()
     for name in MOMENT_FIELDS + ("target_samples",):
         assert np.array_equal(getattr(default, name), getattr(single, name)), name
+
+
+@pytest.mark.parametrize(
+    "overrides, fix_scales",
+    [({}, True), ({"noise_dist": "student_t", "t_dof": 6.0}, False)],
+    ids=["gaussian-fixed-scales", "student-t-drawn-scales"],
+)
+def test_drawn_observations_equal_the_brute_force_realization(
+    topo16, design16, overrides, fix_scales
+):
+    prior = make_prior(topo16, **overrides)
+    seeds = [np.random.SeedSequence(900 + i) for i in range(25)]
+    law = dict(sigma_r=0.01, mu_wx=0.02, fix_scales=fix_scales)
+    rows = np.concatenate(list(draw_observations(prior, topo16, design16, seeds, **law)))
+    points = design16.design_points()
+    oracle = np.array([
+        [real.y[pt] for pt in points]
+        for real in (
+            simulate_realization(prior, topo16, design16, np.random.default_rng(s), **law)
+            for s in seeds
+        )
+    ])
+    _assert_close(rows, oracle)
+
+
+def test_drawn_observations_do_not_depend_on_the_block_size(
+    topo16, design16, prior16, monkeypatch
+):
+    root = np.random.SeedSequence(31)
+
+    def run():
+        seeds = (simulate._child(root, i) for i in range(23))
+        blocks = list(draw_observations(prior16, topo16, design16, seeds, mu_wx=0.02))
+        return len(blocks), np.concatenate(blocks)
+
+    n_default, default = run()
+    monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 1)  # one dataset per block
+    n_single, single = run()
+    assert 1 < n_default < n_single == 23
+    assert np.array_equal(default, single)

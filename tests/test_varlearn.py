@@ -81,9 +81,8 @@ def test_regular_inspection_terms_equal_the_explicit_second_difference():
     lam = 0.02
     scheme = varlearn.build_scheme(ds, lam)
     assert all(e.k == 1 and e.l == 2 for e in scheme.entries)
-    raw = varlearn.dbar_terms(
-        {(r.component, r.time): r.value for r in ds.records}, scheme, normalized=False
-    )
+    kernel = scheme.kernel(ds.design_points())
+    (raw,) = kernel.terms(ds.values_vector()[None, :], normalized=False)
     explicit = np.array(
         [(values[i] - 2 * values[i - 1] + values[i - 2]) ** 2 for i in range(2, len(values))]
     )
@@ -97,6 +96,21 @@ def test_expected_term_without_local_noise_is_the_weighted_variance():
     assert raw == pytest.approx((lam + 2.0) * mu, rel=1e-12)
     normalized = varlearn.entry_expectation(entry, mu, 0.0, 0.0, 0.0)
     assert normalized == pytest.approx(mu, rel=1e-12)
+
+
+def test_expected_dbar_equals_the_per_entry_loop(topo16, design16, prior16):
+    scheme = varlearn.build_scheme(design16, prior16.hyper.lam)
+    mom = estimate_moments(
+        prior16, topo16, design16, n_realizations=100, seed=2, scheme=scheme
+    )
+    idx = scheme.component_index()
+    for normalized in (True, False):
+        loop = np.zeros(len(scheme.components))
+        for e, m1, m2, m12 in zip(scheme.entries, mom.m1_sq, mom.m2_sq, mom.m1m2):
+            loop[idx[e.component]] += varlearn.entry_expectation(
+                e, prior16.hyper.mu_wx, m1, m2, m12, normalized
+            )
+        assert np.array_equal(varlearn.expected_dbar(scheme, prior16.hyper, mom, normalized), loop)
 
 
 def test_expected_dbar_requires_entry_aligned_moments(topo16, design16, prior16):
