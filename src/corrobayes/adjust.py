@@ -5,6 +5,10 @@ time, including forecast times beyond the data and never-observed components)
 are adjusted against the full observation vector using simulation moments.
 The minimum enters only through simulation, which is what keeps the
 non-linear observation equation tractable.
+
+The paired comparison simulates each law once: the prior law and the
+calibrated law share one ensemble, and each branch is the Bayes linear
+update on its own slice of it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 
 from .calibrate import CalibrationResult, calibrate
 from .errors import ShapeError
-from .simulate import MomentEstimates, estimate_moments
+from .simulate import MomentEstimates, estimate_moments, estimate_moments_by_law
 from .system import InspectionDataset, PriorSpecification, SystemTopology
 
 #: Half-width multiplier of the reported 95% bands (Gaussian convention on
@@ -212,23 +216,29 @@ def compare_with_without_variance_learning(
 ) -> LearningComparison:
     """Run adjustment twice, with prior variances and with calibrated ones.
 
-    Both branches share the same seed (common random numbers) so paired
-    contrasts are not swamped by Monte Carlo noise.
+    Both branches come from one two-law ensemble on ``seed`` (common random
+    numbers), so paired contrasts are not swamped by Monte Carlo noise and
+    the noise is drawn once.  A one-law ensemble equals its slice of a
+    multi-law one, so each branch equals its own ``adjust_targets`` call.
     """
     seed = prior.rng_seed if seed is None else seed
     if calibration is None:
         calibration = calibrate(
             prior, topology, dataset, observed_y, seed=seed, n_realizations=n_realizations
         )
-    without = adjust_targets(
-        prior, topology, dataset, observed_y, targets,
-        calibrated=None, seed=seed, n_realizations=n_realizations,
-        store_prior_band=store_prior_band,
+    selected = calibration.selected
+    laws = [
+        (prior.sigma_r, prior.hyper.mu_wx),
+        (selected.sigma_r, selected.adjusted_mu_wx),
+    ]
+    prior_moments, learned_moments = estimate_moments_by_law(
+        prior, topology, dataset, laws, targets, n_realizations, seed,
+        store_target_samples=store_prior_band, allow_empty_design=True,
     )
-    with_learning = adjust_targets(
-        prior, topology, dataset, observed_y, targets,
-        calibrated=calibration, seed=seed, n_realizations=n_realizations,
-    )
+    # only the prior law's samples feed a band: free the other copy
+    learned_moments.target_samples = None
+    without = adjust_from_moments(prior_moments, dataset, observed_y)
+    with_learning = adjust_from_moments(learned_moments, dataset, observed_y)
 
     def _life(beliefs):
         try:

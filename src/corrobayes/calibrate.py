@@ -83,9 +83,11 @@ def _scan(prior, topology, dataset, observed_y, scheme, candidates, seeds, n_rea
         [(sr, prior.hyper.mu_wx) for sr in candidates],
         n_realizations=n_realizations, seed=seeds[0], scheme=scheme,
     )
+    # the observed Dbar does not depend on the candidate
+    observed_dbar = varlearn.compute_dbar(dataset, scheme)
     adjusted = [
         varlearn.adjust_wx(
-            varlearn.build_dbar_statistic(dataset, scheme, prior.hyper, mom), prior.hyper
+            varlearn.build_dbar_statistic(observed_dbar, scheme, prior.hyper, mom), prior.hyper
         )
         for mom in learned
     ]

@@ -5,10 +5,15 @@ Subcommands:
 * ``analyze`` runs the full procedure on an observed dataset: prior
   consistency checks, local-variance calibration, mean adjustment with and
   without variance learning, remnant-life forecasting, and closing
-  diagnostics, emitting plot-ready delimited files.
+  diagnostics, emitting plot-ready delimited files.  Its prior check reads
+  the moments of the without-learning adjustment ensemble, which is
+  simulated at the extended (forecast) horizon.
 * ``simulate-study`` replicates the variance-learning estimator on synthetic
   systems with known truth and reports its distribution.
-* ``validate`` parses the inputs and emits the prior discrepancy report only.
+* ``validate`` parses the inputs and emits the prior discrepancy report only,
+  from an ensemble at the data horizon; the same law and seed laid out for
+  a longer horizon draw other noise, so its report differs from
+  ``analyze``'s within Monte Carlo error.
 
 Exit status: 0 on success (diagnostic warning flags do not fail a run),
 1 on validation or pipeline failure, 2 on configuration errors.  No output
@@ -117,8 +122,14 @@ def _fmt_crossing(v):
 
 
 def run_analysis(rc: RunConfig) -> int:
-    """Steps: prior check, calibration, paired adjustment, forecasts,
-    diagnostics; then emit all artifacts."""
+    """Steps: calibration, paired adjustment, forecasts, prior check,
+    diagnostics; then emit all artifacts.
+
+    The run simulates three ensembles: calibration's learning and rescoring
+    passes, and one two-law ensemble at the extended horizon for both
+    adjustment branches.  The prior check reads the without-learning
+    branch's moments, which have the prior law and the run seed.
+    """
     findings = validate_dataset(rc.dataset, rc.topology)
     if findings:
         for f in findings:
@@ -127,15 +138,6 @@ def run_analysis(rc: RunConfig) -> int:
 
     observed = rc.dataset.values_vector()
     scheme = build_scheme(rc.dataset, rc.prior.hyper.lam)
-
-    with _stage("prior-consistency"):
-        prior_moments = estimate_moments(
-            rc.prior, rc.topology, rc.dataset,
-            n_realizations=rc.n_realizations, seed=rc.seed, scheme=scheme,
-        )
-        prior_obs = diagnostics.data_discrepancy(observed, prior_moments, "per-observation")
-        prior_comp = diagnostics.data_discrepancy(observed, prior_moments, "per-component")
-        prior_h = diagnostics.global_discrepancy(observed, prior_moments)
 
     with _stage("calibration"):
         calibration = calibrate(
@@ -156,6 +158,12 @@ def run_analysis(rc: RunConfig) -> int:
             seed=rc.seed, n_realizations=rc.n_realizations,
             calibration=calibration, store_prior_band=True,
         )
+
+    with _stage("prior-consistency"):
+        prior_moments = comparison.without_learning.moments
+        prior_obs = diagnostics.data_discrepancy(observed, prior_moments, "per-observation")
+        prior_comp = diagnostics.data_discrepancy(observed, prior_moments, "per-component")
+        prior_h = diagnostics.global_discrepancy(observed, prior_moments)
 
     with _stage("diagnostics"):
         learned_moments = comparison.with_learning.moments
@@ -245,6 +253,8 @@ def _band_rows(comparison):
     without = comparison.without_learning
     learned = comparison.with_learning
     samples = without.moments.target_samples
+    if samples is not None:
+        lo, hi = np.percentile(samples, [2.5, 97.5], axis=0)
     idx = {
         (r.kind, r.component, r.time): j for j, r in enumerate(without.rows)
     }
@@ -254,7 +264,7 @@ def _band_rows(comparison):
             continue
         lr = learned.rows[idx[(r.kind, r.component, r.time)]]
         if samples is not None:
-            p_lo, p_hi = np.percentile(samples[:, j], [2.5, 97.5])
+            p_lo, p_hi = lo[j], hi[j]
         else:
             half = 1.96 * math.sqrt(max(r.prior_var, 0.0))
             p_lo, p_hi = r.prior_mean - half, r.prior_mean + half

@@ -458,7 +458,7 @@ def estimate_moments_by_law(
     root = _as_seedseq(seed)
     scales = {
         mu: _draw_scales(prior, mu, n, topology.component_count, _child(root, n))
-        for _, mu in laws
+        for mu in dict.fromkeys(mu for _, mu in laws)
     }
     factor_t = correlation_factor(build_correlation(topology, prior.corr)).T
     y, m, tv = _run_blocks(
@@ -474,7 +474,11 @@ def estimate_moments_by_law(
     out = []
     for k, (sr, mu) in enumerate(laws):
         e_y, e_t = y[k].mean(axis=0), tv[k].mean(axis=0)
-        yc, tc = y[k] - e_y, tv[k] - e_t
+        samples = tv[k] + base_t if store_target_samples else None
+        # the targets are centered in place (their raw values are not read
+        # again); y[k] is not, because the Dbar moments below read it
+        yc, tc = y[k] - e_y, tv[k]
+        tc -= e_t
         var_y = _cov(yc, yc)
         est = MomentEstimates(
             design_points=points,
@@ -488,9 +492,9 @@ def estimate_moments_by_law(
             seed=seed,
             sigma_r=sr,
             mu_wx=mu,
-            target_samples=tv[k] + base_t if store_target_samples else None,
+            target_samples=samples,
         )
-        del yc, tc
+        del yc, tc, samples
         if scheme is not None:
             w_x, m_wx = scales[mu]
             _add_scheme_moments(

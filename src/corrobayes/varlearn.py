@@ -246,9 +246,9 @@ def build_dbar_statistic(
 ) -> DbarStatistic:
     """Assemble the adjustment inputs for the observed data.
 
-    ``data`` is the observed InspectionDataset, or an (n, n_components)
-    array of Dbar rows already computed (by ``scheme.kernel``) from n
-    datasets on the scheme's design.  ``moments`` must provide
+    ``data`` is the observed InspectionDataset, or its Dbar vector, or an
+    (n, n_components) array of Dbar rows of n datasets on the scheme's
+    design, already computed by ``scheme.kernel``.  ``moments`` must provide
     m1_sq/m2_sq/m1m2 (entry-aligned) and dbar_var (the ensemble variance
     matrix of Dbar over scheme.components).
     """
@@ -258,7 +258,7 @@ def build_dbar_statistic(
         values = compute_dbar(data, scheme)
     else:
         values = np.asarray(data, dtype=float)
-        if values.ndim != 2 or values.shape[1] != len(scheme.components):
+        if values.ndim not in (1, 2) or values.shape[-1] != len(scheme.components):
             raise ShapeError("dbar rows do not match scheme components")
     expectation = expected_dbar(scheme, hyper, moments)
     cross = np.array([(scheme.t_counts[c] - 2) * hyper.gamma_wx for c in scheme.components])

@@ -136,3 +136,31 @@ def test_comparison_runs_both_branches_on_shared_targets(topo16, design16):
     kinds_wl = [(r.kind, r.component, r.time) for r in cmp_.with_learning.rows]
     assert kinds_wo == kinds_wl
     assert cmp_.life_with is not None and cmp_.life_without is not None
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_both_branches_equal_their_one_law_adjustments_bit_for_bit(topo16, design16):
+    prior = make_prior(topo16, sigma_r_candidates=(0.0016, 0.0064, 0.0256))
+    data = draw_dataset(prior, topo16, design16, seed=11)
+    ext = forecast_extend(data, 6)
+    targets = _zmin_targets(topo16, ext.horizon)
+    targets += [(kind, c, ext.horizon) for kind in ("alpha", "x") for c in topo16.components]
+    observed = data.values_vector()
+    cmp_ = compare_with_without_variance_learning(
+        prior, topo16, ext, observed, targets, seed=12, n_realizations=300,
+        store_prior_band=True,
+    )
+    branches = ((cmp_.without_learning, None), (cmp_.with_learning, cmp_.calibration))
+    for branch, calibrated in branches:
+        one = adjust_targets(
+            prior, topo16, ext, observed, targets, calibrated=calibrated,
+            seed=12, n_realizations=300, store_prior_band=calibrated is None,
+        )
+        assert [(r.adjusted_mean, r.adjusted_var) for r in branch.rows] == [
+            (r.adjusted_mean, r.adjusted_var) for r in one.rows
+        ]
+        assert branch.blocks.keys() == one.blocks.keys() == {"zmin", "alpha", "x"}
+        for kind, g in one.blocks.items():
+            assert np.array_equal(branch.blocks[kind], g), kind
+        # the prior band's samples are kept for the without-learning branch only
+        assert np.array_equal(branch.moments.target_samples, one.moments.target_samples)

@@ -26,12 +26,18 @@ def test_selection_minimizes_distance_to_unity_with_low_tie_break():
     assert select_index([7.0]) == 0
 
 
-def test_calibration_is_deterministic_and_orders_rows_by_grid(topo16, design16):
+def test_calibration_is_deterministic_and_orders_rows_by_grid(topo16, design16, monkeypatch):
     grid = (0.0016, 0.0064, 0.0256)
     prior = make_prior(topo16, sigma_r_candidates=grid)
     data = draw_dataset(prior, topo16, design16, seed=2)
+    dbar_calls = []
+    compute_dbar = varlearn.compute_dbar
+    monkeypatch.setattr(
+        varlearn, "compute_dbar", lambda *a: dbar_calls.append(1) or compute_dbar(*a)
+    )
     a = run_calibration(prior, topo16, data, seed=5, n_realizations=300)
     b = run_calibration(prior, topo16, data, seed=5, n_realizations=300)
+    assert len(dbar_calls) == 2  # the observed Dbar once per calibration, not per candidate
     assert [r.sigma_r for r in a.rows] == list(grid)
     assert [r.h for r in a.rows] == [r.h for r in b.rows]
     assert a.selected_index == b.selected_index

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from corrobayes import cli
+from corrobayes import cli, diagnostics, fileio, simulate
 
 ARTIFACTS = (
     "prior_discrepancy.csv",
@@ -162,6 +162,56 @@ def test_analysis_artifacts_have_the_documented_headers(tmp_path):
     assert f"selected_floored = {sel_floored}\n" in meta
     final = (out / "final_discrepancy.txt").read_text()
     assert final.startswith("prior_H = ") and "final_H = " in final
+
+
+def _instrumented_analysis(tmp_path, monkeypatch):
+    """One analysis run; returns its output directory, the number of blocked
+    simulation passes it made, and the comparison with its observed vector."""
+    passes, captured = [], {}
+    run_blocks = simulate._run_blocks
+    compare = cli.compare_with_without_variance_learning
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return run_blocks(*args, **kwargs)
+
+    def kept(*args, **kwargs):
+        captured["observed"] = args[3]
+        captured["comparison"] = compare(*args, **kwargs)
+        return captured["comparison"]
+
+    monkeypatch.setattr(simulate, "_run_blocks", counted)
+    monkeypatch.setattr(cli, "compare_with_without_variance_learning", kept)
+    out = tmp_path / "out"
+    assert _run_analysis(_write_workspace(tmp_path), out) == cli.EXIT_OK
+    return out, len(passes), captured["comparison"], captured["observed"]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_analysis_simulates_each_law_once_and_checks_the_prior_on_its_branch(
+    tmp_path, monkeypatch
+):
+    out, passes, comparison, observed = _instrumented_analysis(tmp_path, monkeypatch)
+    # calibration's learning and rescoring passes, and one two-law pass for
+    # both adjustment branches; the prior check simulates nothing of its own
+    assert passes == 3
+    prior_h = diagnostics.global_discrepancy(observed, comparison.without_learning.moments)
+    final = (out / "final_discrepancy.txt").read_text().splitlines()
+    assert final[0] == f"prior_H = {fileio.fmt(prior_h)}"
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_prior_bands_equal_the_per_target_percentiles(tmp_path, monkeypatch):
+    _, _, comparison, _ = _instrumented_analysis(tmp_path, monkeypatch)
+    samples = comparison.without_learning.moments.target_samples
+    expected = [
+        tuple(np.percentile(samples[:, j], [2.5, 97.5]))
+        for j, r in enumerate(comparison.without_learning.rows)
+        if r.kind == "zmin"
+    ]
+    rows = cli._band_rows(comparison)
+    assert len(rows) == len(expected) > 0
+    assert [(row[2], row[4]) for row in rows] == expected
 
 
 def test_simulate_study_falls_back_to_the_reference_design(tmp_path, capsys):

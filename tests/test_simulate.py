@@ -234,6 +234,20 @@ def test_one_law_call_equals_its_slice_of_a_multi_law_call(topo16, design16, pri
     assert not np.allclose(many[0].var_y, many[2].var_y)
 
 
+def test_variance_scales_are_drawn_once_per_distinct_mean(topo16, design16, prior16, monkeypatch):
+    drawn = []
+    draw_scales = simulate._draw_scales
+
+    def counted(prior, mu_wx, *args):
+        drawn.append(mu_wx)
+        return draw_scales(prior, mu_wx, *args)
+
+    monkeypatch.setattr(simulate, "_draw_scales", counted)
+    laws = [(0.0016, 0.01), (0.0064, 0.03), (0.0256, 0.01), (0.0064, 0.01)]
+    estimate_moments_by_law(prior16, topo16, design16, laws, n_realizations=20, seed=3)
+    assert drawn == [0.01, 0.03]
+
+
 def test_moments_do_not_depend_on_the_block_size(topo16, design16, prior16, monkeypatch):
     scheme = varlearn.build_scheme(design16, prior16.hyper.lam)
     targets = [("zmin", c, 20) for c in topo16.components] + [("x", topo16.components[1], 40)]
