@@ -11,7 +11,9 @@ All candidates share two ensembles, one per pass, on two seeds spawned from
 the run seed: the learning pass simulates every candidate at the prior
 mu_wx, and the rescoring pass every candidate at its learned mu_wx.  Every
 candidate of a pass sees the same random numbers, so the H curve is scored on
-common random numbers.
+common random numbers.  The learning pass needs the Dbar moments, so it
+draws every month of every location; the rescoring pass reads only
+observation moments and draws only the observed cells.
 
 The estimator study shares everything that does not depend on a replicate's
 data: one ensemble for the Dbar moments, one factor of Pi for drawing, one
@@ -22,7 +24,7 @@ together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,8 +46,6 @@ class CandidateRow:
     adjusted_mu_wx: float
     adjusted_var_wx: float
     h: float
-    h_lo: float | None = None
-    h_hi: float | None = None
 
     @property
     def floored(self) -> bool:
@@ -128,8 +128,15 @@ def calibrate_candidate(
     return rows[0], learned[0], rescored[0]
 
 
-def _calibrate(prior, topology, dataset, observed_y, seed, n_realizations):
-    """``calibrate`` plus the rescored moments of every candidate."""
+def calibrate(
+    prior: PriorSpecification,
+    topology: SystemTopology,
+    dataset: InspectionDataset,
+    observed_y: np.ndarray | None = None,
+    seed: int | None = None,
+    n_realizations: int | None = None,
+) -> CalibrationResult:
+    """Run the fitting loop over the candidate grid; deterministic per seed."""
     candidates = prior.sigma_r_candidates
     if not candidates:
         raise ConfigError("candidate grid is empty")
@@ -140,51 +147,11 @@ def _calibrate(prior, topology, dataset, observed_y, seed, n_realizations):
     observed_y = np.asarray(observed_y, dtype=float)
 
     scheme = varlearn.build_scheme(dataset, prior.hyper.lam)
-    rows, _, rescored = _scan(
+    rows, _, _ = _scan(
         prior, topology, dataset, observed_y, scheme,
         candidates, _as_seedseq(seed).spawn(2), n,
     )
-    return CalibrationResult(rows, select_index([r.h for r in rows]), seed, n), rescored
-
-
-def calibrate(
-    prior: PriorSpecification,
-    topology: SystemTopology,
-    dataset: InspectionDataset,
-    observed_y: np.ndarray | None = None,
-    seed: int | None = None,
-    n_realizations: int | None = None,
-) -> CalibrationResult:
-    """Run the fitting loop over the candidate grid; deterministic per seed."""
-    return _calibrate(prior, topology, dataset, observed_y, seed, n_realizations)[0]
-
-
-def calibrate_replicates(
-    prior: PriorSpecification,
-    topology: SystemTopology,
-    dataset: InspectionDataset,
-    replicate_datasets,
-    seed: int | None = None,
-    n_realizations: int | None = None,
-) -> CalibrationResult:
-    """Calibration with H uncertainty bands from replicate simulated datasets.
-
-    The point calibration uses ``dataset``; the 5th/95th percentiles of H per
-    candidate come from rescoring each replicate dataset against the same
-    rescoring-pass moments that scored ``dataset`` (replicates are free in
-    simulation-study mode).
-    """
-    base, rescored = _calibrate(prior, topology, dataset, None, seed, n_realizations)
-    n = base.n_realizations
-    rows = []
-    for row, mom in zip(base.rows, rescored):
-        pair = mom.y_moment_pair()
-        hs = [
-            linalg.mahalanobis_discrepancy(rep.values_vector(), pair, sample_size=n)
-            for rep in replicate_datasets
-        ]
-        rows.append(replace(row, h_lo=float(np.quantile(hs, 0.05)), h_hi=float(np.quantile(hs, 0.95))))
-    return CalibrationResult(rows, base.selected_index, base.seed, n)
+    return CalibrationResult(rows, select_index([r.h for r in rows]), seed, n)
 
 
 @dataclass

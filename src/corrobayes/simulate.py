@@ -11,14 +11,29 @@ moments needed by variance learning are extracted per realization.
 
 ``estimate_moments_by_law`` estimates moments for a list of laws
 (sigma_r, mu_wx) from one ensemble.  Realizations are processed in blocks
-whose noise buffers hold about ``BLOCK_ELEMENTS`` floats.  A block draws its
-standard-normal noise once, from one child stream per realization, and forms
-the unit local walk cumsum(z_r) and the unit-scale level and rate paths once.
-Each law then only rescales them: the walk by sqrt(sigma_r), the linear part
-by sqrt(W_c) drawn for that law's mu_wx from a separate scale stream that all
-laws share.  The measurement error eps_y is drawn at the observed cells only.
-The per-realization observation and target values of every law are kept for
-the whole ensemble (they are small next to the (T, C, L) noise), and the
+whose noise buffers hold about ``BLOCK_ELEMENTS`` floats, and each block
+comes from one of two drawers, chosen from the call's own inputs:
+
+* the monthly drawer serves passes with targets, with a difference scheme or
+  with Student-t noise.  From one child stream per realization it draws the
+  level and rate noise and the local walk noise of every month, component
+  and location, and eps_y at the observed cells, and forms the unit local
+  walk cumsum(z_r) and the unit-scale level and rate paths once;
+* the observed-cell drawer serves the other passes (Gaussian noise, no
+  targets, no scheme), which read nothing but the observations.  It draws
+  only at the observed cells: the unit linear part as one Gaussian vector
+  whose covariance Pi[c,c'] k(t,t') is factored once per pass, the walk as
+  independent sqrt(gap) z increments between a component's visits, and
+  eps_y.  Its values have the same law as the monthly drawer's, but its
+  streams are laid out differently, so its ensembles are not the monthly
+  drawer's.
+
+Each law then only rescales a block, in one loop shared by both drawers:
+the walk by sqrt(sigma_r), the linear part by sqrt(W_c) drawn for that law's
+mu_wx from a separate scale stream that all laws share.  The walk and eps_y
+are held location-major, so the minimum over locations runs over whole
+slices.  The per-realization observation and target values of every law are
+kept for the whole ensemble (they are small next to the noise), and the
 moments come from one centered pass of matrix products, so they do not
 depend on the block size.
 
@@ -50,8 +65,10 @@ from .system import (
 
 TARGET_KINDS = ("zmin", "x", "alpha")
 
-#: Element budget (float64 count) of one block's local-walk noise buffer: a
-#: block holds max(1, BLOCK_ELEMENTS // (T * C * L)) realizations.
+#: Element budget (float64 count) of one block's local-walk noise buffer, in
+#: each drawer: a block holds max(1, BLOCK_ELEMENTS // (T * C * L))
+#: realizations in the monthly drawer and max(1, BLOCK_ELEMENTS // (n_obs * L))
+#: in the observed-cell drawer.
 BLOCK_ELEMENTS = 2**16
 
 
@@ -257,7 +274,6 @@ class MomentEstimates:
     dbar_mean: np.ndarray = None
     dbar_var: np.ndarray = None
     mw_mean: float = math.nan
-    mw_var: float = math.nan
     mw_dbar_cov: np.ndarray = None
     target_samples: np.ndarray = None
     skipped_components: tuple = ()
@@ -304,43 +320,52 @@ def _child(root: np.random.SeedSequence, i: int) -> np.random.SeedSequence:
 def _draw_scales(prior: PriorSpecification, mu_wx: float, n: int, n_comp: int, seed):
     """Variance scales W (n, C) and drawn population means (n,) of one law,
     read from the start of the scale stream ``seed``."""
-    rng = np.random.default_rng(seed)
     hyper = prior.hyper.with_mean(mu_wx)
-    w_x, m_wx = np.empty((n, n_comp)), np.empty(n)
-    for i in range(n):
-        w_x[i], m_wx[i] = draw_variance_scales(hyper, n_comp, rng, prior.w_dist)
-    return w_x, m_wx
+    return draw_variance_scales(hyper, n_comp, np.random.default_rng(seed), prior.w_dist, size=n)
 
 
-def _run_blocks(prior, factor_t, horizon, root, n, laws, scales, obs, tgt, keep_min):
-    """The blocked kernel over ``n`` realizations.  ``obs`` = (times,
-    component indices) of the observed cells; ``tgt`` = (times, component
-    indices, is_alpha, is_zmin) of the targets.  Returns, per law and
-    realization, the observations and targets minus their prior trend, and
-    (with ``keep_min``) the local min-effects at the observed cells."""
-    n_law = len(laws)
+def _linear_kernel(times: np.ndarray, lam: float) -> np.ndarray:
+    """k(t, t') at the given months: the unit-scale linear part of the model
+    has cov(x_{c,t}, x_{c',t'}) = Pi[c,c'] k(t, t') with
+    k(t, t') = min(t, t') + lam sum_{u<=t} sum_{u'<=t'} min(u, u')."""
+    times = np.asarray(times, dtype=int)
+    u = np.arange(1, times.max(initial=0) + 1)
+    # integer partial sums, so the double sum is exact
+    sums = np.minimum.outer(u, u).cumsum(axis=0).cumsum(axis=1)
+    return np.minimum.outer(times, times) + lam * sums[np.ix_(times - 1, times - 1)]
+
+
+def _monthly_blocks(prior, factor_t, horizon, root, n, obs, tgt):
+    """The monthly drawer: every month of every component and location.
+
+    Realization i fills eps_alpha (T, C), eps_x (T, C), the local walk noise
+    (T, C, L) and eps_y at the observed cells (n_obs, L) from child i of
+    ``root``.  ``obs`` = (times, component indices) of the observed cells;
+    ``tgt`` = (times, component indices, is_alpha, is_zmin) of the targets.
+    Yields (rows, unit linear part (b, n_obs), unit walk (b, L, n_obs),
+    scaled eps_y (b, L, n_obs), unit target linear part (b, n_tgt), unit
+    target min-effect (b, n_tgt) or 0) per block.
+    """
     obs_t, obs_c = obs
     tgt_t, tgt_c, is_alpha, is_zmin = tgt
     n_comp, l_cnt = factor_t.shape[0], prior.locations_per_component
     dist, dof = prior.noise_dist, prior.t_dof
     root_lam, root_y = math.sqrt(prior.hyper.lam), math.sqrt(prior.sigma_y)
-    y = np.empty((n_law, n, len(obs_t)))
-    m = np.empty((n_law, n, len(obs_t))) if keep_min else None
-    tv = np.empty((n_law, n, len(tgt_t)))
-
     block = max(1, BLOCK_ELEMENTS // (horizon * n_comp * l_cnt))
     za = np.empty((block, horizon, n_comp))
     zx = np.empty((block, horizon, n_comp))
     zr = np.empty((block, horizon, n_comp, l_cnt))
-    zy = np.empty((block, len(obs_t), l_cnt))
-    noisy = np.empty_like(zy)
+    zy = np.empty((len(obs_t), l_cnt))
+    eps = np.empty((block, l_cnt, len(obs_t)))
+    # flat offsets of the observed cells' walks in one realization, location-major
+    gather = ((obs_t - 1) * n_comp + obs_c) * l_cnt + np.arange(l_cnt)[:, None]
     for i0 in range(0, n, block):
         b = min(block, n - i0)
-        rows = slice(i0, i0 + b)
         for j in range(b):
             rng = np.random.default_rng(_child(root, i0 + j))
-            for buf in (za, zx, zr, zy):
-                _fill_noise(rng, buf[j], dist, dof)
+            for buf in (za[j], zx[j], zr[j], zy):
+                _fill_noise(rng, buf, dist, dof)
+            eps[j] = zy.T
         # unit-scale paths: with W_c the law's variance scale,
         # alpha_t - alpha0 = sqrt(W_c) a_std and x_t - x0 - alpha0 t = sqrt(W_c) x_std
         a_std = np.cumsum(za[:b] @ factor_t, axis=1)
@@ -348,19 +373,81 @@ def _run_blocks(prior, factor_t, horizon, root, n, laws, scales, obs, tgt, keep_
         x_std = np.cumsum(a_std, axis=1)
         x_std += np.cumsum(zx[:b] @ factor_t, axis=1)
         walk = np.cumsum(zr[:b], axis=1, out=zr[:b])
-        obs_walk = walk[:, obs_t - 1, obs_c]
-        zy[:b] *= root_y
-        obs_lin = x_std[:, obs_t - 1, obs_c]
+        obs_walk = np.take(walk.reshape(b, -1), gather, axis=1)
+        eps[:b] *= root_y
         tgt_lin = np.where(is_alpha, a_std[:, tgt_t - 1, tgt_c], x_std[:, tgt_t - 1, tgt_c])
         tgt_min = 0.0
         if is_zmin.any():
-            tgt_min = np.where(is_zmin, walk.min(axis=-1)[:, tgt_t - 1, tgt_c], 0.0)
+            low = walk[..., 0].copy()
+            for loc in range(1, l_cnt):
+                np.minimum(low, walk[..., loc], out=low)
+            tgt_min = np.where(is_zmin, low[:, tgt_t - 1, tgt_c], 0.0)
+        yield slice(i0, i0 + b), x_std[:, obs_t - 1, obs_c], obs_walk, eps[:b], tgt_lin, tgt_min
+
+
+def _observed_blocks(prior, pi, root, n, obs_t, obs_c):
+    """The observed-cell drawer, for Gaussian noise and no targets.
+
+    Realization i fills one standard-normal array (2L + 1, n_obs) from
+    child i of ``root``: row 0 gives the unit linear part at the observed
+    cells through one factor of its covariance Pi[c,c'] k(t,t'), rows 1..L
+    the walk increments sqrt(gap) z of each location, and rows L+1..2L
+    eps_y.  The walk at a cell is the sum of its component's increments up
+    to it, in canonical point order.  Yields blocks as ``_monthly_blocks``.
+    """
+    n_obs, l_cnt = len(obs_t), prior.locations_per_component
+    factor_t = correlation_factor(
+        pi[np.ix_(obs_c, obs_c)] * _linear_kernel(obs_t, prior.hyper.lam)
+    ).T
+    # points of one component are consecutive and in time order; a
+    # component's first point is its walk's gap from t = 0
+    first = np.ones(n_obs, dtype=bool)
+    first[1:] = obs_c[1:] != obs_c[:-1]
+    gap = obs_t.copy()
+    gap[1:] -= np.where(first[1:], 0, obs_t[:-1])
+    root_gap = np.sqrt(gap)
+    index = np.arange(n_obs)
+    rank = index - np.maximum.accumulate(np.where(first, index, 0))
+    later = [np.flatnonzero(rank == r) for r in range(1, rank.max(initial=0) + 1)]
+    root_y = math.sqrt(prior.sigma_y)
+    block = max(1, BLOCK_ELEMENTS // max(1, l_cnt * n_obs))
+    z = np.empty((block, 2 * l_cnt + 1, n_obs))
+    for i0 in range(0, n, block):
+        b = min(block, n - i0)
+        for j in range(b):
+            np.random.default_rng(_child(root, i0 + j)).standard_normal(out=z[j])
+        walk = z[:b, 1 : l_cnt + 1]
+        walk *= root_gap
+        for idx in later:
+            walk[..., idx] += walk[..., idx - 1]
+        eps = z[:b, l_cnt + 1 :]
+        eps *= root_y
+        # a (1, n_obs) product per realization: a matrix product over the
+        # block would round differently for different block sizes
+        lin = (z[:b, :1] @ factor_t)[:, 0]
+        yield slice(i0, i0 + b), lin, walk, eps, np.empty((b, 0)), 0.0
+
+
+def _run_blocks(blocks, n, laws, scales, obs_c, tgt_c, keep_min):
+    """The per-law loop over one drawer's ``blocks``, shared by both
+    drawers.  Returns, per law and realization, the observations and
+    targets minus their prior trend, and (with ``keep_min``) the local
+    min-effects at the observed cells."""
+    n_law = len(laws)
+    y = np.empty((n_law, n, len(obs_c)))
+    m = np.empty((n_law, n, len(obs_c))) if keep_min else None
+    tv = np.empty((n_law, n, len(tgt_c)))
+    noisy = np.empty(0)
+    for rows, lin, walk, eps, tgt_lin, tgt_min in blocks:
+        if noisy.shape != walk.shape:
+            noisy = np.empty(walk.shape)
         for k, (sr, mu) in enumerate(laws):
             root_w = np.sqrt(scales[mu][0][rows])
-            np.multiply(obs_walk, math.sqrt(sr), out=noisy[:b])
-            noisy[:b] += zy[:b]
-            mo = noisy[:b].min(axis=-1)
-            y[k, rows] = root_w[:, obs_c] * obs_lin + mo
+            np.multiply(walk, math.sqrt(sr), out=noisy)
+            noisy += eps
+            # location-major, so the min runs over whole (b, n_obs) slices
+            mo = noisy.min(axis=1)
+            y[k, rows] = root_w[:, obs_c] * lin + mo
             if keep_min:
                 m[k, rows] = mo
             tv[k, rows] = root_w[:, tgt_c] * tgt_lin + math.sqrt(sr) * tgt_min
@@ -408,7 +495,6 @@ def _add_scheme_moments(est, scheme, kernel, comp_idx, y, m, w_x, m_wx, hyper) -
     est.dbar_var = 0.5 * (dv + dv.T)
     mw = m_wx - m_wx.mean()
     est.mw_mean = float(m_wx.mean())
-    est.mw_var = float(mw @ mw / (n - 1))
     est.mw_dbar_cov = mw @ (dvec - est.dbar_mean) / (n - 1)
 
 
@@ -434,6 +520,11 @@ def estimate_moments_by_law(
     scheme is supplied, the Dbar statistic and the local min-difference
     moments of each scheme entry are estimated alongside the observation
     moments.
+
+    A call with targets, a scheme or Student-t noise runs the monthly
+    drawer; any other call runs the observed-cell drawer, which lays out its
+    streams differently (see the module docstring).  Either way the
+    ensemble has the model's exact law and the estimator is the same.
     """
     n = prior.ensemble_size if n_realizations is None else int(n_realizations)
     if n < 2:
@@ -460,11 +551,15 @@ def estimate_moments_by_law(
         mu: _draw_scales(prior, mu, n, topology.component_count, _child(root, n))
         for mu in dict.fromkeys(mu for _, mu in laws)
     }
-    factor_t = correlation_factor(build_correlation(topology, prior.corr)).T
-    y, m, tv = _run_blocks(
-        prior, factor_t, design.horizon, root, n, laws, scales,
-        (obs_t, obs_c), (tgt_t, tgt_c, is_alpha, is_zmin), scheme is not None,
-    )
+    pi = build_correlation(topology, prior.corr)
+    if targets or scheme is not None or prior.noise_dist != "gaussian":
+        blocks = _monthly_blocks(
+            prior, correlation_factor(pi).T, design.horizon, root, n,
+            (obs_t, obs_c), (tgt_t, tgt_c, is_alpha, is_zmin),
+        )
+    else:
+        blocks = _observed_blocks(prior, pi, root, n, obs_t, obs_c)
+    y, m, tv = _run_blocks(blocks, n, laws, scales, obs_c, tgt_c, scheme is not None)
 
     base_y = prior.x0[obs_c] + prior.alpha0[obs_c] * obs_t
     base_t = np.where(is_alpha, prior.alpha0[tgt_c], prior.x0[tgt_c] + prior.alpha0[tgt_c] * tgt_t)

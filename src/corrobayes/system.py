@@ -156,21 +156,23 @@ class VarianceHyperprior:
         return replace(self, mu_wx=float(mu))
 
 
-def _matched_lognormal(rng, mean: float, var: float, size=None):
-    """Lognormal draw with the requested mean and variance (var=0 -> constant)."""
-    if var <= 0:
-        return np.full(size, mean) if size is not None else mean
-    s2 = math.log1p(var / mean**2)
-    mu_ln = math.log(mean) - 0.5 * s2
-    return rng.lognormal(mu_ln, math.sqrt(s2), size)
-
-
-def _matched_gamma(rng, mean: float, var: float, size=None):
-    """Gamma draw with the requested mean and variance (var=0 -> constant)."""
-    if var <= 0:
-        return np.full(size, mean) if size is not None else mean
-    shape = mean * mean / var
-    return rng.gamma(shape, var / mean, size)
+def _matched_draws(rng, w_dist: str, params, rows: int) -> np.ndarray:
+    """(rows, len(params)) draws whose column j has the mean and variance
+    params[j] = (mean, var), var > 0.  Each row takes its columns from the
+    stream in order, so consecutive rows consume it as consecutive calls
+    with one row each would."""
+    shape = (rows, len(params))
+    if w_dist == "gaussian":
+        loc = np.array([m for m, _ in params])
+        root = np.array([math.sqrt(v) for _, v in params])
+        return loc + root * rng.standard_normal(shape)
+    if w_dist == "lognormal":
+        # the parameters are formed in scalar float arithmetic, as one draw did
+        s2 = [math.log1p(v / m**2) for m, v in params]
+        mu_ln = np.array([math.log(m) - 0.5 * s for (m, _), s in zip(params, s2)])
+        return rng.lognormal(mu_ln, np.array([math.sqrt(s) for s in s2]), shape)
+    shape_k = np.array([m * m / v for m, v in params])
+    return rng.gamma(shape_k, np.array([v / m for m, v in params]), shape)
 
 
 def draw_variance_scales(
@@ -180,6 +182,7 @@ def draw_variance_scales(
     w_dist: str = "gamma",
     floor: float = VARIANCE_FLOOR,
     fixed_mean: float | None = None,
+    size: int | None = None,
 ):
     """Draw the population mean M(W) and per-component variances W_c.
 
@@ -201,30 +204,43 @@ def draw_variance_scales(
     ``fixed_mean`` pins the population mean at a known value instead of
     drawing it (used when generating data from a known truth); the
     per-component draws around it are unchanged.
+
+    With ``size`` = n the call makes n independent draws at once and returns
+    w as an (n, C) array and m as an (n,) array.  It consumes the stream
+    exactly as n calls without ``size`` do, one after another, and gives the
+    same values.
     """
     mu, sig, gam = hyper.mu_wx, hyper.sigma_wx, hyper.gamma_wx
     res_var = max(sig - gam, 0.0)
     if w_dist in ("lognormal", "gamma"):
-        draw = _matched_lognormal if w_dist == "lognormal" else _matched_gamma
-        if fixed_mean is not None:
-            m = float(fixed_mean)
-        else:
-            m = float(draw(rng, mu, gam))
-        rel_var = res_var / (gam + mu * mu)
-        if rel_var > 0:
-            w = m * draw(rng, 1.0, rel_var, n_components)
-        else:
-            w = np.full(n_components, m)
+        # W_c = M * U_c, U_c of mean 1
+        resid = (1.0, res_var / (gam + mu * mu))
     elif w_dist == "gaussian":
-        if fixed_mean is not None:
-            m = float(fixed_mean)
-        else:
-            m = mu + (math.sqrt(gam) * rng.standard_normal() if gam > 0 else 0.0)
-        resid = math.sqrt(res_var) * rng.standard_normal(n_components) if res_var > 0 else np.zeros(n_components)
-        w = m + resid
+        # W_c = M + R_c, R_c of mean 0
+        resid = (0.0, res_var)
     else:
         raise ConfigError(f"unknown variance draw distribution {w_dist!r}")
-    return np.maximum(w, floor), m
+    rows = 1 if size is None else int(size)
+    # one row per draw: M when it is drawn, then the C residuals when they vary
+    draw_m = fixed_mean is None and gam > 0
+    params = [(mu, gam)] * draw_m + [resid] * (n_components if resid[1] > 0 else 0)
+    z = _matched_draws(rng, w_dist, params, rows)
+    if draw_m:
+        m = z[:, 0]
+    else:
+        m = np.full(rows, float(mu if fixed_mean is None else fixed_mean))
+    # w is formed in place over the residuals: m is a view of the same draws
+    w = z[:, int(draw_m) :]
+    if not w.shape[1]:
+        w = np.full((rows, n_components), resid[0])
+    if w_dist == "gaussian":
+        w += m[:, None]
+    else:
+        w *= m[:, None]
+    np.maximum(w, floor, out=w)
+    if size is None:
+        return w[0], float(m[0])
+    return w, m
 
 
 def scales_to_covariance(w: np.ndarray, pi: np.ndarray) -> np.ndarray:

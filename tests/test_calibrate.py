@@ -10,7 +10,6 @@ from corrobayes import designs, linalg, varlearn
 from corrobayes.calibrate import (
     calibrate as run_calibration,
     calibrate_candidate,
-    calibrate_replicates,
     estimator_study,
     select_index,
 )
@@ -52,19 +51,6 @@ def test_empty_candidate_grid_is_rejected(topo16, design16):
         run_calibration(prior, topo16, data, seed=1, n_realizations=100)
 
 
-def test_replicate_bands_bracket_the_median_dataset(topo16, design16):
-    prior = make_prior(topo16, sigma_r_candidates=(0.0064,))
-    data = draw_dataset(prior, topo16, design16, seed=4)
-    reps = [draw_dataset(prior, topo16, design16, seed=100 + i) for i in range(12)]
-    result = calibrate_replicates(
-        prior, topo16, design16.with_values(data.values_vector()), reps,
-        seed=9, n_realizations=300,
-    )
-    row = result.rows[0]
-    assert row.h_lo is not None and row.h_hi is not None
-    assert row.h_lo <= row.h_hi
-
-
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_candidate_call_on_the_pass_seeds_reproduces_the_calibration_rows(topo16, design16):
     grid = (0.0016, 0.0064, 0.0256)
@@ -81,17 +67,6 @@ def test_candidate_call_on_the_pass_seeds_reproduces_the_calibration_rows(topo16
         assert row.adjusted_mu_wx == pytest.approx(expected.adjusted_mu_wx, rel=1e-12)
         assert row.adjusted_var_wx == pytest.approx(expected.adjusted_var_wx, rel=1e-12)
         assert row.h == pytest.approx(expected.h, rel=1e-9)
-
-
-def test_replicate_bands_score_against_the_calibration_moments(topo16, design16):
-    # the point dataset as its only replicate: both band edges are its H,
-    # which must be the H calibrate scored it at
-    prior = make_prior(topo16, sigma_r_candidates=(0.0064, 0.0256))
-    data = draw_dataset(prior, topo16, design16, seed=4)
-    point = run_calibration(prior, topo16, data, seed=9, n_realizations=300)
-    bands = calibrate_replicates(prior, topo16, data, [data], seed=9, n_realizations=300)
-    for p, b in zip(point.rows, bands.rows):
-        assert b.h_lo == b.h_hi == p.h
 
 
 def test_h_scored_against_its_own_generator_averages_one(topo16, design16):

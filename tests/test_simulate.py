@@ -175,32 +175,55 @@ def test_student_t_noise_option_runs(topo16, design16):
     assert np.all(np.isfinite(mom.e_y))
 
 
+def _brute_force(prior, topology, design, targets, n, rng):
+    """Observations and targets of n realizations run one at a time."""
+    ys, zs = [], []
+    for _ in range(n):
+        real = simulate_realization(prior, topology, design, rng)
+        ys.append([real.y[pt] for pt in design.design_points()])
+        zs.append([real.zmin[t, topology.index_of(c)] for _, c, t in targets])
+    return np.array(ys), np.array(zs)
+
+
 def test_kernel_agrees_with_a_brute_force_loop_over_realizations(topo8):
     # independent ensembles of the same law: the oracle runs the model one
-    # realization at a time, the kernel in blocks with its own stream layout
-    prior = make_prior(topo8, sigma_wx=2e-5, gamma_wx=1e-5)
+    # realization at a time, the kernel in blocks with its own stream layout.
+    # With targets the monthly drawer runs; without them the observed-cell
+    # drawer, whose linear kernel and walk increments across visits show in
+    # the covariance of each observation with its component's previous one
     design = small_irregular_design(topo8, horizon=12, visits=3)
+    points = design.design_points()
+    later = np.array([i for i in range(1, len(points)) if points[i][0] == points[i - 1][0]])
     targets = [("zmin", c, t) for c in topo8.components[:4] for t in (4, 12)]
     n = 2000
     rng = np.random.default_rng(123)
-    ys, zs = [], []
-    for _ in range(n):
-        real = simulate_realization(prior, topo8, design, rng)
-        ys.append([real.y[pt] for pt in design.design_points()])
-        zs.append([real.zmin[t, topo8.index_of(c)] for _, c, t in targets])
-    ys, zs = np.array(ys), np.array(zs)
-    mom = estimate_moments(prior, topo8, design, targets, n_realizations=n, seed=321)
 
     def mean_z(samples, estimate):
         se = np.sqrt(2.0 * samples.var(axis=0, ddof=1) / n)
         return np.abs(samples.mean(axis=0) - estimate) / se
 
-    yc = ys - ys.mean(axis=0)
-    var = (yc * yc).sum(axis=0) / (n - 1)
-    var_se = np.sqrt(2.0 * ((yc**4).mean(axis=0) - var**2) / n)
-    var_z = np.abs(var - np.diag(mom.var_y)) / var_se
-    worst = max(mean_z(ys, mom.e_y).max(), mean_z(zs, mom.e_targets).max(), var_z.max())
-    assert worst < 4.0
+    worst = []
+    for hyper, cases in (
+        (dict(sigma_wx=2e-5, gamma_wx=1e-5), (targets, ())),  # drawn W
+        (dict(sigma_wx=0.0, gamma_wx=0.0), ((),)),  # fixed W
+    ):
+        prior = make_prior(topo8, **hyper)
+        ys, zs = _brute_force(prior, topo8, design, targets, n, rng)
+        yc = ys - ys.mean(axis=0)
+        var = (yc * yc).sum(axis=0) / (n - 1)
+        var_se = np.sqrt(2.0 * ((yc**4).mean(axis=0) - var**2) / n)
+        lag = yc[:, later] * yc[:, later - 1]
+        lag_cov = lag.sum(axis=0) / (n - 1)
+        lag_se = np.sqrt(2.0 * lag.var(axis=0, ddof=1) / n)
+        for case in cases:
+            mom = estimate_moments(prior, topo8, design, case, n_realizations=n, seed=321)
+            worst.append(max(
+                mean_z(ys, mom.e_y).max(),
+                mean_z(zs, mom.e_targets).max() if case else 0.0,
+                (np.abs(var - np.diag(mom.var_y)) / var_se).max(),
+                (np.abs(lag_cov - mom.var_y[later, later - 1]) / lag_se).max(),
+            ))
+    assert max(worst) < 4.0, worst
 
 
 def _assert_close(a, b, rtol=1e-12):
@@ -219,19 +242,23 @@ def test_one_law_call_equals_its_slice_of_a_multi_law_call(topo16, design16, pri
     scheme = varlearn.build_scheme(design16, prior16.hyper.lam)
     targets = [("zmin", topo16.components[0], 30), ("alpha", topo16.components[3], 40)]
     laws = [(0.0016, 0.01), (0.0064, 0.004), (0.0256, 0.03)]
-    many = estimate_moments_by_law(
-        prior16, topo16, design16, laws, targets, n_realizations=300, seed=4, scheme=scheme
-    )
-    for (sr, mu), est in zip(laws, many):
-        one = estimate_moments(
-            prior16, topo16, design16, targets, n_realizations=300, seed=4,
-            sigma_r=sr, mu_wx=mu, scheme=scheme,
+    # the monthly drawer, then the observed-cell drawer (no targets, no scheme)
+    for tg, sch in ((targets, scheme), ((), None)):
+        many = estimate_moments_by_law(
+            prior16, topo16, design16, laws, tg, n_realizations=300, seed=4, scheme=sch
         )
-        assert (one.sigma_r, one.mu_wx) == (est.sigma_r, est.mu_wx) == (sr, mu)
-        for name in MOMENT_FIELDS:
-            _assert_close(getattr(one, name), getattr(est, name))
-        assert one.mw_mean == pytest.approx(est.mw_mean, rel=1e-12)
-    assert not np.allclose(many[0].var_y, many[2].var_y)
+        for (sr, mu), est in zip(laws, many):
+            one = estimate_moments(
+                prior16, topo16, design16, tg, n_realizations=300, seed=4,
+                sigma_r=sr, mu_wx=mu, scheme=sch,
+            )
+            assert (one.sigma_r, one.mu_wx) == (est.sigma_r, est.mu_wx) == (sr, mu)
+            for name in MOMENT_FIELDS:
+                if sch is not None or name in ("e_y", "var_y"):
+                    _assert_close(getattr(one, name), getattr(est, name))
+            if sch is not None:
+                assert one.mw_mean == pytest.approx(est.mw_mean, rel=1e-12)
+        assert not np.allclose(many[0].var_y, many[2].var_y)
 
 
 def test_variance_scales_are_drawn_once_per_distinct_mean(topo16, design16, prior16, monkeypatch):
@@ -258,11 +285,35 @@ def test_moments_do_not_depend_on_the_block_size(topo16, design16, prior16, monk
             scheme=scheme, store_target_samples=True,
         )
 
-    default = run()
+    def run_observed():
+        return estimate_moments(prior16, topo16, design16, n_realizations=47, seed=13)
+
+    default, default_obs = run(), run_observed()
     monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 1)  # one realization per block
-    single = run()
+    single, single_obs = run(), run_observed()
     for name in MOMENT_FIELDS + ("target_samples",):
         assert np.array_equal(getattr(default, name), getattr(single, name)), name
+    for name in ("e_y", "var_y"):
+        assert np.array_equal(getattr(default_obs, name), getattr(single_obs, name)), name
+
+
+def test_only_gaussian_passes_without_targets_or_scheme_draw_observed_cells(
+    topo16, design16, prior16, monkeypatch
+):
+    drawn = []
+    for name in ("_monthly_blocks", "_observed_blocks"):
+        drawer = getattr(simulate, name)
+        monkeypatch.setattr(
+            simulate, name, lambda *a, _d=drawer, _n=name: drawn.append(_n) or _d(*a)
+        )
+    scheme = varlearn.build_scheme(design16, prior16.hyper.lam)
+    student = make_prior(topo16, noise_dist="student_t", t_dof=6.0)
+    target = [("x", topo16.components[0], 10)]
+    for prior, targets, sch in (
+        (prior16, target, None), (prior16, (), scheme), (student, (), None), (prior16, (), None),
+    ):
+        estimate_moments(prior, topo16, design16, targets, n_realizations=5, seed=1, scheme=sch)
+    assert drawn == ["_monthly_blocks"] * 3 + ["_observed_blocks"]
 
 
 @pytest.mark.parametrize(

@@ -144,6 +144,23 @@ def test_variance_draw_distributions_share_moments():
         draw_variance_scales(hyper, 5, np.random.default_rng(0), w_dist="cauchy")
 
 
+@pytest.mark.parametrize("dist", ["gamma", "lognormal", "gaussian"])
+@pytest.mark.parametrize("fixed_mean", [None, 0.02])
+@pytest.mark.parametrize(
+    "hyper_vars", [(1e-3, 5e-4), (0.0, 0.0), (5e-4, 5e-4), (1e-3, 0.0)],
+    ids=["both", "none", "mean-only", "residual-only"],
+)
+def test_batched_variance_draws_equal_the_sequential_loop(dist, fixed_mean, hyper_vars):
+    hyper = VarianceHyperprior(0.01, *hyper_vars, lam=0.02)
+    seq_rng, batch_rng = np.random.default_rng(11), np.random.default_rng(11)
+    seq = [draw_variance_scales(hyper, 6, seq_rng, dist, fixed_mean=fixed_mean) for _ in range(40)]
+    w, m = draw_variance_scales(hyper, 6, batch_rng, dist, fixed_mean=fixed_mean, size=40)
+    assert np.array_equal(w, np.array([ws for ws, _ in seq]))
+    assert np.array_equal(m, np.array([ms for _, ms in seq]))
+    # both consumed the stream alike
+    assert seq_rng.random() == batch_rng.random()
+
+
 def test_fixed_mean_pins_the_population_draw():
     hyper = VarianceHyperprior(**APPENDIX_HYPER)
     _, m = draw_variance_scales(hyper, 4, np.random.default_rng(0), fixed_mean=0.02)
