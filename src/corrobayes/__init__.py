@@ -13,7 +13,6 @@ from .adjust import (
     RemnantLifeEstimate,
     TargetBelief,
     adjust_from_moments,
-    adjust_targets,
     compare_with_without_variance_learning,
     remnant_life,
 )
@@ -46,14 +45,12 @@ from .linalg import (
     pseudo_inverse,
 )
 from .simulate import (
-    EnsembleRealization,
     MomentEstimates,
     draw_dataset,
     draw_observations,
     estimate_moments,
     estimate_moments_by_law,
     forecast_extend,
-    simulate_realization,
 )
 from .system import (
     CorrelationParams,
@@ -64,7 +61,6 @@ from .system import (
     VarianceHyperprior,
     build_correlation,
     draw_variance_scales,
-    sample_variance_matrices,
     validate_dataset,
 )
 from .varlearn import (

@@ -6,9 +6,11 @@ are adjusted against the full observation vector using simulation moments.
 The minimum enters only through simulation, which is what keeps the
 non-linear observation equation tractable.
 
-The paired comparison simulates each law once: the prior law and the
-calibrated law share one ensemble, and each branch is the Bayes linear
-update on its own slice of it.
+``adjust_from_moments`` is the one Bayes linear update: it takes the moments
+of one law, from ``estimate_moments`` or from one entry of
+``estimate_moments_by_law``.  The paired comparison simulates each law once:
+the prior law and the calibrated law share one ensemble, and each branch is
+that update on its own slice of it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .calibrate import CalibrationResult, calibrate
 from .errors import ShapeError
-from .simulate import MomentEstimates, estimate_moments, estimate_moments_by_law
+from .simulate import MomentEstimates, estimate_moments_by_law
 from .system import InspectionDataset, PriorSpecification, SystemTopology
 
 #: Half-width multiplier of the reported 95% bands (Gaussian convention on
@@ -62,42 +64,6 @@ class AdjustedBelief:
             for r in self.rows
             if r.kind == kind and (component is None or r.component == component)
         ]
-
-
-def adjust_targets(
-    prior: PriorSpecification,
-    topology: SystemTopology,
-    dataset: InspectionDataset,
-    observed_y: np.ndarray | None = None,
-    targets=(),
-    calibrated: CalibrationResult | None = None,
-    seed: int | None = None,
-    n_realizations: int | None = None,
-    store_prior_band: bool = False,
-) -> AdjustedBelief:
-    """Adjust the requested targets by the observed data.
-
-    With a calibration result, moments are re-simulated under the selected
-    local variance and learned mean variance; otherwise prior variances are
-    used.  An empty dataset leaves every target at its prior.
-    """
-    sigma_r = mu_wx = None
-    if calibrated is not None:
-        sigma_r = calibrated.selected.sigma_r
-        mu_wx = calibrated.selected.adjusted_mu_wx
-    moments = estimate_moments(
-        prior,
-        topology,
-        dataset,
-        targets=targets,
-        n_realizations=n_realizations,
-        seed=seed,
-        sigma_r=sigma_r,
-        mu_wx=mu_wx,
-        store_target_samples=store_prior_band,
-        allow_empty_design=True,
-    )
-    return adjust_from_moments(moments, dataset, observed_y)
 
 
 def adjust_from_moments(
@@ -163,8 +129,6 @@ class ComponentLife:
 @dataclass
 class RemnantLifeEstimate:
     per_component: list
-    critical: float
-    band_convention: str = BAND_CONVENTION
 
 
 def remnant_life(beliefs: AdjustedBelief, critical: float) -> RemnantLifeEstimate:
@@ -189,7 +153,7 @@ def remnant_life(beliefs: AdjustedBelief, critical: float) -> RemnantLifeEstimat
                 _first_crossing(times, mean + half, critical),
             )
         )
-    return RemnantLifeEstimate(out, critical)
+    return RemnantLifeEstimate(out)
 
 
 @dataclass
@@ -219,7 +183,8 @@ def compare_with_without_variance_learning(
     Both branches come from one two-law ensemble on ``seed`` (common random
     numbers), so paired contrasts are not swamped by Monte Carlo noise and
     the noise is drawn once.  A one-law ensemble equals its slice of a
-    multi-law one, so each branch equals its own ``adjust_targets`` call.
+    multi-law one, so each branch equals ``adjust_from_moments`` on its own
+    one-law ``estimate_moments`` call.
     """
     seed = prior.rng_seed if seed is None else seed
     if calibration is None:

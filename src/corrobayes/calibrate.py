@@ -57,8 +57,6 @@ class CandidateRow:
 class CalibrationResult:
     rows: list
     selected_index: int
-    seed: int
-    n_realizations: int
 
     @property
     def selected(self) -> CandidateRow:
@@ -151,7 +149,7 @@ def calibrate(
         prior, topology, dataset, observed_y, scheme,
         candidates, _as_seedseq(seed).spawn(2), n,
     )
-    return CalibrationResult(rows, select_index([r.h for r in rows]), seed, n)
+    return CalibrationResult(rows, select_index([r.h for r in rows]))
 
 
 @dataclass

@@ -16,14 +16,18 @@ Subcommands:
   ``analyze``'s within Monte Carlo error.
 
 Exit status: 0 on success (diagnostic warning flags do not fail a run),
-1 on validation or pipeline failure, 2 on configuration errors.  No output
-file is written until the whole pipeline has finished, so a failed run never
-leaves partial artifacts.
+1 on validation or pipeline failure, 2 on configuration errors.  Output
+files are written only after every computing stage has finished, so a
+failure in one of them writes nothing.  Each file is then replaced on its
+own, through ``<file>.tmp`` and a rename: no file is left truncated, but a
+failure while the files are written can leave a mix of new and earlier
+files.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import designs, diagnostics, fileio, linalg
-from .adjust import BAND_CONVENTION, compare_with_without_variance_learning
+from .adjust import BAND_CONVENTION, BAND_Z, compare_with_without_variance_learning
 from .calibrate import calibrate, estimator_study
 from .errors import ConfigError
 from .simulate import estimate_moments, forecast_extend
@@ -51,25 +55,22 @@ class RunConfig:
     topology: object
     dataset: object
     prior: object
-    origin_month: int
     extend_months: int
     out_dir: str
     seed: int
     n_realizations: int
 
 
+@contextlib.contextmanager
 def _stage(name: str):
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            # interrupts and exits (BaseException only) pass through unchanged
-            if isinstance(exc, Exception) and not isinstance(exc, ConfigError):
-                raise RuntimeError(f"pipeline stage '{name}' failed: {exc}") from exc
-            return False
-
-    return _Ctx()
+    """Re-raise a failure inside the stage as a RuntimeError naming it;
+    ConfigError and interrupts (BaseException only) pass through unchanged."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except Exception as exc:
+        raise RuntimeError(f"pipeline stage '{name}' failed: {exc}") from exc
 
 
 def load_run_config(args) -> RunConfig:
@@ -87,26 +88,19 @@ def load_run_config(args) -> RunConfig:
 
     topology = fileio.parse_topology(path_of("topology"))
     prior = fileio.build_prior(config, topology)
-    origin = int(config.get("origin_month", "1"))
-    horizon = int(config["horizon"]) if "horizon" in config else None
-    if horizon is None:
-        raise ConfigError("missing required config key 'horizon'")
-    if getattr(args, "need_inspections", True):
+    origin = fileio._get(config, "origin_month", int, 1)
+    horizon = fileio._get(config, "horizon", int)
+    # the estimator study falls back to the reference design
+    dataset = None
+    if args.command != "simulate-study" or "inspections" in config:
         dataset = fileio.parse_inspections(path_of("inspections"), origin, horizon)
-    elif "inspections" in config:
-        dataset = fileio.parse_inspections(path_of("inspections"), origin, horizon)
-    else:
-        dataset = None
     seed = args.seed if args.seed is not None else prior.rng_seed
     n = args.realizations if args.realizations is not None else prior.ensemble_size
-    extend = (
-        args.extend_months
-        if getattr(args, "extend_months", None) is not None
-        else int(config.get("extend_months", "0"))
-    )
+    extend = getattr(args, "extend_months", None)
+    if extend is None:
+        extend = fileio._get(config, "extend_months", int, 0)
     return RunConfig(
-        topology, dataset, prior, origin, extend,
-        getattr(args, "out", None) or "out", seed, n,
+        topology, dataset, prior, extend, getattr(args, "out", None) or "out", seed, n,
     )
 
 
@@ -266,10 +260,10 @@ def _band_rows(comparison):
         if samples is not None:
             p_lo, p_hi = lo[j], hi[j]
         else:
-            half = 1.96 * math.sqrt(max(r.prior_var, 0.0))
+            half = BAND_Z * math.sqrt(max(r.prior_var, 0.0))
             p_lo, p_hi = r.prior_mean - half, r.prior_mean + half
-        nl_half = 1.96 * math.sqrt(max(r.adjusted_var, 0.0))
-        l_half = 1.96 * math.sqrt(max(lr.adjusted_var, 0.0))
+        nl_half = BAND_Z * math.sqrt(max(r.adjusted_var, 0.0))
+        l_half = BAND_Z * math.sqrt(max(lr.adjusted_var, 0.0))
         rows.append(
             (r.component, r.time,
              p_lo, r.prior_mean, p_hi,
@@ -362,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.need_inspections = args.command != "simulate-study"
     try:
         rc = load_run_config(args)
         if args.command == "analyze":

@@ -1,10 +1,11 @@
 """Prior-consistency and post-fit discrepancy diagnostics.
 
 Every discrepancy is the rank-normalized Mahalanobis form with expectation
-one under a correct model; values above the warning threshold (default 4,
-the three-sigma heuristic around the unit expectation) are flagged.  The
-global data discrepancy is computed by the same function the calibration
-loop uses for H, so the two are identical on identical inputs.
+one under a correct model; values above the warning threshold
+``DEFAULT_THRESHOLD`` (4, the three-sigma heuristic around the unit
+expectation) are flagged.  ``global_discrepancy`` is computed by the same
+function the calibration loop uses for H, so the two are identical on
+identical inputs.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from .simulate import MomentEstimates
 #: Warning threshold: |1 - Dis| = 3.
 DEFAULT_THRESHOLD = 4.0
 
-GROUPINGS = ("per-observation", "per-component", "global")
-
 
 @dataclass(frozen=True)
 class DiagnosticRow:
@@ -35,10 +34,7 @@ class DiagnosticRow:
 
 @dataclass
 class DiagnosticReport:
-    grouping: str
     rows: list
-    threshold: float
-    skipped_components: tuple = ()
 
     def flagged(self) -> list:
         return [r for r in self.rows if r.flagged]
@@ -52,8 +48,6 @@ def _group_indices(points, grouping: str):
         for i, (c, _) in enumerate(points):
             groups.setdefault(c, []).append(i)
         return sorted(groups.items())
-    if grouping == "global":
-        return [("global", list(range(len(points))))]
     raise ConfigError(f"unknown grouping {grouping!r}")
 
 
@@ -61,18 +55,16 @@ def data_discrepancy(
     observed_y: np.ndarray,
     moments: MomentEstimates,
     grouping: str = "per-observation",
-    threshold: float = DEFAULT_THRESHOLD,
 ) -> DiagnosticReport:
     """Rank-normalized discrepancy of the observed data against its simulated
-    prior moments, per group."""
+    prior moments, per observation or per component."""
     observed_y = np.asarray(observed_y, dtype=float)
     points = moments.design_points
     rows = []
     for label, idx in _group_indices(points, grouping):
         sub_mean = moments.e_y[idx]
         sub_cov = moments.var_y[np.ix_(idx, idx)]
-        comp = label[0] if grouping == "per-observation" else (label if grouping == "per-component" else None)
-        time = label[1] if grouping == "per-observation" else None
+        comp, time = label if grouping == "per-observation" else (label, None)
         try:
             value = linalg.mahalanobis_discrepancy(
                 observed_y[idx],
@@ -82,8 +74,8 @@ def data_discrepancy(
         except DegenerateVarianceError:
             rows.append(DiagnosticRow(str(label), comp, time, float("nan"), False, True))
             continue
-        rows.append(DiagnosticRow(str(label), comp, time, value, value > threshold))
-    return DiagnosticReport(grouping, rows, threshold, moments.skipped_components)
+        rows.append(DiagnosticRow(str(label), comp, time, value, value > DEFAULT_THRESHOLD))
+    return DiagnosticReport(rows)
 
 
 def global_discrepancy(observed_y: np.ndarray, moments: MomentEstimates) -> float:
@@ -95,7 +87,7 @@ def global_discrepancy(observed_y: np.ndarray, moments: MomentEstimates) -> floa
     )
 
 
-def adjustment_diagnostics(beliefs, threshold: float = DEFAULT_THRESHOLD) -> DiagnosticReport:
+def adjustment_diagnostics(beliefs) -> DiagnosticReport:
     """Discrepancy of each quantity block's mean shift against its resolved
     variance (zero when no adjustment occurred), computed in whitened data
     space from the block's rows of G and the belief's z."""
@@ -111,5 +103,5 @@ def adjustment_diagnostics(beliefs, threshold: float = DEFAULT_THRESHOLD) -> Dia
         except DegenerateVarianceError:
             rows.append(DiagnosticRow(kind, None, None, float("nan"), False, True))
             continue
-        rows.append(DiagnosticRow(kind, None, None, value, value > threshold))
-    return DiagnosticReport("per-quantity", rows, threshold, beliefs.moments.skipped_components)
+        rows.append(DiagnosticRow(kind, None, None, value, value > DEFAULT_THRESHOLD))
+    return DiagnosticReport(rows)

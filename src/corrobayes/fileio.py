@@ -185,6 +185,11 @@ def _get(config: dict, key: str, conv, default=None):
         raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
+def _floats(text: str) -> tuple:
+    """Comma-separated numbers; empty items are skipped."""
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
 def build_prior(config: dict, topology: SystemTopology) -> PriorSpecification:
     """Assemble the prior specification from key=value config text."""
     vals = {k: _get(config, k, conv) for k, conv in _PRIOR_KEYS.items()}
@@ -194,11 +199,9 @@ def build_prior(config: dict, topology: SystemTopology) -> PriorSpecification:
     corr = CorrelationParams(
         vals["rho0"], vals["rhoC"], vals["rhoD"], _get(config, "nu", float, 1.0)
     )
-    candidates = ()
-    if "sigma_r_candidates" in config:
-        candidates = tuple(float(v) for v in config["sigma_r_candidates"].split(",") if v.strip())
+    candidates = _get(config, "sigma_r_candidates", _floats, ())
     alpha0 = np.full(topology.component_count, _get(config, "alpha0", float))
-    x0 = topology.initial_thickness(default=config.get("x0") and float(config["x0"]))
+    x0 = topology.initial_thickness(default=_get(config, "x0", float) if "x0" in config else None)
     return PriorSpecification(
         hyper=hyper,
         corr=corr,

@@ -39,11 +39,11 @@ depend on the block size.
 
 ``draw_observations`` is the data drawer next to this moment kernel: it
 draws whole synthetic datasets (one per seed, in blocks under the same
-element budget) with each dataset's stream consumed exactly as
-``simulate_realization`` consumes it, building Pi's factor and the observed
-cell indices once.  ``draw_dataset`` is its one-seed case.  Both the
-ensemble's Dbar moments and the estimator study reduce observation rows with
-the difference scheme's one Dbar kernel (``DifferenceScheme.kernel``).
+element budget), each from its own stream in a fixed order, building Pi's
+factor and the observed cell indices once.  ``draw_dataset`` is its
+one-seed case.  Both the ensemble's Dbar moments and the estimator study
+reduce observation rows with the difference scheme's one Dbar kernel
+(``DifferenceScheme.kernel``).
 """
 
 from __future__ import annotations
@@ -82,82 +82,10 @@ def _as_seedseq(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def correlation_factor(pi: np.ndarray) -> np.ndarray:
+def _correlation_factor(pi: np.ndarray) -> np.ndarray:
     """A with A A' = Pi, valid for merely positive semi-definite Pi."""
     vals, vecs = np.linalg.eigh(pi)
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
-
-
-def _noise(rng: np.random.Generator, shape, dist: str, dof: float) -> np.ndarray:
-    if dist == "gaussian":
-        return rng.standard_normal(shape)
-    # unit-variance Student t
-    return rng.standard_t(dof, shape) / math.sqrt(dof / (dof - 2.0))
-
-
-@dataclass
-class EnsembleRealization:
-    """Full trajectories of one realization (row t of each array is time t,
-    row 0 the initial state)."""
-
-    x: np.ndarray        # (T+1, C)
-    alpha: np.ndarray    # (T+1, C)
-    r: np.ndarray        # (T+1, L, C)
-    zmin: np.ndarray     # (T+1, C)
-    y: dict              # (component, t) -> observed minimum at designed points
-    w_x: np.ndarray
-    w_alpha: np.ndarray
-    m_wx: float
-
-
-def simulate_realization(
-    prior: PriorSpecification,
-    topology: SystemTopology,
-    design: InspectionDataset,
-    rng: np.random.Generator,
-    sigma_r: float | None = None,
-    mu_wx: float | None = None,
-    fix_scales: bool = False,
-) -> EnsembleRealization:
-    """Run the model forward once, observing at the designed points.
-
-    Keeps every trajectory; the pipeline draws datasets with
-    ``draw_observations`` and tests use this as its brute-force reference.
-    With ``fix_scales`` every component's evolution variance is held at
-    ``mu_wx`` exactly (known-truth data generation) instead of being drawn
-    from the hyperprior.
-    """
-    pi = build_correlation(topology, prior.corr)
-    factor = correlation_factor(pi)
-    sigma_r = prior.sigma_r if sigma_r is None else sigma_r
-    mu_wx = prior.hyper.mu_wx if mu_wx is None else mu_wx
-    t_len, n, l_cnt = design.horizon, topology.component_count, prior.locations_per_component
-
-    hyper = prior.hyper.with_mean(mu_wx)
-    if fix_scales:
-        w_x, m_wx = np.full(n, mu_wx), mu_wx
-    else:
-        w_x, m_wx = draw_variance_scales(hyper, n, rng, prior.w_dist)
-    w_a = hyper.lam * w_x
-
-    dist, dof = prior.noise_dist, prior.t_dof
-    eps_a = (_noise(rng, (t_len, n), dist, dof) @ factor.T) * np.sqrt(w_a)
-    alpha = np.vstack([prior.alpha0, prior.alpha0 + np.cumsum(eps_a, axis=0)])
-    eps_x = (_noise(rng, (t_len, n), dist, dof) @ factor.T) * np.sqrt(w_x)
-    x = np.vstack([prior.x0, prior.x0 + np.cumsum(alpha[1:] + eps_x, axis=0)])
-
-    r = np.zeros((t_len + 1, l_cnt, n))
-    r[1:] = np.cumsum(math.sqrt(sigma_r) * _noise(rng, (t_len, l_cnt, n), dist, dof), axis=0)
-    zmin = x + r.min(axis=1)
-
-    eps_y = math.sqrt(prior.sigma_y) * _noise(rng, (t_len, l_cnt, n), dist, dof)
-    noisy_min = (r[1:] + eps_y).min(axis=1)
-    comp_idx = {c: i for i, c in enumerate(topology.components)}
-    y = {
-        (c, t): float(x[t, comp_idx[c]] + noisy_min[t - 1, comp_idx[c]])
-        for (c, t) in design.design_points()
-    }
-    return EnsembleRealization(x, alpha, r, zmin, y, w_x, w_a, m_wx)
 
 
 def _observed_cells(design: InspectionDataset, topology: SystemTopology):
@@ -185,16 +113,15 @@ def draw_observations(
     Dataset j is drawn from the j-th seed of the iterable ``seeds``, which is
     read lazily, one block at a time.  Yields (b, n_obs) arrays whose rows are
     the datasets' values in the design's canonical point order.  Each row
-    consumes its stream exactly as ``simulate_realization`` does (W unless
-    ``fix_scales``, then eps_alpha (T, C), eps_x (T, C), r (T, L, C) and
-    eps_y (T, L, C)), so it equals that realization's observations.  Pi's
+    consumes its stream in one fixed order: W unless ``fix_scales``, then
+    eps_alpha (T, C), eps_x (T, C), r (T, L, C) and eps_y (T, L, C).  Pi's
     factor and the observed-cell indices are built once for all datasets.
     """
     sigma_r = prior.sigma_r if sigma_r is None else sigma_r
     mu_wx = prior.hyper.mu_wx if mu_wx is None else mu_wx
     hyper = prior.hyper.with_mean(mu_wx)
     obs_t, obs_c = _observed_cells(design, topology)
-    factor_t = correlation_factor(build_correlation(topology, prior.corr)).T
+    factor_t = _correlation_factor(build_correlation(topology, prior.corr)).T
     t_len, n_comp, l_cnt = design.horizon, topology.component_count, prior.locations_per_component
     dist, dof = prior.noise_dist, prior.t_dof
 
@@ -215,7 +142,7 @@ def draw_observations(
             for buf in (za, zx, zr, zy):
                 _fill_noise(rng, buf[j], dist, dof)
         # alpha_t = alpha0 + cumsum(eps_alpha), then x_t = x0 + cumsum(alpha_t
-        # + eps_x), in one buffer and in simulate_realization's operation order
+        # + eps_x), in one buffer; the operation order fixes the rounding
         x = (za[:b] @ factor_t) * np.sqrt(hyper.lam * w_x[:b, None, :])
         np.cumsum(x, axis=1, out=x)
         x += prior.alpha0
@@ -252,8 +179,8 @@ class MomentEstimates:
 
     m1_sq / m2_sq / m1m2 are entry-aligned raw moments of the local
     min-differences used by variance learning; dbar_* describe the Dbar
-    statistic across realizations; mw_* track the drawn population mean
-    variance for oracle checks.
+    statistic across realizations, and mw_dbar_cov is its ensemble
+    covariance with the drawn population mean variance.
     """
 
     design_points: list
@@ -264,19 +191,13 @@ class MomentEstimates:
     var_targets: np.ndarray
     cov_targets: np.ndarray      # (n_targets, n_obs)
     n_realizations: int
-    seed: int
-    sigma_r: float
-    mu_wx: float
-    scheme: object = None
     m1_sq: np.ndarray = None
     m2_sq: np.ndarray = None
     m1m2: np.ndarray = None
     dbar_mean: np.ndarray = None
     dbar_var: np.ndarray = None
-    mw_mean: float = math.nan
     mw_dbar_cov: np.ndarray = None
     target_samples: np.ndarray = None
-    skipped_components: tuple = ()
     _y_pair: MomentPair = field(default=None, init=False, repr=False, compare=False)
 
     def y_moment_pair(self) -> MomentPair:
@@ -307,7 +228,8 @@ def _fill_noise(rng: np.random.Generator, out: np.ndarray, dist: str, dof: float
     if dist == "gaussian":
         rng.standard_normal(out=out)
     else:
-        out[...] = _noise(rng, out.shape, dist, dof)
+        # unit-variance Student t
+        out[...] = rng.standard_t(dof, out.shape) / math.sqrt(dof / (dof - 2.0))
 
 
 def _child(root: np.random.SeedSequence, i: int) -> np.random.SeedSequence:
@@ -396,7 +318,7 @@ def _observed_blocks(prior, pi, root, n, obs_t, obs_c):
     to it, in canonical point order.  Yields blocks as ``_monthly_blocks``.
     """
     n_obs, l_cnt = len(obs_t), prior.locations_per_component
-    factor_t = correlation_factor(
+    factor_t = _correlation_factor(
         pi[np.ix_(obs_c, obs_c)] * _linear_kernel(obs_t, prior.hyper.lam)
     ).T
     # points of one component are consecutive and in time order; a
@@ -467,8 +389,6 @@ def _add_scheme_moments(est, scheme, kernel, comp_idx, y, m, w_x, m_wx, hyper) -
     ``y`` may omit the prior trend: every difference combination
     annihilates level and slope.
     """
-    est.scheme = scheme
-    est.skipped_components = scheme.skipped
     n = y.shape[0]
     p0, p1, p2 = kernel.p0, kernel.p1, kernel.p2
     # ensemble-sized temporaries are built in place to keep them few
@@ -494,7 +414,6 @@ def _add_scheme_moments(est, scheme, kernel, comp_idx, y, m, w_x, m_wx, hyper) -
     est.dbar_mean = dvec.mean(axis=0)
     est.dbar_var = 0.5 * (dv + dv.T)
     mw = m_wx - m_wx.mean()
-    est.mw_mean = float(m_wx.mean())
     est.mw_dbar_cov = mw @ (dvec - est.dbar_mean) / (n - 1)
 
 
@@ -554,7 +473,7 @@ def estimate_moments_by_law(
     pi = build_correlation(topology, prior.corr)
     if targets or scheme is not None or prior.noise_dist != "gaussian":
         blocks = _monthly_blocks(
-            prior, correlation_factor(pi).T, design.horizon, root, n,
+            prior, _correlation_factor(pi).T, design.horizon, root, n,
             (obs_t, obs_c), (tgt_t, tgt_c, is_alpha, is_zmin),
         )
     else:
@@ -567,7 +486,7 @@ def estimate_moments_by_law(
         comp_idx = {c: i for i, c in enumerate(topology.components)}
         kernel = scheme.kernel(points)
     out = []
-    for k, (sr, mu) in enumerate(laws):
+    for k, (_, mu) in enumerate(laws):
         e_y, e_t = y[k].mean(axis=0), tv[k].mean(axis=0)
         samples = tv[k] + base_t if store_target_samples else None
         # the targets are centered in place (their raw values are not read
@@ -584,9 +503,6 @@ def estimate_moments_by_law(
             var_targets=np.einsum("ij,ij->j", tc, tc) / (n - 1),
             cov_targets=_cov(tc, yc),
             n_realizations=n,
-            seed=seed,
-            sigma_r=sr,
-            mu_wx=mu,
             target_samples=samples,
         )
         del yc, tc, samples

@@ -52,12 +52,6 @@ class SystemTopology:
     def component_count(self) -> int:
         return len(self.components)
 
-    def index_of(self, component) -> int:
-        try:
-            return self.components.index(component)
-        except ValueError:
-            raise ConfigError(f"unknown component {component}") from None
-
     def distance(self, c, cp) -> float:
         """Along-circuit separation s_cc' (|position difference|)."""
         if c == cp:
@@ -143,15 +137,6 @@ class VarianceHyperprior:
         if self.lam <= 0:
             raise ConfigError("lam must be positive")
 
-    def scaled(self, factor: float) -> "VarianceHyperprior":
-        """Hyperprior for a variance whose mean is scaled by ``factor``."""
-        return replace(
-            self,
-            mu_wx=self.mu_wx * factor,
-            sigma_wx=self.sigma_wx * factor**2,
-            gamma_wx=self.gamma_wx * factor**2,
-        )
-
     def with_mean(self, mu: float) -> "VarianceHyperprior":
         return replace(self, mu_wx=float(mu))
 
@@ -180,8 +165,6 @@ def draw_variance_scales(
     n_components: int,
     rng: np.random.Generator,
     w_dist: str = "gamma",
-    floor: float = VARIANCE_FLOOR,
-    fixed_mean: float | None = None,
     size: int | None = None,
 ):
     """Draw the population mean M(W) and per-component variances W_c.
@@ -197,13 +180,9 @@ def draw_variance_scales(
     is the default because at the large coefficients of variation typical of
     variance hyperpriors the matched lognormal has an enormous kurtosis,
     which makes ensemble moment estimates converge very slowly.
-    "gaussian" uses additive normal draws truncated at the floor (which
-    biases E(W_c) upward when the hypervariances are large relative to
-    mu_wx^2).
-
-    ``fixed_mean`` pins the population mean at a known value instead of
-    drawing it (used when generating data from a known truth); the
-    per-component draws around it are unchanged.
+    "gaussian" uses additive normal draws truncated at ``VARIANCE_FLOOR``
+    (which biases E(W_c) upward when the hypervariances are large relative
+    to mu_wx^2).
 
     With ``size`` = n the call makes n independent draws at once and returns
     w as an (n, C) array and m as an (n,) array.  It consumes the stream
@@ -222,13 +201,10 @@ def draw_variance_scales(
         raise ConfigError(f"unknown variance draw distribution {w_dist!r}")
     rows = 1 if size is None else int(size)
     # one row per draw: M when it is drawn, then the C residuals when they vary
-    draw_m = fixed_mean is None and gam > 0
+    draw_m = gam > 0
     params = [(mu, gam)] * draw_m + [resid] * (n_components if resid[1] > 0 else 0)
     z = _matched_draws(rng, w_dist, params, rows)
-    if draw_m:
-        m = z[:, 0]
-    else:
-        m = np.full(rows, float(mu if fixed_mean is None else fixed_mean))
+    m = z[:, 0] if draw_m else np.full(rows, float(mu))
     # w is formed in place over the residuals: m is a view of the same draws
     w = z[:, int(draw_m) :]
     if not w.shape[1]:
@@ -237,39 +213,15 @@ def draw_variance_scales(
         w += m[:, None]
     else:
         w *= m[:, None]
-    np.maximum(w, floor, out=w)
+    np.maximum(w, VARIANCE_FLOOR, out=w)
     if size is None:
         return w[0], float(m[0])
     return w, m
 
 
-def scales_to_covariance(w: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """S[c,c'] = sqrt(W_c) sqrt(W_c') Pi[c,c']."""
-    root = np.sqrt(w)
-    return np.outer(root, root) * pi
-
-
-def sample_variance_matrices(
-    hyper: VarianceHyperprior,
-    pi: np.ndarray,
-    rng: np.random.Generator,
-    w_dist: str = "gamma",
-    floor: float = VARIANCE_FLOOR,
-):
-    """Draw one (S_X, S_alpha) pair of evolution covariance matrices.
-
-    Slope-variance scales are the level scales multiplied by the fixed ratio
-    lam (the variance-learning identities require the two to move together);
-    both matrices share the correlation Pi.
-    """
-    n = pi.shape[0]
-    w_x, _ = draw_variance_scales(hyper, n, rng, w_dist, floor)
-    return scales_to_covariance(w_x, pi), scales_to_covariance(hyper.lam * w_x, pi)
-
-
-def default_candidate_grid(mu_wx: float, size: int = 12) -> tuple:
-    """Log-spaced local-variance candidates spanning [mu_wx/25, 25*mu_wx]."""
-    return tuple(np.geomspace(mu_wx / 25.0, mu_wx * 25.0, size))
+def default_candidate_grid(mu_wx: float) -> tuple:
+    """12 log-spaced local-variance candidates spanning [mu_wx/25, 25*mu_wx]."""
+    return tuple(np.geomspace(mu_wx / 25.0, mu_wx * 25.0, 12))
 
 
 @dataclass(frozen=True)

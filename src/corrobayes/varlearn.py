@@ -104,8 +104,8 @@ class DbarKernel:
         self._groups = _rank_groups(scheme)
         self._n_components = len(scheme.components)
 
-    def terms(self, y: np.ndarray, normalized: bool = True) -> np.ndarray:
-        """Per-entry (k*Y^(2) - l*Y^(1))^2 terms, optionally divided by K_i."""
+    def terms(self, y: np.ndarray) -> np.ndarray:
+        """Per-entry (k*Y^(2) - l*Y^(1))^2 / K_i terms."""
         # k (y0 - y2) - l (y0 - y1); temporaries are built in place to keep
         # them few for ensemble-sized inputs
         comb = y[:, self.p0]
@@ -117,8 +117,7 @@ class DbarKernel:
         comb -= lag1
         del lag1
         comb *= comb
-        if normalized:
-            comb /= self.weight
+        comb /= self.weight
         return comb
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
@@ -136,7 +135,6 @@ class DifferenceScheme:
     entries: tuple
     components: tuple
     t_counts: dict
-    lam: float
     skipped: tuple
 
     def component_index(self) -> dict:
@@ -169,7 +167,7 @@ def build_scheme(dataset: InspectionDataset, lam: float) -> DifferenceScheme:
                 SchemeEntry(comp, times[i], times[i - 1], times[i - 2], k, l, lag_weight(k, l, lam))
             )
     comps = tuple(sorted({e.component for e in entries}))
-    return DifferenceScheme(tuple(entries), comps, t_counts, lam, tuple(skipped))
+    return DifferenceScheme(tuple(entries), comps, t_counts, tuple(skipped))
 
 
 def compute_dbar(dataset: InspectionDataset, scheme: DifferenceScheme) -> np.ndarray:
@@ -178,7 +176,7 @@ def compute_dbar(dataset: InspectionDataset, scheme: DifferenceScheme) -> np.nda
     return scheme.kernel(dataset.design_points())(y)[0]
 
 
-def _term_expectation(k, l, weight, mu_wx, m1_sq, m2_sq, m1m2, normalized):
+def _term_expectation(k, l, weight, mu_wx, m1_sq, m2_sq, m1m2, normalized=True):
     m_part = l**2 * m1_sq + k**2 * m2_sq - 2.0 * k * l * m1m2
     raw = weight * mu_wx + m_part
     return raw / weight if normalized else raw
@@ -200,7 +198,6 @@ def expected_dbar(
     scheme: DifferenceScheme,
     hyper: VarianceHyperprior,
     m_moments,
-    normalized: bool = True,
 ) -> np.ndarray:
     """Closed-form E(Dbar) per component given simulated local min moments.
 
@@ -219,7 +216,6 @@ def expected_dbar(
     terms = _term_expectation(
         *_lag_arrays(scheme), hyper.mu_wx,
         np.asarray(m_moments.m1_sq), np.asarray(m_moments.m2_sq), np.asarray(m_moments.m1m2),
-        normalized,
     )
     return _sum_by_component(terms[None, :], _rank_groups(scheme), len(scheme.components))[0]
 
@@ -230,12 +226,10 @@ class DbarStatistic:
     simulation-estimated variance.  ``values`` is one Dbar vector, or an
     (n, n_components) array of Dbar rows of datasets on one design."""
 
-    components: tuple
     values: np.ndarray
     expectation: np.ndarray
     cross_cov: np.ndarray
     variance: np.ndarray
-    t_counts: dict
 
 
 def build_dbar_statistic(
@@ -265,24 +259,25 @@ def build_dbar_statistic(
     variance = np.asarray(moments.dbar_var, dtype=float)
     if variance.shape != (len(scheme.components),) * 2:
         raise ShapeError("dbar variance matrix does not match scheme components")
-    return DbarStatistic(scheme.components, values, expectation, cross, variance, scheme.t_counts)
+    return DbarStatistic(values, expectation, cross, variance)
 
 
-def adjust_wx(dbar: DbarStatistic, hyper: VarianceHyperprior, floor: float = VARIANCE_FLOOR):
+def adjust_wx(dbar: DbarStatistic, hyper: VarianceHyperprior):
     """Scalar adjusted expectation and variance of the population mean
     variance M(W_X) given Dbar.
 
     For one Dbar vector both are floats.  For Dbar rows the expectation is
     an array with one entry per row, all adjusted against one factor of
     var(Dbar); the adjusted variance does not depend on the data and stays
-    one float.  Each expectation below ``floor`` is raised to it with its
-    own warning.
+    one float.  Each expectation below ``VARIANCE_FLOOR`` is raised to it
+    with its own warning.
     """
     prior = linalg.MomentPair([hyper.mu_wx], [[hyper.gamma_wx]])
     data_prior = linalg.MomentPair(dbar.expectation, dbar.variance)
     cross = dbar.cross_cov.reshape(1, -1)
     mean = linalg.adjusted_expectation(prior, data_prior, cross, dbar.values)[..., 0]
     var = float(linalg.adjusted_variance(prior, data_prior, cross)[0, 0])
+    floor = VARIANCE_FLOOR
     low = mean < floor
     for m in mean[low]:
         warnings.warn(f"adjusted variance expectation {m:g} floored at {floor:g}", stacklevel=2)

@@ -6,11 +6,11 @@ import pytest
 from corrobayes import designs
 from corrobayes.adjust import (
     _first_crossing,
-    adjust_targets,
+    adjust_from_moments,
     compare_with_without_variance_learning,
     remnant_life,
 )
-from corrobayes.simulate import draw_dataset, forecast_extend
+from corrobayes.simulate import draw_dataset, estimate_moments, forecast_extend
 from conftest import make_prior, small_irregular_design
 
 
@@ -21,9 +21,8 @@ def _zmin_targets(topology, horizon):
 def test_adjustment_reduces_variance_and_tracks_the_data(topo16, design16, prior16):
     data = draw_dataset(prior16, topo16, design16, seed=1)
     targets = [("x", c, design16.horizon) for c in topo16.components]
-    beliefs = adjust_targets(
-        prior16, topo16, data, data.values_vector(), targets, seed=2, n_realizations=1500
-    )
+    mom = estimate_moments(prior16, topo16, data, targets, n_realizations=1500, seed=2)
+    beliefs = adjust_from_moments(mom, data)
     for row in beliefs.rows:
         assert row.adjusted_var <= row.prior_var + 1e-12
         assert np.isfinite(row.adjusted_mean)
@@ -32,8 +31,10 @@ def test_adjustment_reduces_variance_and_tracks_the_data(topo16, design16, prior
 def test_empty_dataset_leaves_targets_at_their_priors(topo16, prior16):
     empty = designs.design_from_times({}, 20)
     targets = [("zmin", topo16.components[0], 20)]
-    beliefs = adjust_targets(prior16, topo16, empty, np.zeros(0), targets,
-                             seed=3, n_realizations=300)
+    mom = estimate_moments(
+        prior16, topo16, empty, targets, n_realizations=300, seed=3, allow_empty_design=True
+    )
+    beliefs = adjust_from_moments(mom, empty, np.zeros(0))
     (row,) = beliefs.rows
     assert row.adjusted_mean == row.prior_mean
     assert row.adjusted_var == row.prior_var
@@ -51,8 +52,8 @@ def test_uncorrelated_unobserved_components_stay_at_their_priors(topo16):
     design = designs.design_from_times({observed: [5, 10, 15, 20]}, 20)
     data = draw_dataset(prior, topo16, design, seed=4)
     targets = [("x", other, 20), ("alpha", other, 20)]
-    beliefs = adjust_targets(prior, topo16, data, data.values_vector(), targets,
-                             seed=5, n_realizations=4000)
+    mom = estimate_moments(prior, topo16, data, targets, n_realizations=4000, seed=5)
+    beliefs = adjust_from_moments(mom, data)
     for row in beliefs.rows:
         shift = abs(row.adjusted_mean - row.prior_mean)
         assert shift < 0.1 * np.sqrt(row.prior_var)
@@ -71,10 +72,12 @@ def test_more_observations_never_inflate_adjusted_variance(topo16, prior16):
     )
     targets = [("x", topo16.components[0], 40)]
     # common random numbers: same seed for both moment estimations
-    b_small = adjust_targets(prior16, topo16, data_small, data_small.values_vector(),
-                             targets, seed=7, n_realizations=4000)
-    b_big = adjust_targets(prior16, topo16, data_big, data_big.values_vector(),
-                           targets, seed=7, n_realizations=4000)
+    b_small, b_big = (
+        adjust_from_moments(
+            estimate_moments(prior16, topo16, data, targets, n_realizations=4000, seed=7), data
+        )
+        for data in (data_small, data_big)
+    )
     v_small = b_small.rows[0].adjusted_var
     v_big = b_big.rows[0].adjusted_var
     mc_se = 3.0 * v_small / np.sqrt(4000)
@@ -110,8 +113,8 @@ def test_remnant_life_reports_band_and_mean_crossings(topo16):
     data = draw_dataset(prior, topo16, design, seed=9)
     ext = forecast_extend(data, 60)
     targets = _zmin_targets(topo16, ext.horizon)
-    beliefs = adjust_targets(prior, topo16, ext, data.values_vector(), targets,
-                             seed=10, n_realizations=500)
+    mom = estimate_moments(prior, topo16, ext, targets, n_realizations=500, seed=10)
+    beliefs = adjust_from_moments(mom, ext)
     life = remnant_life(beliefs, critical=4.0)
     assert len(life.per_component) == 16
     for cl in life.per_component:
@@ -150,12 +153,17 @@ def test_both_branches_equal_their_one_law_adjustments_bit_for_bit(topo16, desig
         prior, topo16, ext, observed, targets, seed=12, n_realizations=300,
         store_prior_band=True,
     )
-    branches = ((cmp_.without_learning, None), (cmp_.with_learning, cmp_.calibration))
-    for branch, calibrated in branches:
-        one = adjust_targets(
-            prior, topo16, ext, observed, targets, calibrated=calibrated,
-            seed=12, n_realizations=300, store_prior_band=calibrated is None,
+    selected = cmp_.calibration.selected
+    branches = (
+        (cmp_.without_learning, prior.sigma_r, prior.hyper.mu_wx),
+        (cmp_.with_learning, selected.sigma_r, selected.adjusted_mu_wx),
+    )
+    for branch, sigma_r, mu_wx in branches:
+        mom = estimate_moments(
+            prior, topo16, ext, targets, n_realizations=300, seed=12,
+            sigma_r=sigma_r, mu_wx=mu_wx, store_target_samples=branch is cmp_.without_learning,
         )
+        one = adjust_from_moments(mom, ext, observed)
         assert [(r.adjusted_mean, r.adjusted_var) for r in branch.rows] == [
             (r.adjusted_mean, r.adjusted_var) for r in one.rows
         ]

@@ -14,8 +14,9 @@ from corrobayes.calibrate import (
     select_index,
 )
 from corrobayes.errors import ConfigError, InsufficientDataError
-from corrobayes.simulate import _as_seedseq, draw_dataset, estimate_moments, simulate_realization
+from corrobayes.simulate import _as_seedseq, draw_dataset, estimate_moments
 from conftest import make_prior
+from oracle import simulate_realization
 
 
 def test_selection_minimizes_distance_to_unity_with_low_tie_break():

@@ -113,6 +113,24 @@ def test_missing_config_keys_exit_with_the_config_code(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "horizon = 2x",
+        "origin_month = 1x",
+        "extend_months = six",
+        "x0 = 12mm",
+        "sigma_r_candidates = 0.01,abc",
+    ],
+    ids=lambda line: line.split()[0],
+)
+def test_malformed_config_values_exit_with_the_config_code(tmp_path, capsys, line):
+    config = _write_workspace(tmp_path, run_extra=line)  # a later key overrides
+    code = cli.main(["validate", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert f"config error: config key {line.split()[0]!r}" in capsys.readouterr().err
+
+
 def _run_analysis(config, out):
     return cli.main(
         ["analyze", "--config", str(config), "--out", str(out), "--extend-months", "6"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from corrobayes import diagnostics, linalg
-from corrobayes.adjust import adjust_from_moments, adjust_targets
+from corrobayes.adjust import adjust_from_moments
 from corrobayes.errors import ConfigError
 from corrobayes.simulate import draw_dataset, estimate_moments
 from conftest import make_prior
@@ -18,7 +18,6 @@ class _StubMoments:
         self.e_y = np.asarray(mean, dtype=float)
         self.var_y = np.asarray(cov, dtype=float)
         self.n_realizations = n_realizations
-        self.skipped_components = ()
 
     def y_moment_pair(self):
         return linalg.MomentPair(self.e_y, self.var_y)
@@ -48,15 +47,6 @@ def test_global_value_matches_the_explicit_quadratic_form():
     factor = (mom.n_realizations - rank - 2) / (mom.n_realizations - 1)
     expected = resid @ np.linalg.inv(mom.var_y) @ resid / rank * factor
     assert diagnostics.global_discrepancy(y, mom) == pytest.approx(expected, rel=1e-9)
-
-
-def test_global_grouping_row_equals_the_global_function():
-    rng = np.random.default_rng(1)
-    mom = _random_block_moments(rng)
-    y = mom.e_y + rng.standard_normal(mom.e_y.size)
-    report = diagnostics.data_discrepancy(y, mom, grouping="global")
-    (row,) = report.rows
-    assert row.value == pytest.approx(diagnostics.global_discrepancy(y, mom), rel=1e-12)
 
 
 def test_per_component_rows_use_the_diagonal_blocks():
@@ -123,26 +113,30 @@ def test_per_observation_tail_stays_below_threshold_under_the_model(topo16, desi
 def test_threshold_flags_only_values_above_it():
     rng = np.random.default_rng(4)
     mom = _random_block_moments(rng)
-    y = mom.e_y + 6.0  # gross common offset
-    report = diagnostics.data_discrepancy(y, mom, threshold=1.0)
-    assert report.flagged() == [r for r in report.rows if r.value > 1.0]
-    assert len(report.flagged()) > 0
+    # graded offsets: the small ones stay below the threshold
+    y = mom.e_y + np.linspace(0.0, 8.0, mom.e_y.size)
+    report = diagnostics.data_discrepancy(y, mom)
+    threshold = diagnostics.DEFAULT_THRESHOLD
+    assert report.flagged() == [r for r in report.rows if r.value > threshold]
+    assert 0 < len(report.flagged()) < len(report.rows)
 
 
 def test_adjustment_diagnostics_flag_a_displaced_system(topo16, design16):
     prior = make_prior(topo16)
     data = draw_dataset(prior, topo16, design16, seed=21)
     targets = [("x", c, design16.horizon) for c in topo16.components]
-    beliefs = adjust_targets(prior, topo16, data, data.values_vector(), targets,
-                             seed=22, n_realizations=1500)
+    beliefs = adjust_from_moments(
+        estimate_moments(prior, topo16, data, targets, n_realizations=1500, seed=22), data
+    )
     clean = diagnostics.adjustment_diagnostics(beliefs)
     assert all(np.isfinite(r.value) for r in clean.rows if not r.indeterminate)
 
     # the same data interpreted under a prior whose initial thickness is
     # several sigma away forces a mean shift far beyond the resolved variance
     shifted_prior = make_prior(topo16, x0=np.full(16, 12.0 + 5.0))
-    shifted = adjust_targets(shifted_prior, topo16, data, data.values_vector(),
-                             targets, seed=22, n_realizations=1500)
+    shifted = adjust_from_moments(
+        estimate_moments(shifted_prior, topo16, data, targets, n_realizations=1500, seed=22), data
+    )
     report = diagnostics.adjustment_diagnostics(shifted)
     assert any(r.flagged for r in report.rows)
 
@@ -151,9 +145,11 @@ def test_adjustment_diagnostics_report_zero_rows_without_data(topo16, prior16):
     from corrobayes import designs
 
     empty = designs.design_from_times({}, 20)
-    beliefs = adjust_targets(prior16, topo16, empty, np.zeros(0),
-                             [("x", topo16.components[0], 20)],
-                             seed=23, n_realizations=200)
+    mom = estimate_moments(
+        prior16, topo16, empty, [("x", topo16.components[0], 20)],
+        n_realizations=200, seed=23, allow_empty_design=True,
+    )
+    beliefs = adjust_from_moments(mom, empty, np.zeros(0))
     report = diagnostics.adjustment_diagnostics(beliefs)
     (row,) = report.rows
     assert row.value == 0.0 and not row.flagged
@@ -169,8 +165,10 @@ def test_adjustment_diagnostics_equal_the_full_resolved_variance_form(
     data = draw_dataset(prior, topo16, design16, seed=21)
     targets = [("zmin", c, t) for c in topo16.components for t in (10, 40)]
     targets += [("x", c, 40) for c in topo16.components]
-    beliefs = adjust_targets(prior, topo16, data, data.values_vector(), targets,
-                             seed=3, n_realizations=n_realizations)
+    beliefs = adjust_from_moments(
+        estimate_moments(prior, topo16, data, targets, n_realizations=n_realizations, seed=3),
+        data,
+    )
     mom = beliefs.moments
     pinv, rank = linalg.pinv_with_rank(mom.var_y)
     assert rank == min(len(mom.design_points), n_realizations - 1)

@@ -11,9 +11,9 @@ from corrobayes.simulate import (
     estimate_moments,
     estimate_moments_by_law,
     forecast_extend,
-    simulate_realization,
 )
 from conftest import make_prior, small_irregular_design
+from oracle import simulate_realization
 
 
 def test_identical_seeds_give_bit_identical_moments(topo16, design16, prior16):
@@ -106,7 +106,8 @@ def test_dbar_statistics_accumulate_when_a_scheme_is_given(topo16, design16, pri
     assert mom.dbar_var.shape == (n_comp, n_comp)
     assert np.all(np.diag(mom.dbar_var) > 0)
     assert mom.m1_sq.shape == (len(scheme.entries),)
-    assert np.isfinite(mom.mw_mean)
+    assert mom.mw_dbar_cov.shape == (n_comp,)
+    assert np.all(np.isfinite(mom.mw_dbar_cov))
 
 
 def test_expected_dbar_matches_simulation_within_monte_carlo_error(topo16, prior16):
@@ -181,7 +182,7 @@ def _brute_force(prior, topology, design, targets, n, rng):
     for _ in range(n):
         real = simulate_realization(prior, topology, design, rng)
         ys.append([real.y[pt] for pt in design.design_points()])
-        zs.append([real.zmin[t, topology.index_of(c)] for _, c, t in targets])
+        zs.append([real.zmin[t, topology.components.index(c)] for _, c, t in targets])
     return np.array(ys), np.array(zs)
 
 
@@ -252,12 +253,9 @@ def test_one_law_call_equals_its_slice_of_a_multi_law_call(topo16, design16, pri
                 prior16, topo16, design16, tg, n_realizations=300, seed=4,
                 sigma_r=sr, mu_wx=mu, scheme=sch,
             )
-            assert (one.sigma_r, one.mu_wx) == (est.sigma_r, est.mu_wx) == (sr, mu)
             for name in MOMENT_FIELDS:
                 if sch is not None or name in ("e_y", "var_y"):
                     _assert_close(getattr(one, name), getattr(est, name))
-            if sch is not None:
-                assert one.mw_mean == pytest.approx(est.mw_mean, rel=1e-12)
         assert not np.allclose(many[0].var_y, many[2].var_y)
 
 

@@ -15,7 +15,6 @@ from corrobayes.system import (
     VarianceHyperprior,
     build_correlation,
     draw_variance_scales,
-    sample_variance_matrices,
     validate_dataset,
 )
 from conftest import APPENDIX_CORR, APPENDIX_HYPER
@@ -145,51 +144,24 @@ def test_variance_draw_distributions_share_moments():
 
 
 @pytest.mark.parametrize("dist", ["gamma", "lognormal", "gaussian"])
-@pytest.mark.parametrize("fixed_mean", [None, 0.02])
+@pytest.mark.parametrize("mean", [None, 0.02])
 @pytest.mark.parametrize(
     "hyper_vars", [(1e-3, 5e-4), (0.0, 0.0), (5e-4, 5e-4), (1e-3, 0.0)],
     ids=["both", "none", "mean-only", "residual-only"],
 )
-def test_batched_variance_draws_equal_the_sequential_loop(dist, fixed_mean, hyper_vars):
+def test_batched_variance_draws_equal_the_sequential_loop(dist, mean, hyper_vars):
+    # ``mean`` None keeps the hyperprior's mu_wx; a value moves it, as the
+    # ensemble does for each law's mu_wx
     hyper = VarianceHyperprior(0.01, *hyper_vars, lam=0.02)
+    if mean is not None:
+        hyper = hyper.with_mean(mean)
     seq_rng, batch_rng = np.random.default_rng(11), np.random.default_rng(11)
-    seq = [draw_variance_scales(hyper, 6, seq_rng, dist, fixed_mean=fixed_mean) for _ in range(40)]
-    w, m = draw_variance_scales(hyper, 6, batch_rng, dist, fixed_mean=fixed_mean, size=40)
+    seq = [draw_variance_scales(hyper, 6, seq_rng, dist) for _ in range(40)]
+    w, m = draw_variance_scales(hyper, 6, batch_rng, dist, size=40)
     assert np.array_equal(w, np.array([ws for ws, _ in seq]))
     assert np.array_equal(m, np.array([ms for _, ms in seq]))
     # both consumed the stream alike
     assert seq_rng.random() == batch_rng.random()
-
-
-def test_fixed_mean_pins_the_population_draw():
-    hyper = VarianceHyperprior(**APPENDIX_HYPER)
-    _, m = draw_variance_scales(hyper, 4, np.random.default_rng(0), fixed_mean=0.02)
-    assert m == 0.02
-
-
-def test_sampled_covariance_matrices_are_psd_and_linked(topo16):
-    hyper = VarianceHyperprior(**APPENDIX_HYPER)
-    pi = build_correlation(topo16, CorrelationParams(**APPENDIX_CORR))
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        s_x, s_a = sample_variance_matrices(hyper, pi, rng)
-        assert np.linalg.eigvalsh(s_x).min() >= -1e-10 * np.linalg.eigvalsh(s_x).max()
-        # slope covariance is the level covariance scaled by the fixed ratio
-        assert np.allclose(s_a, hyper.lam * s_x)
-
-
-def test_mean_sampled_covariance_approaches_mu_pi(topo8):
-    # residual spread small relative to the mean so the 2% entrywise bound
-    # over 10^4 draws is attainable
-    hyper = VarianceHyperprior(0.01, 2e-7, 1e-7, 0.02)
-    pi = build_correlation(topo8, CorrelationParams(**APPENDIX_CORR))
-    rng = np.random.default_rng(13)
-    acc = np.zeros_like(pi)
-    reps = 10000
-    for _ in range(reps):
-        s_x, _ = sample_variance_matrices(hyper, pi, rng)
-        acc += s_x
-    assert np.allclose(acc / reps, hyper.mu_wx * pi, rtol=0.02)
 
 
 def test_hyperprior_rejects_inconsistent_parameters():

@@ -82,11 +82,12 @@ def test_regular_inspection_terms_equal_the_explicit_second_difference():
     scheme = varlearn.build_scheme(ds, lam)
     assert all(e.k == 1 and e.l == 2 for e in scheme.entries)
     kernel = scheme.kernel(ds.design_points())
-    (raw,) = kernel.terms(ds.values_vector()[None, :], normalized=False)
+    (terms,) = kernel.terms(ds.values_vector()[None, :])
     explicit = np.array(
         [(values[i] - 2 * values[i - 1] + values[i - 2]) ** 2 for i in range(2, len(values))]
     )
-    assert np.array_equal(raw, explicit)
+    assert np.array_equal(terms, explicit / kernel.weight)
+    assert kernel.weight == pytest.approx(lam + 2.0, rel=1e-12)
 
 
 def test_expected_term_without_local_noise_is_the_weighted_variance():
@@ -104,13 +105,10 @@ def test_expected_dbar_equals_the_per_entry_loop(topo16, design16, prior16):
         prior16, topo16, design16, n_realizations=100, seed=2, scheme=scheme
     )
     idx = scheme.component_index()
-    for normalized in (True, False):
-        loop = np.zeros(len(scheme.components))
-        for e, m1, m2, m12 in zip(scheme.entries, mom.m1_sq, mom.m2_sq, mom.m1m2):
-            loop[idx[e.component]] += varlearn.entry_expectation(
-                e, prior16.hyper.mu_wx, m1, m2, m12, normalized
-            )
-        assert np.array_equal(varlearn.expected_dbar(scheme, prior16.hyper, mom, normalized), loop)
+    loop = np.zeros(len(scheme.components))
+    for e, m1, m2, m12 in zip(scheme.entries, mom.m1_sq, mom.m2_sq, mom.m1m2):
+        loop[idx[e.component]] += varlearn.entry_expectation(e, prior16.hyper.mu_wx, m1, m2, m12)
+    assert np.array_equal(varlearn.expected_dbar(scheme, prior16.hyper, mom), loop)
 
 
 def test_expected_dbar_requires_entry_aligned_moments(topo16, design16, prior16):
