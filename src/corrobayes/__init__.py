@@ -47,7 +47,6 @@ from .linalg import (
 from .simulate import (
     MomentEstimates,
     draw_dataset,
-    draw_observations,
     estimate_moments,
     estimate_moments_by_law,
     forecast_extend,

@@ -176,7 +176,6 @@ def compare_with_without_variance_learning(
     seed: int | None = None,
     n_realizations: int | None = None,
     calibration: CalibrationResult | None = None,
-    store_prior_band: bool = False,
 ) -> LearningComparison:
     """Run adjustment twice, with prior variances and with calibrated ones.
 
@@ -184,7 +183,8 @@ def compare_with_without_variance_learning(
     numbers), so paired contrasts are not swamped by Monte Carlo noise and
     the noise is drawn once.  A one-law ensemble equals its slice of a
     multi-law one, so each branch equals ``adjust_from_moments`` on its own
-    one-law ``estimate_moments`` call.
+    one-law ``estimate_moments`` call.  The without-learning branch keeps
+    the prior law's target samples for the prior percentile bands.
     """
     seed = prior.rng_seed if seed is None else seed
     if calibration is None:
@@ -198,7 +198,7 @@ def compare_with_without_variance_learning(
     ]
     prior_moments, learned_moments = estimate_moments_by_law(
         prior, topology, dataset, laws, targets, n_realizations, seed,
-        store_target_samples=store_prior_band, allow_empty_design=True,
+        store_target_samples=True, allow_empty_design=True,
     )
     # only the prior law's samples feed a band: free the other copy
     learned_moments.target_samples = None

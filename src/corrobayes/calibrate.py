@@ -16,27 +16,22 @@ draws every month of every location; the rescoring pass reads only
 observation moments and draws only the observed cells.
 
 The estimator study shares everything that does not depend on a replicate's
-data: one ensemble for the Dbar moments, one factor of Pi for drawing, one
-Dbar kernel and one factor of var(Dbar) for the adjustment.  Replicates are
-drawn in blocks and reduced to their Dbar rows block by block, then adjusted
-together.
+data: one ensemble for the Dbar moments, one Dbar kernel and one factor of
+var(Dbar) for the adjustment.  Its replicates are the realizations of a
+second ensemble at the true law, drawn by the same engine as every other
+ensemble (``simulate._run_blocks``) and reduced to their Dbar rows block by
+block, then adjusted together.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import linalg, varlearn
 from .errors import ConfigError, InsufficientDataError
-from .simulate import (
-    _as_seedseq,
-    _child,
-    draw_observations,
-    estimate_moments,
-    estimate_moments_by_law,
-)
+from .simulate import _as_seedseq, _run_blocks, estimate_moments, estimate_moments_by_law
 from .system import VARIANCE_FLOOR, InspectionDataset, PriorSpecification, SystemTopology
 
 
@@ -178,12 +173,13 @@ def estimator_study(
 
     Moments (Dbar variance and local min-difference moments) depend only on
     the design and priors, so they are estimated once, from one seed spawned
-    from ``seed``, and shared by all replicates.  Replicate i draws a fresh
-    system from child i of the other spawned seed.  The replicates are drawn
-    in blocks (``draw_observations``) and each block is reduced to its Dbar
-    rows at once, so only the (replicates, n_components) Dbar array is kept.
-    All rows are then adjusted together against one factor of var(Dbar),
-    and each estimate below the floor is raised to it with a warning.
+    from ``seed``, and shared by all replicates.  Replicate i is realization
+    i of one ensemble at the true law, rooted at the other spawned seed, with
+    every W_c held at ``true_mu_wx``.  Each block of that ensemble is reduced
+    to its Dbar rows at once, so only the (replicates, n_components) Dbar
+    array is kept.  All rows are then adjusted together against one factor
+    of var(Dbar), and each estimate below the floor is raised to it with a
+    warning.
     """
     if replicates < 1:
         raise ConfigError("replicate count must be at least 1")
@@ -198,12 +194,14 @@ def estimator_study(
         n_realizations=n, seed=moment_seed, sigma_r=true_sigma_r, scheme=scheme,
     )
     kernel = scheme.kernel(design.design_points())
-    blocks = draw_observations(
-        prior, topology, design, (_child(data_seed, i) for i in range(replicates)),
-        sigma_r=true_sigma_r, mu_wx=true_mu_wx, fix_scales=True,
+    # without hypervariance every drawn W_c is exactly the law's mu_wx; the
+    # rows carry no prior trend, which Dbar annihilates
+    known = replace(prior, hyper=replace(prior.hyper, sigma_wx=0.0, gamma_wx=0.0))
+    _, blocks = _run_blocks(
+        known, topology, design, [(true_sigma_r, true_mu_wx)], replicates, data_seed
     )
     dbar = varlearn.build_dbar_statistic(
-        np.concatenate([kernel(y) for y in blocks]), scheme, prior.hyper, moments
+        np.concatenate([kernel(y) for _, _, y, _, _ in blocks]), scheme, prior.hyper, moments
     )
     estimates, _ = varlearn.adjust_wx(dbar, prior.hyper)
     return EstimatorStudy(

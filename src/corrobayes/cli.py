@@ -150,7 +150,7 @@ def run_analysis(rc: RunConfig) -> int:
         comparison = compare_with_without_variance_learning(
             rc.prior, rc.topology, extended, observed, targets,
             seed=rc.seed, n_realizations=rc.n_realizations,
-            calibration=calibration, store_prior_band=True,
+            calibration=calibration,
         )
 
     with _stage("prior-consistency"):
@@ -244,29 +244,20 @@ def run_analysis(rc: RunConfig) -> int:
 
 
 def _band_rows(comparison):
+    """Per zmin target: the prior's simulated 2.5%/97.5% band and mean, then
+    each branch's adjusted band and mean; both branches share one target
+    list, so their rows align."""
     without = comparison.without_learning
-    learned = comparison.with_learning
-    samples = without.moments.target_samples
-    if samples is not None:
-        lo, hi = np.percentile(samples, [2.5, 97.5], axis=0)
-    idx = {
-        (r.kind, r.component, r.time): j for j, r in enumerate(without.rows)
-    }
+    lo, hi = np.percentile(without.moments.target_samples, [2.5, 97.5], axis=0)
     rows = []
-    for j, r in enumerate(without.rows):
+    for j, (r, lr) in enumerate(zip(without.rows, comparison.with_learning.rows)):
         if r.kind != "zmin":
             continue
-        lr = learned.rows[idx[(r.kind, r.component, r.time)]]
-        if samples is not None:
-            p_lo, p_hi = lo[j], hi[j]
-        else:
-            half = BAND_Z * math.sqrt(max(r.prior_var, 0.0))
-            p_lo, p_hi = r.prior_mean - half, r.prior_mean + half
         nl_half = BAND_Z * math.sqrt(max(r.adjusted_var, 0.0))
         l_half = BAND_Z * math.sqrt(max(lr.adjusted_var, 0.0))
         rows.append(
             (r.component, r.time,
-             p_lo, r.prior_mean, p_hi,
+             lo[j], r.prior_mean, hi[j],
              r.adjusted_mean - nl_half, r.adjusted_mean, r.adjusted_mean + nl_half,
              lr.adjusted_mean - l_half, lr.adjusted_mean, lr.adjusted_mean + l_half)
         )

@@ -9,10 +9,10 @@ Separability of the min: Y_{c,t} = X_{c,t} + M_{c,t} with
 M_{c,t} = min_l(r_{l,c,t} + eps_y), which is how the local min-difference
 moments needed by variance learning are extracted per realization.
 
-``estimate_moments_by_law`` estimates moments for a list of laws
-(sigma_r, mu_wx) from one ensemble.  Realizations are processed in blocks
-whose noise buffers hold about ``BLOCK_ELEMENTS`` floats, and each block
-comes from one of two drawers, chosen from the call's own inputs:
+``_run_blocks`` is the one ensemble engine: n realizations of a list of
+laws (sigma_r, mu_wx), processed in blocks whose noise buffers hold about
+``BLOCK_ELEMENTS`` floats.  Each block comes from one of two drawers, chosen
+from the pass's own inputs:
 
 * the monthly drawer serves passes with targets, with a difference scheme or
   with Student-t noise.  From one child stream per realization it draws the
@@ -32,18 +32,19 @@ Each law then only rescales a block, in one loop shared by both drawers:
 the walk by sqrt(sigma_r), the linear part by sqrt(W_c) drawn for that law's
 mu_wx from a separate scale stream that all laws share.  The walk and eps_y
 are held location-major, so the minimum over locations runs over whole
-slices.  The per-realization observation and target values of every law are
-kept for the whole ensemble (they are small next to the noise), and the
-moments come from one centered pass of matrix products, so they do not
-depend on the block size.
+slices.  The engine yields each block's observations, local min-effects and
+targets per law, minus the prior trend, to two consumers:
 
-``draw_observations`` is the data drawer next to this moment kernel: it
-draws whole synthetic datasets (one per seed, in blocks under the same
-element budget), each from its own stream in a fixed order, building Pi's
-factor and the observed cell indices once.  ``draw_dataset`` is its
-one-seed case.  Both the ensemble's Dbar moments and the estimator study
-reduce observation rows with the difference scheme's one Dbar kernel
-(``DifferenceScheme.kernel``).
+* ``estimate_moments_by_law`` keeps them for the whole ensemble (they are
+  small next to the noise) and takes the moments in one centered pass of
+  matrix products, so they do not depend on the block size;
+* the estimator study (``calibrate.estimator_study``) draws its replicate
+  datasets as the realizations of one ensemble at the true law and reduces
+  each block to its Dbar rows with the difference scheme's Dbar kernel
+  (``DifferenceScheme.kernel``), the kernel the ensemble's Dbar moments use.
+
+``draw_dataset`` draws one synthetic dataset from one seed, every month of
+every location, with its own fixed stream layout.
 """
 
 from __future__ import annotations
@@ -99,65 +100,6 @@ def _observed_cells(design: InspectionDataset, topology: SystemTopology):
     return obs_t, obs_c
 
 
-def draw_observations(
-    prior: PriorSpecification,
-    topology: SystemTopology,
-    design: InspectionDataset,
-    seeds,
-    sigma_r: float | None = None,
-    mu_wx: float | None = None,
-    fix_scales: bool = False,
-):
-    """Observation vectors of independent synthetic datasets, in blocks.
-
-    Dataset j is drawn from the j-th seed of the iterable ``seeds``, which is
-    read lazily, one block at a time.  Yields (b, n_obs) arrays whose rows are
-    the datasets' values in the design's canonical point order.  Each row
-    consumes its stream in one fixed order: W unless ``fix_scales``, then
-    eps_alpha (T, C), eps_x (T, C), r (T, L, C) and eps_y (T, L, C).  Pi's
-    factor and the observed-cell indices are built once for all datasets.
-    """
-    sigma_r = prior.sigma_r if sigma_r is None else sigma_r
-    mu_wx = prior.hyper.mu_wx if mu_wx is None else mu_wx
-    hyper = prior.hyper.with_mean(mu_wx)
-    obs_t, obs_c = _observed_cells(design, topology)
-    factor_t = _correlation_factor(build_correlation(topology, prior.corr)).T
-    t_len, n_comp, l_cnt = design.horizon, topology.component_count, prior.locations_per_component
-    dist, dof = prior.noise_dist, prior.t_dof
-
-    block = max(1, BLOCK_ELEMENTS // (t_len * n_comp * l_cnt))
-    w_x = np.full((block, n_comp), float(mu_wx))
-    za = np.empty((block, t_len, n_comp))
-    zx = np.empty((block, t_len, n_comp))
-    zr = np.empty((block, t_len, l_cnt, n_comp))
-    zy = np.empty((block, t_len, l_cnt, n_comp))
-    seeds = iter(seeds)
-    # zip stops at the end of range before taking a seed past the block
-    while chunk := [seed for _, seed in zip(range(block), seeds)]:
-        b = len(chunk)
-        for j, seed in enumerate(chunk):
-            rng = np.random.default_rng(_as_seedseq(seed))
-            if not fix_scales:
-                w_x[j], _ = draw_variance_scales(hyper, n_comp, rng, prior.w_dist)
-            for buf in (za, zx, zr, zy):
-                _fill_noise(rng, buf[j], dist, dof)
-        # alpha_t = alpha0 + cumsum(eps_alpha), then x_t = x0 + cumsum(alpha_t
-        # + eps_x), in one buffer; the operation order fixes the rounding
-        x = (za[:b] @ factor_t) * np.sqrt(hyper.lam * w_x[:b, None, :])
-        np.cumsum(x, axis=1, out=x)
-        x += prior.alpha0
-        x += (zx[:b] @ factor_t) * np.sqrt(w_x[:b, None, :])
-        np.cumsum(x, axis=1, out=x)
-        x += prior.x0
-        walk = zr[:b]
-        walk *= math.sqrt(sigma_r)
-        np.cumsum(walk, axis=1, out=walk)
-        noisy = zy[:b]
-        noisy *= math.sqrt(prior.sigma_y)
-        noisy += walk
-        yield x[:, obs_t - 1, obs_c] + noisy.min(axis=2)[:, obs_t - 1, obs_c]
-
-
 def draw_dataset(
     prior: PriorSpecification,
     topology: SystemTopology,
@@ -167,10 +109,39 @@ def draw_dataset(
     mu_wx: float | None = None,
     fix_scales: bool = False,
 ) -> InspectionDataset:
-    """One synthetic inspection dataset drawn under the model: the one-seed
-    case of ``draw_observations``."""
-    (values,) = draw_observations(prior, topology, design, [seed], sigma_r, mu_wx, fix_scales)
-    return design.with_values(values[0])
+    """One synthetic inspection dataset drawn under the model from ``seed``.
+
+    The stream is read in one fixed order: W unless ``fix_scales`` (which
+    holds every W_c at ``mu_wx``), then eps_alpha (T, C), eps_x (T, C),
+    r (T, L, C) and eps_y (T, L, C).
+    """
+    sigma_r = prior.sigma_r if sigma_r is None else sigma_r
+    mu_wx = prior.hyper.mu_wx if mu_wx is None else mu_wx
+    hyper = prior.hyper.with_mean(mu_wx)
+    obs_t, obs_c = _observed_cells(design, topology)
+    factor_t = _correlation_factor(build_correlation(topology, prior.corr)).T
+    t_len, n_comp, l_cnt = design.horizon, topology.component_count, prior.locations_per_component
+    rng = np.random.default_rng(_as_seedseq(seed))
+    w_x = np.full(n_comp, float(mu_wx))
+    if not fix_scales:
+        w_x, _ = draw_variance_scales(hyper, n_comp, rng, prior.w_dist)
+    za, zx = np.empty((2, t_len, n_comp))
+    zr, zy = np.empty((2, t_len, l_cnt, n_comp))
+    for buf in (za, zx, zr, zy):
+        _fill_noise(rng, buf, prior.noise_dist, prior.t_dof)
+    # alpha_t = alpha0 + cumsum(eps_alpha), then x_t = x0 + cumsum(alpha_t
+    # + eps_x), in one buffer; the operation order fixes the rounding
+    x = (za @ factor_t) * np.sqrt(hyper.lam * w_x)
+    np.cumsum(x, axis=0, out=x)
+    x += prior.alpha0
+    x += (zx @ factor_t) * np.sqrt(w_x)
+    np.cumsum(x, axis=0, out=x)
+    x += prior.x0
+    zr *= math.sqrt(sigma_r)
+    walk = np.cumsum(zr, axis=0, out=zr)
+    zy *= math.sqrt(prior.sigma_y)
+    zy += walk
+    return design.with_values(x[obs_t - 1, obs_c] + zy.min(axis=1)[obs_t - 1, obs_c])
 
 
 @dataclass
@@ -209,6 +180,7 @@ class MomentEstimates:
 
 
 def _target_arrays(targets, topology, horizon):
+    """(times, component indices, is_alpha, is_zmin) of the targets."""
     kinds, comps, times = [], [], []
     comp_idx = {c: i for i, c in enumerate(topology.components)}
     for kind, c, t in targets:
@@ -221,7 +193,12 @@ def _target_arrays(targets, topology, horizon):
         kinds.append(kind)
         comps.append(comp_idx[c])
         times.append(t)
-    return kinds, np.array(comps, dtype=int), np.array(times, dtype=int)
+    return (
+        np.array(times, dtype=int),
+        np.array(comps, dtype=int),
+        np.array([k == "alpha" for k in kinds], dtype=bool),
+        np.array([k == "zmin" for k in kinds], dtype=bool),
+    )
 
 
 def _fill_noise(rng: np.random.Generator, out: np.ndarray, dist: str, dof: float) -> None:
@@ -350,30 +327,54 @@ def _observed_blocks(prior, pi, root, n, obs_t, obs_c):
         yield slice(i0, i0 + b), lin, walk, eps, np.empty((b, 0)), 0.0
 
 
-def _run_blocks(blocks, n, laws, scales, obs_c, tgt_c, keep_min):
-    """The per-law loop over one drawer's ``blocks``, shared by both
-    drawers.  Returns, per law and realization, the observations and
-    targets minus their prior trend, and (with ``keep_min``) the local
-    min-effects at the observed cells."""
-    n_law = len(laws)
-    y = np.empty((n_law, n, len(obs_c)))
-    m = np.empty((n_law, n, len(obs_c))) if keep_min else None
-    tv = np.empty((n_law, n, len(tgt_c)))
-    noisy = np.empty(0)
-    for rows, lin, walk, eps, tgt_lin, tgt_min in blocks:
-        if noisy.shape != walk.shape:
-            noisy = np.empty(walk.shape)
-        for k, (sr, mu) in enumerate(laws):
-            root_w = np.sqrt(scales[mu][0][rows])
-            np.multiply(walk, math.sqrt(sr), out=noisy)
-            noisy += eps
-            # location-major, so the min runs over whole (b, n_obs) slices
-            mo = noisy.min(axis=1)
-            y[k, rows] = root_w[:, obs_c] * lin + mo
-            if keep_min:
-                m[k, rows] = mo
-            tv[k, rows] = root_w[:, tgt_c] * tgt_lin + math.sqrt(sr) * tgt_min
-    return y, m, tv
+def _run_blocks(prior, topology, design, laws, n, seed, targets=(), monthly=False):
+    """The ensemble engine: n realizations of each law (sigma_r, mu_wx) of
+    ``laws``, drawn once in blocks and rescaled per law.
+
+    Realization i draws its noise from child i of ``seed``; child n is the
+    variance-scale stream, read from its start once per distinct mu_wx.  The
+    monthly drawer runs when there are targets, when ``monthly`` is set or
+    when the noise is Student-t; the observed-cell drawer runs otherwise.
+
+    Returns the laws' variance scales, one (W (n, C), drawn population means
+    (n,)) pair per law, and a generator yielding, per block and law, (law
+    index, rows, observations (b, n_obs), local min-effects (b, n_obs),
+    targets (b, n_tgt)); the observations and targets are minus their prior
+    trend.
+    """
+    obs_t, obs_c = _observed_cells(design, topology)
+    tgt = _target_arrays(targets, topology, design.horizon)
+    tgt_c = tgt[1]
+    root = _as_seedseq(seed)
+    drawn = {
+        mu: _draw_scales(prior, mu, n, topology.component_count, _child(root, n))
+        for mu in dict.fromkeys(mu for _, mu in laws)
+    }
+    pi = build_correlation(topology, prior.corr)
+    if monthly or len(tgt_c) or prior.noise_dist != "gaussian":
+        drawer = _monthly_blocks(
+            prior, _correlation_factor(pi).T, design.horizon, root, n, (obs_t, obs_c), tgt
+        )
+    else:
+        drawer = _observed_blocks(prior, pi, root, n, obs_t, obs_c)
+
+    def blocks():
+        noisy = np.empty(0)
+        for rows, lin, walk, eps, tgt_lin, tgt_min in drawer:
+            if noisy.shape != walk.shape:
+                noisy = np.empty(walk.shape)
+            for k, (sr, mu) in enumerate(laws):
+                root_w = np.sqrt(drawn[mu][0][rows])
+                np.multiply(walk, math.sqrt(sr), out=noisy)
+                noisy += eps
+                # location-major, so the min runs over whole (b, n_obs) slices
+                mo = noisy.min(axis=1)
+                yield (
+                    k, rows, root_w[:, obs_c] * lin + mo, mo,
+                    root_w[:, tgt_c] * tgt_lin + math.sqrt(sr) * tgt_min,
+                )
+
+    return [drawn[mu] for _, mu in laws], blocks()
 
 
 def _cov(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -459,34 +460,25 @@ def estimate_moments_by_law(
         raise ShapeError("x0 length does not match component count")
 
     obs_t, obs_c = _observed_cells(design, topology)
-    kinds, tgt_c, tgt_t = _target_arrays(targets, topology, design.horizon)
-    is_alpha = np.array([k == "alpha" for k in kinds], dtype=bool)
-    is_zmin = np.array([k == "zmin" for k in kinds], dtype=bool)
-
-    # realization i draws its noise from child i of the seed; child n is the
-    # variance-scale stream, read from its start once per distinct mu_wx
-    root = _as_seedseq(seed)
-    scales = {
-        mu: _draw_scales(prior, mu, n, topology.component_count, _child(root, n))
-        for mu in dict.fromkeys(mu for _, mu in laws)
-    }
-    pi = build_correlation(topology, prior.corr)
-    if targets or scheme is not None or prior.noise_dist != "gaussian":
-        blocks = _monthly_blocks(
-            prior, _correlation_factor(pi).T, design.horizon, root, n,
-            (obs_t, obs_c), (tgt_t, tgt_c, is_alpha, is_zmin),
-        )
-    else:
-        blocks = _observed_blocks(prior, pi, root, n, obs_t, obs_c)
-    y, m, tv = _run_blocks(blocks, n, laws, scales, obs_c, tgt_c, scheme is not None)
+    tgt_t, tgt_c, is_alpha, _ = _target_arrays(targets, topology, design.horizon)
+    # a scheme pass keeps the monthly drawer's streams for its Dbar moments
+    keep_min = scheme is not None
+    scales, blocks = _run_blocks(prior, topology, design, laws, n, seed, targets, monthly=keep_min)
+    y = np.empty((len(laws), n, len(obs_c)))
+    m = np.empty_like(y) if keep_min else None
+    tv = np.empty((len(laws), n, len(tgt_c)))
+    for k, rows, y_k, m_k, t_k in blocks:
+        y[k, rows], tv[k, rows] = y_k, t_k
+        if keep_min:
+            m[k, rows] = m_k
 
     base_y = prior.x0[obs_c] + prior.alpha0[obs_c] * obs_t
     base_t = np.where(is_alpha, prior.alpha0[tgt_c], prior.x0[tgt_c] + prior.alpha0[tgt_c] * tgt_t)
-    if scheme is not None:
+    if keep_min:
         comp_idx = {c: i for i, c in enumerate(topology.components)}
         kernel = scheme.kernel(points)
     out = []
-    for k, (_, mu) in enumerate(laws):
+    for k in range(len(laws)):
         e_y, e_t = y[k].mean(axis=0), tv[k].mean(axis=0)
         samples = tv[k] + base_t if store_target_samples else None
         # the targets are centered in place (their raw values are not read
@@ -506,8 +498,8 @@ def estimate_moments_by_law(
             target_samples=samples,
         )
         del yc, tc, samples
-        if scheme is not None:
-            w_x, m_wx = scales[mu]
+        if keep_min:
+            w_x, m_wx = scales[k]
             _add_scheme_moments(
                 est, scheme, kernel, comp_idx, y[k], m[k], w_x, m_wx, prior.hyper
             )

@@ -1,10 +1,10 @@
 """Brute-force reference simulator.
 
 ``simulate_realization`` runs the model forward once and keeps every
-trajectory.  It consumes its stream exactly as each dataset of
-``simulate.draw_observations`` does, so tests compare the blocked drawers
-against it bit for bit, and use its full paths (levels, rates, walks and the
-zmin state) as the reference for moment estimates.
+trajectory.  It consumes its stream exactly as ``simulate.draw_dataset``
+does, so tests compare that drawer against it per seed, and use its full
+paths (levels, rates, walks and the zmin state) as the reference for the
+ensemble engine's moment estimates.
 """
 
 import math

@@ -151,7 +151,6 @@ def test_both_branches_equal_their_one_law_adjustments_bit_for_bit(topo16, desig
     observed = data.values_vector()
     cmp_ = compare_with_without_variance_learning(
         prior, topo16, ext, observed, targets, seed=12, n_realizations=300,
-        store_prior_band=True,
     )
     selected = cmp_.calibration.selected
     branches = (

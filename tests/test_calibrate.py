@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from corrobayes import designs, linalg, varlearn
+from corrobayes import designs, linalg, simulate, varlearn
 from corrobayes.calibrate import (
     calibrate as run_calibration,
     calibrate_candidate,
@@ -16,7 +16,6 @@ from corrobayes.calibrate import (
 from corrobayes.errors import ConfigError, InsufficientDataError
 from corrobayes.simulate import _as_seedseq, draw_dataset, estimate_moments
 from conftest import make_prior
-from oracle import simulate_realization
 
 
 def test_selection_minimizes_distance_to_unity_with_low_tie_break():
@@ -102,7 +101,9 @@ def test_estimator_study_reports_distribution_summaries(topo16, design16, prior1
         )
 
 
-def test_estimator_study_equals_a_per_replicate_reference_loop(topo16, design16, prior16):
+def test_estimator_study_equals_a_per_replicate_reference_loop(
+    topo16, design16, prior16, monkeypatch
+):
     # a true mu_wx well below the prior mean drives some estimates below the floor
     truth = dict(true_mu_wx=0.0002, true_sigma_r=0.01)
     reps, seed, n = 40, 17, 400
@@ -123,14 +124,24 @@ def test_estimator_study_equals_a_per_replicate_reference_loop(topo16, design16,
     prior_pair = linalg.MomentPair([hyper.mu_wx], [[hyper.gamma_wx]])
     data_pair = linalg.MomentPair(varlearn.expected_dbar(scheme, hyper, moments), moments.dbar_var)
     cross = np.array([[(scheme.t_counts[c] - 2) * hyper.gamma_wx for c in scheme.components]])
+    # replicate i is realization i of the engine at the true law with every
+    # W_c held at the truth, here drawn one realization per block
+    known = make_prior(topo16, sigma_wx=0.0, gamma_wx=0.0)
+    monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 1)
+    ((w_x, _),), blocks = simulate._run_blocks(
+        known, topo16, design16, [(truth["true_sigma_r"], truth["true_mu_wx"])], reps, data_seed
+    )
+    assert np.all(w_x == truth["true_mu_wx"])
+    # the engine's rows are minus the prior trend, which the study never adds
+    # because Dbar annihilates it; each replicate dataset here gets it back
+    comp_idx = {c: i for i, c in enumerate(topo16.components)}
+    trend = np.array([
+        prior16.x0[comp_idx[c]] + prior16.alpha0[comp_idx[c]] * t
+        for c, t in design16.design_points()
+    ])
     expected, floor_events = [], 0
-    for stream in data_seed.spawn(reps):
-        real = simulate_realization(
-            prior16, topo16, design16, np.random.default_rng(stream),
-            sigma_r=truth["true_sigma_r"], mu_wx=truth["true_mu_wx"], fix_scales=True,
-        )
-        data = design16.with_values([real.y[pt] for pt in design16.design_points()])
-        dbar = varlearn.compute_dbar(data, scheme)
+    for _, _, (row,), _, _ in blocks:
+        dbar = varlearn.compute_dbar(design16.with_values(row + trend), scheme)
         est = float(linalg.adjusted_expectation(prior_pair, data_pair, cross, dbar)[0])
         if est < 1e-12:
             floor_events += 1
@@ -138,10 +149,35 @@ def test_estimator_study_equals_a_per_replicate_reference_loop(topo16, design16,
         expected.append(est)
     expected = np.array(expected)
 
+    assert len(expected) == reps
     assert 0 < study.floored == np.count_nonzero(expected == 1e-12) < reps
     assert study_warnings == floor_events
     np.testing.assert_allclose(study.estimates, expected, rtol=1e-12, atol=0.0)
     assert np.array_equal(study.estimates == 1e-12, expected == 1e-12)
+
+
+def test_estimator_study_does_not_depend_on_the_block_size(topo16, design16, prior16, monkeypatch):
+    blocks = []
+    for name in ("_monthly_blocks", "_observed_blocks"):
+        drawer = getattr(simulate, name)
+        monkeypatch.setattr(
+            simulate, name, lambda *a, _d=drawer, _n=name: (blocks.append(_n) or b for b in _d(*a))
+        )
+
+    def run():
+        blocks.clear()
+        estimates = estimator_study(
+            prior16, topo16, design16, 0.01, 0.01, replicates=250, seed=31, n_realizations=47
+        ).estimates
+        return [blocks.count("_monthly_blocks"), blocks.count("_observed_blocks")], estimates
+
+    n_default, default = run()
+    monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 1)  # one realization per block
+    n_single, single = run()
+    # the moment ensemble and the replicates each span several blocks by default
+    assert 1 < n_default[0] < n_single[0] == 47
+    assert 1 < n_default[1] < n_single[1] == 250
+    assert np.array_equal(default, single)
 
 
 def test_estimator_study_without_learnable_components_draws_nothing(topo16, prior16, monkeypatch):
@@ -152,7 +188,7 @@ def test_estimator_study_without_learnable_components_draws_nothing(topo16, prio
 
     # the package exports a function of the same name as the module
     module = importlib.import_module("corrobayes.calibrate")
-    monkeypatch.setattr(module, "draw_observations", no_draws)
+    monkeypatch.setattr(module, "_run_blocks", no_draws)
     monkeypatch.setattr(module, "estimate_moments", no_draws)
     with pytest.raises(InsufficientDataError):
         estimator_study(

@@ -1,13 +1,15 @@
 """Forward simulation and ensemble moment estimation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from corrobayes import designs, simulate, varlearn
+from corrobayes.calibrate import estimator_study
 from corrobayes.errors import ConfigError, InsufficientDataError
 from corrobayes.simulate import (
     draw_dataset,
-    draw_observations,
     estimate_moments,
     estimate_moments_by_law,
     forecast_extend,
@@ -312,12 +314,31 @@ def test_only_gaussian_passes_without_targets_or_scheme_draw_observed_cells(
     ):
         estimate_moments(prior, topo16, design16, targets, n_realizations=5, seed=1, scheme=sch)
     assert drawn == ["_monthly_blocks"] * 3 + ["_observed_blocks"]
+    # the estimator study: its moment pass has a scheme, its replicate pass
+    # reads only the observations
+    drawn.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for prior in (prior16, student):
+            estimator_study(
+                prior, topo16, design16, 0.01, 0.01, replicates=3, seed=1, n_realizations=5
+            )
+    assert drawn == ["_monthly_blocks", "_observed_blocks"] + ["_monthly_blocks"] * 2
 
 
 @pytest.mark.parametrize(
     "overrides, fix_scales",
-    [({}, True), ({"noise_dist": "student_t", "t_dof": 6.0}, False)],
-    ids=["gaussian-fixed-scales", "student-t-drawn-scales"],
+    [
+        ({}, True),
+        ({"noise_dist": "student_t", "t_dof": 6.0}, False),
+        ({}, False),
+        ({"w_dist": "lognormal"}, False),
+        ({"w_dist": "gaussian"}, False),
+    ],
+    ids=[
+        "gaussian-fixed-scales", "student-t-drawn-scales", "gaussian-drawn-scales",
+        "lognormal-scales", "gaussian-scales",
+    ],
 )
 def test_drawn_observations_equal_the_brute_force_realization(
     topo16, design16, overrides, fix_scales
@@ -325,7 +346,9 @@ def test_drawn_observations_equal_the_brute_force_realization(
     prior = make_prior(topo16, **overrides)
     seeds = [np.random.SeedSequence(900 + i) for i in range(25)]
     law = dict(sigma_r=0.01, mu_wx=0.02, fix_scales=fix_scales)
-    rows = np.concatenate(list(draw_observations(prior, topo16, design16, seeds, **law)))
+    rows = np.array([
+        draw_dataset(prior, topo16, design16, s, **law).values_vector() for s in seeds
+    ])
     points = design16.design_points()
     oracle = np.array([
         [real.y[pt] for pt in points]
@@ -335,20 +358,3 @@ def test_drawn_observations_equal_the_brute_force_realization(
         )
     ])
     _assert_close(rows, oracle)
-
-
-def test_drawn_observations_do_not_depend_on_the_block_size(
-    topo16, design16, prior16, monkeypatch
-):
-    root = np.random.SeedSequence(31)
-
-    def run():
-        seeds = (simulate._child(root, i) for i in range(23))
-        blocks = list(draw_observations(prior16, topo16, design16, seeds, mu_wx=0.02))
-        return len(blocks), np.concatenate(blocks)
-
-    n_default, default = run()
-    monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 1)  # one dataset per block
-    n_single, single = run()
-    assert 1 < n_default < n_single == 23
-    assert np.array_equal(default, single)
