@@ -8,9 +8,12 @@ non-linear observation equation tractable.
 
 ``adjust_from_moments`` is the one Bayes linear update: it takes the moments
 of one law, from ``estimate_moments`` or from one entry of
-``estimate_moments_by_law``.  The paired comparison simulates each law once:
-the prior law and the calibrated law share one ensemble, and each branch is
-that update on its own slice of it.
+``estimate_moments_by_law``; its per-kind blocks of G are views of one G
+when each kind's targets are contiguous, as the CLI lists them.  The paired
+comparison simulates each law once: the prior law and the calibrated law
+share one ensemble, and each branch is that update on its own slice of it.
+Once both are adjusted it releases their cov_targets, as everything
+downstream reads the G blocks.
 """
 
 from __future__ import annotations
@@ -99,7 +102,12 @@ def adjust_from_moments(
             )
         )
     kinds = np.array([k for k, _, _ in targets])
-    blocks = {kind: g[kinds == kind] for kind in dict.fromkeys(kinds.tolist())}
+    blocks = {}
+    for kind in dict.fromkeys(kinds.tolist()):
+        # a view of G when the kind's rows are contiguous, a copy otherwise
+        idx = np.flatnonzero(kinds == kind)
+        contiguous = idx[-1] - idx[0] + 1 == len(idx)
+        blocks[kind] = g[idx[0] : idx[-1] + 1] if contiguous else g[idx]
     return AdjustedBelief(rows, blocks, z, moments)
 
 
@@ -184,7 +192,9 @@ def compare_with_without_variance_learning(
     the noise is drawn once.  A one-law ensemble equals its slice of a
     multi-law one, so each branch equals ``adjust_from_moments`` on its own
     one-law ``estimate_moments`` call.  The without-learning branch keeps
-    the prior law's target samples for the prior percentile bands.
+    the prior law's target samples for the prior percentile bands; the
+    learned law's samples and both branches' ``cov_targets`` are released,
+    so each branch's moments keep only what the diagnostics and bands read.
     """
     seed = prior.rng_seed if seed is None else seed
     if calibration is None:
@@ -204,6 +214,7 @@ def compare_with_without_variance_learning(
     learned_moments.target_samples = None
     without = adjust_from_moments(prior_moments, dataset, observed_y)
     with_learning = adjust_from_moments(learned_moments, dataset, observed_y)
+    prior_moments.cov_targets = learned_moments.cov_targets = None
 
     def _life(beliefs):
         try:

@@ -70,7 +70,9 @@ def select_index(h_values) -> int:
 
 def _scan(prior, topology, dataset, observed_y, scheme, candidates, seeds, n_realizations):
     """Both passes over ``candidates`` on the pass seeds ``seeds``.  Returns
-    (rows, learned moments, rescored moments), one entry per candidate."""
+    one row per candidate.  Each candidate's moments go once they are read:
+    the learned ones after mu_wx is learned, the rescored var(Y) and its
+    factor after H is scored."""
     learned = estimate_moments_by_law(
         prior, topology, dataset,
         [(sr, prior.hyper.mu_wx) for sr in candidates],
@@ -84,21 +86,21 @@ def _scan(prior, topology, dataset, observed_y, scheme, candidates, seeds, n_rea
         )
         for mom in learned
     ]
+    del learned
     rescored = estimate_moments_by_law(
         prior, topology, dataset,
         [(sr, mu) for sr, (mu, _) in zip(candidates, adjusted)],
         n_realizations=n_realizations, seed=seeds[1],
     )
-    rows = [
+    return [
         CandidateRow(
             sr, mu, var,
             linalg.mahalanobis_discrepancy(
-                observed_y, mom.y_moment_pair(), sample_size=n_realizations
+                observed_y, rescored.pop(0).y_moment_pair(), sample_size=n_realizations
             ),
         )
-        for sr, (mu, var), mom in zip(candidates, adjusted, rescored)
+        for sr, (mu, var) in zip(candidates, adjusted)
     ]
-    return rows, learned, rescored
 
 
 def calibrate_candidate(
@@ -110,15 +112,14 @@ def calibrate_candidate(
     sigma_r: float,
     seeds,
     n_realizations: int,
-):
+) -> CandidateRow:
     """One grid point: learn mu_wx under this local variance, re-simulate,
-    and score the observed data.  Returns (row, learned moments, rescored
-    moments).  With ``calibrate``'s two pass seeds it reproduces that
-    candidate's row."""
-    rows, learned, rescored = _scan(
+    and score the observed data.  With ``calibrate``'s two pass seeds it
+    reproduces that candidate's row."""
+    (row,) = _scan(
         prior, topology, dataset, observed_y, scheme, (sigma_r,), seeds, n_realizations
     )
-    return rows[0], learned[0], rescored[0]
+    return row
 
 
 def calibrate(
@@ -140,7 +141,7 @@ def calibrate(
     observed_y = np.asarray(observed_y, dtype=float)
 
     scheme = varlearn.build_scheme(dataset, prior.hyper.lam)
-    rows, _, _ = _scan(
+    rows = _scan(
         prior, topology, dataset, observed_y, scheme,
         candidates, _as_seedseq(seed).spawn(2), n,
     )

@@ -215,9 +215,14 @@ def whitened_adjustment_discrepancy(g, z, sample_size=None) -> float:
     G = cov(B,D) R are whitened cross-covariance rows and z = R'(d - E(D))
     the whitened data residual.  With the thin SVD G = U S V', the form
     equals |V_r' z|^2 over the r singular values whose squares (the
-    eigenvalues of G G') pass the cutoff.
+    eigenvalues of G G') pass the cutoff.  U is never needed, so a tall G
+    is first reduced to the square R of G = Q R, whose SVD has the same S
+    and V; the squared form G'G is avoided, as it squares the condition
+    number.
     """
     g = np.atleast_2d(np.asarray(g, dtype=float))
+    if g.shape[0] > g.shape[1]:
+        g = np.linalg.qr(g, mode="r")
     _, s, vt = np.linalg.svd(g, full_matrices=False)
     keep = s * s > DEFAULT_RTOL * (s[0] * s[0] if s.size else 0.0)
     return _rank_normalized(

@@ -152,6 +152,11 @@ class MomentEstimates:
     min-differences used by variance learning; dbar_* describe the Dbar
     statistic across realizations, and mw_dbar_cov is its ensemble
     covariance with the drawn population mean variance.
+
+    The paired comparison (``adjust.compare_with_without_variance_learning``)
+    releases what it has read: both branches' ``cov_targets`` once they are
+    adjusted (their whitened rows live on in the beliefs' G blocks), and the
+    learned law's ``target_samples``, which feed no band.
     """
 
     design_points: list
@@ -445,6 +450,11 @@ def estimate_moments_by_law(
     drawer; any other call runs the observed-cell drawer, which lays out its
     streams differently (see the module docstring).  Either way the
     ensemble has the model's exact law and the estimator is the same.
+
+    The ensemble is kept as one array per law of observations, targets and
+    (for a scheme) local min-effects; each law's arrays are dropped as soon
+    as its MomentEstimates is built, so the moments of later laws do not
+    pile up on top of every law's ensemble.
     """
     n = prior.ensemble_size if n_realizations is None else int(n_realizations)
     if n < 2:
@@ -464,13 +474,13 @@ def estimate_moments_by_law(
     # a scheme pass keeps the monthly drawer's streams for its Dbar moments
     keep_min = scheme is not None
     scales, blocks = _run_blocks(prior, topology, design, laws, n, seed, targets, monthly=keep_min)
-    y = np.empty((len(laws), n, len(obs_c)))
-    m = np.empty_like(y) if keep_min else None
-    tv = np.empty((len(laws), n, len(tgt_c)))
-    for k, rows, y_k, m_k, t_k in blocks:
-        y[k, rows], tv[k, rows] = y_k, t_k
+    y = [np.empty((n, len(obs_c))) for _ in laws]
+    m = [np.empty((n, len(obs_c))) for _ in laws] if keep_min else None
+    tv = [np.empty((n, len(tgt_c))) for _ in laws]
+    for k, rows, y_b, m_b, t_b in blocks:
+        y[k][rows], tv[k][rows] = y_b, t_b
         if keep_min:
-            m[k, rows] = m_k
+            m[k][rows] = m_b
 
     base_y = prior.x0[obs_c] + prior.alpha0[obs_c] * obs_t
     base_t = np.where(is_alpha, prior.alpha0[tgt_c], prior.x0[tgt_c] + prior.alpha0[tgt_c] * tgt_t)
@@ -479,11 +489,14 @@ def estimate_moments_by_law(
         kernel = scheme.kernel(points)
     out = []
     for k in range(len(laws)):
-        e_y, e_t = y[k].mean(axis=0), tv[k].mean(axis=0)
-        samples = tv[k] + base_t if store_target_samples else None
+        # out of the lists, so the law's arrays go once its moments are built
+        y_k, tc = y[k], tv[k]
+        y[k] = tv[k] = None
+        e_y, e_t = y_k.mean(axis=0), tc.mean(axis=0)
+        samples = tc + base_t if store_target_samples else None
         # the targets are centered in place (their raw values are not read
-        # again); y[k] is not, because the Dbar moments below read it
-        yc, tc = y[k] - e_y, tv[k]
+        # again); y_k is not, because the Dbar moments below read it
+        yc = y_k - e_y
         tc -= e_t
         var_y = _cov(yc, yc)
         est = MomentEstimates(
@@ -500,9 +513,8 @@ def estimate_moments_by_law(
         del yc, tc, samples
         if keep_min:
             w_x, m_wx = scales[k]
-            _add_scheme_moments(
-                est, scheme, kernel, comp_idx, y[k], m[k], w_x, m_wx, prior.hyper
-            )
+            m_k, m[k] = m[k], None
+            _add_scheme_moments(est, scheme, kernel, comp_idx, y_k, m_k, w_x, m_wx, prior.hyper)
         out.append(est)
     return out
 

@@ -141,6 +141,40 @@ def test_comparison_runs_both_branches_on_shared_targets(topo16, design16):
     assert cmp_.life_with is not None and cmp_.life_without is not None
 
 
+def test_kind_blocks_are_views_of_one_g_when_each_kind_is_contiguous(topo16, design16, prior16):
+    data = draw_dataset(prior16, topo16, design16, seed=1)
+    comps, last = topo16.components[:3], design16.horizon
+    contiguous = [(kind, c, last) for kind in ("zmin", "alpha", "x") for c in comps]
+    interleaved = [(kind, c, last) for c in comps for kind in ("zmin", "alpha", "x")]
+    for targets in (contiguous, interleaved):
+        mom = estimate_moments(prior16, topo16, data, targets, n_realizations=200, seed=2)
+        blocks = adjust_from_moments(mom, data).blocks
+        g = mom.cov_targets @ mom.y_moment_pair().factor.root
+        kinds = np.array([kind for kind, _, _ in targets])
+        for kind, block in blocks.items():
+            assert np.array_equal(block, g[kinds == kind]), kind
+        if targets is contiguous:
+            base = blocks["zmin"].base
+            assert base.shape == g.shape
+            assert all(np.shares_memory(block, base) for block in blocks.values())
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_comparison_releases_both_branches_cross_covariances(topo16, design16):
+    prior = make_prior(topo16, sigma_r_candidates=(0.0016, 0.0064))
+    data = draw_dataset(prior, topo16, design16, seed=11)
+    targets = [("zmin", c, design16.horizon) for c in topo16.components]
+    cmp_ = compare_with_without_variance_learning(
+        prior, topo16, data, data.values_vector(), targets, seed=12, n_realizations=100,
+    )
+    for branch in (cmp_.without_learning, cmp_.with_learning):
+        assert branch.moments.cov_targets is None
+        assert branch.blocks["zmin"].shape == (len(targets), branch.z.shape[0])
+    # only the prior band reads target samples
+    assert cmp_.without_learning.moments.target_samples is not None
+    assert cmp_.with_learning.moments.target_samples is None
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_both_branches_equal_their_one_law_adjustments_bit_for_bit(topo16, design16):
     prior = make_prior(topo16, sigma_r_candidates=(0.0016, 0.0064, 0.0256))

@@ -60,7 +60,7 @@ def test_candidate_call_on_the_pass_seeds_reproduces_the_calibration_rows(topo16
     scheme = varlearn.build_scheme(data, prior.hyper.lam)
     pass_seeds = np.random.SeedSequence(5).spawn(2)  # learning, rescoring
     for sr, expected in zip(grid, result.rows):
-        row, _, _ = calibrate_candidate(
+        row = calibrate_candidate(
             prior, topo16, data, data.values_vector(), scheme, sr, pass_seeds, 200
         )
         assert row.sigma_r == expected.sigma_r

@@ -155,11 +155,16 @@ def test_adjustment_discrepancy_restricts_to_resolved_space():
 
 @st.composite
 def whitened_adjustments(draw):
-    # G = U diag(s) V' of rank k < min(n_t, r): orthonormal U, V and singular
-    # values in [0.1, 10], times an overall scale
+    # G = U diag(s) V' of rank k: orthonormal U, V and singular values in
+    # [0.1, 10], times an overall scale.  Either k < min(n_t, r), or G is tall
+    # with full column rank (k = r < n_t), as a kind block of an adjustment
+    # with more targets than data directions is
     n_t = draw(st.integers(min_value=2, max_value=30))
     r = draw(st.integers(min_value=2, max_value=30))
-    k = draw(st.integers(min_value=1, max_value=min(n_t, r) - 1))
+    if r < n_t and draw(st.booleans()):
+        k = r
+    else:
+        k = draw(st.integers(min_value=1, max_value=min(n_t, r) - 1))
     scale = 10.0 ** draw(st.integers(min_value=-6, max_value=6))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     u = np.linalg.qr(rng.standard_normal((n_t, k)))[0]
