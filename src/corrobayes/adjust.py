@@ -8,12 +8,10 @@ non-linear observation equation tractable.
 
 ``adjust_from_moments`` is the one Bayes linear update: it takes the moments
 of one law, from ``estimate_moments`` or from one entry of
-``estimate_moments_by_law``; its per-kind blocks of G are views of one G
-when each kind's targets are contiguous, as the CLI lists them.  The paired
-comparison simulates each law once: the prior law and the calibrated law
-share one ensemble, and each branch is that update on its own slice of it.
-Once both are adjusted it releases their cov_targets, as everything
-downstream reads the G blocks.
+``estimate_moments_by_law``.  The paired comparison simulates each law once:
+the prior law and the calibrated law share one ensemble, and each branch is
+that update on its own slice of it.  Once both are adjusted it releases
+their cov_targets, as everything downstream reads the G blocks.
 """
 
 from __future__ import annotations
@@ -102,12 +100,7 @@ def adjust_from_moments(
             )
         )
     kinds = np.array([k for k, _, _ in targets])
-    blocks = {}
-    for kind in dict.fromkeys(kinds.tolist()):
-        # a view of G when the kind's rows are contiguous, a copy otherwise
-        idx = np.flatnonzero(kinds == kind)
-        contiguous = idx[-1] - idx[0] + 1 == len(idx)
-        blocks[kind] = g[idx[0] : idx[-1] + 1] if contiguous else g[idx]
+    blocks = {kind: g[kinds == kind] for kind in dict.fromkeys(kinds.tolist())}
     return AdjustedBelief(rows, blocks, z, moments)
 
 

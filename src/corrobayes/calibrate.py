@@ -70,9 +70,7 @@ def select_index(h_values) -> int:
 
 def _scan(prior, topology, dataset, observed_y, scheme, candidates, seeds, n_realizations):
     """Both passes over ``candidates`` on the pass seeds ``seeds``.  Returns
-    one row per candidate.  Each candidate's moments go once they are read:
-    the learned ones after mu_wx is learned, the rescored var(Y) and its
-    factor after H is scored."""
+    one row per candidate."""
     learned = estimate_moments_by_law(
         prior, topology, dataset,
         [(sr, prior.hyper.mu_wx) for sr in candidates],
@@ -86,7 +84,6 @@ def _scan(prior, topology, dataset, observed_y, scheme, candidates, seeds, n_rea
         )
         for mom in learned
     ]
-    del learned
     rescored = estimate_moments_by_law(
         prior, topology, dataset,
         [(sr, mu) for sr, (mu, _) in zip(candidates, adjusted)],
@@ -96,10 +93,10 @@ def _scan(prior, topology, dataset, observed_y, scheme, candidates, seeds, n_rea
         CandidateRow(
             sr, mu, var,
             linalg.mahalanobis_discrepancy(
-                observed_y, rescored.pop(0).y_moment_pair(), sample_size=n_realizations
+                observed_y, mom.y_moment_pair(), sample_size=n_realizations
             ),
         )
-        for sr, (mu, var) in zip(candidates, adjusted)
+        for sr, (mu, var), mom in zip(candidates, adjusted, rescored)
     ]
 
 

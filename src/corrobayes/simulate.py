@@ -165,7 +165,7 @@ class MomentEstimates:
     targets: tuple
     e_targets: np.ndarray
     var_targets: np.ndarray
-    cov_targets: np.ndarray      # (n_targets, n_obs)
+    cov_targets: np.ndarray | None  # (n_targets, n_obs); None after the comparison
     n_realizations: int
     m1_sq: np.ndarray = None
     m2_sq: np.ndarray = None

@@ -141,7 +141,7 @@ def test_comparison_runs_both_branches_on_shared_targets(topo16, design16):
     assert cmp_.life_with is not None and cmp_.life_without is not None
 
 
-def test_kind_blocks_are_views_of_one_g_when_each_kind_is_contiguous(topo16, design16, prior16):
+def test_kind_blocks_are_the_rows_of_g_for_contiguous_and_interleaved_kinds(topo16, design16, prior16):
     data = draw_dataset(prior16, topo16, design16, seed=1)
     comps, last = topo16.components[:3], design16.horizon
     contiguous = [(kind, c, last) for kind in ("zmin", "alpha", "x") for c in comps]
@@ -153,10 +153,6 @@ def test_kind_blocks_are_views_of_one_g_when_each_kind_is_contiguous(topo16, des
         kinds = np.array([kind for kind, _, _ in targets])
         for kind, block in blocks.items():
             assert np.array_equal(block, g[kinds == kind]), kind
-        if targets is contiguous:
-            base = blocks["zmin"].base
-            assert base.shape == g.shape
-            assert all(np.shares_memory(block, base) for block in blocks.values())
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
