@@ -45,6 +45,7 @@ from .linalg import (
     pseudo_inverse,
 )
 from .simulate import (
+    DbarMoments,
     MomentEstimates,
     draw_dataset,
     estimate_moments,

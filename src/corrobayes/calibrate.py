@@ -1,19 +1,20 @@
 """Mahalanobis calibration of the local corrosion variance.
 
-For each candidate local variance the pipeline (i) simulates moments under
-the prior, (ii) adjusts the population mean evolution variance using the Dbar
-statistic of the observed data, (iii) re-simulates observation moments under
-the adjusted variances, and (iv) scores the observed data by the discrepancy
-ratio H.  The candidate whose H is nearest unity wins; ties break toward the
-smaller local variance.
+For each candidate local variance the pipeline (i) simulates the Dbar
+moments under the prior, (ii) adjusts the population mean evolution variance
+using the Dbar statistic of the observed data, (iii) re-simulates observation
+moments under the adjusted variances, and (iv) scores the observed data by the
+discrepancy ratio H.  The candidate whose H is nearest unity wins; ties break
+toward the smaller local variance.
 
 All candidates share two ensembles, one per pass, on two seeds spawned from
 the run seed: the learning pass simulates every candidate at the prior
 mu_wx, and the rescoring pass every candidate at its learned mu_wx.  Every
 candidate of a pass sees the same random numbers, so the H curve is scored on
-common random numbers.  The learning pass needs the Dbar moments, so it
-draws every month of every location; the rescoring pass reads only
-observation moments and draws only the observed cells.
+common random numbers.  The learning pass builds only the Dbar moments
+that variance learning reads (``simulate.DbarMoments``), drawing every month
+of every location; the rescoring pass builds only observation moments
+(``simulate.MomentEstimates``) and draws only the observed cells.
 
 The estimator study shares everything that does not depend on a replicate's
 data: one ensemble for the Dbar moments, one Dbar kernel and one factor of
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import linalg, varlearn
 from .errors import ConfigError, InsufficientDataError
-from .simulate import _as_seedseq, _run_blocks, estimate_moments, estimate_moments_by_law
+from .simulate import _as_seedseq, _run_blocks, estimate_moments_by_law
 from .system import VARIANCE_FLOOR, InspectionDataset, PriorSpecification, SystemTopology
 
 
@@ -93,7 +94,7 @@ def _scan(prior, topology, dataset, observed_y, scheme, candidates, seeds, n_rea
         CandidateRow(
             sr, mu, var,
             linalg.mahalanobis_discrepancy(
-                observed_y, mom.y_moment_pair(), sample_size=n_realizations
+                observed_y, mom.y_moment_pair(), sample_size=mom.n_realizations
             ),
         )
         for sr, (mu, var), mom in zip(candidates, adjusted, rescored)
@@ -187,9 +188,9 @@ def estimator_study(
     if not scheme.components:
         raise InsufficientDataError("no component has three or more observations")
     moment_seed, data_seed = _as_seedseq(seed).spawn(2)
-    moments = estimate_moments(
-        prior, topology, design,
-        n_realizations=n, seed=moment_seed, sigma_r=true_sigma_r, scheme=scheme,
+    (moments,) = estimate_moments_by_law(
+        prior, topology, design, [(true_sigma_r, prior.hyper.mu_wx)],
+        n_realizations=n, seed=moment_seed, scheme=scheme,
     )
     kernel = scheme.kernel(design.design_points())
     # without hypervariance every drawn W_c is exactly the law's mu_wx; the

@@ -161,6 +161,7 @@ def run_analysis(rc: RunConfig) -> int:
 
     with _stage("diagnostics"):
         learned_moments = comparison.with_learning.moments
+        var_y_rank = learned_moments.y_moment_pair().factor.rank
         final_h = diagnostics.global_discrepancy(observed, learned_moments)
         adj_diag = diagnostics.adjustment_diagnostics(comparison.with_learning)
 
@@ -234,7 +235,9 @@ def run_analysis(rc: RunConfig) -> int:
             f"selected_sigma_r = {fileio.fmt(sel.sigma_r)}",
             f"selected_mu_WX = {fileio.fmt(sel.adjusted_mu_wx)}",
             f"selected_floored = {int(sel.floored)}",
-            f"var_y_rank = {learned_moments.y_moment_pair().factor.rank}",
+            f"var_y_rank = {var_y_rank}",
+            f"finite_sample_factor = "
+            f"{fileio.fmt(linalg.finite_sample_factor(var_y_rank, learned_moments.n_realizations))}",
             f"var_y_dim = {len(learned_moments.design_points)}",
             f"pinv_rtol = {fileio.fmt(linalg.DEFAULT_RTOL)}",
         ]

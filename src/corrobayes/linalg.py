@@ -18,6 +18,7 @@ against the same data moments shares one decomposition.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,14 +158,18 @@ def adjusted_variance(prior: MomentPair, data_prior: MomentPair, cross) -> np.nd
     return prior.covariance - g @ g.T
 
 
-def _finite_sample_factor(rank: int, sample_size) -> float:
-    # Quadratic forms through the pseudo-inverse of a covariance estimated
-    # from a finite ensemble are inflated by roughly (n-1)/(n-rank-2); undo
-    # that so the expected discrepancy stays at unity.
+def finite_sample_factor(rank: int, sample_size) -> float:
+    """(n - rank - 2)/(n - 1) for n = ``sample_size``: it undoes the roughly
+    (n-1)/(n-rank-2) inflation of quadratic forms through the pseudo-inverse
+    of a rank-``rank`` covariance estimated from n realizations, so the
+    expected discrepancy stays at unity.  1.0 without a sample size, and,
+    with a warning, when n - rank - 2 <= 0 switches the correction off."""
     if sample_size is None:
         return 1.0
     n = int(sample_size)
     if n - rank - 2 <= 0:
+        msg = f"finite-sample correction off: {n} realizations for a rank-{rank} variance"
+        warnings.warn(msg, stacklevel=2)
         return 1.0
     return (n - rank - 2) / (n - 1)
 
@@ -174,7 +179,7 @@ def _rank_normalized(w: np.ndarray, rank: int, sample_size, name: str) -> float:
     in whitened coordinates of a rank-``rank`` variance."""
     if rank == 0:
         raise DegenerateVarianceError(f"{name} has rank zero")
-    return float(w @ w) / rank * _finite_sample_factor(rank, sample_size)
+    return float(w @ w) / rank * finite_sample_factor(rank, sample_size)
 
 
 def mahalanobis_discrepancy(observed, prior: MomentPair, sample_size=None) -> float:

@@ -37,7 +37,9 @@ targets per law, minus the prior trend, to two consumers:
 
 * ``estimate_moments_by_law`` keeps them for the whole ensemble (they are
   small next to the noise) and takes the moments in one centered pass of
-  matrix products, so they do not depend on the block size;
+  matrix products, so they do not depend on the block size: only the Dbar
+  moments (``DbarMoments``) for a pass with a difference scheme, only the
+  observation and target moments (``MomentEstimates``) for any other;
 * the estimator study (``calibrate.estimator_study``) draws its replicate
   datasets as the realizations of one ensemble at the true law and reduces
   each block to its Dbar rows with the difference scheme's Dbar kernel
@@ -146,12 +148,7 @@ def draw_dataset(
 
 @dataclass
 class MomentEstimates:
-    """Ensemble moment estimates over the designed observation points.
-
-    m1_sq / m2_sq / m1m2 are entry-aligned raw moments of the local
-    min-differences used by variance learning; dbar_* describe the Dbar
-    statistic across realizations, and mw_dbar_cov is its ensemble
-    covariance with the drawn population mean variance.
+    """Ensemble moment estimates of the designed observations and the targets.
 
     The paired comparison (``adjust.compare_with_without_variance_learning``)
     releases what it has read: both branches' ``cov_targets`` once they are
@@ -167,13 +164,7 @@ class MomentEstimates:
     var_targets: np.ndarray
     cov_targets: np.ndarray | None  # (n_targets, n_obs); None after the comparison
     n_realizations: int
-    m1_sq: np.ndarray = None
-    m2_sq: np.ndarray = None
-    m1m2: np.ndarray = None
-    dbar_mean: np.ndarray = None
-    dbar_var: np.ndarray = None
-    mw_dbar_cov: np.ndarray = None
-    target_samples: np.ndarray = None
+    target_samples: np.ndarray | None = None  # only when asked to store them
     _y_pair: MomentPair = field(default=None, init=False, repr=False, compare=False)
 
     def y_moment_pair(self) -> MomentPair:
@@ -182,6 +173,23 @@ class MomentEstimates:
         if self._y_pair is None:
             self._y_pair = MomentPair(self.e_y, self.var_y)
         return self._y_pair
+
+
+@dataclass
+class DbarMoments:
+    """What variance learning reads, from a pass with a difference scheme:
+    entry-aligned raw moments m1_sq / m2_sq / m1m2 of the local
+    min-differences, the mean and variance of Dbar over the scheme's
+    components, and its covariance with the drawn population mean variance.
+    A scheme without entries gives empty arrays."""
+
+    n_realizations: int
+    m1_sq: np.ndarray
+    m2_sq: np.ndarray
+    m1m2: np.ndarray
+    dbar_mean: np.ndarray
+    dbar_var: np.ndarray
+    mw_dbar_cov: np.ndarray
 
 
 def _target_arrays(targets, topology, horizon):
@@ -387,8 +395,8 @@ def _cov(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.T @ b / (a.shape[0] - 1)
 
 
-def _add_scheme_moments(est, scheme, kernel, comp_idx, y, m, w_x, m_wx, hyper) -> None:
-    """Attach the local min-difference moments and the Dbar moments.
+def _dbar_moments(scheme, kernel, comp_idx, y, m, w_x, m_wx, hyper) -> DbarMoments:
+    """The local min-difference moments and the Dbar moments of one law.
 
     ``y`` and ``m`` are the (n, n_obs) observations and their local
     min-effects; ``kernel`` is the scheme's Dbar kernel for their columns.
@@ -402,12 +410,10 @@ def _add_scheme_moments(est, scheme, kernel, comp_idx, y, m, w_x, m_wx, hyper) -
     m1 -= m[:, p1]
     m2 = m[:, p0]
     m2 -= m[:, p2]
-    est.m1_sq = np.einsum("ij,ij->j", m1, m1) / n
-    est.m2_sq = np.einsum("ij,ij->j", m2, m2) / n
-    est.m1m2 = np.einsum("ij,ij->j", m1, m2) / n
+    m1_sq = np.einsum("ij,ij->j", m1, m1) / n
+    m2_sq = np.einsum("ij,ij->j", m2, m2) / n
+    m1m2 = np.einsum("ij,ij->j", m1, m2) / n
     del m1, m2
-    if not scheme.entries:
-        return
     t_eff = np.array([scheme.t_counts[c] - 2 for c in scheme.components], dtype=float)
     dvec = kernel(y)
     # conditional residual: the drawn-variance contribution has known
@@ -417,10 +423,11 @@ def _add_scheme_moments(est, scheme, kernel, comp_idx, y, m, w_x, m_wx, hyper) -
     res -= res.mean(axis=0)
     gam, sig = hyper.gamma_wx, hyper.sigma_wx
     dv = gam * np.outer(t_eff, t_eff) + np.diag(t_eff**2 * (sig - gam)) + _cov(res, res)
-    est.dbar_mean = dvec.mean(axis=0)
-    est.dbar_var = 0.5 * (dv + dv.T)
+    dbar_mean = dvec.mean(axis=0)
     mw = m_wx - m_wx.mean()
-    est.mw_dbar_cov = mw @ (dvec - est.dbar_mean) / (n - 1)
+    return DbarMoments(
+        n, m1_sq, m2_sq, m1m2, dbar_mean, 0.5 * (dv + dv.T), mw @ (dvec - dbar_mean) / (n - 1)
+    )
 
 
 def estimate_moments_by_law(
@@ -441,20 +448,20 @@ def estimate_moments_by_law(
     Every law sees the same standard-normal noise and the same variance-scale
     stream (common random numbers), so a one-law call equals that law's entry
     of a multi-law call, and differences between laws are not Monte Carlo
-    noise.  Returns one MomentEstimates per law, in order.  When a difference
-    scheme is supplied, the Dbar statistic and the local min-difference
-    moments of each scheme entry are estimated alongside the observation
-    moments.
+    noise.  Returns one record per law, in order: with a difference scheme a
+    DbarMoments (what variance learning reads, and nothing else), otherwise
+    a MomentEstimates of the observations and the targets.  A pass takes a
+    scheme or targets, not both.
 
     A call with targets, a scheme or Student-t noise runs the monthly
     drawer; any other call runs the observed-cell drawer, which lays out its
     streams differently (see the module docstring).  Either way the
     ensemble has the model's exact law and the estimator is the same.
 
-    The ensemble is kept as one array per law of observations, targets and
-    (for a scheme) local min-effects; each law's arrays are dropped as soon
-    as its MomentEstimates is built, so the moments of later laws do not
-    pile up on top of every law's ensemble.
+    The ensemble is kept as one array per law of observations and targets
+    (or, for a scheme, local min-effects); each law's arrays are dropped as
+    soon as its record is built, so the moments of later laws do not pile
+    up on top of every law's ensemble.
     """
     n = prior.ensemble_size if n_realizations is None else int(n_realizations)
     if n < 2:
@@ -462,6 +469,8 @@ def estimate_moments_by_law(
     seed = prior.rng_seed if seed is None else seed
     laws = [(float(sr), float(mu)) for sr, mu in laws]
     targets = tuple(targets)
+    if scheme is not None and targets:
+        raise ConfigError("a moment pass takes a difference scheme or targets, not both")
 
     points = design.design_points()
     if not points and not allow_empty_design:
@@ -472,34 +481,37 @@ def estimate_moments_by_law(
     obs_t, obs_c = _observed_cells(design, topology)
     tgt_t, tgt_c, is_alpha, _ = _target_arrays(targets, topology, design.horizon)
     # a scheme pass keeps the monthly drawer's streams for its Dbar moments
-    keep_min = scheme is not None
-    scales, blocks = _run_blocks(prior, topology, design, laws, n, seed, targets, monthly=keep_min)
+    scales, blocks = _run_blocks(
+        prior, topology, design, laws, n, seed, targets, monthly=scheme is not None
+    )
     y = [np.empty((n, len(obs_c))) for _ in laws]
-    m = [np.empty((n, len(obs_c))) for _ in laws] if keep_min else None
-    tv = [np.empty((n, len(tgt_c))) for _ in laws]
-    for k, rows, y_b, m_b, t_b in blocks:
-        y[k][rows], tv[k][rows] = y_b, t_b
-        if keep_min:
-            m[k][rows] = m_b
-
-    base_y = prior.x0[obs_c] + prior.alpha0[obs_c] * obs_t
-    base_t = np.where(is_alpha, prior.alpha0[tgt_c], prior.x0[tgt_c] + prior.alpha0[tgt_c] * tgt_t)
-    if keep_min:
+    if scheme is not None:
+        m = [np.empty((n, len(obs_c))) for _ in laws]
+        for k, rows, y_b, m_b, _ in blocks:
+            y[k][rows], m[k][rows] = y_b, m_b
         comp_idx = {c: i for i, c in enumerate(topology.components)}
         kernel = scheme.kernel(points)
+        # popped, so each law's arrays go once its moments are built
+        return [
+            _dbar_moments(scheme, kernel, comp_idx, y.pop(0), m.pop(0), *law_scales, prior.hyper)
+            for law_scales in scales
+        ]
+
     out = []
-    for k in range(len(laws)):
-        # out of the lists, so the law's arrays go once its moments are built
-        y_k, tc = y[k], tv[k]
-        y[k] = tv[k] = None
-        e_y, e_t = y_k.mean(axis=0), tc.mean(axis=0)
+    tv = [np.empty((n, len(tgt_c))) for _ in laws]
+    for k, rows, y_b, _, t_b in blocks:
+        y[k][rows], tv[k][rows] = y_b, t_b
+    base_y = prior.x0[obs_c] + prior.alpha0[obs_c] * obs_t
+    base_t = np.where(is_alpha, prior.alpha0[tgt_c], prior.x0[tgt_c] + prior.alpha0[tgt_c] * tgt_t)
+    for _ in laws:
+        yc, tc = y.pop(0), tv.pop(0)
+        e_y, e_t = yc.mean(axis=0), tc.mean(axis=0)
         samples = tc + base_t if store_target_samples else None
-        # the targets are centered in place (their raw values are not read
-        # again); y_k is not, because the Dbar moments below read it
-        yc = y_k - e_y
+        # centered in place: the raw values are not read again
+        yc -= e_y
         tc -= e_t
         var_y = _cov(yc, yc)
-        est = MomentEstimates(
+        out.append(MomentEstimates(
             design_points=points,
             e_y=e_y + base_y,
             var_y=0.5 * (var_y + var_y.T),
@@ -509,13 +521,7 @@ def estimate_moments_by_law(
             cov_targets=_cov(tc, yc),
             n_realizations=n,
             target_samples=samples,
-        )
-        del yc, tc, samples
-        if keep_min:
-            w_x, m_wx = scales[k]
-            m_k, m[k] = m[k], None
-            _add_scheme_moments(est, scheme, kernel, comp_idx, y_k, m_k, w_x, m_wx, prior.hyper)
-        out.append(est)
+        ))
     return out
 
 
@@ -531,9 +537,10 @@ def estimate_moments(
     scheme=None,
     store_target_samples: bool = False,
     allow_empty_design: bool = False,
-) -> MomentEstimates:
+) -> MomentEstimates | DbarMoments:
     """Sample moments under one law; ``sigma_r`` and ``mu_wx`` default to
-    the prior's.  The one-law case of ``estimate_moments_by_law``."""
+    the prior's.  The one-law case of ``estimate_moments_by_law``, so with a
+    difference scheme it returns a DbarMoments."""
     law = (
         prior.sigma_r if sigma_r is None else sigma_r,
         prior.hyper.mu_wx if mu_wx is None else mu_wx,

@@ -202,16 +202,15 @@ def expected_dbar(
     """Closed-form E(Dbar) per component given simulated local min moments.
 
     ``m_moments`` supplies arrays m1_sq, m2_sq, m1m2 aligned with
-    scheme.entries (a MomentEstimates works, as does any object with those
-    attributes).
+    scheme.entries (a ``simulate.DbarMoments`` works, as does any object
+    with those attributes).
     """
     for name in ("m1_sq", "m2_sq", "m1m2"):
-        arr = getattr(m_moments, name, None)
-        if arr is None or len(arr) != len(scheme.entries):
-            missing = scheme.entries[0] if scheme.entries else None
+        if len(getattr(m_moments, name)) != len(scheme.entries):
+            first = scheme.entries[0] if scheme.entries else None
             raise ShapeError(
-                f"m_moments.{name} missing or misaligned with scheme "
-                f"(first entry: component {getattr(missing, 'component', '?')})"
+                f"m_moments.{name} misaligned with scheme "
+                f"(first entry: component {getattr(first, 'component', '?')})"
             )
     terms = _term_expectation(
         *_lag_arrays(scheme), hyper.mu_wx,
@@ -242,9 +241,10 @@ def build_dbar_statistic(
 
     ``data`` is the observed InspectionDataset, or its Dbar vector, or an
     (n, n_components) array of Dbar rows of n datasets on the scheme's
-    design, already computed by ``scheme.kernel``.  ``moments`` must provide
-    m1_sq/m2_sq/m1m2 (entry-aligned) and dbar_var (the ensemble variance
-    matrix of Dbar over scheme.components).
+    design, already computed by ``scheme.kernel``.  ``moments`` is a
+    ``simulate.DbarMoments``, or any object with m1_sq/m2_sq/m1m2
+    (entry-aligned) and dbar_var (the ensemble variance matrix of Dbar over
+    scheme.components).
     """
     if not scheme.components:
         raise InsufficientDataError("no component has three or more observations")

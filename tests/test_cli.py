@@ -167,6 +167,7 @@ def test_analysis_artifacts_have_the_documented_headers(tmp_path):
     assert "seed = 3" in meta and "selected_sigma_r" in meta
     # 8 components x 4 visits; 200 realizations leave var(Y) full rank
     assert "var_y_rank = 32\n" in meta and "var_y_dim = 32\n" in meta
+    assert f"finite_sample_factor = {fileio.fmt((200 - 32 - 2) / 199)}\n" in meta
     assert "pinv_rtol = 1e-10\n" in meta
     h_rows = [line.split(",") for line in (out / "h_curve.csv").read_text().splitlines()[1:]]
     assert len(h_rows) == 3
@@ -180,6 +181,19 @@ def test_analysis_artifacts_have_the_documented_headers(tmp_path):
     assert f"selected_floored = {sel_floored}\n" in meta
     final = (out / "final_discrepancy.txt").read_text()
     assert final.startswith("prior_H = ") and "final_H = " in final
+
+
+def test_analysis_records_and_warns_when_the_finite_sample_correction_is_off(tmp_path):
+    # 30 realizations leave n - rank - 2 <= 0 for the 32-point var(Y)
+    config = _write_workspace(tmp_path)
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="finite-sample correction off"):
+        code = cli.main(
+            ["analyze", "--config", str(config), "--out", str(out),
+             "--extend-months", "6", "--realizations", "30"]
+        )
+    assert code == cli.EXIT_OK
+    assert "finite_sample_factor = 1.0\n" in (out / "run_metadata.txt").read_text()
 
 
 def _instrumented_analysis(tmp_path, monkeypatch):

@@ -121,8 +121,9 @@ def test_finite_ensemble_correction_shrinks_the_ratio():
     plain = linalg.mahalanobis_discrepancy(y, prior)
     corrected = linalg.mahalanobis_discrepancy(y, prior, sample_size=50)
     assert corrected == pytest.approx(plain * (50 - 5 - 2) / 49)
-    # tiny ensembles cannot be corrected and fall back to the plain ratio
-    assert linalg.mahalanobis_discrepancy(y, prior, sample_size=6) == pytest.approx(plain)
+    # tiny ensembles cannot be corrected and fall back to the plain ratio, with a warning
+    with pytest.warns(UserWarning, match="finite-sample correction off"):
+        assert linalg.mahalanobis_discrepancy(y, prior, sample_size=6) == pytest.approx(plain)
 
 
 def test_zero_rank_variance_is_rejected():

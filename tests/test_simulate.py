@@ -103,6 +103,8 @@ def test_dbar_statistics_accumulate_when_a_scheme_is_given(topo16, design16, pri
     mom = estimate_moments(
         prior16, topo16, design16, n_realizations=800, seed=8, scheme=scheme
     )
+    # a scheme pass builds only what variance learning reads
+    assert isinstance(mom, simulate.DbarMoments) and not hasattr(mom, "var_y")
     n_comp = len(scheme.components)
     assert mom.dbar_mean.shape == (n_comp,)
     assert mom.dbar_var.shape == (n_comp, n_comp)
@@ -110,6 +112,17 @@ def test_dbar_statistics_accumulate_when_a_scheme_is_given(topo16, design16, pri
     assert mom.m1_sq.shape == (len(scheme.entries),)
     assert mom.mw_dbar_cov.shape == (n_comp,)
     assert np.all(np.isfinite(mom.mw_dbar_cov))
+
+
+def test_a_scheme_without_entries_gives_empty_dbar_moments(topo16, prior16):
+    # every component visited twice: no difference term
+    design = small_irregular_design(topo16, visits=2)
+    scheme = varlearn.build_scheme(design, prior16.hyper.lam)
+    assert not scheme.entries
+    mom = estimate_moments(prior16, topo16, design, n_realizations=50, seed=8, scheme=scheme)
+    for name in ("m1_sq", "m2_sq", "m1m2", "dbar_mean", "mw_dbar_cov"):
+        assert getattr(mom, name).shape == (0,), name
+    assert mom.dbar_var.shape == (0, 0)
 
 
 def test_expected_dbar_matches_simulation_within_monte_carlo_error(topo16, prior16):
@@ -150,6 +163,12 @@ def test_bad_target_requests_are_rejected(topo16, design16, prior16):
         estimate_moments(
             prior16, topo16, design16, targets=[("x", topo16.components[0], 999)],
             n_realizations=10, seed=0,
+        )
+    # a pass takes a difference scheme or targets, not both
+    with pytest.raises(ConfigError):
+        estimate_moments(
+            prior16, topo16, design16, targets=[("x", topo16.components[0], 10)],
+            n_realizations=10, seed=0, scheme=varlearn.build_scheme(design16, prior16.hyper.lam),
         )
 
 
@@ -235,18 +254,21 @@ def _assert_close(a, b, rtol=1e-12):
     assert np.max(np.abs(a - b), initial=0.0) <= rtol * np.max(np.abs(b), initial=0.0)
 
 
-MOMENT_FIELDS = (
-    "e_y", "var_y", "e_targets", "var_targets", "cov_targets",
-    "m1_sq", "m2_sq", "m1m2", "dbar_mean", "dbar_var", "mw_dbar_cov",
-)
+OBSERVATION_FIELDS = ("e_y", "var_y", "e_targets", "var_targets", "cov_targets")
+DBAR_FIELDS = ("m1_sq", "m2_sq", "m1m2", "dbar_mean", "dbar_var", "mw_dbar_cov")
 
 
 def test_one_law_call_equals_its_slice_of_a_multi_law_call(topo16, design16, prior16):
     scheme = varlearn.build_scheme(design16, prior16.hyper.lam)
     targets = [("zmin", topo16.components[0], 30), ("alpha", topo16.components[3], 40)]
     laws = [(0.0016, 0.01), (0.0064, 0.004), (0.0256, 0.03)]
-    # the monthly drawer, then the observed-cell drawer (no targets, no scheme)
-    for tg, sch in ((targets, scheme), ((), None)):
+    # the monthly drawer (targets, then a scheme), then the observed-cell
+    # drawer (no targets, no scheme); the last field differs between laws
+    for tg, sch, fields in (
+        (targets, None, OBSERVATION_FIELDS),
+        ((), scheme, DBAR_FIELDS),
+        ((), None, ("e_y", "var_y")),
+    ):
         many = estimate_moments_by_law(
             prior16, topo16, design16, laws, tg, n_realizations=300, seed=4, scheme=sch
         )
@@ -255,10 +277,9 @@ def test_one_law_call_equals_its_slice_of_a_multi_law_call(topo16, design16, pri
                 prior16, topo16, design16, tg, n_realizations=300, seed=4,
                 sigma_r=sr, mu_wx=mu, scheme=sch,
             )
-            for name in MOMENT_FIELDS:
-                if sch is not None or name in ("e_y", "var_y"):
-                    _assert_close(getattr(one, name), getattr(est, name))
-        assert not np.allclose(many[0].var_y, many[2].var_y)
+            for name in fields:
+                _assert_close(getattr(one, name), getattr(est, name))
+        assert not np.allclose(getattr(many[0], fields[-1]), getattr(many[2], fields[-1]))
 
 
 def test_variance_scales_are_drawn_once_per_distinct_mean(topo16, design16, prior16, monkeypatch):
@@ -278,23 +299,24 @@ def test_variance_scales_are_drawn_once_per_distinct_mean(topo16, design16, prio
 def test_moments_do_not_depend_on_the_block_size(topo16, design16, prior16, monkeypatch):
     scheme = varlearn.build_scheme(design16, prior16.hyper.lam)
     targets = [("zmin", c, 20) for c in topo16.components] + [("x", topo16.components[1], 40)]
-
-    def run():
-        return estimate_moments(
+    runs = {
+        DBAR_FIELDS: lambda: estimate_moments(
+            prior16, topo16, design16, n_realizations=47, seed=13, scheme=scheme
+        ),
+        OBSERVATION_FIELDS + ("target_samples",): lambda: estimate_moments(
             prior16, topo16, design16, targets, n_realizations=47, seed=13,
-            scheme=scheme, store_target_samples=True,
-        )
-
-    def run_observed():
-        return estimate_moments(prior16, topo16, design16, n_realizations=47, seed=13)
-
-    default, default_obs = run(), run_observed()
+            store_target_samples=True,
+        ),
+        ("e_y", "var_y"): lambda: estimate_moments(
+            prior16, topo16, design16, n_realizations=47, seed=13
+        ),
+    }
+    default = {fields: run() for fields, run in runs.items()}
     monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 1)  # one realization per block
-    single, single_obs = run(), run_observed()
-    for name in MOMENT_FIELDS + ("target_samples",):
-        assert np.array_equal(getattr(default, name), getattr(single, name)), name
-    for name in ("e_y", "var_y"):
-        assert np.array_equal(getattr(default_obs, name), getattr(single_obs, name)), name
+    for fields, run in runs.items():
+        single = run()
+        for name in fields:
+            assert np.array_equal(getattr(default[fields], name), getattr(single, name)), name
 
 
 def test_only_gaussian_passes_without_targets_or_scheme_draw_observed_cells(
