@@ -50,7 +50,9 @@ from .simulate import (
     draw_dataset,
     estimate_moments,
     estimate_moments_by_law,
+    exact_moments,
     forecast_extend,
+    moments_by_law,
 )
 from .system import (
     CorrelationParams,

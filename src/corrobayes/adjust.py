@@ -2,16 +2,18 @@
 
 Targets (minimum state, wall thickness, corrosion rate at any component and
 time, including forecast times beyond the data and never-observed components)
-are adjusted against the full observation vector using simulation moments.
-The minimum enters only through simulation, which is what keeps the
-non-linear observation equation tractable.
+are adjusted against the full observation vector.  Only their first and
+second moments enter, and the minimum over locations reduces to the
+one-dimensional functions of ``quadrature.min_of_normals``, which is what
+keeps the non-linear observation equation tractable.
 
 ``adjust_from_moments`` is the one Bayes linear update: it takes the moments
-of one law, from ``estimate_moments`` or from one entry of
-``estimate_moments_by_law``.  The paired comparison simulates each law once:
-the prior law and the calibrated law share one ensemble, and each branch is
-that update on its own slice of it.  Once both are adjusted it releases
-their cov_targets, as everything downstream reads the G blocks.
+of one law, from ``simulate.exact_moments``, ``estimate_moments`` or one
+entry of either's multi-law call.  The paired comparison takes both laws,
+the prior law and the calibrated law, from one ``simulate.moments_by_law``
+call, and each branch is that update on its own law's moments.  Once both
+are adjusted it releases their cov_targets, as everything downstream reads
+the G blocks.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .calibrate import CalibrationResult, calibrate
 from .errors import ShapeError
-from .simulate import MomentEstimates, estimate_moments_by_law
+from .simulate import MomentEstimates, moments_by_law
 from .system import InspectionDataset, PriorSpecification, SystemTopology
 
 #: Half-width multiplier of the reported 95% bands (Gaussian convention on
@@ -180,14 +182,13 @@ def compare_with_without_variance_learning(
 ) -> LearningComparison:
     """Run adjustment twice, with prior variances and with calibrated ones.
 
-    Both branches come from one two-law ensemble on ``seed`` (common random
-    numbers), so paired contrasts are not swamped by Monte Carlo noise and
-    the noise is drawn once.  A one-law ensemble equals its slice of a
-    multi-law one, so each branch equals ``adjust_from_moments`` on its own
-    one-law ``estimate_moments`` call.  The without-learning branch keeps
-    the prior law's target samples for the prior percentile bands; the
-    learned law's samples and both branches' ``cov_targets`` are released,
-    so each branch's moments keep only what the diagnostics and bands read.
+    Both branches' moments come from one two-law ``moments_by_law`` call:
+    exact under Gaussian noise, and under Student-t noise one two-law
+    ensemble on ``seed`` (common random numbers, so paired contrasts are not
+    swamped by Monte Carlo noise).  Either way each branch equals
+    ``adjust_from_moments`` on its own law's one-law call.  Both branches'
+    ``cov_targets`` are released once adjusted, so each branch's moments keep
+    only what the diagnostics and bands read.
     """
     seed = prior.rng_seed if seed is None else seed
     if calibration is None:
@@ -199,12 +200,9 @@ def compare_with_without_variance_learning(
         (prior.sigma_r, prior.hyper.mu_wx),
         (selected.sigma_r, selected.adjusted_mu_wx),
     ]
-    prior_moments, learned_moments = estimate_moments_by_law(
-        prior, topology, dataset, laws, targets, n_realizations, seed,
-        store_target_samples=True, allow_empty_design=True,
+    prior_moments, learned_moments = moments_by_law(
+        prior, topology, dataset, laws, targets, n_realizations, seed
     )
-    # only the prior law's samples feed a band: free the other copy
-    learned_moments.target_samples = None
     without = adjust_from_moments(prior_moments, dataset, observed_y)
     with_learning = adjust_from_moments(learned_moments, dataset, observed_y)
     prior_moments.cov_targets = learned_moments.cov_targets = None

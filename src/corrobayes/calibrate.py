@@ -2,19 +2,19 @@
 
 For each candidate local variance the pipeline (i) simulates the Dbar
 moments under the prior, (ii) adjusts the population mean evolution variance
-using the Dbar statistic of the observed data, (iii) re-simulates observation
-moments under the adjusted variances, and (iv) scores the observed data by the
-discrepancy ratio H.  The candidate whose H is nearest unity wins; ties break
-toward the smaller local variance.
+using the Dbar statistic of the observed data, (iii) computes the observation
+moments under the adjusted variances, and (iv) scores the observed data by
+the discrepancy ratio H.  The candidate whose H is nearest unity wins; ties
+break toward the smaller local variance.
 
-All candidates share two ensembles, one per pass, on two seeds spawned from
-the run seed: the learning pass simulates every candidate at the prior
-mu_wx, and the rescoring pass every candidate at its learned mu_wx.  Every
-candidate of a pass sees the same random numbers, so the H curve is scored on
-common random numbers.  The learning pass builds only the Dbar moments
+The two passes take two seeds spawned from the run seed.  The learning pass
+simulates every candidate at the prior mu_wx from one ensemble, so every
+candidate sees the same random numbers, and builds only the Dbar moments
 that variance learning reads (``simulate.DbarMoments``), drawing every month
-of every location; the rescoring pass builds only observation moments
-(``simulate.MomentEstimates``) and draws only the observed cells.
+of every location.  The rescoring pass takes every candidate at its learned
+mu_wx from ``simulate.moments_by_law``: exact moments under Gaussian noise,
+so H carries no Monte Carlo error or finite-ensemble correction, and one
+ensemble on the second seed under Student-t noise.
 
 The estimator study shares everything that does not depend on a replicate's
 data: one ensemble for the Dbar moments, one Dbar kernel and one factor of
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import linalg, varlearn
 from .errors import ConfigError, InsufficientDataError
-from .simulate import _as_seedseq, _run_blocks, estimate_moments_by_law
+from .simulate import _as_seedseq, _run_blocks, estimate_moments_by_law, moments_by_law
 from .system import VARIANCE_FLOOR, InspectionDataset, PriorSpecification, SystemTopology
 
 
@@ -85,7 +85,7 @@ def _scan(prior, topology, dataset, observed_y, scheme, candidates, seeds, n_rea
         )
         for mom in learned
     ]
-    rescored = estimate_moments_by_law(
+    rescored = moments_by_law(
         prior, topology, dataset,
         [(sr, mu) for sr, (mu, _) in zip(candidates, adjusted)],
         n_realizations=n_realizations, seed=seeds[1],
@@ -111,8 +111,8 @@ def calibrate_candidate(
     seeds,
     n_realizations: int,
 ) -> CandidateRow:
-    """One grid point: learn mu_wx under this local variance, re-simulate,
-    and score the observed data.  With ``calibrate``'s two pass seeds it
+    """One grid point: learn mu_wx under this local variance, rescore the
+    observed data under the learned law.  With ``calibrate``'s two pass seeds it
     reproduces that candidate's row."""
     (row,) = _scan(
         prior, topology, dataset, observed_y, scheme, (sigma_r,), seeds, n_realizations

@@ -6,14 +6,10 @@ Subcommands:
   consistency checks, local-variance calibration, mean adjustment with and
   without variance learning, remnant-life forecasting, and closing
   diagnostics, emitting plot-ready delimited files.  Its prior check reads
-  the moments of the without-learning adjustment ensemble, which is
-  simulated at the extended (forecast) horizon.
+  the moments of the without-learning adjustment branch.
 * ``simulate-study`` replicates the variance-learning estimator on synthetic
   systems with known truth and reports its distribution.
-* ``validate`` parses the inputs and emits the prior discrepancy report only,
-  from an ensemble at the data horizon; the same law and seed laid out for
-  a longer horizon draw other noise, so its report differs from
-  ``analyze``'s within Monte Carlo error.
+* ``validate`` parses the inputs and emits the prior discrepancy report only.
 
 Exit status: 0 on success (diagnostic warning flags do not fail a run),
 1 on validation or pipeline failure, 2 on configuration errors.  Output
@@ -39,9 +35,13 @@ from . import designs, diagnostics, fileio, linalg
 from .adjust import BAND_CONVENTION, BAND_Z, compare_with_without_variance_learning
 from .calibrate import calibrate, estimator_study
 from .errors import ConfigError
-from .simulate import estimate_moments, forecast_extend
+from .simulate import forecast_extend, moments_by_law, zmin_quantiles
 from .system import validate_dataset
 from .varlearn import build_scheme
+
+#: ``band_convention_prior`` in run_metadata.txt, by how the moments were made.
+PRIOR_BAND_EXACT = "exact 2.5%/97.5% quantiles of the prior marginal"
+PRIOR_BAND_ENSEMBLE = "prior mean +/- 1.96*sqrt(prior variance)"
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -119,10 +119,12 @@ def run_analysis(rc: RunConfig) -> int:
     """Steps: calibration, paired adjustment, forecasts, prior check,
     diagnostics; then emit all artifacts.
 
-    The run simulates three ensembles: calibration's learning and rescoring
-    passes, and one two-law ensemble at the extended horizon for both
-    adjustment branches.  The prior check reads the without-learning
-    branch's moments, which have the prior law and the run seed.
+    Under Gaussian noise the run simulates one ensemble, calibration's
+    learning pass; every other moment is exact (``simulate.moments_by_law``).
+    Under Student-t noise calibration's rescoring pass and the two-law
+    adjustment pass, at the extended horizon, are ensembles too.  The prior
+    check reads the without-learning branch's moments, which have the prior
+    law.
     """
     findings = validate_dataset(rc.dataset, rc.topology)
     if findings:
@@ -203,7 +205,7 @@ def run_analysis(rc: RunConfig) -> int:
              "prior_lo", "prior_mean", "prior_hi",
              "nolearn_lo", "nolearn_mean", "nolearn_hi",
              "learn_lo", "learn_mean", "learn_hi"],
-            _band_rows(comparison),
+            _band_rows(comparison, rc.prior),
         )
         life = comparison.life_with
         fileio.write_csv(
@@ -225,12 +227,14 @@ def run_analysis(rc: RunConfig) -> int:
         fileio.atomic_write_text(
             os.path.join(out, "final_discrepancy.txt"), "\n".join(diag_lines) + "\n"
         )
+        exact = learned_moments.n_realizations is None
         meta = [
             f"seed = {rc.seed}",
             f"realizations = {rc.n_realizations}",
+            f"observation_moments = {'exact' if exact else 'ensemble'}",
             f"extend_months = {rc.extend_months}",
             f"band_convention_adjusted = {BAND_CONVENTION}",
-            "band_convention_prior = simulation 2.5%/97.5% percentiles",
+            f"band_convention_prior = {PRIOR_BAND_EXACT if exact else PRIOR_BAND_ENSEMBLE}",
             "discrepancy_grouping = per-observation rows; per-component aggregates",
             f"selected_sigma_r = {fileio.fmt(sel.sigma_r)}",
             f"selected_mu_WX = {fileio.fmt(sel.adjusted_mu_wx)}",
@@ -246,21 +250,29 @@ def run_analysis(rc: RunConfig) -> int:
     return EXIT_OK
 
 
-def _band_rows(comparison):
-    """Per zmin target: the prior's simulated 2.5%/97.5% band and mean, then
-    each branch's adjusted band and mean; both branches share one target
-    list, so their rows align."""
-    without = comparison.without_learning
-    lo, hi = np.percentile(without.moments.target_samples, [2.5, 97.5], axis=0)
+def _band_rows(comparison, prior):
+    """Per zmin target: the prior band and mean, then each branch's adjusted
+    band and mean; both branches share one target list, so their rows align.
+
+    With exact moments the prior band is the exact 2.5%/97.5% quantiles of
+    the target's prior marginal (``simulate.zmin_quantiles``); with ensemble
+    moments (Student-t noise) it is the prior mean +/- 1.96 prior sds."""
+    pairs = [
+        (r, lr) for r, lr in zip(comparison.without_learning.rows, comparison.with_learning.rows)
+        if r.kind == "zmin"
+    ]
+    if comparison.without_learning.moments.n_realizations is None:
+        spread = zmin_quantiles(prior, [r.time for r, _ in pairs], (0.025, 0.975))
+    else:
+        half = BAND_Z * np.sqrt(np.clip([r.prior_var for r, _ in pairs], 0.0, None))
+        spread = np.stack([-half, half], axis=1)
     rows = []
-    for j, (r, lr) in enumerate(zip(without.rows, comparison.with_learning.rows)):
-        if r.kind != "zmin":
-            continue
+    for (r, lr), (lo, hi) in zip(pairs, spread):
         nl_half = BAND_Z * math.sqrt(max(r.adjusted_var, 0.0))
         l_half = BAND_Z * math.sqrt(max(lr.adjusted_var, 0.0))
         rows.append(
             (r.component, r.time,
-             lo[j], r.prior_mean, hi[j],
+             r.prior_mean + lo, r.prior_mean, r.prior_mean + hi,
              r.adjusted_mean - nl_half, r.adjusted_mean, r.adjusted_mean + nl_half,
              lr.adjusted_mean - l_half, lr.adjusted_mean, lr.adjusted_mean + l_half)
         )
@@ -274,8 +286,8 @@ def run_validate(rc: RunConfig) -> int:
     if findings:
         return EXIT_FAILURE
     with _stage("prior-consistency"):
-        moments = estimate_moments(
-            rc.prior, rc.topology, rc.dataset,
+        (moments,) = moments_by_law(
+            rc.prior, rc.topology, rc.dataset, [(rc.prior.sigma_r, rc.prior.hyper.mu_wx)],
             n_realizations=rc.n_realizations, seed=rc.seed,
         )
         observed = rc.dataset.values_vector()

@@ -56,8 +56,8 @@ def data_discrepancy(
     moments: MomentEstimates,
     grouping: str = "per-observation",
 ) -> DiagnosticReport:
-    """Rank-normalized discrepancy of the observed data against its simulated
-    prior moments, per observation or per component."""
+    """Rank-normalized discrepancy of the observed data against its prior
+    moments, per observation or per component."""
     observed_y = np.asarray(observed_y, dtype=float)
     points = moments.design_points
     rows = []

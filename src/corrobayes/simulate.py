@@ -1,4 +1,10 @@
-"""Forward simulation and Monte Carlo moment estimation.
+"""Forward simulation, Monte Carlo moment estimation, and exact moments.
+
+Under Gaussian noise the moments of the observations and of the targets
+have closed forms (``exact_moments``), and the pipeline reads those
+(``moments_by_law``); it simulates only the Dbar moments of variance
+learning, whose fourth moments of the minimum have none.  Under Student-t
+noise every moment is an ensemble's.
 
 Each realization draws variance scales W_c from the variance hyperprior (so
 uncertainty about the variances propagates into var(Y)), runs the
@@ -46,7 +52,8 @@ targets per law, minus the prior trend, to two consumers:
   (``DifferenceScheme.kernel``), the kernel the ensemble's Dbar moments use.
 
 ``draw_dataset`` draws one synthetic dataset from one seed, every month of
-every location, with its own fixed stream layout.
+every location, with its own fixed stream layout.  The ensembles remain the
+oracle the exact moments are tested against.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import quadrature
 from .errors import ConfigError, InsufficientDataError, ShapeError
 from .linalg import MomentPair
 from .system import (
@@ -148,12 +156,12 @@ def draw_dataset(
 
 @dataclass
 class MomentEstimates:
-    """Ensemble moment estimates of the designed observations and the targets.
+    """Moments of the designed observations and the targets under one law,
+    exact (``n_realizations`` None) or from an ensemble of that size.
 
     The paired comparison (``adjust.compare_with_without_variance_learning``)
-    releases what it has read: both branches' ``cov_targets`` once they are
-    adjusted (their whitened rows live on in the beliefs' G blocks), and the
-    learned law's ``target_samples``, which feed no band.
+    releases both branches' ``cov_targets`` once they are adjusted: their
+    whitened rows live on in the beliefs' G blocks.
     """
 
     design_points: list
@@ -163,8 +171,7 @@ class MomentEstimates:
     e_targets: np.ndarray
     var_targets: np.ndarray
     cov_targets: np.ndarray | None  # (n_targets, n_obs); None after the comparison
-    n_realizations: int
-    target_samples: np.ndarray | None = None  # only when asked to store them
+    n_realizations: int | None
     _y_pair: MomentPair = field(default=None, init=False, repr=False, compare=False)
 
     def y_moment_pair(self) -> MomentPair:
@@ -439,7 +446,6 @@ def estimate_moments_by_law(
     n_realizations: int | None = None,
     seed: int | None = None,
     scheme=None,
-    store_target_samples: bool = False,
     allow_empty_design: bool = False,
 ) -> list:
     """Sample moments under each law (sigma_r, mu_wx) of ``laws`` from one
@@ -506,7 +512,6 @@ def estimate_moments_by_law(
     for _ in laws:
         yc, tc = y.pop(0), tv.pop(0)
         e_y, e_t = yc.mean(axis=0), tc.mean(axis=0)
-        samples = tc + base_t if store_target_samples else None
         # centered in place: the raw values are not read again
         yc -= e_y
         tc -= e_t
@@ -520,7 +525,6 @@ def estimate_moments_by_law(
             var_targets=np.einsum("ij,ij->j", tc, tc) / (n - 1),
             cov_targets=_cov(tc, yc),
             n_realizations=n,
-            target_samples=samples,
         ))
     return out
 
@@ -535,7 +539,6 @@ def estimate_moments(
     sigma_r: float | None = None,
     mu_wx: float | None = None,
     scheme=None,
-    store_target_samples: bool = False,
     allow_empty_design: bool = False,
 ) -> MomentEstimates | DbarMoments:
     """Sample moments under one law; ``sigma_r`` and ``mu_wx`` default to
@@ -546,10 +549,129 @@ def estimate_moments(
         prior.hyper.mu_wx if mu_wx is None else mu_wx,
     )
     (est,) = estimate_moments_by_law(
-        prior, topology, design, [law], targets, n_realizations, seed,
-        scheme, store_target_samples, allow_empty_design,
+        prior, topology, design, [law], targets, n_realizations, seed, scheme, allow_empty_design,
     )
     return est
+
+
+def _min_cov(mins, common: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """cov of two minima over one component's locations: sqrt(v1 v2)
+    g_L(rho), where v1 and v2 are the variances at one location and
+    ``common`` their covariance."""
+    scale = np.sqrt(v1 * v2)
+    rho = np.divide(common, scale, out=np.ones_like(scale), where=scale > 0.0)
+    return scale * mins.cov(rho)
+
+
+def exact_moments(
+    prior: PriorSpecification,
+    topology: SystemTopology,
+    design: InspectionDataset,
+    laws,
+    targets=(),
+) -> list:
+    """Exact moments of the observations and targets under each law
+    (sigma_r, mu_wx) of ``laws``: one MomentEstimates per law, with
+    ``n_realizations`` None.  Gaussian noise only.
+
+    The three parts of Y = trend + sqrt(W_c) x_std + M are independent:
+
+    * the linear part: cov = E[sqrt(W_c W_c')] Pi[c,c'] k(t,t'), with k from
+      ``_linear_kernel`` and the scale moments from
+      ``quadrature.scale_moments``; an alpha target at T has kernel
+      lam sum_{s<=t'} min(T, s) with x_std(t') and variance lam T;
+    * the minimum: M_{c,t} = min_l(r_l(t) + eps_y) is independent across
+      components, and for one component sqrt(v_t) times the minimum of L
+      standard normals, v_t = sigma_r t + sigma_y, whose location pairs at
+      two cells have covariance sigma_r min(t, t') (plus sigma_y for one
+      cell).  So E M = sqrt(v_t) e_L and cov = sqrt(v_t v_t') g_L(rho)
+      (``quadrature.min_of_normals``).  A zmin target carries no eps_y:
+      v = sigma_r t on its side.
+
+    Nothing is drawn, so the moments do not depend on a seed, and the
+    observation moments do not depend on the targets or the horizon.
+    """
+    if prior.noise_dist != "gaussian":
+        raise ConfigError("exact moments need Gaussian noise")
+    if prior.x0.shape[0] != topology.component_count:
+        raise ShapeError("x0 length does not match component count")
+    targets = tuple(targets)
+    points = design.design_points()
+    obs_t, obs_c = _observed_cells(design, topology)
+    tgt_t, tgt_c, is_alpha, is_zmin = _target_arrays(targets, topology, design.horizon)
+    lam, sigma_y = prior.hyper.lam, prior.sigma_y
+    pi = build_correlation(topology, prior.corr)
+    mins = quadrature.min_of_normals(prior.locations_per_component)
+
+    same_y = obs_c[:, None] == obs_c
+    lin_y = pi[np.ix_(obs_c, obs_c)] * _linear_kernel(obs_t, lam)
+    u = np.arange(1, max(obs_t.max(initial=0), tgt_t.max(initial=0)) + 1)
+    # part[T-1, t-1] = sum_{s<=t} min(T, s), and sums its partial sums over T
+    part = np.minimum.outer(u, u).cumsum(axis=1)
+    sums = part.cumsum(axis=0)
+    kernel = np.minimum.outer(tgt_t, obs_t) + lam * sums[np.ix_(tgt_t - 1, obs_t - 1)]
+    kernel[is_alpha] = lam * part[np.ix_(tgt_t[is_alpha] - 1, obs_t - 1)]
+    lin_t = pi[np.ix_(tgt_c, obs_c)] * kernel
+    same_t = tgt_c[:, None] == obs_c
+    var_lin_t = np.where(is_alpha, lam * tgt_t, tgt_t + lam * sums[tgt_t - 1, tgt_t - 1])
+    base_y = prior.x0[obs_c] + prior.alpha0[obs_c] * obs_t
+    base_t = np.where(is_alpha, prior.alpha0[tgt_c], prior.x0[tgt_c] + prior.alpha0[tgt_c] * tgt_t)
+    # the minimum couples cells of one component only
+    yi, yj = np.nonzero(same_y)
+    ti, tj = np.nonzero(same_t & is_zmin[:, None])
+
+    out = []
+    for sr, mu in laws:
+        ew, ew_pair = quadrature.scale_moments(prior.hyper.with_mean(mu), prior.w_dist)
+        v_y, v_t = sr * obs_t + sigma_y, sr * tgt_t
+        var_y = np.where(same_y, ew, ew_pair) * lin_y
+        common = sr * np.minimum(obs_t[yi], obs_t[yj]) + np.where(yi == yj, sigma_y, 0.0)
+        var_y[yi, yj] += _min_cov(mins, common, v_y[yi], v_y[yj])
+        cov_t = np.where(same_t, ew, ew_pair) * lin_t
+        cov_t[ti, tj] += _min_cov(mins, sr * np.minimum(tgt_t[ti], obs_t[tj]), v_t[ti], v_y[tj])
+        out.append(MomentEstimates(
+            design_points=points,
+            e_y=base_y + np.sqrt(v_y) * mins.mean,
+            var_y=var_y,
+            targets=targets,
+            e_targets=base_t + np.where(is_zmin, np.sqrt(v_t) * mins.mean, 0.0),
+            var_targets=ew * var_lin_t + np.where(is_zmin, v_t * mins.var, 0.0),
+            cov_targets=cov_t,
+            n_realizations=None,
+        ))
+    return out
+
+
+def moments_by_law(
+    prior: PriorSpecification,
+    topology: SystemTopology,
+    design: InspectionDataset,
+    laws,
+    targets=(),
+    n_realizations: int | None = None,
+    seed=None,
+) -> list:
+    """Moments of the observations and targets under each law, as the
+    pipeline reads them: ``exact_moments`` under Gaussian noise, the
+    ensemble of ``estimate_moments_by_law`` under Student-t noise, for
+    which the minimum's moments have no closed form."""
+    if prior.noise_dist == "gaussian":
+        return exact_moments(prior, topology, design, laws, targets)
+    return estimate_moments_by_law(
+        prior, topology, design, laws, targets, n_realizations, seed, allow_empty_design=True
+    )
+
+
+def zmin_quantiles(prior: PriorSpecification, months, probs) -> np.ndarray:
+    """Exact quantiles (len(months), len(probs)) of zmin_{c,t} - E zmin_{c,t}
+    under the prior law (Gaussian noise), the same for every component:
+    sqrt(W_c k(t,t)) Z + sqrt(sigma_r t) (M_L - e_L)."""
+    months, back = np.unique(np.asarray(months, dtype=int), return_inverse=True)
+    scale = np.sqrt(np.diag(_linear_kernel(months, prior.hyper.lam)))
+    return quadrature.centered_quantiles(
+        prior.hyper, prior.w_dist, prior.locations_per_component,
+        scale, np.sqrt(prior.sigma_r * months), probs,
+    )[back]
 
 
 def forecast_extend(design: InspectionDataset, extra_months: int) -> InspectionDataset:

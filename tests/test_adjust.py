@@ -10,7 +10,7 @@ from corrobayes.adjust import (
     compare_with_without_variance_learning,
     remnant_life,
 )
-from corrobayes.simulate import draw_dataset, estimate_moments, forecast_extend
+from corrobayes.simulate import draw_dataset, estimate_moments, exact_moments, forecast_extend
 from conftest import make_prior, small_irregular_design
 
 
@@ -166,9 +166,6 @@ def test_comparison_releases_both_branches_cross_covariances(topo16, design16):
     for branch in (cmp_.without_learning, cmp_.with_learning):
         assert branch.moments.cov_targets is None
         assert branch.blocks["zmin"].shape == (len(targets), branch.z.shape[0])
-    # only the prior band reads target samples
-    assert cmp_.without_learning.moments.target_samples is not None
-    assert cmp_.with_learning.moments.target_samples is None
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -188,10 +185,7 @@ def test_both_branches_equal_their_one_law_adjustments_bit_for_bit(topo16, desig
         (cmp_.with_learning, selected.sigma_r, selected.adjusted_mu_wx),
     )
     for branch, sigma_r, mu_wx in branches:
-        mom = estimate_moments(
-            prior, topo16, ext, targets, n_realizations=300, seed=12,
-            sigma_r=sigma_r, mu_wx=mu_wx, store_target_samples=branch is cmp_.without_learning,
-        )
+        (mom,) = exact_moments(prior, topo16, ext, [(sigma_r, mu_wx)], targets)
         one = adjust_from_moments(mom, ext, observed)
         assert [(r.adjusted_mean, r.adjusted_var) for r in branch.rows] == [
             (r.adjusted_mean, r.adjusted_var) for r in one.rows
@@ -199,5 +193,4 @@ def test_both_branches_equal_their_one_law_adjustments_bit_for_bit(topo16, desig
         assert branch.blocks.keys() == one.blocks.keys() == {"zmin", "alpha", "x"}
         for kind, g in one.blocks.items():
             assert np.array_equal(branch.blocks[kind], g), kind
-        # the prior band's samples are kept for the without-learning branch only
-        assert np.array_equal(branch.moments.target_samples, one.moments.target_samples)
+        assert branch.moments.n_realizations is None

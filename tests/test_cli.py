@@ -1,11 +1,15 @@
 """Command line driver: exit codes, artifacts, and reproducibility."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
-from corrobayes import cli, diagnostics, fileio, simulate
+import subprocess
+import sys
+
+from corrobayes import cli, diagnostics, fileio, linalg, simulate
 
 ARTIFACTS = (
     "prior_discrepancy.csv",
@@ -91,7 +95,7 @@ def test_an_interrupt_inside_a_stage_is_not_turned_into_a_stage_failure(tmp_path
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "estimate_moments", interrupted)
+    monkeypatch.setattr(cli, "moments_by_law", interrupted)
     out = tmp_path / "out"
     with pytest.raises(KeyboardInterrupt):
         cli.main(["validate", "--config", str(config), "--out", str(out)])
@@ -165,9 +169,12 @@ def test_analysis_artifacts_have_the_documented_headers(tmp_path):
         assert (out / name).read_text().splitlines()[0] == head
     meta = (out / "run_metadata.txt").read_text()
     assert "seed = 3" in meta and "selected_sigma_r" in meta
-    # 8 components x 4 visits; 200 realizations leave var(Y) full rank
+    # 8 components x 4 visits; the exact var(Y) has full rank and needs no
+    # finite-ensemble correction
     assert "var_y_rank = 32\n" in meta and "var_y_dim = 32\n" in meta
-    assert f"finite_sample_factor = {fileio.fmt((200 - 32 - 2) / 199)}\n" in meta
+    assert "finite_sample_factor = 1.0\n" in meta
+    assert "observation_moments = exact\n" in meta
+    assert f"band_convention_prior = {cli.PRIOR_BAND_EXACT}\n" in meta
     assert "pinv_rtol = 1e-10\n" in meta
     h_rows = [line.split(",") for line in (out / "h_curve.csv").read_text().splitlines()[1:]]
     assert len(h_rows) == 3
@@ -183,17 +190,57 @@ def test_analysis_artifacts_have_the_documented_headers(tmp_path):
     assert final.startswith("prior_H = ") and "final_H = " in final
 
 
-def test_analysis_records_and_warns_when_the_finite_sample_correction_is_off(tmp_path):
-    # 30 realizations leave n - rank - 2 <= 0 for the 32-point var(Y)
+def test_analysis_at_30_realizations_scores_exact_moments_without_a_finite_sample_warning(
+    tmp_path, recwarn
+):
+    # 30 realizations would leave n - rank - 2 <= 0 for an ensemble's 32-point
+    # var(Y); only the learning pass is an ensemble now, and final_H is exact
     config = _write_workspace(tmp_path)
     out = tmp_path / "out"
-    with pytest.warns(UserWarning, match="finite-sample correction off"):
-        code = cli.main(
-            ["analyze", "--config", str(config), "--out", str(out),
-             "--extend-months", "6", "--realizations", "30"]
-        )
+    code = cli.main(
+        ["analyze", "--config", str(config), "--out", str(out),
+         "--extend-months", "6", "--realizations", "30"]
+    )
     assert code == cli.EXIT_OK
-    assert "finite_sample_factor = 1.0\n" in (out / "run_metadata.txt").read_text()
+    assert not [w for w in recwarn if "finite-sample correction off" in str(w.message)]
+    meta = (out / "run_metadata.txt").read_text()
+    assert "finite_sample_factor = 1.0\n" in meta and "realizations = 30\n" in meta
+
+
+def test_finite_sample_factor_warns_when_the_ensemble_is_too_small_for_the_rank():
+    with pytest.warns(UserWarning, match="finite-sample correction off"):
+        assert linalg.finite_sample_factor(29, 30) == 1.0
+    assert linalg.finite_sample_factor(29, 200) == (200 - 29 - 2) / 199
+    assert linalg.finite_sample_factor(29, None) == 1.0
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_validate_writes_the_prior_report_of_analyze(tmp_path):
+    config = _write_workspace(tmp_path)
+    assert _run_analysis(config, tmp_path / "analyze") == cli.EXIT_OK
+    code = cli.main(["validate", "--config", str(config), "--out", str(tmp_path / "validate")])
+    assert code == cli.EXIT_OK
+    name = "prior_discrepancy.csv"
+    assert (tmp_path / "validate" / name).read_bytes() == (tmp_path / "analyze" / name).read_bytes()
+
+
+def test_analysis_imports_no_scipy(tmp_path):
+    # importing scipy.special costs about a quarter of a second per run
+    config = _write_workspace(tmp_path)
+    script = (
+        "import sys\n"
+        "from corrobayes import cli\n"
+        f"code = cli.main(['analyze', '--config', {str(config)!r}, '--out', "
+        f"{str(tmp_path / 'out')!r}, '--extend-months', '6'])\n"
+        "assert code == 0, code\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 def _instrumented_analysis(tmp_path, monkeypatch):
@@ -224,26 +271,57 @@ def test_analysis_simulates_each_law_once_and_checks_the_prior_on_its_branch(
     tmp_path, monkeypatch
 ):
     out, passes, comparison, observed = _instrumented_analysis(tmp_path, monkeypatch)
-    # calibration's learning and rescoring passes, and one two-law pass for
-    # both adjustment branches; the prior check simulates nothing of its own
-    assert passes == 3
+    # calibration's learning pass only: every other moment is exact, and the
+    # prior check simulates nothing of its own
+    assert passes == 1
     prior_h = diagnostics.global_discrepancy(observed, comparison.without_learning.moments)
     final = (out / "final_discrepancy.txt").read_text().splitlines()
     assert final[0] == f"prior_H = {fileio.fmt(prior_h)}"
+    assert "observation_moments = exact\n" in (out / "run_metadata.txt").read_text()
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-def test_prior_bands_equal_the_per_target_percentiles(tmp_path, monkeypatch):
+def test_student_t_analysis_keeps_the_rescoring_and_adjustment_ensembles(tmp_path, monkeypatch):
+    build = fileio.build_prior
+    monkeypatch.setattr(
+        cli.fileio, "build_prior",
+        lambda *a, **k: dataclasses.replace(build(*a, **k), noise_dist="student_t", t_dof=6.0),
+    )
+    out, passes, comparison, observed = _instrumented_analysis(tmp_path, monkeypatch)
+    # the learning and rescoring passes, and one two-law pass for both
+    # adjustment branches, whose moments are the ensemble's
+    assert passes == 3
+    assert comparison.without_learning.moments.n_realizations == 200
+    meta = (out / "run_metadata.txt").read_text()
+    assert "observation_moments = ensemble\n" in meta
+    assert f"band_convention_prior = {cli.PRIOR_BAND_ENSEMBLE}\n" in meta
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_prior_bands_lie_within_monte_carlo_error_of_ensemble_percentiles(tmp_path, monkeypatch):
     _, _, comparison, _ = _instrumented_analysis(tmp_path, monkeypatch)
-    samples = comparison.without_learning.moments.target_samples
-    expected = [
-        tuple(np.percentile(samples[:, j], [2.5, 97.5]))
-        for j, r in enumerate(comparison.without_learning.rows)
-        if r.kind == "zmin"
-    ]
-    rows = cli._band_rows(comparison)
-    assert len(rows) == len(expected) > 0
-    assert [(row[2], row[4]) for row in rows] == expected
+    args = cli.build_parser().parse_args(["analyze", "--config", str(tmp_path / "run.cfg")])
+    rc = cli.load_run_config(args)
+    prior, topology = rc.prior, rc.topology
+    rows = cli._band_rows(comparison, prior)
+    targets = [("zmin", row[0], row[1]) for row in rows]
+    assert len(rows) == len(topology.components) * 30
+    # the share of a large prior-law ensemble below each exact band edge is
+    # 2.5% or 97.5% within 4 binomial standard errors; the engine's targets
+    # are minus their prior trend
+    comp = np.array([topology.components.index(c) for _, c, _ in targets])
+    months = np.array([t for _, _, t in targets])
+    trend = prior.x0[comp] + prior.alpha0[comp] * months
+    n = 20000
+    _, blocks = simulate._run_blocks(
+        prior, topology, simulate.forecast_extend(rc.dataset, 6),
+        [(prior.sigma_r, prior.hyper.mu_wx)], n, seed=11, targets=targets,
+    )
+    edges = np.array([[row[2] for row in rows], [row[4] for row in rows]]) - trend
+    below = sum((t_b[:, None] < edges).sum(axis=0) for _, _, _, _, t_b in blocks)
+    p = np.array([[0.025], [0.975]])
+    z = (below / n - p) / np.sqrt(p * (1 - p) / n)
+    assert np.abs(z).max() < 4.0, np.abs(z).max()
 
 
 def test_simulate_study_falls_back_to_the_reference_design(tmp_path, capsys):

@@ -12,8 +12,10 @@ from corrobayes.simulate import (
     draw_dataset,
     estimate_moments,
     estimate_moments_by_law,
+    exact_moments,
     forecast_extend,
 )
+from corrobayes.simulate import TARGET_KINDS
 from conftest import make_prior, small_irregular_design
 from oracle import simulate_realization
 
@@ -303,9 +305,8 @@ def test_moments_do_not_depend_on_the_block_size(topo16, design16, prior16, monk
         DBAR_FIELDS: lambda: estimate_moments(
             prior16, topo16, design16, n_realizations=47, seed=13, scheme=scheme
         ),
-        OBSERVATION_FIELDS + ("target_samples",): lambda: estimate_moments(
-            prior16, topo16, design16, targets, n_realizations=47, seed=13,
-            store_target_samples=True,
+        OBSERVATION_FIELDS: lambda: estimate_moments(
+            prior16, topo16, design16, targets, n_realizations=47, seed=13
         ),
         ("e_y", "var_y"): lambda: estimate_moments(
             prior16, topo16, design16, n_realizations=47, seed=13
@@ -380,3 +381,52 @@ def test_drawn_observations_equal_the_brute_force_realization(
         )
     ])
     _assert_close(rows, oracle)
+
+
+@pytest.mark.parametrize(
+    "hyper", [dict(sigma_wx=0.0, gamma_wx=0.0), {}], ids=["fixed-scales", "drawn-scales"]
+)
+def test_exact_moments_lie_within_four_standard_errors_of_a_large_ensemble(topo8, hyper):
+    # 100 independent ensembles of 250: the standard errors are batch means,
+    # as the drawn scales' kurtosis makes Gaussian ones too small, and 100
+    # batches pin them down well enough for a 4-SE bound over ~1,300 entries
+    prior = make_prior(topo8, **hyper)
+    design = forecast_extend(small_irregular_design(topo8, horizon=12, visits=3), 3)
+    targets = [
+        (kind, c, t) for c in topo8.components[:3] for kind in TARGET_KINDS for t in (2, 12, 15)
+    ]
+    law = (0.01, 0.02)
+    (exact,) = exact_moments(prior, topo8, design, [law], targets)
+    assert exact.n_realizations is None
+    batches = [
+        estimate_moments(
+            prior, topo8, design, targets, n_realizations=250, seed=5000 + b,
+            sigma_r=law[0], mu_wx=law[1],
+        )
+        for b in range(100)
+    ]
+    for name in OBSERVATION_FIELDS:
+        values = np.array([getattr(m, name) for m in batches])
+        se = values.std(axis=0, ddof=1) / np.sqrt(len(batches))
+        z = (values.mean(axis=0) - getattr(exact, name)) / se
+        assert np.abs(z).max() < 4.0, (name, np.abs(z).max())
+
+
+def test_exact_moments_take_every_law_on_its_own(topo16, design16, prior16):
+    targets = [("zmin", topo16.components[0], 30), ("alpha", topo16.components[3], 40)]
+    laws = [(0.0016, 0.01), (0.0064, 0.004)]
+    many = exact_moments(prior16, topo16, design16, laws, targets)
+    for law, est in zip(laws, many):
+        (one,) = exact_moments(prior16, topo16, design16, [law], targets)
+        for name in OBSERVATION_FIELDS:
+            assert np.array_equal(getattr(one, name), getattr(est, name)), name
+    # the observation moments do not depend on the targets or the horizon
+    (bare,) = exact_moments(prior16, topo16, forecast_extend(design16, 9), laws[:1])
+    assert np.array_equal(bare.e_y, many[0].e_y) and np.array_equal(bare.var_y, many[0].var_y)
+    assert np.array_equal(bare.var_y, bare.var_y.T)
+
+
+def test_exact_moments_refuse_student_t_noise(topo16, design16):
+    prior = make_prior(topo16, noise_dist="student_t", t_dof=6.0)
+    with pytest.raises(ConfigError):
+        exact_moments(prior, topo16, design16, [(0.01, 0.01)])
