@@ -273,7 +273,9 @@ def centered_quantiles(hyper, w_dist, count, a, b, probs) -> np.ndarray:
     scales, weights = scale_nodes(hyper, w_dist)
     top = 12.0 * math.sqrt(scales.max())
     grid = top * np.linspace(0.0, 1.0, 512) ** 2
-    table = ndtr(grid[:, None] / np.sqrt(scales)) @ weights
+    # in slices of the grid, so that no (512, nodes) temporary is held
+    root = np.sqrt(scales)
+    table = np.concatenate([ndtr(g[:, None] / root) @ weights for g in np.split(grid, 8)])
 
     def cdf_s(x):
         g = np.interp(np.abs(x), grid, table)

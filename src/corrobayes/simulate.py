@@ -609,9 +609,11 @@ def exact_moments(
     # part[T-1, t-1] = sum_{s<=t} min(T, s), and sums its partial sums over T
     part = np.minimum.outer(u, u).cumsum(axis=1)
     sums = part.cumsum(axis=0)
-    kernel = np.minimum.outer(tgt_t, obs_t) + lam * sums[np.ix_(tgt_t - 1, obs_t - 1)]
-    kernel[is_alpha] = lam * part[np.ix_(tgt_t[is_alpha] - 1, obs_t - 1)]
-    lin_t = pi[np.ix_(tgt_c, obs_c)] * kernel
+    # built in place: it is (targets, observations), the largest array here
+    lin_t = lam * sums[np.ix_(tgt_t - 1, obs_t - 1)]
+    lin_t += np.minimum.outer(tgt_t, obs_t)
+    lin_t[is_alpha] = lam * part[np.ix_(tgt_t[is_alpha] - 1, obs_t - 1)]
+    lin_t *= pi[np.ix_(tgt_c, obs_c)]
     same_t = tgt_c[:, None] == obs_c
     var_lin_t = np.where(is_alpha, lam * tgt_t, tgt_t + lam * sums[tgt_t - 1, tgt_t - 1])
     base_y = prior.x0[obs_c] + prior.alpha0[obs_c] * obs_t
@@ -627,7 +629,8 @@ def exact_moments(
         var_y = np.where(same_y, ew, ew_pair) * lin_y
         common = sr * np.minimum(obs_t[yi], obs_t[yj]) + np.where(yi == yj, sigma_y, 0.0)
         var_y[yi, yj] += _min_cov(mins, common, v_y[yi], v_y[yj])
-        cov_t = np.where(same_t, ew, ew_pair) * lin_t
+        cov_t = np.where(same_t, ew, ew_pair)
+        cov_t *= lin_t
         cov_t[ti, tj] += _min_cov(mins, sr * np.minimum(tgt_t[ti], obs_t[tj]), v_t[ti], v_y[tj])
         out.append(MomentEstimates(
             design_points=points,
