@@ -2,12 +2,11 @@
 
 import dataclasses
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-
-import subprocess
-import sys
 
 from corrobayes import cli, diagnostics, fileio, linalg, simulate
 

@@ -9,13 +9,13 @@ from corrobayes import designs, simulate, varlearn
 from corrobayes.calibrate import estimator_study
 from corrobayes.errors import ConfigError, InsufficientDataError
 from corrobayes.simulate import (
+    TARGET_KINDS,
     draw_dataset,
     estimate_moments,
     estimate_moments_by_law,
     exact_moments,
     forecast_extend,
 )
-from corrobayes.simulate import TARGET_KINDS
 from conftest import make_prior, small_irregular_design
 from oracle import simulate_realization
 
