@@ -1,38 +1,42 @@
 """Mahalanobis calibration of the local corrosion variance.
 
-For each candidate local variance the pipeline (i) simulates the Dbar
-moments under the prior, (ii) adjusts the population mean evolution variance
+For each candidate local variance the pipeline (i) takes the Dbar moments
+under the prior, (ii) adjusts the population mean evolution variance
 using the Dbar statistic of the observed data, (iii) computes the observation
 moments under the adjusted variances, and (iv) scores the observed data by
 the discrepancy ratio H.  The candidate whose H is nearest unity wins; ties
 break toward the smaller local variance.
 
-The two passes take two seeds spawned from the run seed.  The learning pass
-simulates every candidate at the prior mu_wx from one ensemble, so every
-candidate sees the same random numbers, and builds only the Dbar moments
-that variance learning reads (``simulate.DbarMoments``), drawing every month
-of every location.  The rescoring pass takes every candidate at its learned
-mu_wx from ``simulate.moments_by_law``: exact moments under Gaussian noise,
-so H carries no Monte Carlo error or finite-ensemble correction, and one
-ensemble on the second seed under Student-t noise.
+The two passes take two seeds spawned from the run seed, and both read
+``simulate.moments_by_law``.  The learning pass takes every candidate at
+the prior mu_wx and builds only the Dbar moments that variance learning
+reads (``simulate.DbarMoments``); the rescoring pass takes every candidate
+at its learned mu_wx.  Under Gaussian noise both are exact, but for the
+fourth moments of the minimum in var(Dbar), which one draw of the local
+walks and eps_y on the first seed serves for every candidate; so H carries
+no Monte Carlo error or finite-ensemble correction.  Under Student-t noise
+each pass is one ensemble on its seed, every candidate seeing the same
+random numbers.
 
-The estimator study shares everything that does not depend on a replicate's
-data: one ensemble for the Dbar moments, one Dbar kernel and one factor of
-var(Dbar) for the adjustment.  Its replicates are the realizations of a
-second ensemble at the true law, drawn by the same engine as every other
-ensemble (``simulate._run_blocks``) and reduced to their Dbar rows block by
-block, then adjusted together.
+The estimator study shares everything that does not depend on a
+replicate's data: one set of Dbar moments (exact under Gaussian noise, as
+in the learning pass), one Dbar kernel and one factor of var(Dbar) for the
+adjustment.  Its replicates are the realizations of an ensemble at the true
+law, drawn by the same engine as every other ensemble
+(``simulate._run_blocks``) and reduced to their Dbar rows block by block,
+then adjusted together.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import linalg, varlearn
 from .errors import ConfigError, InsufficientDataError
-from .simulate import _as_seedseq, _run_blocks, estimate_moments_by_law, moments_by_law
+from .simulate import _as_seedseq, _run_blocks, moments_by_law
 from .system import VARIANCE_FLOOR, InspectionDataset, PriorSpecification, SystemTopology
 
 
@@ -72,7 +76,7 @@ def select_index(h_values) -> int:
 def _scan(prior, topology, dataset, observed_y, scheme, candidates, seeds, n_realizations):
     """Both passes over ``candidates`` on the pass seeds ``seeds``.  Returns
     one row per candidate."""
-    learned = estimate_moments_by_law(
+    learned = moments_by_law(
         prior, topology, dataset,
         [(sr, prior.hyper.mu_wx) for sr in candidates],
         n_realizations=n_realizations, seed=seeds[0], scheme=scheme,
@@ -146,6 +150,19 @@ def calibrate(
     return CalibrationResult(rows, select_index([r.h for r in rows]))
 
 
+def _sorted_quantile(ordered: np.ndarray, q: float) -> float:
+    """``np.quantile(ordered, q)`` of sorted values, bit for bit: the linear
+    rule at v = (n - 1) q, as a + (b - a) g, or as b - (b - a)(1 - g) when
+    g >= 0.5.  np.quantile itself imports ``numpy.ma`` on its first call."""
+    n = len(ordered)
+    v = (n - 1) * q
+    if v >= n - 1:
+        return float(ordered[-1])
+    i = math.floor(v)
+    a, b, g = ordered[i], ordered[i + 1], v - i
+    return float(b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g)
+
+
 @dataclass
 class EstimatorStudy:
     """Replicated variance-learning estimates under known truth; ``floored``
@@ -171,14 +188,14 @@ def estimator_study(
     """Distribution of the adjusted variance estimate over replicate systems.
 
     Moments (Dbar variance and local min-difference moments) depend only on
-    the design and priors, so they are estimated once, from one seed spawned
-    from ``seed``, and shared by all replicates.  Replicate i is realization
-    i of one ensemble at the true law, rooted at the other spawned seed, with
-    every W_c held at ``true_mu_wx``.  Each block of that ensemble is reduced
-    to its Dbar rows at once, so only the (replicates, n_components) Dbar
-    array is kept.  All rows are then adjusted together against one factor
-    of var(Dbar), and each estimate below the floor is raised to it with a
-    warning.
+    the design and priors, so they are taken once, from ``moments_by_law``
+    on one seed spawned from ``seed``, and shared by all replicates.
+    Replicate i is realization i of one ensemble at the true law, rooted at
+    the other spawned seed, with every W_c held at ``true_mu_wx``.  Each
+    block of that ensemble is reduced to its Dbar rows at once, so only the
+    (replicates, n_components) Dbar array is kept.  All rows are then
+    adjusted together against one factor of var(Dbar), and each estimate
+    below the floor is raised to it with a warning.
     """
     if replicates < 1:
         raise ConfigError("replicate count must be at least 1")
@@ -188,7 +205,7 @@ def estimator_study(
     if not scheme.components:
         raise InsufficientDataError("no component has three or more observations")
     moment_seed, data_seed = _as_seedseq(seed).spawn(2)
-    (moments,) = estimate_moments_by_law(
+    (moments,) = moments_by_law(
         prior, topology, design, [(true_sigma_r, prior.hyper.mu_wx)],
         n_realizations=n, seed=moment_seed, scheme=scheme,
     )
@@ -203,10 +220,11 @@ def estimator_study(
         np.concatenate([kernel(y) for _, _, y, _, _ in blocks]), scheme, prior.hyper, moments
     )
     estimates, _ = varlearn.adjust_wx(dbar, prior.hyper)
+    ordered = np.sort(estimates)
     return EstimatorStudy(
         estimates,
         float(estimates.mean()),
-        float(np.quantile(estimates, 0.05)),
-        float(np.quantile(estimates, 0.95)),
+        _sorted_quantile(ordered, 0.05),
+        _sorted_quantile(ordered, 0.95),
         int(np.count_nonzero(estimates <= VARIANCE_FLOOR)),
     )

@@ -119,12 +119,13 @@ def run_analysis(rc: RunConfig) -> int:
     """Steps: calibration, paired adjustment, forecasts, prior check,
     diagnostics; then emit all artifacts.
 
-    Under Gaussian noise the run simulates one ensemble, calibration's
-    learning pass; every other moment is exact (``simulate.moments_by_law``).
-    Under Student-t noise calibration's rescoring pass and the two-law
-    adjustment pass, at the extended horizon, are ensembles too.  The prior
-    check reads the without-learning branch's moments, which have the prior
-    law.
+    Under Gaussian noise every moment is exact (``simulate.moments_by_law``)
+    but one part of var(Dbar) in calibration's learning pass, the fourth
+    moments of the minimum, which it simulates from the local walks and
+    eps_y alone.  Under Student-t noise calibration's learning and
+    rescoring passes and the two-law adjustment pass, at the extended
+    horizon, are ensembles.  The prior check reads the without-learning
+    branch's moments, which have the prior law.
     """
     findings = validate_dataset(rc.dataset, rc.topology)
     if findings:
@@ -232,6 +233,8 @@ def run_analysis(rc: RunConfig) -> int:
             f"seed = {rc.seed}",
             f"realizations = {rc.n_realizations}",
             f"observation_moments = {'exact' if exact else 'ensemble'}",
+            # the learning pass is exact exactly when the observation moments are
+            f"learning_moments = {'exact' if exact else 'ensemble'}",
             f"extend_months = {rc.extend_months}",
             f"band_convention_adjusted = {BAND_CONVENTION}",
             f"band_convention_prior = {PRIOR_BAND_EXACT if exact else PRIOR_BAND_ENSEMBLE}",

@@ -20,9 +20,10 @@ only; every table is built on first use).
   with Q = 1 - Phi.  The integrand is analytic in s = sqrt(1 - rho), so
   g_L is tabulated by Chebyshev interpolation in s, and the end rho -> 1,
   where the bivariate normal degenerates, needs no special case.
-* The variance scales: E W_c and E sqrt(W_c W_c') (c != c') in closed form
-  for ``gamma`` and ``lognormal`` and by Gauss-Hermite quadrature for the
-  truncated ``gaussian``; quadrature nodes of W_c for the prior bands.
+* The variance scales: E W_c, E sqrt(W_c W_c'), E W_c^2 and E W_c W_c'
+  (c != c') in closed form for ``gamma`` and ``lognormal`` and by
+  Gauss-Hermite quadrature over M for the truncated ``gaussian``; quadrature
+  nodes of W_c for the prior bands.
 * ``centered_quantiles``: quantiles of sqrt(W) a Z + b (M_L - e_L) for
   several (a, b) at once, the centered marginal of a zmin target.
 """
@@ -210,50 +211,57 @@ def scale_nodes(hyper: VarianceHyperprior, w_dist: str):
 
 
 def _floored_normal(m: np.ndarray, s: float):
-    """(E W, E sqrt(W)) for W = max(X, floor), X ~ N(m, s^2), per entry of
-    m: the first in closed form, the second by a 64-point rule in
-    y = sqrt(X) over X's mass above the floor, where the integrand is
-    smooth."""
+    """(E W, E sqrt(W), E W^2) for W = max(X, floor), X ~ N(m, s^2), per
+    entry of m: the first and last in closed form, the second by a
+    64-point rule in y = sqrt(X) over X's mass above the floor, where the
+    integrand is smooth."""
     f = VARIANCE_FLOOR
     if s <= 0.0:
         w = np.maximum(m, f)
-        return w, np.sqrt(w)
+        return w, np.sqrt(w), w * w
     a = (f - m) / s
-    below = ndtr(a)
-    mean = f * below + m * (1.0 - below) + s * _phi(a)
+    below, dens = ndtr(a), _phi(a)
+    mean = f * below + m * (1.0 - below) + s * dens
+    square = f * f * below + (m * m + s * s) * (1.0 - below) + s * (m + f) * dens
     lo = np.sqrt(np.maximum(m - 12.0 * s, f))[:, None]
     hi = np.sqrt(np.maximum(m + 12.0 * s, 4.0 * f))[:, None]
     y, wy = legendre(64, 0.0, 1.0)
     y = lo + (hi - lo) * y
     above = (wy * (hi - lo) * 2.0 * y * y * _phi((y * y - m[:, None]) / s) / s).sum(axis=1)
-    return mean, math.sqrt(f) * below + above
+    return mean, math.sqrt(f) * below + above, square
 
 
 def scale_moments(hyper: VarianceHyperprior, w_dist: str):
-    """(E W_c, E sqrt(W_c W_c')) for two distinct components.
+    """(E W_c, E sqrt(W_c W_c'), E W_c^2, E W_c W_c') for two distinct
+    components c and c'.
 
     W_c = M U_c under ``gamma`` and ``lognormal``, so E W_c = mu_wx and
     E sqrt(W_c W_c') = mu_wx (E sqrt U)^2: for U ~ Gamma(kappa, 1/kappa),
     E sqrt U = Gamma(kappa + 1/2)/(Gamma(kappa) sqrt(kappa)); for a
-    lognormal U of log-variance s2, E sqrt U = exp(-s2/8).  The floor of
-    these two laws is ignored.  The truncated ``gaussian``
+    lognormal U of log-variance s2, E sqrt U = exp(-s2/8).  Their draws
+    match var(W_c) = sigma_wx and cov(W_c, W_c') = gamma_wx, so
+    E W_c^2 = sigma_wx + mu_wx^2 and E W_c W_c' = gamma_wx + mu_wx^2.  The
+    floor of these two laws is ignored.  The truncated ``gaussian``
     W_c = max(M + R_c, floor) integrates its floored residual exactly given
-    M (``_floored_normal``) and M by a 48-point Gauss-Hermite rule.
+    M (``_floored_normal``) and M by a 48-point Gauss-Hermite rule; given M
+    the scales of two components are independent.
     """
     (mu, gam), (_, res) = _scale_parts(hyper, w_dist)
     if w_dist == "gaussian":
         if res <= 0.0:  # one shared W = max(M, floor)
-            (mean,), _ = _floored_normal(np.array([mu]), math.sqrt(gam))
-            return float(mean), float(mean)
+            (mean,), _, (square,) = _floored_normal(np.array([mu]), math.sqrt(gam))
+            return float(mean), float(mean), float(square), float(square)
         x, w = normal_rule(48) if gam > 0.0 else (np.zeros(1), np.ones(1))
-        mean, root = _floored_normal(mu + math.sqrt(gam) * x, math.sqrt(res))
-        return float(w @ mean), float(w @ root**2)
+        mean, root, square = _floored_normal(mu + math.sqrt(gam) * x, math.sqrt(res))
+        return float(w @ mean), float(w @ root**2), float(w @ square), float(w @ mean**2)
+    second = (hyper.sigma_wx + mu * mu, hyper.gamma_wx + mu * mu)
     if res <= 0.0:
-        return mu, mu
+        return (mu, mu, *second)
     if w_dist == "lognormal":
-        return mu, mu * math.exp(-0.25 * math.log1p(res))
+        return (mu, mu * math.exp(-0.25 * math.log1p(res)), *second)
     kappa = 1.0 / res
-    return mu, mu * math.exp(2.0 * (math.lgamma(kappa + 0.5) - math.lgamma(kappa))) / kappa
+    root_pair = mu * math.exp(2.0 * (math.lgamma(kappa + 0.5) - math.lgamma(kappa))) / kappa
+    return (mu, root_pair, *second)
 
 
 def centered_quantiles(hyper, w_dist, count, a, b, probs) -> np.ndarray:

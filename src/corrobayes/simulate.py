@@ -1,10 +1,11 @@
 """Forward simulation, Monte Carlo moment estimation, and exact moments.
 
-Under Gaussian noise the moments of the observations and of the targets
-have closed forms (``exact_moments``), and the pipeline reads those
-(``moments_by_law``); it simulates only the Dbar moments of variance
-learning, whose fourth moments of the minimum have none.  Under Student-t
-noise every moment is an ensemble's.
+Under Gaussian noise the pipeline reads exact moments (``moments_by_law``):
+the moments of the observations and of the targets have closed forms
+(``exact_moments``), and so do the Dbar moments of variance learning
+(``exact_dbar_moments``) but for the fourth moments of the minimum over
+locations, which it simulates from the local walks and eps_y alone
+(``_min_blocks``).  Under Student-t noise every moment is an ensemble's.
 
 Each realization draws variance scales W_c from the variance hyperprior (so
 uncertainty about the variances propagates into var(Y)), runs the
@@ -51,6 +52,10 @@ targets per law, minus the prior trend, to two consumers:
   each block to its Dbar rows with the difference scheme's Dbar kernel
   (``DifferenceScheme.kernel``), the kernel the ensemble's Dbar moments use.
 
+The min-part drawer (``_min_blocks``) is not part of the engine: it draws
+only the walk and eps_y at the observed cells, all realizations in order
+from one generator, for ``exact_dbar_moments``.
+
 ``draw_dataset`` draws one synthetic dataset from one seed, every month of
 every location, with its own fixed stream layout.  The ensembles remain the
 oracle the exact moments are tested against.
@@ -79,7 +84,7 @@ TARGET_KINDS = ("zmin", "x", "alpha")
 #: Element budget (float64 count) of one block's local-walk noise buffer, in
 #: each drawer: a block holds max(1, BLOCK_ELEMENTS // (T * C * L))
 #: realizations in the monthly drawer and max(1, BLOCK_ELEMENTS // (n_obs * L))
-#: in the observed-cell drawer.
+#: in the observed-cell and min-part drawers.
 BLOCK_ELEMENTS = 2**16
 
 
@@ -188,6 +193,8 @@ class DbarMoments:
     entry-aligned raw moments m1_sq / m2_sq / m1m2 of the local
     min-differences, the mean and variance of Dbar over the scheme's
     components, and its covariance with the drawn population mean variance.
+    ``n_realizations`` is the size of the ensemble, or for exact moments
+    (``exact_dbar_moments``) of the draw of the minimum behind var(Dbar).
     A scheme without entries gives empty arrays."""
 
     n_realizations: int
@@ -304,22 +311,13 @@ def _monthly_blocks(prior, factor_t, horizon, root, n, obs, tgt):
         yield slice(i0, i0 + b), x_std[:, obs_t - 1, obs_c], obs_walk, eps[:b], tgt_lin, tgt_min
 
 
-def _observed_blocks(prior, pi, root, n, obs_t, obs_c):
-    """The observed-cell drawer, for Gaussian noise and no targets.
-
-    Realization i fills one standard-normal array (2L + 1, n_obs) from
-    child i of ``root``: row 0 gives the unit linear part at the observed
-    cells through one factor of its covariance Pi[c,c'] k(t,t'), rows 1..L
-    the walk increments sqrt(gap) z of each location, and rows L+1..2L
-    eps_y.  The walk at a cell is the sum of its component's increments up
-    to it, in canonical point order.  Yields blocks as ``_monthly_blocks``.
-    """
-    n_obs, l_cnt = len(obs_t), prior.locations_per_component
-    factor_t = _correlation_factor(
-        pi[np.ix_(obs_c, obs_c)] * _linear_kernel(obs_t, prior.hyper.lam)
-    ).T
-    # points of one component are consecutive and in time order; a
-    # component's first point is its walk's gap from t = 0
+def _gap_walk(obs_t, obs_c):
+    """The unit local walk at the observed cells from iid standard normals:
+    a function that turns an array (..., n_obs) of them, in place, into
+    sqrt(gap) z increments between a component's visits summed up to each
+    cell.  A component's points are consecutive and in time order, and its
+    first point is its walk's gap from t = 0."""
+    n_obs = len(obs_t)
     first = np.ones(n_obs, dtype=bool)
     first[1:] = obs_c[1:] != obs_c[:-1]
     gap = obs_t.copy()
@@ -328,6 +326,30 @@ def _observed_blocks(prior, pi, root, n, obs_t, obs_c):
     index = np.arange(n_obs)
     rank = index - np.maximum.accumulate(np.where(first, index, 0))
     later = [np.flatnonzero(rank == r) for r in range(1, rank.max(initial=0) + 1)]
+
+    def walk(z):
+        z *= root_gap
+        for idx in later:
+            z[..., idx] += z[..., idx - 1]
+        return z
+
+    return walk
+
+
+def _observed_blocks(prior, pi, root, n, obs_t, obs_c):
+    """The observed-cell drawer, for Gaussian noise and no targets.
+
+    Realization i fills one standard-normal array (2L + 1, n_obs) from
+    child i of ``root``: row 0 gives the unit linear part at the observed
+    cells through one factor of its covariance Pi[c,c'] k(t,t'), rows 1..L
+    the walk of each location (``_gap_walk``), and rows L+1..2L eps_y.
+    Yields blocks as ``_monthly_blocks``.
+    """
+    n_obs, l_cnt = len(obs_t), prior.locations_per_component
+    factor_t = _correlation_factor(
+        pi[np.ix_(obs_c, obs_c)] * _linear_kernel(obs_t, prior.hyper.lam)
+    ).T
+    gap_walk = _gap_walk(obs_t, obs_c)
     root_y = math.sqrt(prior.sigma_y)
     block = max(1, BLOCK_ELEMENTS // max(1, l_cnt * n_obs))
     z = np.empty((block, 2 * l_cnt + 1, n_obs))
@@ -335,16 +357,37 @@ def _observed_blocks(prior, pi, root, n, obs_t, obs_c):
         b = min(block, n - i0)
         for j in range(b):
             np.random.default_rng(_child(root, i0 + j)).standard_normal(out=z[j])
-        walk = z[:b, 1 : l_cnt + 1]
-        walk *= root_gap
-        for idx in later:
-            walk[..., idx] += walk[..., idx - 1]
+        walk = gap_walk(z[:b, 1 : l_cnt + 1])
         eps = z[:b, l_cnt + 1 :]
         eps *= root_y
         # a (1, n_obs) product per realization: a matrix product over the
         # block would round differently for different block sizes
         lin = (z[:b, :1] @ factor_t)[:, 0]
         yield slice(i0, i0 + b), lin, walk, eps, np.empty((b, 0)), 0.0
+
+
+def _min_blocks(prior, seed, n, obs_t, obs_c):
+    """The min-part drawer: the L local walks and eps_y at the observed
+    cells, and nothing of the linear part.
+
+    Realization i fills a standard-normal array (2L, n_obs): rows 0..L-1 the
+    walk of each location (``_gap_walk``), rows L..2L-1 eps_y.  The
+    realizations are read in order from one generator on ``seed``, so the
+    draws do not depend on the block size.  Yields (rows, unit walk
+    (b, L, n_obs), scaled eps_y (b, L, n_obs)) per block.
+    """
+    n_obs, l_cnt = len(obs_t), prior.locations_per_component
+    gap_walk = _gap_walk(obs_t, obs_c)
+    rng = np.random.default_rng(_as_seedseq(seed))
+    root_y = math.sqrt(prior.sigma_y)
+    block = max(1, BLOCK_ELEMENTS // max(1, l_cnt * n_obs))
+    z = np.empty((block, 2 * l_cnt, n_obs))
+    for i0 in range(0, n, block):
+        b = min(block, n - i0)
+        rng.standard_normal(out=z[:b])
+        eps = z[:b, l_cnt:]
+        eps *= root_y
+        yield slice(i0, i0 + b), gap_walk(z[:b, :l_cnt]), eps
 
 
 def _run_blocks(prior, topology, design, laws, n, seed, targets=(), monthly=False):
@@ -563,6 +606,15 @@ def _min_cov(mins, common: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.nda
     return scale * mins.cov(rho)
 
 
+def _observed_min(mins, sr, sigma_y, obs_t, yi, yj):
+    """The minimum M at the observed cells under local variance ``sr``: its
+    variance at one location v_t = sr t + sigma_y, and cov(M_i, M_j) at the
+    cell pairs (yi, yj) of one component."""
+    v = sr * obs_t + sigma_y
+    common = sr * np.minimum(obs_t[yi], obs_t[yj]) + np.where(yi == yj, sigma_y, 0.0)
+    return v, _min_cov(mins, common, v[yi], v[yj])
+
+
 def exact_moments(
     prior: PriorSpecification,
     topology: SystemTopology,
@@ -624,11 +676,11 @@ def exact_moments(
 
     out = []
     for sr, mu in laws:
-        ew, ew_pair = quadrature.scale_moments(prior.hyper.with_mean(mu), prior.w_dist)
-        v_y, v_t = sr * obs_t + sigma_y, sr * tgt_t
+        ew, ew_pair, _, _ = quadrature.scale_moments(prior.hyper.with_mean(mu), prior.w_dist)
+        v_y, min_cov = _observed_min(mins, sr, sigma_y, obs_t, yi, yj)
+        v_t = sr * tgt_t
         var_y = np.where(same_y, ew, ew_pair) * lin_y
-        common = sr * np.minimum(obs_t[yi], obs_t[yj]) + np.where(yi == yj, sigma_y, 0.0)
-        var_y[yi, yj] += _min_cov(mins, common, v_y[yi], v_y[yj])
+        var_y[yi, yj] += min_cov
         cov_t = np.where(same_t, ew, ew_pair)
         cov_t *= lin_t
         cov_t[ti, tj] += _min_cov(mins, sr * np.minimum(tgt_t[ti], obs_t[tj]), v_t[ti], v_y[tj])
@@ -645,6 +697,110 @@ def exact_moments(
     return out
 
 
+def _min_dbar_variance(prior, obs, kernel, n_comp, sigma_rs, n, seed) -> list:
+    """var of the Dbar kernel applied to the minimum M alone, per scheme
+    component, for each local variance of ``sigma_rs``: n realizations of
+    M at the observed cells ``obs`` from the min-part drawer, each law
+    taking its minimum over locations and its kernel rows at once.  The rows
+    are kept whole, so the variances do not depend on the block size."""
+    rows = [np.empty((n, n_comp)) for _ in sigma_rs]
+    noisy = np.empty(0)
+    for sl, walk, eps in _min_blocks(prior, seed, n, *obs):
+        if noisy.shape != walk.shape:
+            noisy = np.empty(walk.shape)
+        for out, sr in zip(rows, sigma_rs):
+            np.multiply(walk, math.sqrt(sr), out=noisy)
+            noisy += eps
+            out[sl] = kernel(noisy.min(axis=1))
+    return [r.var(axis=0, ddof=1) for r in rows]
+
+
+def exact_dbar_moments(
+    prior: PriorSpecification,
+    topology: SystemTopology,
+    design: InspectionDataset,
+    laws,
+    scheme,
+    n_realizations: int | None = None,
+    seed=None,
+) -> list:
+    """The Dbar moments of variance learning under each law (sigma_r, mu_wx)
+    of ``laws``: one DbarMoments per law, exact but for one part of
+    var(Dbar).  Gaussian noise only.
+
+    Entry i (component c, lags k and l, weight K_i) combines the
+    observations as (k - l) y_i + l y_{i-1} - k y_{i-2}, which annihilates
+    the trend and leaves sqrt(W_c) a_i + b_i: a_i the same combination of
+    the unit linear part, Gaussian with A_ij = cov(a_i, a_j) from
+    Pi[c,c'] k(t,t') and A_ii = K_i, and b_i the same combination of the
+    minimum, independent of W and of a.  Then m1_sq, m2_sq, m1m2, E Dbar
+    and E[b_i b_j] follow from e_L and g_L as in ``exact_moments``,
+    cov(M(W), Dbar_c) = (T_c - 2) gamma_wx, and
+
+        K_i K_j cov(term_i, term_j) = cov(W_ci, W_cj) K_i K_j
+            + 2 E[W_ci W_cj] A_ij^2 + 4 E[sqrt(W_ci W_cj)] A_ij E[b_i b_j]
+            + [c_i = c_j] cov(b_i^2, b_j^2).
+
+    cov(W) is the hyperprior's gamma_wx / sigma_wx, and the other scale
+    moments are those of the law's drawn W (``quadrature.scale_moments``).
+    Only the last term, the fourth moments of the minimum, is simulated:
+    per component, the sample variance of the Dbar kernel applied to
+    n_realizations draws of M at the observed cells (``_min_blocks``),
+    from one generator on ``seed`` shared by every law.
+    """
+    if prior.noise_dist != "gaussian":
+        raise ConfigError("exact moments need Gaussian noise")
+    n = prior.ensemble_size if n_realizations is None else int(n_realizations)
+    if n < 2:
+        raise ConfigError("need at least 2 realizations")
+    seed = prior.rng_seed if seed is None else seed
+    obs_t, obs_c = _observed_cells(design, topology)
+    kernel = scheme.kernel(design.design_points())
+    p0, p1, p2, k, l, weight = kernel.p0, kernel.p1, kernel.p2, kernel.k, kernel.l, kernel.weight
+    entries = np.arange(len(p0))
+    comb = np.zeros((len(p0), len(obs_t)))
+    comb[entries, p0], comb[entries, p1], comb[entries, p2] = k - l, l, -k
+    pi = build_correlation(topology, prior.corr)
+    lin = comb @ (pi[np.ix_(obs_c, obs_c)] * _linear_kernel(obs_t, prior.hyper.lam)) @ comb.T
+    same = obs_c[p0][:, None] == obs_c[p0]
+    # (entries, scheme components) 0/1: sums the entries of each component
+    member = scheme.entry_component_indices()[:, None] == np.arange(len(scheme.components))
+    t_eff = member.sum(axis=0).astype(float)
+    hyper, sigma_y = prior.hyper, prior.sigma_y
+    kk = np.outer(weight, weight)
+    cov_w = np.where(same, hyper.sigma_wx, hyper.gamma_wx) * kk
+    mins = quadrature.min_of_normals(prior.locations_per_component)
+    yi, yj = np.nonzero(obs_c[:, None] == obs_c)
+    min_var = _min_dbar_variance(
+        prior, (obs_t, obs_c), kernel, len(scheme.components), [sr for sr, _ in laws], n, seed
+    )
+
+    out = []
+    for (sr, mu), m_var in zip(laws, min_var):
+        ew, root_pair, square, pair = quadrature.scale_moments(hyper.with_mean(mu), prior.w_dist)
+        v_y, min_cov = _observed_min(mins, sr, sigma_y, obs_t, yi, yj)
+        e_m = np.sqrt(v_y) * mins.mean
+        # E[M M'] at the observed cells
+        mm = np.outer(e_m, e_m)
+        mm[yi, yj] += min_cov
+        bb = comb @ mm @ comb.T
+        terms = cov_w + 2.0 * np.where(same, square, pair) * lin * lin
+        terms += 4.0 * np.where(same, ew, root_pair) * lin * bb
+        terms /= kk
+        dv = member.T @ terms @ member
+        dv[np.diag_indices_from(dv)] += m_var
+        out.append(DbarMoments(
+            n,
+            mm[p0, p0] - 2.0 * mm[p0, p1] + mm[p1, p1],
+            mm[p0, p0] - 2.0 * mm[p0, p2] + mm[p2, p2],
+            mm[p0, p0] - mm[p0, p1] - mm[p0, p2] + mm[p1, p2],
+            t_eff * ew + (np.diag(bb) / weight) @ member,
+            0.5 * (dv + dv.T),
+            t_eff * hyper.gamma_wx,
+        ))
+    return out
+
+
 def moments_by_law(
     prior: PriorSpecification,
     topology: SystemTopology,
@@ -653,16 +809,24 @@ def moments_by_law(
     targets=(),
     n_realizations: int | None = None,
     seed=None,
+    scheme=None,
 ) -> list:
-    """Moments of the observations and targets under each law, as the
-    pipeline reads them: ``exact_moments`` under Gaussian noise, the
-    ensemble of ``estimate_moments_by_law`` under Student-t noise, for
-    which the minimum's moments have no closed form."""
-    if prior.noise_dist == "gaussian":
+    """Moments under each law, as the pipeline reads them: with a
+    difference scheme the Dbar moments of variance learning, otherwise the
+    moments of the observations and targets.  Under Gaussian noise these
+    are ``exact_dbar_moments`` and ``exact_moments``; under Student-t noise,
+    for which the minimum's moments have no closed form, the ensemble of
+    ``estimate_moments_by_law``."""
+    if prior.noise_dist != "gaussian":
+        return estimate_moments_by_law(
+            prior, topology, design, laws, targets, n_realizations, seed, scheme,
+            allow_empty_design=True,
+        )
+    if scheme is None:
         return exact_moments(prior, topology, design, laws, targets)
-    return estimate_moments_by_law(
-        prior, topology, design, laws, targets, n_realizations, seed, allow_empty_design=True
-    )
+    if tuple(targets):
+        raise ConfigError("a moment pass takes a difference scheme or targets, not both")
+    return exact_dbar_moments(prior, topology, design, laws, scheme, n_realizations, seed)
 
 
 def zmin_quantiles(prior: PriorSpecification, months, probs) -> np.ndarray:

@@ -8,13 +8,14 @@ import pytest
 
 from corrobayes import designs, linalg, simulate, varlearn
 from corrobayes.calibrate import (
+    _sorted_quantile,
     calibrate as run_calibration,
     calibrate_candidate,
     estimator_study,
     select_index,
 )
 from corrobayes.errors import ConfigError, InsufficientDataError
-from corrobayes.simulate import _as_seedseq, draw_dataset, estimate_moments
+from corrobayes.simulate import _as_seedseq, draw_dataset
 from conftest import make_prior
 
 
@@ -104,8 +105,9 @@ def test_estimator_study_reports_distribution_summaries(topo16, design16, prior1
 def test_estimator_study_equals_a_per_replicate_reference_loop(
     topo16, design16, prior16, monkeypatch
 ):
-    # a true mu_wx well below the prior mean drives some estimates below the floor
-    truth = dict(true_mu_wx=0.0002, true_sigma_r=0.01)
+    # a true mu_wx well below the prior mean, under a local variance that
+    # swamps it, drives some estimates below the floor
+    truth = dict(true_mu_wx=0.0002, true_sigma_r=0.04)
     reps, seed, n = 40, 17, 400
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -117,9 +119,9 @@ def test_estimator_study_equals_a_per_replicate_reference_loop(
     hyper = prior16.hyper
     scheme = varlearn.build_scheme(design16, hyper.lam)
     moment_seed, data_seed = _as_seedseq(seed).spawn(2)
-    moments = estimate_moments(
-        prior16, topo16, design16, n_realizations=n, seed=moment_seed,
-        sigma_r=truth["true_sigma_r"], scheme=scheme,
+    (moments,) = simulate.exact_dbar_moments(
+        prior16, topo16, design16, [(truth["true_sigma_r"], hyper.mu_wx)], scheme,
+        n_realizations=n, seed=moment_seed,
     )
     prior_pair = linalg.MomentPair([hyper.mu_wx], [[hyper.gamma_wx]])
     data_pair = linalg.MomentPair(varlearn.expected_dbar(scheme, hyper, moments), moments.dbar_var)
@@ -158,7 +160,7 @@ def test_estimator_study_equals_a_per_replicate_reference_loop(
 
 def test_estimator_study_does_not_depend_on_the_block_size(topo16, design16, prior16, monkeypatch):
     blocks = []
-    for name in ("_monthly_blocks", "_observed_blocks"):
+    for name in ("_min_blocks", "_observed_blocks"):
         drawer = getattr(simulate, name)
         monkeypatch.setattr(
             simulate, name, lambda *a, _d=drawer, _n=name: (blocks.append(_n) or b for b in _d(*a))
@@ -167,15 +169,16 @@ def test_estimator_study_does_not_depend_on_the_block_size(topo16, design16, pri
     def run():
         blocks.clear()
         estimates = estimator_study(
-            prior16, topo16, design16, 0.01, 0.01, replicates=250, seed=31, n_realizations=47
+            prior16, topo16, design16, 0.01, 0.01, replicates=250, seed=31, n_realizations=250
         ).estimates
-        return [blocks.count("_monthly_blocks"), blocks.count("_observed_blocks")], estimates
+        return [blocks.count("_min_blocks"), blocks.count("_observed_blocks")], estimates
 
     n_default, default = run()
     monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 1)  # one realization per block
     n_single, single = run()
-    # the moment ensemble and the replicates each span several blocks by default
-    assert 1 < n_default[0] < n_single[0] == 47
+    # the draw of the minimum behind var(Dbar) and the replicates each span
+    # several blocks by default
+    assert 1 < n_default[0] < n_single[0] == 250
     assert 1 < n_default[1] < n_single[1] == 250
     assert np.array_equal(default, single)
 
@@ -189,8 +192,17 @@ def test_estimator_study_without_learnable_components_draws_nothing(topo16, prio
     # the package exports a function of the same name as the module
     module = importlib.import_module("corrobayes.calibrate")
     monkeypatch.setattr(module, "_run_blocks", no_draws)
-    monkeypatch.setattr(module, "estimate_moments_by_law", no_draws)
+    monkeypatch.setattr(module, "moments_by_law", no_draws)
     with pytest.raises(InsufficientDataError):
         estimator_study(
             prior16, topo16, design, 0.01, 0.01, replicates=5, seed=1, n_realizations=50
         )
+
+
+def test_sorted_quantile_equals_numpy_quantile_bit_for_bit():
+    rng = np.random.default_rng(0)
+    for n in range(1, 1002):
+        ordered = np.sort(rng.standard_normal(n) * rng.exponential())
+        for q in (0.0, 0.05, 0.5, 0.95, 1.0):
+            got, want = _sorted_quantile(ordered, q), float(np.quantile(ordered, q))
+            assert got == want and np.signbit(got) == np.signbit(want), (n, q)

@@ -173,6 +173,7 @@ def test_analysis_artifacts_have_the_documented_headers(tmp_path):
     assert "var_y_rank = 32\n" in meta and "var_y_dim = 32\n" in meta
     assert "finite_sample_factor = 1.0\n" in meta
     assert "observation_moments = exact\n" in meta
+    assert "learning_moments = exact\n" in meta
     assert f"band_convention_prior = {cli.PRIOR_BAND_EXACT}\n" in meta
     assert "pinv_rtol = 1e-10\n" in meta
     h_rows = [line.split(",") for line in (out / "h_curve.csv").read_text().splitlines()[1:]]
@@ -193,7 +194,8 @@ def test_analysis_at_30_realizations_scores_exact_moments_without_a_finite_sampl
     tmp_path, recwarn
 ):
     # 30 realizations would leave n - rank - 2 <= 0 for an ensemble's 32-point
-    # var(Y); only the learning pass is an ensemble now, and final_H is exact
+    # var(Y); they now size only the draw of the minimum behind var(Dbar), and
+    # final_H is exact
     config = _write_workspace(tmp_path)
     out = tmp_path / "out"
     code = cli.main(
@@ -223,46 +225,67 @@ def test_validate_writes_the_prior_report_of_analyze(tmp_path):
     assert (tmp_path / "validate" / name).read_bytes() == (tmp_path / "analyze" / name).read_bytes()
 
 
-def test_analysis_imports_no_scipy(tmp_path):
-    # importing scipy.special costs about a quarter of a second per run
-    config = _write_workspace(tmp_path)
+def _imported_modules(args, prefix):
+    """Run the command line in a fresh interpreter; the sorted names of the
+    loaded modules under ``prefix``."""
     script = (
         "import sys\n"
         "from corrobayes import cli\n"
-        f"code = cli.main(['analyze', '--config', {str(config)!r}, '--out', "
-        f"{str(tmp_path / 'out')!r}, '--extend-months', '6'])\n"
+        f"code = cli.main({args!r})\n"
         "assert code == 0, code\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"print(sorted(m for m in sys.modules if (m + '.').startswith({prefix + '.'!r})))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_analysis_imports_no_scipy(tmp_path):
+    # importing scipy.special costs about a quarter of a second per run
+    config = _write_workspace(tmp_path)
+    args = [
+        "analyze", "--config", str(config), "--out", str(tmp_path / "out"), "--extend-months", "6",
+    ]
+    assert _imported_modules(args, "scipy") == "[]"
+
+
+def test_simulate_study_imports_no_numpy_ma(tmp_path):
+    # np.quantile imports numpy.ma on its first call, about 17 ms
+    config = _write_workspace(tmp_path, inspections=False)
+    args = [
+        "simulate-study", "--config", str(config), "--out", str(tmp_path / "study"),
+        "--true-wx", "0.01", "--true-sigr", "0.0064", "--replicates", "20", "--realizations", "50",
+    ]
+    assert _imported_modules(args, "numpy.ma") == "[]"
 
 
 def _instrumented_analysis(tmp_path, monkeypatch):
-    """One analysis run; returns its output directory, the number of blocked
-    simulation passes it made, and the comparison with its observed vector."""
-    passes, captured = [], {}
-    run_blocks = simulate._run_blocks
+    """One analysis run; returns its output directory, the number of its
+    simulation passes by kind (``ensemble`` for the blocked engine,
+    ``min_part`` for the draw of the minimum behind exact Dbar moments), and
+    the comparison with its observed vector."""
+    passes, captured = {"ensemble": 0, "min_part": 0}, {}
     compare = cli.compare_with_without_variance_learning
 
-    def counted(*args, **kwargs):
-        passes.append(1)
-        return run_blocks(*args, **kwargs)
+    for kind, name in (("ensemble", "_run_blocks"), ("min_part", "_min_blocks")):
+        def counted(*args, _kind=kind, _orig=getattr(simulate, name), **kwargs):
+            passes[_kind] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, name, counted)
 
     def kept(*args, **kwargs):
         captured["observed"] = args[3]
         captured["comparison"] = compare(*args, **kwargs)
         return captured["comparison"]
 
-    monkeypatch.setattr(simulate, "_run_blocks", counted)
     monkeypatch.setattr(cli, "compare_with_without_variance_learning", kept)
     out = tmp_path / "out"
     assert _run_analysis(_write_workspace(tmp_path), out) == cli.EXIT_OK
-    return out, len(passes), captured["comparison"], captured["observed"]
+    return out, passes, captured["comparison"], captured["observed"]
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -270,9 +293,10 @@ def test_analysis_simulates_each_law_once_and_checks_the_prior_on_its_branch(
     tmp_path, monkeypatch
 ):
     out, passes, comparison, observed = _instrumented_analysis(tmp_path, monkeypatch)
-    # calibration's learning pass only: every other moment is exact, and the
-    # prior check simulates nothing of its own
-    assert passes == 1
+    # no ensemble: every moment is exact but the fourth moments of the
+    # minimum in calibration's learning pass, one draw for every candidate;
+    # the prior check simulates nothing of its own
+    assert passes == {"ensemble": 0, "min_part": 1}
     prior_h = diagnostics.global_discrepancy(observed, comparison.without_learning.moments)
     final = (out / "final_discrepancy.txt").read_text().splitlines()
     assert final[0] == f"prior_H = {fileio.fmt(prior_h)}"
@@ -289,10 +313,11 @@ def test_student_t_analysis_keeps_the_rescoring_and_adjustment_ensembles(tmp_pat
     out, passes, comparison, observed = _instrumented_analysis(tmp_path, monkeypatch)
     # the learning and rescoring passes, and one two-law pass for both
     # adjustment branches, whose moments are the ensemble's
-    assert passes == 3
+    assert passes == {"ensemble": 3, "min_part": 0}
     assert comparison.without_learning.moments.n_realizations == 200
     meta = (out / "run_metadata.txt").read_text()
     assert "observation_moments = ensemble\n" in meta
+    assert "learning_moments = ensemble\n" in meta
     assert f"band_convention_prior = {cli.PRIOR_BAND_ENSEMBLE}\n" in meta
 
 

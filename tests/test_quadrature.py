@@ -81,11 +81,11 @@ def test_g_l_table_agrees_with_a_high_resolution_evaluation(monkeypatch):
 def test_scale_moments_match_a_large_draw(w_dist):
     hyper = VarianceHyperprior(0.01, 1e-3, 5e-4, 0.02)
     w, _ = draw_variance_scales(hyper, 2, np.random.default_rng(5), w_dist, size=400_000)
-    mean, pair = quadrature.scale_moments(hyper, w_dist)
-    root = np.sqrt(w[:, 0] * w[:, 1])
-    se = (w[:, 0].std() / math.sqrt(len(w)), root.std() / math.sqrt(len(w)))
-    assert abs(w[:, 0].mean() - mean) < 4 * se[0]
-    assert abs(root.mean() - pair) < 4 * se[1]
+    moments = quadrature.scale_moments(hyper, w_dist)
+    w0, w1 = w[:, 0], w[:, 1]
+    for draws, exact in zip((w0, np.sqrt(w0 * w1), w0 * w0, w0 * w1), moments):
+        assert abs(draws.mean() - exact) < 4 * draws.std() / math.sqrt(len(w))
+    mean = moments[0]
     scales, weights = quadrature.scale_nodes(hyper, w_dist)
     assert weights.sum() == pytest.approx(1.0, rel=1e-9)
     assert weights @ scales == pytest.approx(mean, rel=1e-6)
@@ -93,6 +93,6 @@ def test_scale_moments_match_a_large_draw(w_dist):
 
 def test_fixed_scales_have_one_node():
     hyper = VarianceHyperprior(0.02, 0.0, 0.0, 0.02)
-    assert quadrature.scale_moments(hyper, "gamma") == (0.02, 0.02)
+    assert quadrature.scale_moments(hyper, "gamma") == (0.02, 0.02, 0.02**2, 0.02**2)
     scales, weights = quadrature.scale_nodes(hyper, "gamma")
     assert scales.tolist() == [0.02] and weights.tolist() == [1.0]

@@ -324,7 +324,7 @@ def test_only_gaussian_passes_without_targets_or_scheme_draw_observed_cells(
     topo16, design16, prior16, monkeypatch
 ):
     drawn = []
-    for name in ("_monthly_blocks", "_observed_blocks"):
+    for name in ("_monthly_blocks", "_observed_blocks", "_min_blocks"):
         drawer = getattr(simulate, name)
         monkeypatch.setattr(
             simulate, name, lambda *a, _d=drawer, _n=name: drawn.append(_n) or _d(*a)
@@ -337,8 +337,9 @@ def test_only_gaussian_passes_without_targets_or_scheme_draw_observed_cells(
     ):
         estimate_moments(prior, topo16, design16, targets, n_realizations=5, seed=1, scheme=sch)
     assert drawn == ["_monthly_blocks"] * 3 + ["_observed_blocks"]
-    # the estimator study: its moment pass has a scheme, its replicate pass
-    # reads only the observations
+    # the estimator study: under Gaussian noise its Dbar moments are exact
+    # but for the draw of the minimum, and its replicate pass reads only the
+    # observations; under Student-t noise both passes are monthly ensembles
     drawn.clear()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -346,7 +347,7 @@ def test_only_gaussian_passes_without_targets_or_scheme_draw_observed_cells(
             estimator_study(
                 prior, topo16, design16, 0.01, 0.01, replicates=3, seed=1, n_realizations=5
             )
-    assert drawn == ["_monthly_blocks", "_observed_blocks"] + ["_monthly_blocks"] * 2
+    assert drawn == ["_min_blocks", "_observed_blocks"] + ["_monthly_blocks"] * 2
 
 
 @pytest.mark.parametrize(
@@ -430,3 +431,88 @@ def test_exact_moments_refuse_student_t_noise(topo16, design16):
     prior = make_prior(topo16, noise_dist="student_t", t_dof=6.0)
     with pytest.raises(ConfigError):
         exact_moments(prior, topo16, design16, [(0.01, 0.01)])
+
+
+DBAR_CASES = {
+    "fixed-scales": dict(sigma_wx=0.0, gamma_wx=0.0),
+    "gamma-scales": {},
+    # at the reference hypervariances the matched lognormal W has
+    # E W^4 / (E W^2)^2 in the thousands, so an ensemble's var(Dbar) rests
+    # on rare draws and batch-means errors mean nothing; at these, E W^2 is
+    # still twice mu_wx^2
+    "lognormal-scales": dict(w_dist="lognormal", sigma_wx=1e-4, gamma_wx=5e-5),
+    "gaussian-scales": dict(w_dist="gaussian"),
+}
+
+
+@pytest.mark.parametrize("hyper", DBAR_CASES.values(), ids=DBAR_CASES.keys())
+def test_exact_dbar_moments_lie_within_four_standard_errors_of_a_large_ensemble(topo8, hyper):
+    # batch-means standard errors of 40 ensembles of 2,500, field by field;
+    # the exact moments draw the minimum 100,000 times, so their own Monte
+    # Carlo error is small next to these
+    prior = make_prior(topo8, **hyper)
+    design = small_irregular_design(topo8, horizon=12, visits=4)
+    scheme = varlearn.build_scheme(design, prior.hyper.lam)
+    law = (0.0064, 0.01)
+    (exact,) = simulate.exact_dbar_moments(
+        prior, topo8, design, [law], scheme, n_realizations=100_000, seed=77
+    )
+    batches = [
+        estimate_moments(
+            prior, topo8, design, n_realizations=2500, seed=8000 + b,
+            sigma_r=law[0], mu_wx=law[1], scheme=scheme,
+        )
+        for b in range(40)
+    ]
+    # the floored normal's cov(M(W), W_c) is not the hyperprior's gamma_wx
+    fields = DBAR_FIELDS[:-1] if hyper.get("w_dist") == "gaussian" else DBAR_FIELDS
+    worst = {}
+    for name in fields:
+        values = np.array([getattr(m, name) for m in batches])
+        se = values.std(axis=0, ddof=1) / np.sqrt(len(batches))
+        diff = values.mean(axis=0) - getattr(exact, name)
+        # fixed scales give a mw_dbar_cov of exactly zero on both sides
+        z = np.divide(diff, se, out=np.zeros_like(diff), where=se > 0)
+        assert np.all(diff[se == 0] == 0), name
+        worst[name] = float(np.abs(z).max())
+    print(" ".join(f"{name} {z:.2f}" for name, z in worst.items()))
+    assert max(worst.values()) < 4.0, worst
+
+
+def test_exact_dbar_moments_take_every_law_on_its_own_at_any_block_size(
+    topo16, design16, prior16, monkeypatch
+):
+    scheme = varlearn.build_scheme(design16, prior16.hyper.lam)
+    laws = [(0.0016, 0.01), (0.0064, 0.004), (0.0256, 0.03)]
+
+    def run(law_list):
+        return simulate.exact_dbar_moments(
+            prior16, topo16, design16, law_list, scheme, n_realizations=300, seed=4
+        )
+
+    many = run(laws)
+    for law, est in zip(laws, many):
+        (one,) = run([law])
+        for name in DBAR_FIELDS:
+            assert np.array_equal(getattr(one, name), getattr(est, name)), name
+    assert not np.allclose(many[0].dbar_var, many[2].dbar_var)
+    monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 1)  # one realization per block
+    for est, single in zip(many, run(laws)):
+        for name in DBAR_FIELDS:
+            assert np.array_equal(getattr(est, name), getattr(single, name)), name
+
+
+def test_student_t_dbar_moments_are_the_ensemble(topo16, design16):
+    prior = make_prior(topo16, noise_dist="student_t", t_dof=6.0)
+    scheme = varlearn.build_scheme(design16, prior.hyper.lam)
+    laws = [(0.0064, 0.01)]
+    (got,) = simulate.moments_by_law(
+        prior, topo16, design16, laws, n_realizations=50, seed=3, scheme=scheme
+    )
+    (ensemble,) = estimate_moments_by_law(
+        prior, topo16, design16, laws, n_realizations=50, seed=3, scheme=scheme
+    )
+    for name in DBAR_FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(ensemble, name)), name
+    with pytest.raises(ConfigError):
+        simulate.exact_dbar_moments(prior, topo16, design16, laws, scheme, n_realizations=50)
