@@ -85,10 +85,9 @@ def test_scale_moments_match_a_large_draw(w_dist):
     w0, w1 = w[:, 0], w[:, 1]
     for draws, exact in zip((w0, np.sqrt(w0 * w1), w0 * w0, w0 * w1), moments):
         assert abs(draws.mean() - exact) < 4 * draws.std() / math.sqrt(len(w))
-    mean = moments[0]
     scales, weights = quadrature.scale_nodes(hyper, w_dist)
     assert weights.sum() == pytest.approx(1.0, rel=1e-9)
-    assert weights @ scales == pytest.approx(mean, rel=1e-6)
+    assert weights @ scales == pytest.approx(moments[0], rel=1e-6)
 
 
 def test_fixed_scales_have_one_node():
