@@ -19,6 +19,7 @@ the G blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,10 +51,13 @@ class AdjustedBelief:
     """Adjusted means/variances per target plus what adjustment diagnostics
     need, kept in whitened data space.
 
-    With R = Q_k Lambda_k^(-1/2) from the factor of var(Y), ``z`` is the
-    whitened residual R'(y - E(Y)) and a kind's block holds its rows of
-    G = cov(B,D) R: the kind's mean shift is G z and its resolved variance
-    G G', which is never formed.
+    With R the root of the factor of var(Y) (R R' = var(Y)^+: L^-T with
+    L = chol(var(Y)) when var(Y) is certified full rank, Q_k Lambda_k^(-1/2)
+    from its eigendecomposition otherwise), ``z`` is the whitened residual
+    R'(y - E(Y)) and a kind's block holds its rows of G = cov(B,D) R: the
+    kind's mean shift is G z and its resolved variance G G', which is never
+    formed.  Any R with R R' = var(Y)^+ rotates G and z together, so
+    neither G z, rowsum(G * G) nor a block's discrepancy depends on which.
     """
 
     rows: list
@@ -159,15 +163,31 @@ def remnant_life(beliefs: AdjustedBelief, critical: float) -> RemnantLifeEstimat
     return RemnantLifeEstimate(out)
 
 
+def _life_or_none(beliefs: AdjustedBelief, critical: float) -> RemnantLifeEstimate | None:
+    try:
+        return remnant_life(beliefs, critical)
+    except ShapeError:
+        return None
+
+
 @dataclass
 class LearningComparison:
-    """Paired pipeline runs with and without variance learning."""
+    """Paired pipeline runs with and without variance learning.  Each
+    branch's remnant life (None when its zmin targets are not a monthly
+    grid) is computed on first read."""
 
     without_learning: AdjustedBelief
     with_learning: AdjustedBelief
     calibration: CalibrationResult
-    life_without: RemnantLifeEstimate | None
-    life_with: RemnantLifeEstimate | None
+    critical_thickness: float
+
+    @cached_property
+    def life_without(self) -> RemnantLifeEstimate | None:
+        return _life_or_none(self.without_learning, self.critical_thickness)
+
+    @cached_property
+    def life_with(self) -> RemnantLifeEstimate | None:
+        return _life_or_none(self.with_learning, self.critical_thickness)
 
 
 def compare_with_without_variance_learning(
@@ -206,13 +226,4 @@ def compare_with_without_variance_learning(
     without = adjust_from_moments(prior_moments, dataset, observed_y)
     with_learning = adjust_from_moments(learned_moments, dataset, observed_y)
     prior_moments.cov_targets = learned_moments.cov_targets = None
-
-    def _life(beliefs):
-        try:
-            return remnant_life(beliefs, prior.critical_thickness)
-        except ShapeError:
-            return None
-
-    return LearningComparison(
-        without, with_learning, calibration, _life(without), _life(with_learning)
-    )
+    return LearningComparison(without, with_learning, calibration, prior.critical_thickness)

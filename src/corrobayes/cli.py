@@ -270,7 +270,7 @@ def _band_rows(comparison, prior):
         half = BAND_Z * np.sqrt(np.clip([r.prior_var for r, _ in pairs], 0.0, None))
         spread = np.stack([-half, half], axis=1)
     rows = []
-    for (r, lr), (lo, hi) in zip(pairs, spread):
+    for (r, lr), (lo, hi) in zip(pairs, spread.tolist()):
         nl_half = BAND_Z * math.sqrt(max(r.adjusted_var, 0.0))
         l_half = BAND_Z * math.sqrt(max(lr.adjusted_var, 0.0))
         rows.append(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ConfigError, DegenerateVarianceError
+from .errors import ConfigError, DegenerateVarianceError, ShapeError
 from .simulate import MomentEstimates
 
 #: Warning threshold: |1 - Dis| = 3.
@@ -40,15 +40,26 @@ class DiagnosticReport:
         return [r for r in self.rows if r.flagged]
 
 
-def _group_indices(points, grouping: str):
-    if grouping == "per-observation":
-        return [((c, t), [i]) for i, (c, t) in enumerate(points)]
-    if grouping == "per-component":
-        groups = {}
-        for i, (c, _) in enumerate(points):
-            groups.setdefault(c, []).append(i)
-        return sorted(groups.items())
-    raise ConfigError(f"unknown grouping {grouping!r}")
+def _per_observation_rows(observed_y, moments: MomentEstimates) -> list:
+    """Each observation against its own prior mean and variance v, in one
+    array pass: (y - m)^2 / v with the rank-1 finite-sample factor,
+    indeterminate where v = 0, and the 1 x 1 ``MomentPair``'s error where
+    v < 0."""
+    v = np.diag(moments.var_y).copy()
+    negative = v[v < 0.0]
+    if negative.size:
+        raise ShapeError(
+            f"covariance is not positive semi-definite (min eigenvalue {negative[0]:g})"
+        )
+    live = v > 0.0
+    v[~live] = 1.0
+    w = (observed_y - moments.e_y) * (1.0 / np.sqrt(v))
+    factor = linalg.finite_sample_factor(1, moments.n_realizations) if live.any() else 1.0
+    values = np.where(live, w * w * factor, np.nan)
+    return [
+        DiagnosticRow(str((comp, time)), comp, time, value, value > DEFAULT_THRESHOLD, not ok)
+        for (comp, time), value, ok in zip(moments.design_points, values.tolist(), live.tolist())
+    ]
 
 
 def data_discrepancy(
@@ -59,22 +70,25 @@ def data_discrepancy(
     """Rank-normalized discrepancy of the observed data against its prior
     moments, per observation or per component."""
     observed_y = np.asarray(observed_y, dtype=float)
-    points = moments.design_points
+    if grouping == "per-observation":
+        return DiagnosticReport(_per_observation_rows(observed_y, moments))
+    if grouping != "per-component":
+        raise ConfigError(f"unknown grouping {grouping!r}")
+    groups = {}
+    for i, (c, _) in enumerate(moments.design_points):
+        groups.setdefault(c, []).append(i)
     rows = []
-    for label, idx in _group_indices(points, grouping):
-        sub_mean = moments.e_y[idx]
-        sub_cov = moments.var_y[np.ix_(idx, idx)]
-        comp, time = label if grouping == "per-observation" else (label, None)
+    for comp, idx in sorted(groups.items()):
         try:
             value = linalg.mahalanobis_discrepancy(
                 observed_y[idx],
-                linalg.MomentPair(sub_mean, sub_cov),
+                linalg.MomentPair(moments.e_y[idx], moments.var_y[np.ix_(idx, idx)]),
                 sample_size=moments.n_realizations,
             )
         except DegenerateVarianceError:
-            rows.append(DiagnosticRow(str(label), comp, time, float("nan"), False, True))
+            rows.append(DiagnosticRow(str(comp), comp, None, float("nan"), False, True))
             continue
-        rows.append(DiagnosticRow(str(label), comp, time, value, value > DEFAULT_THRESHOLD))
+        rows.append(DiagnosticRow(str(comp), comp, None, value, value > DEFAULT_THRESHOLD))
     return DiagnosticReport(rows)
 
 

@@ -30,6 +30,8 @@ from .system import (
 
 def fmt(x) -> str:
     """Full-precision decimal text for a number."""
+    if type(x) is float:
+        return repr(x)
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)
@@ -44,7 +46,7 @@ def atomic_write_text(path, text: str) -> None:
 
 def write_csv(path, header, rows) -> None:
     lines = [",".join(header)]
-    lines.extend(",".join(fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(fmt, row)) for row in rows)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

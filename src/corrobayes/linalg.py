@@ -1,19 +1,29 @@
 """Bayes linear algebra primitives.
 
 Adjusted expectation and variance and rank-normalized Mahalanobis
-discrepancies, all read off one spectral factor per variance matrix.  The
-factor checks symmetry, runs a single eigendecomposition, checks positive
-semi-definiteness from its eigenvalues, and applies the one cutoff of
-the package: eigenvalues with |lambda| <= DEFAULT_RTOL * max|lambda| count as
-zero.  What it keeps is R = Q_k |Lambda_k|^(-1/2), so the pseudo-inverse is
-R R' and the numerical rank is R's column count; rank-deficient covariance
-matrices (common here because of min-function degeneracies) are handled
+discrepancies, all read off one factor per variance matrix.  The package has
+one cutoff: eigenvalues with |lambda| <= DEFAULT_RTOL * max|lambda| count as
+zero.  The spectral factor checks symmetry, runs a single
+eigendecomposition, checks positive semi-definiteness from its eigenvalues
+and keeps R = Q_k |Lambda_k|^(-1/2), so the pseudo-inverse is R R' and the
+numerical rank is R's column count; rank-deficient covariance matrices
+(common here because of min-function degeneracies) are handled
 consistently, and the numerator and denominator of every discrepancy ratio
 agree about which directions carry information.  No entry point takes a
 tolerance: the cutoff is the module constant.
 
+A ``MomentPair`` first tries one Cholesky factorization of
+V - DEFAULT_RTOL * |V|_F * I.  If it succeeds, every eigenvalue of V exceeds
+DEFAULT_RTOL * |V|_F >= DEFAULT_RTOL * max|lambda|, so the cutoff would keep
+them all: V has full rank, its quadratic forms are solves, and its root,
+built only when an update asks for it, is L^-T with L = chol(V).  If it
+fails, the spectral factor decides, so every rank decision and every error
+is the spectral one.  ``whitened_adjustment_discrepancy`` certifies a tall
+G's Gram matrix the same way; ``pinv_with_rank``, ``pseudo_inverse`` and
+``adjustment_discrepancy`` are always spectral.
+
 A ``MomentPair`` builds its factor once, so every update and discrepancy
-against the same data moments shares one decomposition.
+against the same data moments shares one certificate and at most one root.
 """
 
 from __future__ import annotations
@@ -52,15 +62,31 @@ def _as_square(m, name: str) -> np.ndarray:
     return arr
 
 
+def _check_symmetric(m: np.ndarray, name: str) -> None:
+    scale = np.linalg.norm(m)
+    if scale > 0.0 and np.linalg.norm(m - m.T) > SYMMETRY_RTOL * scale:
+        raise ShapeError(f"{name} is not symmetric within tolerance {SYMMETRY_RTOL}")
+
+
+def _certified_full_rank(m: np.ndarray) -> bool:
+    """True when the symmetric m - DEFAULT_RTOL * |m|_F * I has a Cholesky
+    factor: then every eigenvalue of m exceeds the spectral cutoff."""
+    shifted = m.copy()
+    shifted.flat[:: m.shape[0] + 1] -= DEFAULT_RTOL * np.linalg.norm(m)
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 class _SpectralFactor:
     """One eigendecomposition of a symmetric positive semi-definite matrix V,
     truncated at the package cutoff.  ``root`` (dim x rank) satisfies
     V^+ = root @ root.T."""
 
     def __init__(self, m: np.ndarray, name: str):
-        scale = np.linalg.norm(m)
-        if scale > 0.0 and np.linalg.norm(m - m.T) > SYMMETRY_RTOL * scale:
-            raise ShapeError(f"{name} is not symmetric within tolerance {SYMMETRY_RTOL}")
+        _check_symmetric(m, name)
         # a 1 x 1 matrix is its own eigendecomposition
         vals, vecs = (m[0], np.ones((1, 1))) if m.shape == (1, 1) else np.linalg.eigh(m)
         top = max(vals.max(initial=0.0), np.finfo(float).tiny)
@@ -77,15 +103,50 @@ class _SpectralFactor:
         """R' x: coordinates in which V^+ is the identity."""
         return self.root.T @ x
 
+    def quadratic_form(self, x: np.ndarray) -> float:
+        """x' V^+ x."""
+        w = self.whiten(x)
+        return float(w @ w)
+
+
+class _CertifiedFactor:
+    """A symmetric V certified positive definite of full rank by
+    ``_certified_full_rank``.  Quadratic forms are solves; the root
+    R = L^-T (L = chol(V), so R R' = V^-1) is built on first use."""
+
+    def __init__(self, m: np.ndarray):
+        self._m = m
+        self._root = None
+
+    @property
+    def rank(self) -> int:
+        return self._m.shape[0]
+
+    @property
+    def root(self) -> np.ndarray:
+        if self._root is None:
+            self._root = np.linalg.inv(np.linalg.cholesky(self._m)).T
+        return self._root
+
+    def whiten(self, x: np.ndarray) -> np.ndarray:
+        """R' x: coordinates in which V^-1 is the identity."""
+        return self.root.T @ x
+
+    def quadratic_form(self, x: np.ndarray) -> float:
+        """x' V^-1 x."""
+        return float(x @ np.linalg.solve(self._m, x))
+
 
 @dataclass
 class MomentPair:
     """First- and second-order belief specification for a vector quantity,
-    with the spectral factor of its covariance."""
+    with the factor of its covariance: certified full rank by one shifted
+    Cholesky when it passes, the spectral factor otherwise.  Asymmetric and
+    indefinite covariances raise ``ShapeError`` here."""
 
     mean: np.ndarray
     covariance: np.ndarray
-    factor: _SpectralFactor = field(init=False, repr=False, compare=False)
+    factor: _SpectralFactor | _CertifiedFactor = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.mean = _as_vector(self.mean, "mean")
@@ -95,7 +156,11 @@ class MomentPair:
             raise ShapeError(
                 f"covariance shape {self.covariance.shape} does not match mean length {n}"
             )
-        self.factor = _SpectralFactor(self.covariance, "covariance")
+        _check_symmetric(self.covariance, "covariance")
+        if _certified_full_rank(self.covariance):
+            self.factor = _CertifiedFactor(self.covariance)
+        else:
+            self.factor = _SpectralFactor(self.covariance, "covariance")
 
     @property
     def dim(self) -> int:
@@ -174,12 +239,12 @@ def finite_sample_factor(rank: int, sample_size) -> float:
     return (n - rank - 2) / (n - 1)
 
 
-def _rank_normalized(w: np.ndarray, rank: int, sample_size, name: str) -> float:
-    """|w|^2 / rank with the finite-ensemble correction, where w is a vector
-    in whitened coordinates of a rank-``rank`` variance."""
+def _rank_normalized(form: float, rank: int, sample_size, name: str) -> float:
+    """A quadratic form through the pseudo-inverse of a rank-``rank``
+    variance, divided by the rank, with the finite-ensemble correction."""
     if rank == 0:
         raise DegenerateVarianceError(f"{name} has rank zero")
-    return float(w @ w) / rank * finite_sample_factor(rank, sample_size)
+    return form / rank * finite_sample_factor(rank, sample_size)
 
 
 def mahalanobis_discrepancy(observed, prior: MomentPair, sample_size=None) -> float:
@@ -192,7 +257,8 @@ def mahalanobis_discrepancy(observed, prior: MomentPair, sample_size=None) -> fl
     if y.shape[0] != prior.dim:
         raise ShapeError(f"observed has length {y.shape[0]} but prior has dimension {prior.dim}")
     f = prior.factor
-    return _rank_normalized(f.whiten(y - prior.mean), f.rank, sample_size, "variance matrix")
+    form = f.quadratic_form(y - prior.mean)
+    return _rank_normalized(form, f.rank, sample_size, "variance matrix")
 
 
 def adjustment_discrepancy(adjusted_mean, prior_mean, resolved_var, sample_size=None) -> float:
@@ -210,7 +276,7 @@ def adjustment_discrepancy(adjusted_mean, prior_mean, resolved_var, sample_size=
     if rv.shape[0] != a.shape[0]:
         raise ShapeError("resolved_var dimension does not match means")
     f = _SpectralFactor(rv, "resolved_var")
-    return _rank_normalized(f.whiten(a - p), f.rank, sample_size, "resolved variance")
+    return _rank_normalized(f.quadratic_form(a - p), f.rank, sample_size, "resolved variance")
 
 
 def whitened_adjustment_discrepancy(g, z, sample_size=None) -> float:
@@ -220,17 +286,23 @@ def whitened_adjustment_discrepancy(g, z, sample_size=None) -> float:
     G = cov(B,D) R are whitened cross-covariance rows and z = R'(d - E(D))
     the whitened data residual.  With the thin SVD G = U S V', the form
     equals |V_r' z|^2 over the r singular values whose squares (the
-    eigenvalues of G G') pass the cutoff.  U is never needed, so a tall G
-    is first reduced to the square R of G = Q R, whose SVD has the same S
-    and V; the squared form G'G is avoided, as it squares the condition
-    number.
+    eigenvalues of G G') pass the cutoff.  A tall G whose Gram matrix G'G
+    passes the shifted-Cholesky certificate has full column rank, so V_r is
+    square orthogonal and the form is |z|^2 (the Gram matrix only
+    certifies: its rounding, about n eps s_max^2, lies far below the cutoff
+    DEFAULT_RTOL s_max^2).  Otherwise U is never needed, so a tall G is
+    first reduced to the square R of G = Q R, whose SVD has the same S and
+    V; the form never goes through G'G, which squares the condition number.
     """
     g = np.atleast_2d(np.asarray(g, dtype=float))
+    z = np.asarray(z, dtype=float)
     if g.shape[0] > g.shape[1]:
+        if _certified_full_rank(g.T @ g):
+            return _rank_normalized(float(z @ z), g.shape[1], sample_size, "resolved variance")
         g = np.linalg.qr(g, mode="r")
     _, s, vt = np.linalg.svd(g, full_matrices=False)
     keep = s * s > DEFAULT_RTOL * (s[0] * s[0] if s.size else 0.0)
+    w = vt[keep] @ z
     return _rank_normalized(
-        vt[keep] @ np.asarray(z, dtype=float), int(np.count_nonzero(keep)),
-        sample_size, "resolved variance",
+        float(w @ w), int(np.count_nonzero(keep)), sample_size, "resolved variance"
     )

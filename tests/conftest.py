@@ -72,10 +72,10 @@ def prior16(topo16):
 
 @pytest.fixture
 def decompositions(monkeypatch):
-    """Sizes of the matrices passed to np.linalg.eigh / eigvalsh while the
-    test runs, in call order."""
+    """Sizes of the matrices passed to np.linalg.cholesky / eigh / eigvalsh
+    while the test runs, in call order."""
     sizes = []
-    for name in ("eigh", "eigvalsh"):
+    for name in ("cholesky", "eigh", "eigvalsh"):
         orig = getattr(np.linalg, name)
 
         def counted(a, *args, _orig=orig, **kwargs):

@@ -348,6 +348,58 @@ def test_prior_bands_lie_within_monte_carlo_error_of_ensemble_percentiles(tmp_pa
     assert np.abs(z).max() < 4.0, np.abs(z).max()
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize(
+    "noise_dist, realizations, var_y_rank",
+    # an exact var(Y) has full rank; a Student-t ensemble of 20 realizations
+    # gives a rank-19 var(Y) of the 32 observations
+    [("gaussian", "200", 32), ("student_t", "20", 19)],
+)
+def test_only_a_rank_deficient_var_y_is_eigendecomposed(
+    tmp_path, monkeypatch, noise_dist, realizations, var_y_rank
+):
+    build = fileio.build_prior
+    monkeypatch.setattr(
+        cli.fileio, "build_prior",
+        lambda *a, **k: dataclasses.replace(build(*a, **k), noise_dist=noise_dist, t_dof=6.0),
+    )
+    sizes, eigh = [], np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        # quadrature rules call eigh too; count the linear algebra module's calls
+        if sys._getframe(1).f_globals["__name__"] == linalg.__name__:
+            sizes.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    out = tmp_path / "out"
+    code = cli.main(
+        ["analyze", "--config", str(_write_workspace(tmp_path)), "--out", str(out),
+         "--extend-months", "6", "--realizations", realizations]
+    )
+    assert code == cli.EXIT_OK
+    meta = (out / "run_metadata.txt").read_text()
+    assert f"var_y_rank = {var_y_rank}\n" in meta and "var_y_dim = 32\n" in meta
+    assert (32 in sizes) == (var_y_rank < 32), sizes
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_the_selected_candidates_h_is_final_h_exactly(tmp_path):
+    # the rescoring pass and the learned adjustment branch have the same
+    # exact var(Y), and every H goes through one route
+    out = tmp_path / "out"
+    assert _run_analysis(_write_workspace(tmp_path), out) == cli.EXIT_OK
+    (selected,) = (out / "selected_variances.csv").read_text().splitlines()[1:]
+    sigma_r, _, _, h, _ = selected.split(",")
+    (curve_h,) = [
+        row.split(",")[2]
+        for row in (out / "h_curve.csv").read_text().splitlines()[1:]
+        if row.split(",")[0] == sigma_r
+    ]
+    final = (out / "final_discrepancy.txt").read_text().splitlines()
+    assert final[1] == f"final_H = {h}" and curve_h == h
+
+
 def test_simulate_study_falls_back_to_the_reference_design(tmp_path, capsys):
     config = _write_workspace(tmp_path, inspections=False)
     out = tmp_path / "study"

@@ -5,7 +5,7 @@ import pytest
 
 from corrobayes import diagnostics, linalg
 from corrobayes.adjust import adjust_from_moments
-from corrobayes.errors import ConfigError
+from corrobayes.errors import ConfigError, ShapeError
 from corrobayes.simulate import draw_dataset, estimate_moments
 from conftest import make_prior
 
@@ -89,6 +89,31 @@ def test_zero_variance_groups_are_marked_indeterminate_not_flagged():
     first, second = report.rows
     assert not first.indeterminate
     assert second.indeterminate and not second.flagged and np.isnan(second.value)
+
+
+def test_per_observation_rows_equal_one_by_one_moment_pairs():
+    rng = np.random.default_rng(9)
+    points = [("a", t) for t in range(1, 9)]
+    a = rng.standard_normal((8, 8))
+    cov = a @ a.T
+    cov[5, :] = cov[:, 5] = 0.0
+    mom = _StubMoments(points, rng.standard_normal(8), cov, n_realizations=300)
+    y = mom.e_y + 3.0 * rng.standard_normal(8)
+    report = diagnostics.data_discrepancy(y, mom)
+    for i, row in enumerate(report.rows):
+        assert (row.label, row.component, row.time) == (str(points[i]), "a", i + 1)
+        if i == 5:
+            assert row.indeterminate and not row.flagged and np.isnan(row.value)
+            continue
+        # bit for bit the spectral factor of the 1 x 1 variance
+        one = linalg.MomentPair(mom.e_y[i : i + 1], cov[i : i + 1, i : i + 1])
+        one.factor = linalg._SpectralFactor(one.covariance, "covariance")
+        assert row.value == linalg.mahalanobis_discrepancy(y[i : i + 1], one, 300)
+        assert row.flagged == (row.value > diagnostics.DEFAULT_THRESHOLD)
+        assert not row.indeterminate
+    cov[2, 2] = -1e-6
+    with pytest.raises(ShapeError, match="positive semi-definite"):
+        diagnostics.data_discrepancy(y, mom)
 
 
 def test_per_observation_tail_stays_below_threshold_under_the_model(topo16, design16):
@@ -203,4 +228,7 @@ def test_update_h_and_adjustment_diagnostics_share_one_factor_of_var_y(
     beliefs = adjust_from_moments(mom, data)
     diagnostics.global_discrepancy(data.values_vector(), mom)
     diagnostics.adjustment_diagnostics(beliefs)
-    assert decompositions == [len(mom.design_points)]
+    # var(Y) has full rank: one shifted Cholesky certifies it, and the
+    # adjustment builds its root from one more; H solves against it
+    n = len(mom.design_points)
+    assert decompositions == [n, n]

@@ -183,3 +183,117 @@ def test_data_space_adjustment_discrepancy_equals_the_resolved_variance_form(cas
     ref = linalg.adjustment_discrepancy(shift, np.zeros_like(shift), g @ g.T, sample_size)
     val = linalg.whitened_adjustment_discrepancy(g, z, sample_size)
     assert val == pytest.approx(ref, rel=1e-9)
+
+
+def _spectral(pair):
+    """The same moments with the eigendecomposition factor in place of the
+    full-rank certificate."""
+    out = MomentPair(pair.mean, pair.covariance)
+    out.factor = linalg._SpectralFactor(out.covariance, "covariance")
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=40))
+def test_certified_full_rank_moments_agree_with_the_eigendecomposition(seed, dim):
+    rng = np.random.default_rng(seed)
+    n_targets = int(rng.integers(dim + 1, dim + 20))  # tall G: the Gram shortcut
+    joint = random_psd(rng, n_targets + dim, n_targets + dim + 10)
+    prior = MomentPair(rng.standard_normal(n_targets), joint[:n_targets, :n_targets])
+    data = MomentPair(rng.standard_normal(dim), joint[n_targets:, n_targets:])
+    assert isinstance(data.factor, linalg._CertifiedFactor) and data.factor.rank == dim
+    ref = _spectral(data)
+    assert ref.factor.rank == dim
+    cross, d = joint[:n_targets, n_targets:], rng.standard_normal(dim)
+
+    def close(a, b):
+        return np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1e-300)
+
+    assert close(
+        linalg.mahalanobis_discrepancy(d, data, 500), linalg.mahalanobis_discrepancy(d, ref, 500)
+    )
+    assert close(
+        linalg.adjusted_expectation(prior, data, cross, d),
+        linalg.adjusted_expectation(prior, ref, cross, d),
+    )
+    assert close(
+        linalg.adjusted_variance(prior, data, cross), linalg.adjusted_variance(prior, ref, cross)
+    )
+    dis = [
+        linalg.whitened_adjustment_discrepancy(
+            cross @ p.factor.root, p.factor.whiten(d - p.mean), 500
+        )
+        for p in (data, ref)
+    ]
+    assert close(dis[0], dis[1])
+
+
+def _with_spectrum(rng, vals):
+    q = np.linalg.qr(rng.standard_normal((len(vals), len(vals))))[0]
+    v = (q * vals) @ q.T
+    return 0.5 * (v + v.T)
+
+
+def test_the_certificate_keeps_every_rank_decision_of_the_cutoff(decompositions):
+    rng = np.random.default_rng(5)
+    vals = np.concatenate([[1.0], rng.uniform(0.1, 1.0, 11)])
+    # below the cutoff: the certificate fails and eigh drops the direction
+    low = _with_spectrum(rng, np.append(vals, 0.5 * linalg.DEFAULT_RTOL * vals.max()))
+    pair = MomentPair(np.zeros(13), low)
+    assert isinstance(pair.factor, linalg._SpectralFactor) and pair.factor.rank == 12
+    assert decompositions == [13, 13]  # the failed Cholesky, then eigh
+    # twice the certificate's shift: certified, no eigh
+    decompositions.clear()
+    high = _with_spectrum(rng, np.append(vals, 2 * linalg.DEFAULT_RTOL * np.linalg.norm(vals)))
+    pair = MomentPair(np.zeros(13), high)
+    assert isinstance(pair.factor, linalg._CertifiedFactor) and pair.factor.rank == 13
+    assert decompositions == [13]
+
+
+def test_a_covariance_from_fewer_realizations_than_dimensions_takes_eigh(decompositions):
+    rng = np.random.default_rng(6)
+    cov = np.cov(rng.standard_normal((10, 20)), rowvar=False)
+    pair = MomentPair(np.zeros(20), cov)
+    assert isinstance(pair.factor, linalg._SpectralFactor) and pair.factor.rank == 9
+    assert decompositions == [20, 20]
+
+
+def test_indefinite_and_asymmetric_input_raise_before_any_certificate(decompositions):
+    rng = np.random.default_rng(7)
+    indefinite = _with_spectrum(rng, np.append(rng.uniform(0.5, 1.0, 9), -0.1))
+    with pytest.raises(ShapeError, match="positive semi-definite"):
+        MomentPair(np.zeros(10), indefinite)
+    # the lower triangle alone is positive definite, so only the symmetry
+    # check can catch it, and it runs first
+    decompositions.clear()
+    asymmetric = np.tril(random_psd(rng, 10)) + 2 * np.eye(10)
+    with pytest.raises(ShapeError, match="symmetric"):
+        MomentPair(np.zeros(10), asymmetric)
+    assert decompositions == []
+
+
+def _qr_svd_form(g, z):
+    _, s, vt = np.linalg.svd(np.linalg.qr(g, mode="r"), full_matrices=False)
+    keep = s * s > linalg.DEFAULT_RTOL * s[0] * s[0]
+    w = vt[keep] @ z
+    return float(w @ w), int(keep.sum())
+
+
+def test_the_gram_shortcut_equals_qr_and_svd_and_falls_back_when_rank_deficient(monkeypatch):
+    rng = np.random.default_rng(8)
+    z = rng.standard_normal(12)
+    full = rng.standard_normal((40, 12))
+    deficient = rng.standard_normal((40, 7)) @ rng.standard_normal((7, 12))
+    (full_form, full_rank), (low_form, low_rank) = (_qr_svd_form(g, z) for g in (full, deficient))
+    assert (full_rank, low_rank) == (12, 7)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(
+        np.linalg, "svd", lambda *a, **k: calls.append(np.shape(a[0])) or svd(*a, **k)
+    )
+    val = linalg.whitened_adjustment_discrepancy(full, z, 200)
+    assert calls == []  # certified: no QR or SVD
+    assert val == pytest.approx(full_form / 12 * (200 - 12 - 2) / 199, rel=1e-12)
+    val = linalg.whitened_adjustment_discrepancy(deficient, z, 200)
+    assert calls == [(12, 12)]
+    assert val == pytest.approx(low_form / 7 * (200 - 7 - 2) / 199, rel=1e-12)

@@ -196,4 +196,7 @@ def test_adjustment_factors_the_dbar_variance_once(topo16, design16, prior16, de
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         varlearn.adjust_wx(dbar, prior16.hyper)
-    assert decompositions == [len(scheme.components)]
+    # the scalar prior variance is certified; var(Dbar) is certified and its
+    # root built once
+    n = len(scheme.components)
+    assert decompositions == [1, n, n]
