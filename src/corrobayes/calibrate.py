@@ -36,7 +36,7 @@ import numpy as np
 
 from . import linalg, varlearn
 from .errors import ConfigError, InsufficientDataError
-from .simulate import _as_seedseq, _run_blocks, moments_by_law
+from .simulate import _as_seedseq, _run_blocks, _size_and_seed, moments_by_law
 from .system import VARIANCE_FLOOR, InspectionDataset, PriorSpecification, SystemTopology
 
 
@@ -136,8 +136,7 @@ def calibrate(
     candidates = prior.sigma_r_candidates
     if not candidates:
         raise ConfigError("candidate grid is empty")
-    seed = prior.rng_seed if seed is None else seed
-    n = prior.ensemble_size if n_realizations is None else int(n_realizations)
+    n, seed = _size_and_seed(prior, n_realizations, seed)
     if observed_y is None:
         observed_y = dataset.values_vector()
     observed_y = np.asarray(observed_y, dtype=float)
@@ -199,8 +198,7 @@ def estimator_study(
     """
     if replicates < 1:
         raise ConfigError("replicate count must be at least 1")
-    seed = prior.rng_seed if seed is None else seed
-    n = prior.ensemble_size if n_realizations is None else int(n_realizations)
+    n, seed = _size_and_seed(prior, n_realizations, seed)
     scheme = varlearn.build_scheme(design, prior.hyper.lam)
     if not scheme.components:
         raise InsufficientDataError("no component has three or more observations")

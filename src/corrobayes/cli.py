@@ -12,12 +12,16 @@ Subcommands:
 * ``validate`` parses the inputs and emits the prior discrepancy report only.
 
 Exit status: 0 on success (diagnostic warning flags do not fail a run),
-1 on validation or pipeline failure, 2 on configuration errors.  Output
-files are written only after every computing stage has finished, so a
-failure in one of them writes nothing.  Each file is then replaced on its
-own, through ``<file>.tmp`` and a rename: no file is left truncated, but a
-failure while the files are written can leave a mix of new and earlier
-files.
+1 on validation or pipeline failure, 2 on configuration errors.  Among
+these, found before any stage runs: a missing key, a malformed value, a
+number that is NaN or infinite, an unknown ``noise_dist`` or ``w_dist``, a
+negative seed (``seed`` key or ``--seed``), fewer than 2 ``--realizations``,
+a ``--true-sigr`` that is negative or not finite, and a ``--true-wx`` that
+is not positive or not finite.  Output files are written only after every
+computing stage has finished, so a failure in one of them writes nothing.
+Each file is then replaced on its own, through ``<file>.tmp`` and a rename:
+no file is left truncated, but a failure while the files are written can
+leave a mix of new and earlier files.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from . import designs, diagnostics, fileio, linalg
 from .adjust import BAND_CONVENTION, BAND_Z, compare_with_without_variance_learning
 from .calibrate import calibrate, estimator_study
 from .errors import ConfigError
-from .simulate import forecast_extend, moments_by_law, zmin_quantiles
+from .simulate import _size_and_seed, forecast_extend, moments_by_law, zmin_quantiles
 from .system import validate_dataset
 from .varlearn import build_scheme
 
@@ -94,8 +98,9 @@ def load_run_config(args) -> RunConfig:
     dataset = None
     if args.command != "simulate-study" or "inspections" in config:
         dataset = fileio.parse_inspections(path_of("inspections"), origin, horizon)
-    seed = args.seed if args.seed is not None else prior.rng_seed
-    n = args.realizations if args.realizations is not None else prior.ensemble_size
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+    n, seed = _size_and_seed(prior, args.realizations, args.seed)
     extend = getattr(args, "extend_months", None)
     if extend is None:
         extend = fileio._get(config, "extend_months", int, 0)
@@ -307,6 +312,10 @@ def run_validate(rc: RunConfig) -> int:
 
 
 def run_study(rc: RunConfig, args) -> int:
+    if not 0.0 <= args.true_sigr < math.inf:
+        raise ConfigError(f"--true-sigr must be finite and nonnegative, got {args.true_sigr}")
+    if not 0.0 < args.true_wx < math.inf:
+        raise ConfigError(f"--true-wx must be finite and positive, got {args.true_wx}")
     design = rc.dataset
     if design is None:
         design = designs.reference_design(rc.topology)

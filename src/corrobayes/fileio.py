@@ -163,17 +163,18 @@ def write_inspections(path, dataset: InspectionDataset, origin_month: int) -> No
     write_csv(path, INSPECTION_HEADER.split(","), rows)
 
 
-_PRIOR_KEYS = {
-    "mu_WX": float,
-    "sigma_WX": float,
-    "gamma_WX": float,
-    "lambda": float,
-    "sigma_y": float,
-    "sigma_r": float,
-    "rho0": float,
-    "rhoC": float,
-    "rhoD": float,
-}
+def _finite(text: str) -> float:
+    """A number that is neither NaN nor infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+#: Required numeric prior keys.
+_PRIOR_KEYS = (
+    "mu_WX", "sigma_WX", "gamma_WX", "lambda", "sigma_y", "sigma_r", "rho0", "rhoC", "rhoD",
+)
 
 
 def _get(config: dict, key: str, conv, default=None):
@@ -188,22 +189,22 @@ def _get(config: dict, key: str, conv, default=None):
 
 
 def _floats(text: str) -> tuple:
-    """Comma-separated numbers; empty items are skipped."""
-    return tuple(float(v) for v in text.split(",") if v.strip())
+    """Comma-separated finite numbers; empty items are skipped."""
+    return tuple(_finite(v) for v in text.split(",") if v.strip())
 
 
 def build_prior(config: dict, topology: SystemTopology) -> PriorSpecification:
     """Assemble the prior specification from key=value config text."""
-    vals = {k: _get(config, k, conv) for k, conv in _PRIOR_KEYS.items()}
+    vals = {k: _get(config, k, _finite) for k in _PRIOR_KEYS}
     hyper = VarianceHyperprior(
         vals["mu_WX"], vals["sigma_WX"], vals["gamma_WX"], vals["lambda"]
     )
     corr = CorrelationParams(
-        vals["rho0"], vals["rhoC"], vals["rhoD"], _get(config, "nu", float, 1.0)
+        vals["rho0"], vals["rhoC"], vals["rhoD"], _get(config, "nu", _finite, 1.0)
     )
     candidates = _get(config, "sigma_r_candidates", _floats, ())
-    alpha0 = np.full(topology.component_count, _get(config, "alpha0", float))
-    x0 = topology.initial_thickness(default=_get(config, "x0", float) if "x0" in config else None)
+    alpha0 = np.full(topology.component_count, _get(config, "alpha0", _finite))
+    x0 = topology.initial_thickness(default=_get(config, "x0", _finite) if "x0" in config else None)
     return PriorSpecification(
         hyper=hyper,
         corr=corr,
@@ -214,9 +215,9 @@ def build_prior(config: dict, topology: SystemTopology) -> PriorSpecification:
         x0=x0,
         alpha0=alpha0,
         ensemble_size=_get(config, "realizations", int, 1000),
-        critical_thickness=_get(config, "critical_thickness", float, 4.0),
+        critical_thickness=_get(config, "critical_thickness", _finite, 4.0),
         rng_seed=_get(config, "seed", int, 0),
         noise_dist=config.get("noise_dist", "gaussian"),
-        t_dof=_get(config, "t_dof", float, 5.0),
+        t_dof=_get(config, "t_dof", _finite, 5.0),
         w_dist=config.get("w_dist", "gamma"),
     )

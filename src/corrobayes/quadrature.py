@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system import VARIANCE_FLOOR, VarianceHyperprior
+from .system import VARIANCE_FLOOR, VarianceHyperprior, _scale_factors
 
 #: Beyond this, erfc(z) < 1e-295 and exp(-z^2) takes the result to zero.
 _Z_MAX = 26.0
@@ -168,17 +168,6 @@ def min_of_normals(count: int) -> MinOfNormals:
     return MinOfNormals(count, mean, var, _cheb_fit(var - 0.5 * _gap_square(count, s)))
 
 
-def _scale_parts(hyper: VarianceHyperprior, w_dist: str):
-    """The two factors of W_c: (mean, variance) of the population mean M
-    and of the residual (U_c of mean 1, or R_c of mean 0), as
-    ``system.draw_variance_scales`` draws them."""
-    mu, sig, gam = hyper.mu_wx, hyper.sigma_wx, hyper.gamma_wx
-    res = max(sig - gam, 0.0)
-    if w_dist == "gaussian":
-        return (mu, gam), (0.0, res)
-    return (mu, gam), (1.0, res / (gam + mu * mu))
-
-
 def scale_nodes(hyper: VarianceHyperprior, w_dist: str):
     """Nodes and weights (both 1-D) of a rule for the law of one
     component's scale W_c.  Under ``gamma`` and ``lognormal`` W_c = M U_c
@@ -186,7 +175,8 @@ def scale_nodes(hyper: VarianceHyperprior, w_dist: str):
     U_c, and a factor without variance one node.  The truncated
     ``gaussian`` W_c = max(X, floor), X ~ N(mu_wx, sigma_wx), takes one
     node at the floor for P(X <= floor) and a 64-point rule over the rest."""
-    (mu, gam), (resid_mean, resid_var) = _scale_parts(hyper, w_dist)
+    factors = _scale_factors(hyper, w_dist)
+    (mu, gam), (_, resid_var) = factors
     if w_dist == "gaussian":
         f, sd = VARIANCE_FLOOR, math.sqrt(gam + resid_var)
         if sd <= 0.0:
@@ -196,7 +186,7 @@ def scale_nodes(hyper: VarianceHyperprior, w_dist: str):
         w = w * 2.0 * y * _phi((y * y - mu) / sd) / sd
         return np.append(f, y * y), np.append(ndtr((f - mu) / sd), w)
     rules = []
-    for (mean, var), size in (((mu, gam), 16), ((resid_mean, resid_var), 8)):
+    for (mean, var), size in zip(factors, (16, 8)):
         if var <= 0.0:
             rules.append((np.array([mean]), np.ones(1)))
         elif w_dist == "gamma":
@@ -246,7 +236,7 @@ def scale_moments(hyper: VarianceHyperprior, w_dist: str):
     M (``_floored_normal``) and M by a 48-point Gauss-Hermite rule; given M
     the scales of two components are independent.
     """
-    (mu, gam), (_, res) = _scale_parts(hyper, w_dist)
+    (mu, gam), (_, res) = _scale_factors(hyper, w_dist)
     if w_dist == "gaussian":
         if res <= 0.0:  # one shared W = max(M, floor)
             (mean,), _, (square,) = _floored_normal(np.array([mu]), math.sqrt(gam))

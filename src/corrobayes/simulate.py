@@ -16,10 +16,18 @@ Separability of the min: Y_{c,t} = X_{c,t} + M_{c,t} with
 M_{c,t} = min_l(r_{l,c,t} + eps_y), which is how the local min-difference
 moments needed by variance learning are extracted per realization.
 
-``_run_blocks`` is the one ensemble engine: n realizations of a list of
-laws (sigma_r, mu_wx), processed in blocks whose noise buffers hold about
-``BLOCK_ELEMENTS`` floats.  Each block comes from one of two drawers, chosen
-from the pass's own inputs:
+What the exact passes and the ensembles both need is defined once: a
+pass's cells with their prior trend (``_cells``), the unit linear
+covariance Pi[c,c'] k(t,t') (``_unit_linear_cov``, on k's integer sums
+``_kernel_sums``), the walk and eps_y at the observed cells
+(``_cell_blocks``), the noisy minimum per law (``_minima``), the exact
+passes' start (``_exact_setup``) and each pass's size and seed
+(``_size_and_seed``); the factors of W_c live in ``system``.
+
+``_ensemble`` is the one ensemble engine (``_run_blocks`` runs it at a
+design's cells): n realizations of a list of laws (sigma_r, mu_wx), in
+blocks whose noise buffers hold about ``BLOCK_ELEMENTS`` floats, from one
+of two drawers chosen from the pass's own inputs:
 
 * the monthly drawer serves passes with targets, with a difference scheme or
   with Student-t noise.  From one child stream per realization it draws the
@@ -29,18 +37,17 @@ from the pass's own inputs:
 * the observed-cell drawer serves the other passes (Gaussian noise, no
   targets, no scheme), which read nothing but the observations.  It draws
   only at the observed cells: the unit linear part as one Gaussian vector
-  whose covariance Pi[c,c'] k(t,t') is factored once per pass, the walk as
-  independent sqrt(gap) z increments between a component's visits, and
-  eps_y.  Its values have the same law as the monthly drawer's, but its
-  streams are laid out differently, so its ensembles are not the monthly
-  drawer's.
+  whose covariance is factored once per pass, the walk as independent
+  sqrt(gap) z increments between a component's visits, and eps_y.  Its
+  values have the same law as the monthly drawer's, but its streams are
+  laid out differently, so its ensembles are not the monthly drawer's.
 
-Each law then only rescales a block, in one loop shared by both drawers:
-the walk by sqrt(sigma_r), the linear part by sqrt(W_c) drawn for that law's
-mu_wx from a separate scale stream that all laws share.  The walk and eps_y
-are held location-major, so the minimum over locations runs over whole
-slices.  The engine yields each block's observations, local min-effects and
-targets per law, minus the prior trend, to two consumers:
+Each law then only rescales a block: the walk by sqrt(sigma_r), the linear
+part by sqrt(W_c) drawn for that law's mu_wx from a separate scale stream
+that all laws share.  The walk and eps_y are held location-major, so the
+minimum over locations runs over whole slices.  The engine yields each
+block's observations, local min-effects and targets per law, minus the
+prior trend, to two consumers:
 
 * ``estimate_moments_by_law`` keeps them for the whole ensemble (they are
   small next to the noise) and takes the moments in one centered pass of
@@ -53,8 +60,8 @@ targets per law, minus the prior trend, to two consumers:
   (``DifferenceScheme.kernel``), the kernel the ensemble's Dbar moments use.
 
 The min-part drawer (``_min_blocks``) is not part of the engine: it draws
-only the walk and eps_y at the observed cells, all realizations in order
-from one generator, for ``exact_dbar_moments``.
+the walk and eps_y at the observed cells, all realizations in order from
+one generator, for ``exact_dbar_moments``.
 
 ``draw_dataset`` draws one synthetic dataset from one seed, every month of
 every location, with its own fixed stream layout.  The ensembles remain the
@@ -64,6 +71,7 @@ oracle the exact moments are tested against.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,15 +112,55 @@ def _correlation_factor(pi: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
-def _observed_cells(design: InspectionDataset, topology: SystemTopology):
-    """(times, component indices) of the design's points in canonical order."""
+#: A pass's observed cells (the design's points, in canonical order) and
+#: targets, with their months, component indices and prior trend (``_cells``).
+_Cells = namedtuple(
+    "_Cells", "points horizon obs_t obs_c tgt_t tgt_c is_alpha is_zmin trend_y trend_t"
+)
+
+
+def _cells(prior, topology, design, targets=()) -> _Cells:
+    """The cells of ``design`` and ``targets``, checked against the topology,
+    the horizon and x0's length; the trend is x0 + alpha0 t (alpha0 at alpha)."""
+    if prior.x0.shape[0] != topology.component_count:
+        raise ShapeError("x0 length does not match component count")
     points = design.design_points()
     comp_idx = {c: i for i, c in enumerate(topology.components)}
     obs_c = np.array([comp_idx[c] for c, _ in points], dtype=int)
     obs_t = np.array([t for _, t in points], dtype=int)
     if points and (obs_t.min() < 1 or obs_t.max() > design.horizon):
         raise ConfigError("design times outside horizon")
-    return obs_t, obs_c
+    targets = tuple(targets)
+    for kind, c, t in targets:
+        if kind not in TARGET_KINDS:
+            raise ConfigError(f"unknown target kind {kind!r}")
+        if c not in comp_idx:
+            raise ConfigError(f"unknown target component {c}")
+        if not 1 <= t <= design.horizon:
+            raise ConfigError(f"target time {t} outside 1..{design.horizon}")
+    tgt_t = np.array([t for _, _, t in targets], dtype=int)
+    tgt_c = np.array([comp_idx[c] for _, c, _ in targets], dtype=int)
+    is_alpha = np.array([k == "alpha" for k, _, _ in targets], dtype=bool)
+    x0, a0 = prior.x0, prior.alpha0
+    return _Cells(
+        points, design.horizon, obs_t, obs_c, tgt_t, tgt_c, is_alpha,
+        np.array([k == "zmin" for k, _, _ in targets], dtype=bool),
+        x0[obs_c] + a0[obs_c] * obs_t,
+        np.where(is_alpha, a0[tgt_c], x0[tgt_c] + a0[tgt_c] * tgt_t),
+    )
+
+
+def _unit_linear_cov(pi: np.ndarray, lam: float, cells: _Cells) -> np.ndarray:
+    """Pi[c,c'] k(t,t'): the unit-scale linear part's covariance at the observed cells."""
+    return pi[np.ix_(cells.obs_c, cells.obs_c)] * _linear_kernel(cells.obs_t, lam)
+
+
+def _size_and_seed(prior: PriorSpecification, n_realizations, seed):
+    """The ensemble size and the seed of a pass: the prior's unless given."""
+    n = prior.ensemble_size if n_realizations is None else int(n_realizations)
+    if n < 2:
+        raise ConfigError("need at least 2 realizations")
+    return n, prior.rng_seed if seed is None else seed
 
 
 def draw_dataset(
@@ -133,7 +181,8 @@ def draw_dataset(
     sigma_r = prior.sigma_r if sigma_r is None else sigma_r
     mu_wx = prior.hyper.mu_wx if mu_wx is None else mu_wx
     hyper = prior.hyper.with_mean(mu_wx)
-    obs_t, obs_c = _observed_cells(design, topology)
+    cells = _cells(prior, topology, design)
+    obs_t, obs_c = cells.obs_t, cells.obs_c
     factor_t = _correlation_factor(build_correlation(topology, prior.corr)).T
     t_len, n_comp, l_cnt = design.horizon, topology.component_count, prior.locations_per_component
     rng = np.random.default_rng(_as_seedseq(seed))
@@ -206,28 +255,6 @@ class DbarMoments:
     mw_dbar_cov: np.ndarray
 
 
-def _target_arrays(targets, topology, horizon):
-    """(times, component indices, is_alpha, is_zmin) of the targets."""
-    kinds, comps, times = [], [], []
-    comp_idx = {c: i for i, c in enumerate(topology.components)}
-    for kind, c, t in targets:
-        if kind not in TARGET_KINDS:
-            raise ConfigError(f"unknown target kind {kind!r}")
-        if c not in comp_idx:
-            raise ConfigError(f"unknown target component {c}")
-        if not 1 <= t <= horizon:
-            raise ConfigError(f"target time {t} outside 1..{horizon}")
-        kinds.append(kind)
-        comps.append(comp_idx[c])
-        times.append(t)
-    return (
-        np.array(times, dtype=int),
-        np.array(comps, dtype=int),
-        np.array([k == "alpha" for k in kinds], dtype=bool),
-        np.array([k == "zmin" for k in kinds], dtype=bool),
-    )
-
-
 def _fill_noise(rng: np.random.Generator, out: np.ndarray, dist: str, dof: float) -> None:
     if dist == "gaussian":
         rng.standard_normal(out=out)
@@ -250,30 +277,34 @@ def _draw_scales(prior: PriorSpecification, mu_wx: float, n: int, n_comp: int, s
     return draw_variance_scales(hyper, n_comp, np.random.default_rng(seed), prior.w_dist, size=n)
 
 
+def _kernel_sums(t_max: int):
+    """k's exact integer sums, part[T-1, t-1] = sum_{s<=t} min(T, s) and
+    sums[T-1, t-1] = sum_{u<=T} part[u-1, t-1], for T and t in 1..t_max."""
+    u = np.arange(1, t_max + 1)
+    part = np.minimum.outer(u, u).cumsum(axis=1)
+    return part, part.cumsum(axis=0)
+
+
 def _linear_kernel(times: np.ndarray, lam: float) -> np.ndarray:
     """k(t, t') at the given months: the unit-scale linear part of the model
     has cov(x_{c,t}, x_{c',t'}) = Pi[c,c'] k(t, t') with
     k(t, t') = min(t, t') + lam sum_{u<=t} sum_{u'<=t'} min(u, u')."""
     times = np.asarray(times, dtype=int)
-    u = np.arange(1, times.max(initial=0) + 1)
-    # integer partial sums, so the double sum is exact
-    sums = np.minimum.outer(u, u).cumsum(axis=0).cumsum(axis=1)
+    _, sums = _kernel_sums(times.max(initial=0))
     return np.minimum.outer(times, times) + lam * sums[np.ix_(times - 1, times - 1)]
 
 
-def _monthly_blocks(prior, factor_t, horizon, root, n, obs, tgt):
+def _monthly_blocks(prior, factor_t, root, n, cells):
     """The monthly drawer: every month of every component and location.
 
     Realization i fills eps_alpha (T, C), eps_x (T, C), the local walk noise
     (T, C, L) and eps_y at the observed cells (n_obs, L) from child i of
-    ``root``.  ``obs`` = (times, component indices) of the observed cells;
-    ``tgt`` = (times, component indices, is_alpha, is_zmin) of the targets.
-    Yields (rows, unit linear part (b, n_obs), unit walk (b, L, n_obs),
-    scaled eps_y (b, L, n_obs), unit target linear part (b, n_tgt), unit
-    target min-effect (b, n_tgt) or 0) per block.
+    ``root``.  Yields (rows, unit walk (b, L, n_obs), scaled eps_y
+    (b, L, n_obs), unit linear part (b, n_obs), unit target linear part
+    (b, n_tgt), unit target min-effect (b, n_tgt) or 0) per block.
     """
-    obs_t, obs_c = obs
-    tgt_t, tgt_c, is_alpha, is_zmin = tgt
+    obs_t, obs_c, tgt_t, tgt_c = cells.obs_t, cells.obs_c, cells.tgt_t, cells.tgt_c
+    is_alpha, is_zmin, horizon = cells.is_alpha, cells.is_zmin, cells.horizon
     n_comp, l_cnt = factor_t.shape[0], prior.locations_per_component
     dist, dof = prior.noise_dist, prior.t_dof
     root_lam, root_y = math.sqrt(prior.hyper.lam), math.sqrt(prior.sigma_y)
@@ -304,11 +335,8 @@ def _monthly_blocks(prior, factor_t, horizon, root, n, obs, tgt):
         tgt_lin = np.where(is_alpha, a_std[:, tgt_t - 1, tgt_c], x_std[:, tgt_t - 1, tgt_c])
         tgt_min = 0.0
         if is_zmin.any():
-            low = walk[..., 0].copy()
-            for loc in range(1, l_cnt):
-                np.minimum(low, walk[..., loc], out=low)
-            tgt_min = np.where(is_zmin, low[:, tgt_t - 1, tgt_c], 0.0)
-        yield slice(i0, i0 + b), x_std[:, obs_t - 1, obs_c], obs_walk, eps[:b], tgt_lin, tgt_min
+            tgt_min = np.where(is_zmin, walk.min(axis=-1)[:, tgt_t - 1, tgt_c], 0.0)
+        yield slice(i0, i0 + b), obs_walk, eps[:b], x_std[:, obs_t - 1, obs_c], tgt_lin, tgt_min
 
 
 def _gap_walk(obs_t, obs_c):
@@ -336,63 +364,69 @@ def _gap_walk(obs_t, obs_c):
     return walk
 
 
-def _observed_blocks(prior, pi, root, n, obs_t, obs_c):
-    """The observed-cell drawer, for Gaussian noise and no targets.
-
-    Realization i fills one standard-normal array (2L + 1, n_obs) from
-    child i of ``root``: row 0 gives the unit linear part at the observed
-    cells through one factor of its covariance Pi[c,c'] k(t,t'), rows 1..L
-    the walk of each location (``_gap_walk``), and rows L+1..2L eps_y.
-    Yields blocks as ``_monthly_blocks``.
-    """
-    n_obs, l_cnt = len(obs_t), prior.locations_per_component
-    factor_t = _correlation_factor(
-        pi[np.ix_(obs_c, obs_c)] * _linear_kernel(obs_t, prior.hyper.lam)
-    ).T
-    gap_walk = _gap_walk(obs_t, obs_c)
+def _cell_blocks(prior, cells, n, lead, fill):
+    """Standard normals at the observed cells: ``fill(z, i0)`` fills z (b,
+    lead + 2L, n_obs) with realizations i0..i0+b-1, whose rows after the
+    lead become each location's walk (``_gap_walk``), then eps_y.  Yields
+    (rows, unit walk, scaled eps_y, both (b, L, n_obs), lead rows) per block."""
+    n_obs, l_cnt = len(cells.obs_t), prior.locations_per_component
+    gap_walk = _gap_walk(cells.obs_t, cells.obs_c)
     root_y = math.sqrt(prior.sigma_y)
     block = max(1, BLOCK_ELEMENTS // max(1, l_cnt * n_obs))
-    z = np.empty((block, 2 * l_cnt + 1, n_obs))
+    z = np.empty((block, lead + 2 * l_cnt, n_obs))
     for i0 in range(0, n, block):
         b = min(block, n - i0)
-        for j in range(b):
-            np.random.default_rng(_child(root, i0 + j)).standard_normal(out=z[j])
-        walk = gap_walk(z[:b, 1 : l_cnt + 1])
-        eps = z[:b, l_cnt + 1 :]
+        fill(z[:b], i0)
+        eps = z[:b, lead + l_cnt :]
         eps *= root_y
+        yield slice(i0, i0 + b), gap_walk(z[:b, lead : lead + l_cnt]), eps, z[:b, :lead]
+
+
+def _observed_blocks(prior, pi, root, n, cells):
+    """The observed-cell drawer, for Gaussian noise and no targets: child i
+    of ``root`` fills realization i of ``_cell_blocks`` with one lead row,
+    the unit linear part at the observed cells through one factor of its
+    covariance.  Yields blocks as ``_monthly_blocks``."""
+    factor_t = _correlation_factor(_unit_linear_cov(pi, prior.hyper.lam, cells)).T
+
+    def fill(z, i0):
+        for j in range(len(z)):
+            np.random.default_rng(_child(root, i0 + j)).standard_normal(out=z[j])
+
+    for rows, walk, eps, z0 in _cell_blocks(prior, cells, n, 1, fill):
         # a (1, n_obs) product per realization: a matrix product over the
         # block would round differently for different block sizes
-        lin = (z[:b, :1] @ factor_t)[:, 0]
-        yield slice(i0, i0 + b), lin, walk, eps, np.empty((b, 0)), 0.0
+        yield rows, walk, eps, (z0 @ factor_t)[:, 0], np.empty((len(z0), 0)), 0.0
 
 
-def _min_blocks(prior, seed, n, obs_t, obs_c):
-    """The min-part drawer: the L local walks and eps_y at the observed
-    cells, and nothing of the linear part.
-
-    Realization i fills a standard-normal array (2L, n_obs): rows 0..L-1 the
-    walk of each location (``_gap_walk``), rows L..2L-1 eps_y.  The
-    realizations are read in order from one generator on ``seed``, so the
-    draws do not depend on the block size.  Yields (rows, unit walk
-    (b, L, n_obs), scaled eps_y (b, L, n_obs)) per block.
-    """
-    n_obs, l_cnt = len(obs_t), prior.locations_per_component
-    gap_walk = _gap_walk(obs_t, obs_c)
+def _min_blocks(prior, seed, n, cells):
+    """The min-part drawer: ``_cell_blocks`` without the linear part, every
+    realization read in order from one generator on ``seed``, so the draws
+    do not depend on the block size."""
     rng = np.random.default_rng(_as_seedseq(seed))
-    root_y = math.sqrt(prior.sigma_y)
-    block = max(1, BLOCK_ELEMENTS // max(1, l_cnt * n_obs))
-    z = np.empty((block, 2 * l_cnt, n_obs))
-    for i0 in range(0, n, block):
-        b = min(block, n - i0)
-        rng.standard_normal(out=z[:b])
-        eps = z[:b, l_cnt:]
-        eps *= root_y
-        yield slice(i0, i0 + b), gap_walk(z[:b, :l_cnt]), eps
+    return _cell_blocks(prior, cells, n, 0, lambda z, _: rng.standard_normal(out=z))
 
 
-def _run_blocks(prior, topology, design, laws, n, seed, targets=(), monthly=False):
+def _minima(drawer, sigma_rs):
+    """min over locations of sqrt(sr) walk + eps_y for every block (rows,
+    walk, eps_y, ...) of ``drawer`` and every sr of ``sigma_rs``: yields
+    (block, index into sigma_rs, minimum (b, n_obs))."""
+    noisy = np.empty(0)
+    for block in drawer:
+        walk, eps = block[1], block[2]
+        if noisy.shape != walk.shape:
+            noisy = np.empty(walk.shape)
+        for k, sr in enumerate(sigma_rs):
+            np.multiply(walk, math.sqrt(sr), out=noisy)
+            noisy += eps
+            # location-major, so the min runs over whole (b, n_obs) slices
+            yield block, k, noisy.min(axis=1)
+
+
+def _ensemble(prior, topology, cells, laws, n, seed, monthly=False):
     """The ensemble engine: n realizations of each law (sigma_r, mu_wx) of
-    ``laws``, drawn once in blocks and rescaled per law.
+    ``laws`` at the observed cells and targets ``cells``, drawn once in
+    blocks and rescaled per law.
 
     Realization i draws its noise from child i of ``seed``; child n is the
     variance-scale stream, read from its start once per distinct mu_wx.  The
@@ -405,39 +439,33 @@ def _run_blocks(prior, topology, design, laws, n, seed, targets=(), monthly=Fals
     targets (b, n_tgt)); the observations and targets are minus their prior
     trend.
     """
-    obs_t, obs_c = _observed_cells(design, topology)
-    tgt = _target_arrays(targets, topology, design.horizon)
-    tgt_c = tgt[1]
     root = _as_seedseq(seed)
     drawn = {
         mu: _draw_scales(prior, mu, n, topology.component_count, _child(root, n))
         for mu in dict.fromkeys(mu for _, mu in laws)
     }
     pi = build_correlation(topology, prior.corr)
-    if monthly or len(tgt_c) or prior.noise_dist != "gaussian":
-        drawer = _monthly_blocks(
-            prior, _correlation_factor(pi).T, design.horizon, root, n, (obs_t, obs_c), tgt
-        )
+    if monthly or len(cells.tgt_c) or prior.noise_dist != "gaussian":
+        drawer = _monthly_blocks(prior, _correlation_factor(pi).T, root, n, cells)
     else:
-        drawer = _observed_blocks(prior, pi, root, n, obs_t, obs_c)
+        drawer = _observed_blocks(prior, pi, root, n, cells)
 
     def blocks():
-        noisy = np.empty(0)
-        for rows, lin, walk, eps, tgt_lin, tgt_min in drawer:
-            if noisy.shape != walk.shape:
-                noisy = np.empty(walk.shape)
-            for k, (sr, mu) in enumerate(laws):
-                root_w = np.sqrt(drawn[mu][0][rows])
-                np.multiply(walk, math.sqrt(sr), out=noisy)
-                noisy += eps
-                # location-major, so the min runs over whole (b, n_obs) slices
-                mo = noisy.min(axis=1)
-                yield (
-                    k, rows, root_w[:, obs_c] * lin + mo, mo,
-                    root_w[:, tgt_c] * tgt_lin + math.sqrt(sr) * tgt_min,
-                )
+        for (rows, _, _, lin, tgt_lin, tgt_min), k, mo in _minima(drawer, [sr for sr, _ in laws]):
+            sr, mu = laws[k]
+            root_w = np.sqrt(drawn[mu][0][rows])
+            yield (
+                k, rows, root_w[:, cells.obs_c] * lin + mo, mo,
+                root_w[:, cells.tgt_c] * tgt_lin + math.sqrt(sr) * tgt_min,
+            )
 
     return [drawn[mu] for _, mu in laws], blocks()
+
+
+def _run_blocks(prior, topology, design, laws, n, seed, targets=(), monthly=False):
+    """``_ensemble`` at the observed cells of ``design`` and ``targets``."""
+    cells = _cells(prior, topology, design, targets)
+    return _ensemble(prior, topology, cells, laws, n, seed, monthly)
 
 
 def _cov(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -512,30 +540,21 @@ def estimate_moments_by_law(
     soon as its record is built, so the moments of later laws do not pile
     up on top of every law's ensemble.
     """
-    n = prior.ensemble_size if n_realizations is None else int(n_realizations)
-    if n < 2:
-        raise ConfigError("need at least 2 realizations")
-    seed = prior.rng_seed if seed is None else seed
+    n, seed = _size_and_seed(prior, n_realizations, seed)
     laws = [(float(sr), float(mu)) for sr, mu in laws]
     targets = tuple(targets)
     if scheme is not None and targets:
         raise ConfigError("a moment pass takes a difference scheme or targets, not both")
-
-    points = design.design_points()
+    cells = _cells(prior, topology, design, targets)
+    points = cells.points
     if not points and not allow_empty_design:
         raise InsufficientDataError("design contains no observation points")
-    if prior.x0.shape[0] != topology.component_count:
-        raise ShapeError("x0 length does not match component count")
 
-    obs_t, obs_c = _observed_cells(design, topology)
-    tgt_t, tgt_c, is_alpha, _ = _target_arrays(targets, topology, design.horizon)
     # a scheme pass keeps the monthly drawer's streams for its Dbar moments
-    scales, blocks = _run_blocks(
-        prior, topology, design, laws, n, seed, targets, monthly=scheme is not None
-    )
-    y = [np.empty((n, len(obs_c))) for _ in laws]
+    scales, blocks = _ensemble(prior, topology, cells, laws, n, seed, monthly=scheme is not None)
+    y = [np.empty((n, len(points))) for _ in laws]
     if scheme is not None:
-        m = [np.empty((n, len(obs_c))) for _ in laws]
+        m = [np.empty((n, len(points))) for _ in laws]
         for k, rows, y_b, m_b, _ in blocks:
             y[k][rows], m[k][rows] = y_b, m_b
         comp_idx = {c: i for i, c in enumerate(topology.components)}
@@ -547,11 +566,9 @@ def estimate_moments_by_law(
         ]
 
     out = []
-    tv = [np.empty((n, len(tgt_c))) for _ in laws]
+    tv = [np.empty((n, len(targets))) for _ in laws]
     for k, rows, y_b, _, t_b in blocks:
         y[k][rows], tv[k][rows] = y_b, t_b
-    base_y = prior.x0[obs_c] + prior.alpha0[obs_c] * obs_t
-    base_t = np.where(is_alpha, prior.alpha0[tgt_c], prior.x0[tgt_c] + prior.alpha0[tgt_c] * tgt_t)
     for _ in laws:
         yc, tc = y.pop(0), tv.pop(0)
         e_y, e_t = yc.mean(axis=0), tc.mean(axis=0)
@@ -561,10 +578,10 @@ def estimate_moments_by_law(
         var_y = _cov(yc, yc)
         out.append(MomentEstimates(
             design_points=points,
-            e_y=e_y + base_y,
+            e_y=e_y + cells.trend_y,
             var_y=0.5 * (var_y + var_y.T),
             targets=targets,
-            e_targets=e_t + base_t,
+            e_targets=e_t + cells.trend_t,
             var_targets=np.einsum("ij,ij->j", tc, tc) / (n - 1),
             cov_targets=_cov(tc, yc),
             n_realizations=n,
@@ -615,6 +632,18 @@ def _observed_min(mins, sr, sigma_y, obs_t, yi, yj):
     return v, _min_cov(mins, common, v[yi], v[yj])
 
 
+def _exact_setup(prior, topology, design, targets=()):
+    """The cells, Pi, the minimum of L normals' moments and which observed
+    cells share a component, the only ones the minimum couples: what both
+    exact passes start from.  Gaussian noise only."""
+    if prior.noise_dist != "gaussian":
+        raise ConfigError("exact moments need Gaussian noise")
+    cells = _cells(prior, topology, design, targets)
+    pi = build_correlation(topology, prior.corr)
+    mins = quadrature.min_of_normals(prior.locations_per_component)
+    return cells, pi, mins, cells.obs_c[:, None] == cells.obs_c
+
+
 def exact_moments(
     prior: PriorSpecification,
     topology: SystemTopology,
@@ -643,24 +672,14 @@ def exact_moments(
     Nothing is drawn, so the moments do not depend on a seed, and the
     observation moments do not depend on the targets or the horizon.
     """
-    if prior.noise_dist != "gaussian":
-        raise ConfigError("exact moments need Gaussian noise")
-    if prior.x0.shape[0] != topology.component_count:
-        raise ShapeError("x0 length does not match component count")
     targets = tuple(targets)
-    points = design.design_points()
-    obs_t, obs_c = _observed_cells(design, topology)
-    tgt_t, tgt_c, is_alpha, is_zmin = _target_arrays(targets, topology, design.horizon)
+    cells, pi, mins, same_y = _exact_setup(prior, topology, design, targets)
+    obs_t, obs_c, tgt_t, tgt_c = cells.obs_t, cells.obs_c, cells.tgt_t, cells.tgt_c
+    is_alpha, is_zmin = cells.is_alpha, cells.is_zmin
     lam, sigma_y = prior.hyper.lam, prior.sigma_y
-    pi = build_correlation(topology, prior.corr)
-    mins = quadrature.min_of_normals(prior.locations_per_component)
 
-    same_y = obs_c[:, None] == obs_c
-    lin_y = pi[np.ix_(obs_c, obs_c)] * _linear_kernel(obs_t, lam)
-    u = np.arange(1, max(obs_t.max(initial=0), tgt_t.max(initial=0)) + 1)
-    # part[T-1, t-1] = sum_{s<=t} min(T, s), and sums its partial sums over T
-    part = np.minimum.outer(u, u).cumsum(axis=1)
-    sums = part.cumsum(axis=0)
+    lin_y = _unit_linear_cov(pi, lam, cells)
+    part, sums = _kernel_sums(max(obs_t.max(initial=0), tgt_t.max(initial=0)))
     # built in place: it is (targets, observations), the largest array here
     lin_t = lam * sums[np.ix_(tgt_t - 1, obs_t - 1)]
     lin_t += np.minimum.outer(tgt_t, obs_t)
@@ -668,9 +687,6 @@ def exact_moments(
     lin_t *= pi[np.ix_(tgt_c, obs_c)]
     same_t = tgt_c[:, None] == obs_c
     var_lin_t = np.where(is_alpha, lam * tgt_t, tgt_t + lam * sums[tgt_t - 1, tgt_t - 1])
-    base_y = prior.x0[obs_c] + prior.alpha0[obs_c] * obs_t
-    base_t = np.where(is_alpha, prior.alpha0[tgt_c], prior.x0[tgt_c] + prior.alpha0[tgt_c] * tgt_t)
-    # the minimum couples cells of one component only
     yi, yj = np.nonzero(same_y)
     ti, tj = np.nonzero(same_t & is_zmin[:, None])
 
@@ -685,34 +701,16 @@ def exact_moments(
         cov_t *= lin_t
         cov_t[ti, tj] += _min_cov(mins, sr * np.minimum(tgt_t[ti], obs_t[tj]), v_t[ti], v_y[tj])
         out.append(MomentEstimates(
-            design_points=points,
-            e_y=base_y + np.sqrt(v_y) * mins.mean,
+            design_points=cells.points,
+            e_y=cells.trend_y + np.sqrt(v_y) * mins.mean,
             var_y=var_y,
             targets=targets,
-            e_targets=base_t + np.where(is_zmin, np.sqrt(v_t) * mins.mean, 0.0),
+            e_targets=cells.trend_t + np.where(is_zmin, np.sqrt(v_t) * mins.mean, 0.0),
             var_targets=ew * var_lin_t + np.where(is_zmin, v_t * mins.var, 0.0),
             cov_targets=cov_t,
             n_realizations=None,
         ))
     return out
-
-
-def _min_dbar_variance(prior, obs, kernel, n_comp, sigma_rs, n, seed) -> list:
-    """var of the Dbar kernel applied to the minimum M alone, per scheme
-    component, for each local variance of ``sigma_rs``: n realizations of
-    M at the observed cells ``obs`` from the min-part drawer, each law
-    taking its minimum over locations and its kernel rows at once.  The rows
-    are kept whole, so the variances do not depend on the block size."""
-    rows = [np.empty((n, n_comp)) for _ in sigma_rs]
-    noisy = np.empty(0)
-    for sl, walk, eps in _min_blocks(prior, seed, n, *obs):
-        if noisy.shape != walk.shape:
-            noisy = np.empty(walk.shape)
-        for out, sr in zip(rows, sigma_rs):
-            np.multiply(walk, math.sqrt(sr), out=noisy)
-            noisy += eps
-            out[sl] = kernel(noisy.min(axis=1))
-    return [r.var(axis=0, ddof=1) for r in rows]
 
 
 def exact_dbar_moments(
@@ -746,22 +744,19 @@ def exact_dbar_moments(
     Only the last term, the fourth moments of the minimum, is simulated:
     per component, the sample variance of the Dbar kernel applied to
     n_realizations draws of M at the observed cells (``_min_blocks``),
-    from one generator on ``seed`` shared by every law.
+    from one generator on ``seed`` shared by every law.  The kernel rows are
+    kept whole, so the variances do not depend on the block size.
     """
-    if prior.noise_dist != "gaussian":
-        raise ConfigError("exact moments need Gaussian noise")
-    n = prior.ensemble_size if n_realizations is None else int(n_realizations)
-    if n < 2:
-        raise ConfigError("need at least 2 realizations")
-    seed = prior.rng_seed if seed is None else seed
-    obs_t, obs_c = _observed_cells(design, topology)
-    kernel = scheme.kernel(design.design_points())
+    cells, pi, mins, same_y = _exact_setup(prior, topology, design)
+    n, seed = _size_and_seed(prior, n_realizations, seed)
+    obs_t, obs_c = cells.obs_t, cells.obs_c
+    yi, yj = np.nonzero(same_y)
+    kernel = scheme.kernel(cells.points)
     p0, p1, p2, k, l, weight = kernel.p0, kernel.p1, kernel.p2, kernel.k, kernel.l, kernel.weight
     entries = np.arange(len(p0))
     comb = np.zeros((len(p0), len(obs_t)))
     comb[entries, p0], comb[entries, p1], comb[entries, p2] = k - l, l, -k
-    pi = build_correlation(topology, prior.corr)
-    lin = comb @ (pi[np.ix_(obs_c, obs_c)] * _linear_kernel(obs_t, prior.hyper.lam)) @ comb.T
+    lin = comb @ _unit_linear_cov(pi, prior.hyper.lam, cells) @ comb.T
     same = obs_c[p0][:, None] == obs_c[p0]
     # (entries, scheme components) 0/1: sums the entries of each component
     member = scheme.entry_component_indices()[:, None] == np.arange(len(scheme.components))
@@ -769,11 +764,11 @@ def exact_dbar_moments(
     hyper, sigma_y = prior.hyper, prior.sigma_y
     kk = np.outer(weight, weight)
     cov_w = np.where(same, hyper.sigma_wx, hyper.gamma_wx) * kk
-    mins = quadrature.min_of_normals(prior.locations_per_component)
-    yi, yj = np.nonzero(obs_c[:, None] == obs_c)
-    min_var = _min_dbar_variance(
-        prior, (obs_t, obs_c), kernel, len(scheme.components), [sr for sr, _ in laws], n, seed
-    )
+    min_rows = [np.empty((n, len(scheme.components))) for _ in laws]
+    for (rows, *_), j, mo in _minima(_min_blocks(prior, seed, n, cells), [sr for sr, _ in laws]):
+        min_rows[j][rows] = kernel(mo)
+    # each law's kernel rows go once their variance is taken
+    min_var = [min_rows.pop(0).var(axis=0, ddof=1) for _ in laws]
 
     out = []
     for (sr, mu), m_var in zip(laws, min_var):

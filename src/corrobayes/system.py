@@ -160,6 +160,19 @@ def _matched_draws(rng, w_dist: str, params, rows: int) -> np.ndarray:
     return rng.gamma(shape_k, np.array([v / m for m, v in params]), shape)
 
 
+def _scale_factors(hyper: VarianceHyperprior, w_dist: str):
+    """((mean, variance) of the population mean M, (mean, variance) of the
+    residual): the two factors of W_c = M U_c under "gamma" and "lognormal"
+    and of W_c = M + R_c under the truncated "gaussian"."""
+    mu, sig, gam = hyper.mu_wx, hyper.sigma_wx, hyper.gamma_wx
+    res_var = max(sig - gam, 0.0)
+    if w_dist == "gaussian":
+        return (mu, gam), (0.0, res_var)
+    if w_dist in ("lognormal", "gamma"):
+        return (mu, gam), (1.0, res_var / (gam + mu * mu))
+    raise ConfigError(f"config key 'w_dist': unknown variance draw distribution {w_dist!r}")
+
+
 def draw_variance_scales(
     hyper: VarianceHyperprior,
     n_components: int,
@@ -170,10 +183,9 @@ def draw_variance_scales(
     """Draw the population mean M(W) and per-component variances W_c.
 
     Returns (w, m) with w the length-C vector of variances and m the drawn
-    population mean.  "gamma" (default) and "lognormal" draw M from a
-    moment-matched distribution and each W_c = M * U_c with U_c matched to
-    mean 1 and relative variance
-    v = (sigma_wx - gamma_wx) / (gamma_wx + mu_wx^2), so that
+    population mean, drawn as the factors of ``_scale_factors``.  "gamma"
+    (default) and "lognormal" draw M from a moment-matched distribution and
+    each W_c = M * U_c with U_c moment-matched, so that
     E(W_c) = mu_wx, var(W_c) = sigma_wx and cov(W_c, W_c') = gamma_wx hold
     exactly while every draw stays positive without flooring (the residual
     scales with the drawn mean, keeping conditional tails moderate).  Gamma
@@ -189,16 +201,7 @@ def draw_variance_scales(
     exactly as n calls without ``size`` do, one after another, and gives the
     same values.
     """
-    mu, sig, gam = hyper.mu_wx, hyper.sigma_wx, hyper.gamma_wx
-    res_var = max(sig - gam, 0.0)
-    if w_dist in ("lognormal", "gamma"):
-        # W_c = M * U_c, U_c of mean 1
-        resid = (1.0, res_var / (gam + mu * mu))
-    elif w_dist == "gaussian":
-        # W_c = M + R_c, R_c of mean 0
-        resid = (0.0, res_var)
-    else:
-        raise ConfigError(f"unknown variance draw distribution {w_dist!r}")
+    (mu, gam), resid = _scale_factors(hyper, w_dist)
     rows = 1 if size is None else int(size)
     # one row per draw: M when it is drawn, then the C residuals when they vary
     draw_m = gam > 0
@@ -325,6 +328,8 @@ class PriorSpecification:
             raise ConfigError("locations_per_component must be at least 1")
         if self.ensemble_size < 2:
             raise ConfigError("ensemble_size must be at least 2")
+        if self.rng_seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.rng_seed}")
         cands = tuple(float(v) for v in self.sigma_r_candidates)
         if not cands:
             cands = default_candidate_grid(self.hyper.mu_wx)
@@ -337,5 +342,6 @@ class PriorSpecification:
             raise ShapeError("x0 and alpha0 must be equal-length vectors")
         if self.noise_dist not in ("gaussian", "student_t"):
             raise ConfigError(f"unknown noise distribution {self.noise_dist!r}")
+        _scale_factors(self.hyper, self.w_dist)  # raises for an unknown w_dist
         if self.noise_dist == "student_t" and self.t_dof < 5:
             raise ConfigError("student_t noise requires at least 5 degrees of freedom")

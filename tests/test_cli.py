@@ -124,6 +124,10 @@ def test_missing_config_keys_exit_with_the_config_code(tmp_path, capsys):
         "extend_months = six",
         "x0 = 12mm",
         "sigma_r_candidates = 0.01,abc",
+        "w_dist = gama",
+        "mu_WX = nan",
+        "critical_thickness = inf",
+        pytest.param("sigma_r_candidates = 0.01,nan", id="sigma_r_candidates-nan"),
     ],
     ids=lambda line: line.split()[0],
 )
@@ -132,6 +136,41 @@ def test_malformed_config_values_exit_with_the_config_code(tmp_path, capsys, lin
     code = cli.main(["validate", "--config", str(config), "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
     assert f"config error: config key {line.split()[0]!r}" in capsys.readouterr().err
+
+
+STUDY_TRUTH = ["--true-wx", "0.01", "--true-sigr", "0.0064", "--replicates", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv, run_extra, message",
+    [
+        (["analyze", "--seed", "-1"], "", "--seed must be nonnegative"),
+        (["analyze"], "seed = -1", "seed must be nonnegative"),
+        (["validate", "--realizations", "1"], "", "need at least 2 realizations"),
+        (["simulate-study", *STUDY_TRUTH, "--true-sigr", "-0.001"], "", "--true-sigr must be"),
+        (["simulate-study", *STUDY_TRUTH, "--true-sigr", "nan"], "", "--true-sigr must be"),
+        (["simulate-study", *STUDY_TRUTH, "--true-wx", "nan"], "", "--true-wx must be"),
+        (["simulate-study", *STUDY_TRUTH, "--true-wx", "0"], "", "--true-wx must be"),
+    ],
+    ids=[
+        "seed-flag", "seed-key", "realizations-one",
+        "true-sigr-negative", "true-sigr-nan", "true-wx-nan", "true-wx-zero",
+    ],
+)
+def test_invalid_run_values_exit_with_the_config_code_before_any_stage(
+    tmp_path, capsys, monkeypatch, argv, run_extra, message
+):
+    config = _write_workspace(tmp_path, run_extra=run_extra)  # a later key overrides
+
+    def no_stage(name):
+        raise AssertionError(f"stage {name!r} ran")
+
+    monkeypatch.setattr(cli, "_stage", no_stage)
+    out = tmp_path / "out"
+    code = cli.main([argv[0], "--config", str(config), "--out", str(out), *argv[1:]])
+    assert code == cli.EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _run_analysis(config, out):
@@ -270,7 +309,7 @@ def _instrumented_analysis(tmp_path, monkeypatch):
     passes, captured = {"ensemble": 0, "min_part": 0}, {}
     compare = cli.compare_with_without_variance_learning
 
-    for kind, name in (("ensemble", "_run_blocks"), ("min_part", "_min_blocks")):
+    for kind, name in (("ensemble", "_ensemble"), ("min_part", "_min_blocks")):
         def counted(*args, _kind=kind, _orig=getattr(simulate, name), **kwargs):
             passes[_kind] += 1
             return _orig(*args, **kwargs)
