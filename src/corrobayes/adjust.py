@@ -11,9 +11,14 @@ keeps the non-linear observation equation tractable.
 of one law, from ``simulate.exact_moments``, ``estimate_moments`` or one
 entry of either's multi-law call.  The paired comparison takes both laws,
 the prior law and the calibrated law, from one ``simulate.moments_by_law``
-call, and each branch is that update on its own law's moments.  Once both
-are adjusted it releases their cov_targets, as everything downstream reads
-the G blocks.
+call, and each branch is that update on its own law's moments.
+
+The update runs over blocks of targets of about ``BLOCK_ELEMENTS``
+cross-covariance entries each: a block's rows of cov(B,D) are built, turned
+into rows of G = cov(B,D) R and reduced at once to adjusted means and
+variances, so no (targets x observations) array is ever held whole.  What
+the adjustment diagnostics need of G is kept per kind: its rows when they
+are no more than G's columns, otherwise their Gram matrix G'G.
 """
 
 from __future__ import annotations
@@ -23,9 +28,10 @@ from functools import cached_property
 
 import numpy as np
 
+from . import linalg
 from .calibrate import CalibrationResult, calibrate
 from .errors import ShapeError
-from .simulate import MomentEstimates, moments_by_law
+from .simulate import TARGET_KINDS, MomentEstimates, moments_by_law
 from .system import InspectionDataset, PriorSpecification, SystemTopology
 
 #: Half-width multiplier of the reported 95% bands (Gaussian convention on
@@ -33,6 +39,8 @@ from .system import InspectionDataset, PriorSpecification, SystemTopology
 BAND_Z = 1.96
 
 BAND_CONVENTION = "mean +/- 1.96*sqrt(adjusted variance)"
+
+ZMIN = TARGET_KINDS.index("zmin")
 
 
 @dataclass(frozen=True)
@@ -46,41 +54,134 @@ class TargetBelief:
     adjusted_var: float
 
 
+#: Element budget (float64 count) of one block's cross-covariance rows in
+#: the adjustment: a block holds ``block_rows(n_obs)`` targets.  Twice the
+#: simulation's budget: 80-row blocks against 1,500 observations keep the
+#: products of each block near the speed of one whole product, where 40-row
+#: blocks cost a third more.
+BLOCK_ELEMENTS = 2**17
+
+
+def block_rows(n_obs: int) -> int:
+    """Targets per block: ``BLOCK_ELEMENTS`` // n_obs, rounded down to a
+    multiple of 8 when that leaves at least 8.  Whole multiples of 8 rows
+    keep each row's matrix products off BLAS's leftover-row kernels, so a
+    row does not depend on the block it falls in."""
+    rows = max(1, BLOCK_ELEMENTS // max(1, n_obs))
+    return rows - rows % 8 if rows >= 8 else rows
+
+
+class KindRows:
+    """One kind's rows of G, gathered block by block into a buffer: it holds
+    all of them when they are no more than G's columns (rank), otherwise
+    rank rows at a time, each full buffer folded into the Gram matrix G'G.
+    ``regather`` yields the rows again, block by block, for the rare Gram
+    matrix that fails its certificate."""
+
+    def __init__(self, count: int, rank: int, regather):
+        self.tall = count > rank
+        self.rows = np.empty((rank if self.tall else count, rank))
+        self.filled = 0
+        self.gram = np.zeros((rank, rank)) if self.tall else None
+        self.nonzero = False
+        self.regather = regather
+
+    def add(self, g: np.ndarray) -> None:
+        self.nonzero = self.nonzero or bool(g.any())
+        # G has no columns when var(Y) has rank zero: nothing to keep
+        while len(g) and len(self.rows):
+            take = min(len(g), len(self.rows) - self.filled)
+            self.rows[self.filled : self.filled + take] = g[:take]
+            self.filled += take
+            g = g[take:]
+            if self.tall and self.filled == len(self.rows):
+                self._fold()
+
+    def _fold(self) -> None:
+        held = self.rows[: self.filled]
+        self.gram += held.T @ held
+        self.filled = 0
+
+    def discrepancy(self, z: np.ndarray, sample_size) -> float:
+        """The kind's adjustment discrepancy, as
+        ``linalg.whitened_adjustment_discrepancy`` of its rows of G."""
+        if not self.tall:
+            return linalg.whitened_adjustment_discrepancy(self.rows, z, sample_size)
+        if self.filled:
+            self._fold()
+        return linalg.gram_adjustment_discrepancy(self.gram, self.regather, z, sample_size)
+
+
 @dataclass
 class AdjustedBelief:
-    """Adjusted means/variances per target plus what adjustment diagnostics
-    need, kept in whitened data space.
+    """Prior and adjusted means/variances of the targets, as arrays in the
+    moments' target order, plus what adjustment diagnostics need, kept in
+    whitened data space.
 
-    With R the root of the factor of var(Y) (R R' = var(Y)^+: L^-T with
-    L = chol(var(Y)) when var(Y) is certified full rank, Q_k Lambda_k^(-1/2)
-    from its eigendecomposition otherwise), ``z`` is the whitened residual
-    R'(y - E(Y)) and a kind's block holds its rows of G = cov(B,D) R: the
-    kind's mean shift is G z and its resolved variance G G', which is never
-    formed.  Any R with R R' = var(Y)^+ rotates G and z together, so
-    neither G z, rowsum(G * G) nor a block's discrepancy depends on which.
+    ``kind`` indexes ``simulate.TARGET_KINDS``; ``component`` holds the
+    targets' component ids and ``time`` their months.  With R the root of
+    the factor of var(Y) (R R' = var(Y)^+: L^-T with L = chol(var(Y)) when
+    var(Y) is certified full rank, Q_k Lambda_k^(-1/2) from its
+    eigendecomposition otherwise), ``z`` is the whitened residual
+    R'(y - E(Y)) and ``kind_rows`` holds, per kind present, in order of first
+    appearance, what is kept of its rows of G = cov(B,D) R: the kind's mean
+    shift is G z and its resolved variance G G', which is never formed.  Any
+    R with R R' = var(Y)^+ rotates G and z together, so neither G z,
+    rowsum(G * G) nor a kind's discrepancy depends on which.
     """
 
-    rows: list
-    blocks: dict  # kind -> rows of G
+    kind: np.ndarray
+    component: np.ndarray
+    time: np.ndarray
+    prior_mean: np.ndarray
+    adjusted_mean: np.ndarray
+    prior_var: np.ndarray
+    adjusted_var: np.ndarray
     z: np.ndarray
+    kind_rows: dict | None  # kind name -> KindRows; None when not diagnosed
     moments: MomentEstimates
 
-    def rows_for(self, kind: str, component=None) -> list:
+    def rows_for(self, kind: str | None = None, component=None) -> list:
+        """The targets of one kind (every kind when None), optionally of one
+        component, as ``TargetBelief`` rows in target order."""
+        sel = np.ones(len(self.kind), dtype=bool)
+        if kind is not None:
+            sel = self.kind == (TARGET_KINDS.index(kind) if kind in TARGET_KINDS else -1)
+        if component is not None:
+            sel &= self.component == component
+        idx = np.flatnonzero(sel)
+        columns = (
+            self.component[idx], self.time[idx], self.prior_mean[idx],
+            self.adjusted_mean[idx], self.prior_var[idx], self.adjusted_var[idx],
+        )
         return [
-            r
-            for r in self.rows
-            if r.kind == kind and (component is None or r.component == component)
+            TargetBelief(TARGET_KINDS[k], *row)
+            for k, *row in zip(self.kind[idx].tolist(), *(c.tolist() for c in columns))
         ]
+
+
+def _g_blocks(moments: MomentEstimates, root: np.ndarray):
+    """(rows, target moments, rows of G = cov(B,D) R) per block of targets."""
+    n_t = len(moments.targets)
+    step = block_rows(root.shape[0])
+    for i0 in range(0, n_t, step):
+        rows = slice(i0, min(i0 + step, n_t))
+        tm = moments.target_moments(rows)
+        yield rows, tm, tm.cov_targets @ root
 
 
 def adjust_from_moments(
     moments: MomentEstimates,
     dataset: InspectionDataset,
     observed_y: np.ndarray | None = None,
+    diagnose: bool = True,
 ) -> AdjustedBelief:
     """Apply the Bayes linear update given precomputed moments, in whitened
-    data space: E_D(B) = E(B) + G z and var_D(B) = var(B) - rowsum(G * G)."""
-    targets = moments.targets
+    data space and block by block over the targets (``block_rows``):
+    E_D(B) = E(B) + G z and var_D(B) = var(B) - rowsum(G * G).
+
+    Without ``diagnose`` nothing is kept of G (``kind_rows`` is None), which
+    saves a tall kind's Gram matrix, as costly as G itself."""
     n_obs = len(moments.design_points)
     if observed_y is None:
         observed_y = dataset.values_vector()
@@ -92,37 +193,50 @@ def adjust_from_moments(
 
     factor = moments.y_moment_pair().factor
     z = factor.whiten(observed_y - moments.e_y)
-    g = moments.cov_targets @ factor.root  # (n_targets, rank)
-    adj_mean = moments.e_targets + g @ z
-    adj_var = moments.var_targets - np.einsum("ij,ij->i", g, g)
+    root = factor.root
+    kind, component, time = moments.target_cells
+    prior_mean, adjusted_mean, prior_var, adjusted_var = np.empty((4, len(kind)))
 
-    rows = []
-    for j, (kind, c, t) in enumerate(targets):
-        rows.append(
-            TargetBelief(
-                kind, c, t,
-                float(moments.e_targets[j]), float(adj_mean[j]),
-                float(moments.var_targets[j]), float(adj_var[j]),
-            )
-        )
-    kinds = np.array([k for k, _, _ in targets])
-    blocks = {kind: g[kinds == kind] for kind in dict.fromkeys(kinds.tolist())}
-    return AdjustedBelief(rows, blocks, z, moments)
+    def regather(code):
+        return lambda: (g[kind[rows] == code] for rows, _, g in _g_blocks(moments, root))
+
+    # the kinds present, in order of first appearance, with their row counts
+    codes, first, counts = np.unique(kind, return_index=True, return_counts=True)
+    present = [(codes[i], counts[i]) for i in np.argsort(first)]
+    held = [(k, KindRows(n, root.shape[1], regather(k))) for k, n in present if diagnose]
+    for rows, tm, g in _g_blocks(moments, root):
+        prior_mean[rows], prior_var[rows] = tm.e_targets, tm.var_targets
+        adjusted_mean[rows] = tm.e_targets + g @ z
+        adjusted_var[rows] = tm.var_targets - np.einsum("ij,ij->i", g, g)
+        kinds = kind[rows]
+        for k, kind_g in held:
+            mask = kinds == k
+            kind_g.add(g if mask.all() else g[mask])
+    kind_rows = {TARGET_KINDS[k]: kind_g for k, kind_g in held} if diagnose else None
+    return AdjustedBelief(
+        kind, component, time, prior_mean, adjusted_mean, prior_var, adjusted_var,
+        z, kind_rows, moments,
+    )
 
 
-def _first_crossing(times: np.ndarray, values: np.ndarray, critical: float):
-    """First month (linearly interpolated) where the curve drops below
-    critical; None if it never does."""
-    below = values < critical
-    if not below.any():
-        return None
-    idx = int(np.argmax(below))
-    if idx == 0:
-        return float(times[0])
-    t0, t1 = times[idx - 1], times[idx]
-    v0, v1 = values[idx - 1], values[idx]
-    frac = (v0 - critical) / (v0 - v1)
-    return float(t0 + frac * (t1 - t0))
+def _first_crossings(times: np.ndarray, values: np.ndarray, starts: np.ndarray, critical: float):
+    """Per run of ``times`` and ``values`` beginning at ``starts``: the first
+    month (linearly interpolated) where the curve drops below critical, and
+    whether it does at all."""
+    n = len(values)
+    below = np.flatnonzero(values < critical)
+    first = np.full(n, n)
+    first[below] = below
+    first = np.minimum.reduceat(first, starts)
+    found = first < n
+    out = np.zeros(len(starts))
+    at_start = found & (first == starts)
+    out[at_start] = times[first[at_start]]
+    inside = found & ~at_start
+    i = first[inside]
+    frac = (values[i - 1] - critical) / (values[i - 1] - values[i])
+    out[inside] = times[i - 1] + frac * (times[i] - times[i - 1])
+    return out, found
 
 
 @dataclass(frozen=True)
@@ -140,27 +254,29 @@ class RemnantLifeEstimate:
 
 def remnant_life(beliefs: AdjustedBelief, critical: float) -> RemnantLifeEstimate:
     """Crossing months of the adjusted minimum-state mean and its 95% band
-    edges against the critical thickness."""
-    by_comp = {}
-    for r in beliefs.rows_for("zmin"):
-        by_comp.setdefault(r.component, []).append(r)
-    out = []
-    for comp in sorted(by_comp):
-        rows = sorted(by_comp[comp], key=lambda r: r.time)
-        times = np.array([r.time for r in rows], dtype=float)
-        if not np.all(np.diff(times) == 1):
-            raise ShapeError(f"component {comp} beliefs are not on a contiguous monthly grid")
-        mean = np.array([r.adjusted_mean for r in rows])
-        half = BAND_Z * np.sqrt(np.clip([r.adjusted_var for r in rows], 0.0, None))
-        out.append(
-            ComponentLife(
-                comp,
-                _first_crossing(times, mean, critical),
-                _first_crossing(times, mean - half, critical),
-                _first_crossing(times, mean + half, critical),
-            )
-        )
-    return RemnantLifeEstimate(out)
+    edges against the critical thickness, over every component's zmin
+    targets at once; each component's months must form one contiguous
+    monthly run."""
+    zmin = np.flatnonzero(beliefs.kind == ZMIN)
+    comps, code = np.unique(beliefs.component[zmin], return_inverse=True)
+    times = beliefs.time[zmin]
+    order = np.lexsort((times, code))
+    zmin, code, times = zmin[order], code[order], times[order].astype(float)
+    same = code[1:] == code[:-1]
+    broken = same & (np.diff(times) != 1)
+    if broken.any():
+        comp = comps[code[np.argmax(broken)]]
+        raise ShapeError(f"component {comp} beliefs are not on a contiguous monthly grid")
+    starts = np.flatnonzero(np.diff(code, prepend=-1))
+    mean = beliefs.adjusted_mean[zmin]
+    half = BAND_Z * np.sqrt(np.clip(beliefs.adjusted_var[zmin], 0.0, None))
+    crossings = []
+    for curve in (mean, mean - half, mean + half):
+        at, found = _first_crossings(times, curve, starts, critical)
+        crossings.append([t if f else None for t, f in zip(at.tolist(), found.tolist())])
+    return RemnantLifeEstimate(
+        [ComponentLife(c, *row) for c, *row in zip(comps.tolist(), *crossings)]
+    )
 
 
 def _life_or_none(beliefs: AdjustedBelief, critical: float) -> RemnantLifeEstimate | None:
@@ -174,7 +290,8 @@ def _life_or_none(beliefs: AdjustedBelief, critical: float) -> RemnantLifeEstima
 class LearningComparison:
     """Paired pipeline runs with and without variance learning.  Each
     branch's remnant life (None when its zmin targets are not a monthly
-    grid) is computed on first read."""
+    grid) is computed on first read.  Only the with-learning branch keeps
+    what adjustment diagnostics read."""
 
     without_learning: AdjustedBelief
     with_learning: AdjustedBelief
@@ -206,9 +323,9 @@ def compare_with_without_variance_learning(
     exact under Gaussian noise, and under Student-t noise one two-law
     ensemble on ``seed`` (common random numbers, so paired contrasts are not
     swamped by Monte Carlo noise).  Either way each branch equals
-    ``adjust_from_moments`` on its own law's one-law call.  Both branches'
-    ``cov_targets`` are released once adjusted, so each branch's moments keep
-    only what the diagnostics and bands read.
+    ``adjust_from_moments`` on its own law's one-law call, and is adjusted
+    block by block, so neither branch holds a (targets x observations)
+    array whole.
     """
     seed = prior.rng_seed if seed is None else seed
     if calibration is None:
@@ -223,7 +340,7 @@ def compare_with_without_variance_learning(
     prior_moments, learned_moments = moments_by_law(
         prior, topology, dataset, laws, targets, n_realizations, seed
     )
-    without = adjust_from_moments(prior_moments, dataset, observed_y)
+    # only the with-learning branch is diagnosed
+    without = adjust_from_moments(prior_moments, dataset, observed_y, diagnose=False)
     with_learning = adjust_from_moments(learned_moments, dataset, observed_y)
-    prior_moments.cov_targets = learned_moments.cov_targets = None
     return LearningComparison(without, with_learning, calibration, prior.critical_thickness)

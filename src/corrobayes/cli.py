@@ -15,13 +15,16 @@ Exit status: 0 on success (diagnostic warning flags do not fail a run),
 1 on validation or pipeline failure, 2 on configuration errors.  Among
 these, found before any stage runs: a missing key, a malformed value, a
 number that is NaN or infinite, an unknown ``noise_dist`` or ``w_dist``, a
-negative seed (``seed`` key or ``--seed``), fewer than 2 ``--realizations``,
-a ``--true-sigr`` that is negative or not finite, and a ``--true-wx`` that
-is not positive or not finite.  Output files are written only after every
+negative seed (``seed`` key or ``--seed``), a negative ``--extend-months``
+or ``extend_months`` key, fewer than 2 ``--realizations``, a
+``--true-sigr`` that is negative or not finite, and a ``--true-wx`` that is
+not positive or not finite; and, as a validation failure, an inspection
+value that is NaN or infinite.  Output files are written only after every
 computing stage has finished, so a failure in one of them writes nothing.
-Each file is then replaced on its own, through ``<file>.tmp`` and a rename:
-no file is left truncated, but a failure while the files are written can
-leave a mix of new and earlier files.
+Each file is then replaced on its own, through a temporary file of its own
+name and a rename: no file is left truncated and concurrent runs do not
+share a temporary file, but a failure while the files are written can leave
+a mix of new and earlier files.
 """
 
 from __future__ import annotations
@@ -36,10 +39,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import designs, diagnostics, fileio, linalg
-from .adjust import BAND_CONVENTION, BAND_Z, compare_with_without_variance_learning
+from .adjust import BAND_CONVENTION, BAND_Z, ZMIN, compare_with_without_variance_learning
 from .calibrate import calibrate, estimator_study
 from .errors import ConfigError
-from .simulate import _size_and_seed, forecast_extend, moments_by_law, zmin_quantiles
+from .simulate import (
+    TARGET_KINDS, _size_and_seed, forecast_extend, moments_by_law, zmin_quantiles,
+)
 from .system import validate_dataset
 from .varlearn import build_scheme
 
@@ -104,6 +109,8 @@ def load_run_config(args) -> RunConfig:
     extend = getattr(args, "extend_months", None)
     if extend is None:
         extend = fileio._get(config, "extend_months", int, 0)
+    if extend < 0:
+        raise ConfigError(f"extend_months must be nonnegative, got {extend}")
     return RunConfig(
         topology, dataset, prior, extend, getattr(args, "out", None) or "out", seed, n,
     )
@@ -132,7 +139,7 @@ def run_analysis(rc: RunConfig) -> int:
     horizon, are ensembles.  The prior check reads the without-learning
     branch's moments, which have the prior law.
     """
-    findings = validate_dataset(rc.dataset, rc.topology)
+    findings = validate_dataset(rc.dataset, rc.topology, require_values=True)
     if findings:
         for f in findings:
             print(f"validation: {f}", file=sys.stderr)
@@ -200,10 +207,7 @@ def run_analysis(rc: RunConfig) -> int:
         fileio.write_csv(
             os.path.join(out, "adjusted_beliefs.csv"),
             ["quantity", "component", "t", "prior_mean", "adjusted_mean", "prior_var", "adjusted_var"],
-            [
-                (r.kind, r.component, r.time, r.prior_mean, r.adjusted_mean, r.prior_var, r.adjusted_var)
-                for r in comparison.with_learning.rows
-            ],
+            _belief_rows(comparison.with_learning),
         )
         fileio.write_csv(
             os.path.join(out, "trajectory_bands.csv"),
@@ -258,6 +262,16 @@ def run_analysis(rc: RunConfig) -> int:
     return EXIT_OK
 
 
+def _belief_rows(beliefs):
+    """adjusted_beliefs.csv rows, read off the belief's arrays."""
+    names = [TARGET_KINDS[k] for k in beliefs.kind.tolist()]
+    columns = (
+        beliefs.component, beliefs.time, beliefs.prior_mean, beliefs.adjusted_mean,
+        beliefs.prior_var, beliefs.adjusted_var,
+    )
+    return zip(names, *(c.tolist() for c in columns))
+
+
 def _band_rows(comparison, prior):
     """Per zmin target: the prior band and mean, then each branch's adjusted
     band and mean; both branches share one target list, so their rows align.
@@ -265,30 +279,27 @@ def _band_rows(comparison, prior):
     With exact moments the prior band is the exact 2.5%/97.5% quantiles of
     the target's prior marginal (``simulate.zmin_quantiles``); with ensemble
     moments (Student-t noise) it is the prior mean +/- 1.96 prior sds."""
-    pairs = [
-        (r, lr) for r, lr in zip(comparison.without_learning.rows, comparison.with_learning.rows)
-        if r.kind == "zmin"
-    ]
-    if comparison.without_learning.moments.n_realizations is None:
-        spread = zmin_quantiles(prior, [r.time for r, _ in pairs], (0.025, 0.975))
+    without, learned = comparison.without_learning, comparison.with_learning
+    zmin = np.flatnonzero(without.kind == ZMIN)
+    prior_mean = without.prior_mean[zmin]
+    if without.moments.n_realizations is None:
+        lo, hi = zmin_quantiles(prior, without.time[zmin], (0.025, 0.975)).T
     else:
-        half = BAND_Z * np.sqrt(np.clip([r.prior_var for r, _ in pairs], 0.0, None))
-        spread = np.stack([-half, half], axis=1)
-    rows = []
-    for (r, lr), (lo, hi) in zip(pairs, spread.tolist()):
-        nl_half = BAND_Z * math.sqrt(max(r.adjusted_var, 0.0))
-        l_half = BAND_Z * math.sqrt(max(lr.adjusted_var, 0.0))
-        rows.append(
-            (r.component, r.time,
-             r.prior_mean + lo, r.prior_mean, r.prior_mean + hi,
-             r.adjusted_mean - nl_half, r.adjusted_mean, r.adjusted_mean + nl_half,
-             lr.adjusted_mean - l_half, lr.adjusted_mean, lr.adjusted_mean + l_half)
-        )
-    return rows
+        hi = BAND_Z * np.sqrt(np.clip(without.prior_var[zmin], 0.0, None))
+        lo = -hi
+    columns = [prior_mean + lo, prior_mean, prior_mean + hi]
+    for branch in (without, learned):
+        mean = branch.adjusted_mean[zmin]
+        half = BAND_Z * np.sqrt(np.clip(branch.adjusted_var[zmin], 0.0, None))
+        columns += [mean - half, mean, mean + half]
+    return list(zip(
+        without.component[zmin].tolist(), without.time[zmin].tolist(),
+        *(c.tolist() for c in columns),
+    ))
 
 
 def run_validate(rc: RunConfig) -> int:
-    findings = validate_dataset(rc.dataset, rc.topology)
+    findings = validate_dataset(rc.dataset, rc.topology, require_values=True)
     for f in findings:
         print(f"validation: {f}", file=sys.stderr)
     if findings:

@@ -104,16 +104,16 @@ def global_discrepancy(observed_y: np.ndarray, moments: MomentEstimates) -> floa
 def adjustment_diagnostics(beliefs) -> DiagnosticReport:
     """Discrepancy of each quantity block's mean shift against its resolved
     variance (zero when no adjustment occurred), computed in whitened data
-    space from the block's rows of G and the belief's z."""
+    space from what the belief keeps of the kind's rows of G and its z."""
+    if beliefs.kind_rows is None:
+        raise ConfigError("these beliefs were adjusted without diagnostics")
     rows = []
-    for kind, g in beliefs.blocks.items():
-        if not np.any(g):
+    for kind, kind_g in beliefs.kind_rows.items():
+        if not kind_g.nonzero:
             rows.append(DiagnosticRow(kind, None, None, 0.0, False))
             continue
         try:
-            value = linalg.whitened_adjustment_discrepancy(
-                g, beliefs.z, sample_size=beliefs.moments.n_realizations
-            )
+            value = kind_g.discrepancy(beliefs.z, beliefs.moments.n_realizations)
         except DegenerateVarianceError:
             rows.append(DiagnosticRow(kind, None, None, float("nan"), False, True))
             continue

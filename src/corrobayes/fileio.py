@@ -5,12 +5,13 @@ Config and prior files are flat key=value text whose keys mirror the prior
 table's symbol names.  Inspection files are delimited text with header
 ``component,month,min_thickness_mm``; calendar months are mapped to 1-based
 model indices against a configured origin month.  All numeric output is
-full-precision decimal text, written via a temporary file and rename so a
-failed stage never leaves a truncated report.
+full-precision decimal text, written via a temporary file of its own name
+and a rename, so a failed stage never leaves a truncated report.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import warnings
@@ -37,17 +38,32 @@ def fmt(x) -> str:
     return str(x)
 
 
+@contextlib.contextmanager
+def _atomic_file(path):
+    """A text file that replaces ``path`` by a rename once it is written:
+    a temporary file of its own name in the target directory, removed when
+    writing fails, so concurrent writers never share one."""
+    tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "x") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def atomic_write_text(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
+    with _atomic_file(path) as fh:
         fh.write(text)
-    os.replace(tmp, path)
 
 
 def write_csv(path, header, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(map(fmt, row)) for row in rows)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Comma-separated rows under a header line, streamed row by row."""
+    with _atomic_file(path) as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(fmt, row)) + "\n" for row in rows)
 
 
 def read_keyvalues(path) -> dict:

@@ -18,7 +18,7 @@ DEFAULT_RTOL * |V|_F >= DEFAULT_RTOL * max|lambda|, so the cutoff would keep
 them all: V has full rank, its quadratic forms are solves, and its root,
 built only when an update asks for it, is L^-T with L = chol(V).  If it
 fails, the spectral factor decides, so every rank decision and every error
-is the spectral one.  ``whitened_adjustment_discrepancy`` certifies a tall
+is the spectral one.  ``gram_adjustment_discrepancy`` certifies a tall
 G's Gram matrix the same way; ``pinv_with_rank``, ``pseudo_inverse`` and
 ``adjustment_discrepancy`` are always spectral.
 
@@ -286,20 +286,42 @@ def whitened_adjustment_discrepancy(g, z, sample_size=None) -> float:
     G = cov(B,D) R are whitened cross-covariance rows and z = R'(d - E(D))
     the whitened data residual.  With the thin SVD G = U S V', the form
     equals |V_r' z|^2 over the r singular values whose squares (the
-    eigenvalues of G G') pass the cutoff.  A tall G whose Gram matrix G'G
-    passes the shifted-Cholesky certificate has full column rank, so V_r is
-    square orthogonal and the form is |z|^2 (the Gram matrix only
-    certifies: its rounding, about n eps s_max^2, lies far below the cutoff
-    DEFAULT_RTOL s_max^2).  Otherwise U is never needed, so a tall G is
-    first reduced to the square R of G = Q R, whose SVD has the same S and
-    V; the form never goes through G'G, which squares the condition number.
+    eigenvalues of G G') pass the cutoff.  A tall G goes through
+    ``gram_adjustment_discrepancy``; U is never needed.
     """
     g = np.atleast_2d(np.asarray(g, dtype=float))
     z = np.asarray(z, dtype=float)
     if g.shape[0] > g.shape[1]:
-        if _certified_full_rank(g.T @ g):
-            return _rank_normalized(float(z @ z), g.shape[1], sample_size, "resolved variance")
-        g = np.linalg.qr(g, mode="r")
+        return gram_adjustment_discrepancy(g.T @ g, lambda: [g], z, sample_size)
+    return _singular_form(g, z, sample_size)
+
+
+def gram_adjustment_discrepancy(gram, blocks, z, sample_size=None) -> float:
+    """``whitened_adjustment_discrepancy`` of a tall G held as its Gram
+    matrix G'G, with ``blocks`` a function that yields G's rows again, block
+    by block.
+
+    A Gram matrix that passes the shifted-Cholesky certificate gives G full
+    column rank, so V_r is square orthogonal and the form is |z|^2 (the Gram
+    matrix only certifies: its rounding, about n eps s_max^2, lies far below
+    the cutoff DEFAULT_RTOL s_max^2).  Otherwise G's rows are read once more
+    into the square R of G = Q R, one block at a time (a tall-skinny QR), and
+    R, whose SVD has G's S and V, takes the SVD route; the form never goes
+    through G'G, which squares the condition number.
+    """
+    z = np.asarray(z, dtype=float)
+    if _certified_full_rank(gram):
+        return _rank_normalized(float(z @ z), gram.shape[0], sample_size, "resolved variance")
+    r = None
+    for g in blocks():
+        if len(g):
+            r = np.linalg.qr(g if r is None else np.vstack([r, g]), mode="r")
+    return _singular_form(r, z, sample_size)
+
+
+def _singular_form(g, z, sample_size) -> float:
+    """|V_r' z|^2 over G's singular values whose squares pass the cutoff,
+    rank-normalized."""
     _, s, vt = np.linalg.svd(g, full_matrices=False)
     keep = s * s > DEFAULT_RTOL * (s[0] * s[0] if s.size else 0.0)
     w = vt[keep] @ z

@@ -53,7 +53,8 @@ prior trend, to two consumers:
   small next to the noise) and takes the moments in one centered pass of
   matrix products, so they do not depend on the block size: only the Dbar
   moments (``DbarMoments``) for a pass with a difference scheme, only the
-  observation and target moments (``MomentEstimates``) for any other;
+  observation and target moments (``MomentEstimates``) for any other, whose
+  target rows it forms on request from the centered ensemble it keeps;
 * the estimator study (``calibrate.estimator_study``) draws its replicate
   datasets as the realizations of one ensemble at the true law and reduces
   each block to its Dbar rows with the difference scheme's Dbar kernel
@@ -73,6 +74,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
+from collections.abc import Callable
 
 import numpy as np
 
@@ -114,8 +116,11 @@ def _correlation_factor(pi: np.ndarray) -> np.ndarray:
 
 #: A pass's observed cells (the design's points, in canonical order) and
 #: targets, with their months, component indices and prior trend (``_cells``).
+#: ``tgt_kind`` indexes ``TARGET_KINDS`` and ``tgt_id`` holds the targets'
+#: component ids.
 _Cells = namedtuple(
-    "_Cells", "points horizon obs_t obs_c tgt_t tgt_c is_alpha is_zmin trend_y trend_t"
+    "_Cells",
+    "points horizon obs_t obs_c tgt_t tgt_c tgt_kind tgt_id is_alpha is_zmin trend_y trend_t",
 )
 
 
@@ -131,8 +136,9 @@ def _cells(prior, topology, design, targets=()) -> _Cells:
     if points and (obs_t.min() < 1 or obs_t.max() > design.horizon):
         raise ConfigError("design times outside horizon")
     targets = tuple(targets)
+    kind_idx = {k: i for i, k in enumerate(TARGET_KINDS)}
     for kind, c, t in targets:
-        if kind not in TARGET_KINDS:
+        if kind not in kind_idx:
             raise ConfigError(f"unknown target kind {kind!r}")
         if c not in comp_idx:
             raise ConfigError(f"unknown target component {c}")
@@ -140,11 +146,14 @@ def _cells(prior, topology, design, targets=()) -> _Cells:
             raise ConfigError(f"target time {t} outside 1..{design.horizon}")
     tgt_t = np.array([t for _, _, t in targets], dtype=int)
     tgt_c = np.array([comp_idx[c] for _, c, _ in targets], dtype=int)
-    is_alpha = np.array([k == "alpha" for k, _, _ in targets], dtype=bool)
+    tgt_kind = np.array([kind_idx[k] for k, _, _ in targets], dtype=int)
+    is_alpha = tgt_kind == kind_idx["alpha"]
+    ids = np.empty(topology.component_count, dtype=object)
+    ids[:] = topology.components
     x0, a0 = prior.x0, prior.alpha0
     return _Cells(
-        points, design.horizon, obs_t, obs_c, tgt_t, tgt_c, is_alpha,
-        np.array([k == "zmin" for k, _, _ in targets], dtype=bool),
+        points, design.horizon, obs_t, obs_c, tgt_t, tgt_c, tgt_kind, ids[tgt_c], is_alpha,
+        tgt_kind == kind_idx["zmin"],
         x0[obs_c] + a0[obs_c] * obs_t,
         np.where(is_alpha, a0[tgt_c], x0[tgt_c] + a0[tgt_c] * tgt_t),
     )
@@ -208,25 +217,36 @@ def draw_dataset(
     return design.with_values(x[obs_t - 1, obs_c] + zy.min(axis=1)[obs_t - 1, obs_c])
 
 
+#: The moments of a run of targets: their means and variances, and their
+#: covariance with the observations, one row per target.
+TargetMoments = namedtuple("TargetMoments", "e_targets var_targets cov_targets")
+
+
 @dataclass
 class MomentEstimates:
     """Moments of the designed observations and the targets under one law,
     exact (``n_realizations`` None) or from an ensemble of that size.
 
-    The paired comparison (``adjust.compare_with_without_variance_learning``)
-    releases both branches' ``cov_targets`` once they are adjusted: their
-    whitened rows live on in the beliefs' G blocks.
+    ``target_cells`` holds the targets as arrays: kind (an index into
+    ``TARGET_KINDS``), component id and month.  The target moments are
+    built on request for a run of targets (``target_moments``), so a caller
+    that takes them block by block never holds a (targets x observations)
+    array: exact moments build only the rows asked for, and an ensemble
+    forms them from the centered ensemble it keeps.
     """
 
     design_points: list
     e_y: np.ndarray
     var_y: np.ndarray
     targets: tuple
-    e_targets: np.ndarray
-    var_targets: np.ndarray
-    cov_targets: np.ndarray | None  # (n_targets, n_obs); None after the comparison
+    target_cells: tuple  # (kind, component id, month), one entry per target
+    _target_rows: Callable = field(repr=False, compare=False)
     n_realizations: int | None
     _y_pair: MomentPair = field(default=None, init=False, repr=False, compare=False)
+
+    def target_moments(self, rows: slice = slice(None)) -> TargetMoments:
+        """The moments of the targets ``rows`` (all of them by default)."""
+        return TargetMoments(*self._target_rows(rows))
 
     def y_moment_pair(self) -> MomentPair:
         """(e_y, var_y) as one MomentPair, built on first use, so H, the
@@ -538,7 +558,8 @@ def estimate_moments_by_law(
     The ensemble is kept as one array per law of observations and targets
     (or, for a scheme, local min-effects); each law's arrays are dropped as
     soon as its record is built, so the moments of later laws do not pile
-    up on top of every law's ensemble.
+    up on top of every law's ensemble, but for a pass with targets, whose
+    records keep their centered ensemble to form the target rows from.
     """
     n, seed = _size_and_seed(prior, n_realizations, seed)
     laws = [(float(sr), float(mu)) for sr, mu in laws]
@@ -581,12 +602,23 @@ def estimate_moments_by_law(
             e_y=e_y + cells.trend_y,
             var_y=0.5 * (var_y + var_y.T),
             targets=targets,
-            e_targets=e_t + cells.trend_t,
-            var_targets=np.einsum("ij,ij->j", tc, tc) / (n - 1),
-            cov_targets=_cov(tc, yc),
+            target_cells=(cells.tgt_kind, cells.tgt_id, cells.tgt_t),
+            _target_rows=_ensemble_target_rows(
+                e_t + cells.trend_t, np.einsum("ij,ij->j", tc, tc) / (n - 1), tc, yc
+            ),
             n_realizations=n,
         ))
     return out
+
+
+def _ensemble_target_rows(e_t, var_t, tc, yc):
+    """Target rows from a centered ensemble: their means and variances, and
+    their sample covariance with the observations, formed for the rows asked
+    for.  Without targets the ensemble is not kept."""
+    if not tc.shape[1]:
+        n_obs = yc.shape[1]
+        return lambda rows: (e_t, var_t, np.empty((0, n_obs)))
+    return lambda rows: (e_t[rows], var_t[rows], _cov(tc[:, rows], yc))
 
 
 def estimate_moments(
@@ -670,47 +702,67 @@ def exact_moments(
       v = sigma_r t on its side.
 
     Nothing is drawn, so the moments do not depend on a seed, and the
-    observation moments do not depend on the targets or the horizon.
+    observation moments do not depend on the targets or the horizon.  The
+    target moments are built on request, for the rows asked for
+    (``MomentEstimates.target_moments``); each row is formed entry by entry,
+    so it does not depend on which rows are built with it.
     """
     targets = tuple(targets)
     cells, pi, mins, same_y = _exact_setup(prior, topology, design, targets)
-    obs_t, obs_c, tgt_t, tgt_c = cells.obs_t, cells.obs_c, cells.tgt_t, cells.tgt_c
-    is_alpha, is_zmin = cells.is_alpha, cells.is_zmin
+    obs_t = cells.obs_t
     lam, sigma_y = prior.hyper.lam, prior.sigma_y
-
     lin_y = _unit_linear_cov(pi, lam, cells)
-    part, sums = _kernel_sums(max(obs_t.max(initial=0), tgt_t.max(initial=0)))
-    # built in place: it is (targets, observations), the largest array here
-    lin_t = lam * sums[np.ix_(tgt_t - 1, obs_t - 1)]
-    lin_t += np.minimum.outer(tgt_t, obs_t)
-    lin_t[is_alpha] = lam * part[np.ix_(tgt_t[is_alpha] - 1, obs_t - 1)]
-    lin_t *= pi[np.ix_(tgt_c, obs_c)]
-    same_t = tgt_c[:, None] == obs_c
-    var_lin_t = np.where(is_alpha, lam * tgt_t, tgt_t + lam * sums[tgt_t - 1, tgt_t - 1])
+    kernel_sums = _kernel_sums(max(obs_t.max(initial=0), cells.tgt_t.max(initial=0)))
     yi, yj = np.nonzero(same_y)
-    ti, tj = np.nonzero(same_t & is_zmin[:, None])
 
     out = []
     for sr, mu in laws:
         ew, ew_pair, _, _ = quadrature.scale_moments(prior.hyper.with_mean(mu), prior.w_dist)
         v_y, min_cov = _observed_min(mins, sr, sigma_y, obs_t, yi, yj)
-        v_t = sr * tgt_t
         var_y = np.where(same_y, ew, ew_pair) * lin_y
         var_y[yi, yj] += min_cov
-        cov_t = np.where(same_t, ew, ew_pair)
-        cov_t *= lin_t
-        cov_t[ti, tj] += _min_cov(mins, sr * np.minimum(tgt_t[ti], obs_t[tj]), v_t[ti], v_y[tj])
         out.append(MomentEstimates(
             design_points=cells.points,
             e_y=cells.trend_y + np.sqrt(v_y) * mins.mean,
             var_y=var_y,
             targets=targets,
-            e_targets=cells.trend_t + np.where(is_zmin, np.sqrt(v_t) * mins.mean, 0.0),
-            var_targets=ew * var_lin_t + np.where(is_zmin, v_t * mins.var, 0.0),
-            cov_targets=cov_t,
+            target_cells=(cells.tgt_kind, cells.tgt_id, cells.tgt_t),
+            _target_rows=_exact_target_rows(
+                cells, pi, kernel_sums, lam, mins, sr, (ew, ew_pair), v_y
+            ),
             n_realizations=None,
         ))
     return out
+
+
+def _exact_target_rows(cells, pi, kernel_sums, lam, mins, sr, scale, v_y):
+    """The exact moments of a run of targets under one law, built for those
+    rows alone (see ``exact_moments``); ``scale`` is (E W, E sqrt(W_c W_c'))
+    and ``v_y`` the minimum's variance at one location of each observed cell."""
+    part, sums = kernel_sums
+    obs_t, obs_c = cells.obs_t, cells.obs_c
+    ew, ew_pair = scale
+
+    def rows(sl):
+        tgt_t, tgt_c = cells.tgt_t[sl], cells.tgt_c[sl]
+        is_alpha, is_zmin = cells.is_alpha[sl], cells.is_zmin[sl]
+        cov_t = lam * sums[np.ix_(tgt_t - 1, obs_t - 1)]
+        cov_t += np.minimum.outer(tgt_t, obs_t)
+        cov_t[is_alpha] = lam * part[np.ix_(tgt_t[is_alpha] - 1, obs_t - 1)]
+        cov_t *= pi[np.ix_(tgt_c, obs_c)]
+        same_t = tgt_c[:, None] == obs_c
+        cov_t *= np.where(same_t, ew, ew_pair)
+        ti, tj = np.nonzero(same_t & is_zmin[:, None])
+        v_t = sr * tgt_t
+        cov_t[ti, tj] += _min_cov(mins, sr * np.minimum(tgt_t[ti], obs_t[tj]), v_t[ti], v_y[tj])
+        var_lin_t = np.where(is_alpha, lam * tgt_t, tgt_t + lam * sums[tgt_t - 1, tgt_t - 1])
+        return (
+            cells.trend_t[sl] + np.where(is_zmin, np.sqrt(v_t) * mins.mean, 0.0),
+            ew * var_lin_t + np.where(is_zmin, v_t * mins.var, 0.0),
+            cov_t,
+        )
+
+    return rows
 
 
 def exact_dbar_moments(

@@ -1,10 +1,12 @@
-"""Brute-force reference simulator.
+"""Brute-force references: the simulator and the whole-array update.
 
 ``simulate_realization`` runs the model forward once and keeps every
 trajectory.  It consumes its stream exactly as ``simulate.draw_dataset``
 does, so tests compare that drawer against it per seed, and use its full
 paths (levels, rates, walks and the zmin state) as the reference for the
-ensemble engine's moment estimates.
+ensemble engine's moment estimates.  ``reference_update`` is the Bayes
+linear update with every (targets x observations) array held whole, the
+reference for the block-by-block ``adjust.adjust_from_moments``.
 """
 
 import math
@@ -12,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from corrobayes import linalg
+from corrobayes.errors import DegenerateVarianceError
 from corrobayes.simulate import _correlation_factor
 from corrobayes.system import (
     InspectionDataset,
@@ -90,3 +94,28 @@ def simulate_realization(
         for (c, t) in design.design_points()
     }
     return EnsembleRealization(x, alpha, r, zmin, y, w_x, w_a, m_wx)
+
+
+def reference_update(moments, observed_y):
+    """The Bayes linear update with every (targets x observations) array
+    held whole: G = cov(B,D) R for all targets at once, then each kind's
+    adjustment discrepancy from its rows of G (0.0 when they are all zero,
+    None when their resolved variance has rank zero).  Returns the adjusted
+    means, the adjusted variances and {kind: discrepancy} in order of first
+    appearance."""
+    factor = moments.y_moment_pair().factor
+    z = factor.whiten(np.asarray(observed_y, dtype=float) - moments.e_y)
+    tm = moments.target_moments()
+    g = tm.cov_targets @ factor.root
+    kinds = np.array([kind for kind, _, _ in moments.targets])
+    discrepancy = {}
+    for kind in dict.fromkeys(kinds.tolist()):
+        rows = g[kinds == kind]
+        try:
+            discrepancy[kind] = (
+                linalg.whitened_adjustment_discrepancy(rows, z, moments.n_realizations)
+                if rows.any() else 0.0
+            )
+        except DegenerateVarianceError:
+            discrepancy[kind] = None
+    return tm.e_targets + g @ z, tm.var_targets - np.einsum("ij,ij->i", g, g), discrepancy

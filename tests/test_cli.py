@@ -151,10 +151,13 @@ STUDY_TRUTH = ["--true-wx", "0.01", "--true-sigr", "0.0064", "--replicates", "5"
         (["simulate-study", *STUDY_TRUTH, "--true-sigr", "nan"], "", "--true-sigr must be"),
         (["simulate-study", *STUDY_TRUTH, "--true-wx", "nan"], "", "--true-wx must be"),
         (["simulate-study", *STUDY_TRUTH, "--true-wx", "0"], "", "--true-wx must be"),
+        (["analyze", "--extend-months", "-1"], "", "extend_months must be nonnegative"),
+        (["analyze"], "extend_months = -3", "extend_months must be nonnegative"),
     ],
     ids=[
         "seed-flag", "seed-key", "realizations-one",
         "true-sigr-negative", "true-sigr-nan", "true-wx-nan", "true-wx-zero",
+        "extend-months-flag", "extend-months-key",
     ],
 )
 def test_invalid_run_values_exit_with_the_config_code_before_any_stage(
@@ -170,6 +173,27 @@ def test_invalid_run_values_exit_with_the_config_code_before_any_stage(
     code = cli.main([argv[0], "--config", str(config), "--out", str(out), *argv[1:]])
     assert code == cli.EXIT_CONFIG
     assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_inspection_values_fail_validation_before_any_stage(
+    tmp_path, capsys, monkeypatch, command, value
+):
+    config = _write_workspace(tmp_path)
+    insp = tmp_path / "inspections.csv"
+    header, first, *rest = insp.read_text().splitlines()
+    insp.write_text("\n".join([header, first.rsplit(",", 1)[0] + f",{value}", *rest]) + "\n")
+
+    def no_stage(name):
+        raise AssertionError(f"stage {name!r} ran")
+
+    monkeypatch.setattr(cli, "_stage", no_stage)
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", str(config), "--out", str(out)])
+    assert code == cli.EXIT_FAILURE
+    assert "validation: value" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -197,17 +197,17 @@ def test_adjustment_diagnostics_equal_the_full_resolved_variance_form(
     mom = beliefs.moments
     pinv, rank = linalg.pinv_with_rank(mom.var_y)
     assert rank == min(len(mom.design_points), n_realizations - 1)
-    resolved = mom.cov_targets @ pinv @ mom.cov_targets.T
+    tm = mom.target_moments()
+    resolved = tm.cov_targets @ pinv @ tm.cov_targets.T
     resolved = 0.5 * (resolved + resolved.T)
-    adjusted_var = np.array([r.adjusted_var for r in beliefs.rows])
-    expected_var = mom.var_targets - np.diag(resolved)
-    assert np.max(np.abs(adjusted_var - expected_var)) <= 1e-10 * np.max(mom.var_targets)
+    expected_var = tm.var_targets - np.diag(resolved)
+    assert np.max(np.abs(beliefs.adjusted_var - expected_var)) <= 1e-10 * np.max(tm.var_targets)
 
     report = diagnostics.adjustment_diagnostics(beliefs)
     assert [r.label for r in report.rows] == ["zmin", "x"]
     for row in report.rows:
         idx = [j for j, (kind, _, _) in enumerate(targets) if kind == row.label]
-        shift = np.array([beliefs.rows[j].adjusted_mean - beliefs.rows[j].prior_mean for j in idx])
+        shift = beliefs.adjusted_mean[idx] - beliefs.prior_mean[idx]
         ref = linalg.adjustment_discrepancy(
             shift, np.zeros_like(shift), resolved[np.ix_(idx, idx)],
             sample_size=mom.n_realizations,

@@ -23,6 +23,32 @@ def test_atomic_write_replaces_and_leaves_no_temp_file(tmp_path):
     assert list(tmp_path.iterdir()) == [target]
 
 
+def test_csv_rows_stream_from_a_generator_and_a_failure_keeps_the_old_file(tmp_path):
+    target = tmp_path / "table.csv"
+    rows = [(1, 0.1, "a"), (2, 1e-300, "b")]
+    fileio.write_csv(target, ["i", "x", "s"], (row for row in rows))
+    assert target.read_text() == "i,x,s\n1,0.1,a\n2,1e-300,b\n"
+
+    def failing():
+        yield rows[0]
+        raise RuntimeError("stage failed")
+
+    with pytest.raises(RuntimeError):
+        fileio.write_csv(target, ["i", "x", "s"], failing())
+    assert target.read_text() == "i,x,s\n1,0.1,a\n2,1e-300,b\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_two_writers_of_one_file_use_their_own_temporary_files(tmp_path):
+    target = tmp_path / "report.txt"
+    with fileio._atomic_file(target) as first, fileio._atomic_file(target) as second:
+        assert first.name != second.name
+        first.write("first\n")
+        second.write("second\n")
+    assert target.read_text() == "first\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
 def test_keyvalues_comments_blanks_and_overrides(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text(
