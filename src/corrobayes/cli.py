@@ -116,6 +116,19 @@ def load_run_config(args) -> RunConfig:
     )
 
 
+def _report_findings(rc: RunConfig) -> list:
+    """Print one ``validation:`` line per finding of ``validate_dataset`` and
+    per inspection value that is NaN or infinite; return the findings."""
+    findings = validate_dataset(rc.dataset, rc.topology) + [
+        f"value {rec.value} for component {rec.component} at time {rec.time} is not finite"
+        for rec in rc.dataset.records
+        if not math.isfinite(rec.value)
+    ]
+    for f in findings:
+        print(f"validation: {f}", file=sys.stderr)
+    return findings
+
+
 def _diag_rows(report):
     return [
         (r.component, "" if r.time is None else r.time, r.value, int(r.flagged), int(r.indeterminate))
@@ -139,10 +152,7 @@ def run_analysis(rc: RunConfig) -> int:
     horizon, are ensembles.  The prior check reads the without-learning
     branch's moments, which have the prior law.
     """
-    findings = validate_dataset(rc.dataset, rc.topology, require_values=True)
-    if findings:
-        for f in findings:
-            print(f"validation: {f}", file=sys.stderr)
+    if _report_findings(rc):
         return EXIT_FAILURE
 
     observed = rc.dataset.values_vector()
@@ -299,10 +309,7 @@ def _band_rows(comparison, prior):
 
 
 def run_validate(rc: RunConfig) -> int:
-    findings = validate_dataset(rc.dataset, rc.topology, require_values=True)
-    for f in findings:
-        print(f"validation: {f}", file=sys.stderr)
-    if findings:
+    if _report_findings(rc):
         return EXIT_FAILURE
     with _stage("prior-consistency"):
         (moments,) = moments_by_law(

@@ -106,7 +106,7 @@ def adjustment_diagnostics(beliefs) -> DiagnosticReport:
     variance (zero when no adjustment occurred), computed in whitened data
     space from what the belief keeps of the kind's rows of G and its z."""
     if beliefs.kind_rows is None:
-        raise ConfigError("these beliefs were adjusted without diagnostics")
+        raise ValueError("these beliefs were adjusted without diagnostics")
     rows = []
     for kind, kind_g in beliefs.kind_rows.items():
         if not kind_g.nonzero:

@@ -556,10 +556,12 @@ def estimate_moments_by_law(
     ensemble has the model's exact law and the estimator is the same.
 
     The ensemble is kept as one array per law of observations and targets
-    (or, for a scheme, local min-effects); each law's arrays are dropped as
-    soon as its record is built, so the moments of later laws do not pile
-    up on top of every law's ensemble, but for a pass with targets, whose
-    records keep their centered ensemble to form the target rows from.
+    (or, for a scheme, local min-effects).  A scheme pass drops each law's
+    arrays as soon as its record is built, so the moments of later laws do
+    not pile up on top of every law's ensemble.  A pass with targets hands
+    each law's arrays, centered in place, to its record, which keeps them
+    for as long as it lives to form target rows from: every law's ensemble
+    stays held, (n x observations) and (n x targets) per law.
     """
     n, seed = _size_and_seed(prior, n_realizations, seed)
     laws = [(float(sr), float(mu)) for sr, mu in laws]

@@ -277,14 +277,8 @@ class InspectionDataset:
         return InspectionDataset(self.records, self.horizon + extra)
 
 
-def validate_dataset(
-    dataset: InspectionDataset, topology: SystemTopology, require_values: bool = False
-) -> list:
-    """Return one finding string per invariant violation (empty list = valid).
-
-    With ``require_values`` the records are observations, and each value
-    that is NaN or infinite is a finding too; a design (records without
-    values, which carry NaN) passes only without it."""
+def validate_dataset(dataset: InspectionDataset, topology: SystemTopology) -> list:
+    """Return one finding string per invariant violation (empty list = valid)."""
     findings = []
     seen = set()
     known = set(topology.components)
@@ -299,10 +293,6 @@ def validate_dataset(
         if key in seen:
             findings.append(f"duplicate record for component {rec.component} at time {rec.time}")
         seen.add(key)
-        if require_values and not math.isfinite(rec.value):
-            findings.append(
-                f"value {rec.value} for component {rec.component} at time {rec.time} is not finite"
-            )
     return findings
 
 

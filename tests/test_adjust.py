@@ -13,7 +13,6 @@ from corrobayes.adjust import (
     remnant_life,
 )
 from corrobayes.calibrate import calibrate
-from corrobayes.errors import ConfigError
 from corrobayes.simulate import draw_dataset, estimate_moments, exact_moments, forecast_extend
 from conftest import make_prior, small_irregular_design
 from oracle import reference_update
@@ -179,8 +178,9 @@ def test_comparison_keeps_g_for_the_with_learning_branch_only(topo16, design16):
         prior, topo16, data, data.values_vector(), targets, seed=12, n_realizations=100,
     )
     assert cmp_.without_learning.kind_rows is None
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="without diagnostics") as misuse:
         diagnostics.adjustment_diagnostics(cmp_.without_learning)
+    assert misuse.type is ValueError  # not a configuration error
     (held,) = cmp_.with_learning.kind_rows.values()
     assert held.rows.shape == (len(targets), cmp_.with_learning.z.shape[0])
 
