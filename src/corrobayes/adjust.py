@@ -14,11 +14,12 @@ the prior law and the calibrated law, from one ``simulate.moments_by_law``
 call, and each branch is that update on its own law's moments.
 
 The update runs over blocks of targets of about ``BLOCK_ELEMENTS``
-cross-covariance entries each: a block's rows of cov(B,D) are built, turned
-into rows of G = cov(B,D) R and reduced at once to adjusted means and
-variances, so no (targets x observations) array is ever held whole.  What
-the adjustment diagnostics need of G is kept per kind: its rows when they
-are no more than G's columns, otherwise their Gram matrix G'G.
+cross-covariance entries each, and never fewer targets than observations:
+a block's rows of cov(B,D) are built, turned into rows of G = cov(B,D) R
+and reduced at once to adjusted means and variances, so no (targets x
+observations) array is ever held whole.  What the adjustment diagnostics
+need of G is kept per kind: its rows when they are no more than G's
+columns, otherwise their Gram matrix G'G, folded block by block.
 """
 
 from __future__ import annotations
@@ -55,32 +56,35 @@ class TargetBelief:
 
 
 #: Element budget (float64 count) of one block's cross-covariance rows in
-#: the adjustment: a block holds ``block_rows(n_obs)`` targets.  Twice the
-#: simulation's budget: 80-row blocks against 1,500 observations keep the
-#: products of each block near the speed of one whole product, where 40-row
-#: blocks cost a third more.
+#: the adjustment; ``block_rows`` turns it into targets per block.  Twice
+#: the simulation's budget: 752-row blocks at the reference design's 174
+#: observations, where half of it (376 rows) lets the comparison's traced
+#: peak grow by more than a fifth from 12 to 96 forecast months.
 BLOCK_ELEMENTS = 2**17
 
 
 def block_rows(n_obs: int) -> int:
-    """Targets per block: ``BLOCK_ELEMENTS`` // n_obs, rounded down to a
-    multiple of 8 when that leaves at least 8.  Whole multiples of 8 rows
-    keep each row's matrix products off BLAS's leftover-row kernels, so a
-    row does not depend on the block it falls in."""
-    rows = max(1, BLOCK_ELEMENTS // max(1, n_obs))
-    return rows - rows % 8 if rows >= 8 else rows
+    """Targets per block: the larger of ``BLOCK_ELEMENTS`` // n_obs rounded
+    down and n_obs rounded up to a multiple of 8 (752 rows at 174
+    observations, 1,504 at 1,500).  Blocks never thinner than square keep
+    each block's products and Gram folds near the speed of one whole
+    product; whole multiples of 8 rows keep each row's matrix products off
+    BLAS's leftover-row kernels, so a row does not depend on the block it
+    falls in."""
+    rows = max(BLOCK_ELEMENTS // max(1, n_obs), n_obs + 7)
+    return rows - rows % 8
 
 
 class KindRows:
-    """One kind's rows of G, gathered block by block into a buffer: it holds
-    all of them when they are no more than G's columns (rank), otherwise
-    rank rows at a time, each full buffer folded into the Gram matrix G'G.
-    ``regather`` yields the rows again, block by block, for the rare Gram
-    matrix that fails its certificate."""
+    """What the adjustment diagnostics keep of one kind's rows of G, added
+    block by block: the rows themselves when they are no more than G's
+    columns (rank), otherwise their Gram matrix G'G, into which each block's
+    rows are folded as they arrive.  ``regather`` yields the rows again,
+    block by block, for the rare Gram matrix that fails its certificate."""
 
     def __init__(self, count: int, rank: int, regather):
         self.tall = count > rank
-        self.rows = np.empty((rank if self.tall else count, rank))
+        self.rows = None if self.tall else np.empty((count, rank))
         self.filled = 0
         self.gram = np.zeros((rank, rank)) if self.tall else None
         self.nonzero = False
@@ -88,27 +92,22 @@ class KindRows:
 
     def add(self, g: np.ndarray) -> None:
         self.nonzero = self.nonzero or bool(g.any())
-        # G has no columns when var(Y) has rank zero: nothing to keep
-        while len(g) and len(self.rows):
-            take = min(len(g), len(self.rows) - self.filled)
-            self.rows[self.filled : self.filled + take] = g[:take]
-            self.filled += take
-            g = g[take:]
-            if self.tall and self.filled == len(self.rows):
-                self._fold()
-
-    def _fold(self) -> None:
-        held = self.rows[: self.filled]
-        self.gram += held.T @ held
-        self.filled = 0
+        if not self.tall:
+            self.rows[self.filled : self.filled + len(g)] = g
+            self.filled += len(g)
+            return
+        # slices no taller than rank keep BLAS's packing buffers, and so the
+        # peak, small; G has no columns when var(Y) has rank zero
+        step = max(1, len(self.gram))
+        for i in range(0, len(g), step):
+            piece = g[i : i + step]
+            self.gram += piece.T @ piece
 
     def discrepancy(self, z: np.ndarray, sample_size) -> float:
         """The kind's adjustment discrepancy, as
         ``linalg.whitened_adjustment_discrepancy`` of its rows of G."""
         if not self.tall:
             return linalg.whitened_adjustment_discrepancy(self.rows, z, sample_size)
-        if self.filled:
-            self._fold()
         return linalg.gram_adjustment_discrepancy(self.gram, self.regather, z, sample_size)
 
 

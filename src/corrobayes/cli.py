@@ -14,12 +14,15 @@ Subcommands:
 Exit status: 0 on success (diagnostic warning flags do not fail a run),
 1 on validation or pipeline failure, 2 on configuration errors.  Among
 these, found before any stage runs: a missing key, a malformed value, a
-number that is NaN or infinite, an unknown ``noise_dist`` or ``w_dist``, a
-negative seed (``seed`` key or ``--seed``), a negative ``--extend-months``
-or ``extend_months`` key, fewer than 2 ``--realizations``, a
-``--true-sigr`` that is negative or not finite, and a ``--true-wx`` that is
-not positive or not finite; and, as a validation failure, an inspection
-value that is NaN or infinite.  Output files are written only after every
+number that is NaN or infinite (a config value or a topology ``x0_mm``),
+an unknown ``noise_dist`` or ``w_dist``, a negative seed (``seed`` key or
+``--seed``), a negative ``--extend-months`` or ``extend_months`` key, fewer
+than 2 ``--realizations``, a ``--true-sigr`` that is negative or not
+finite, and a ``--true-wx`` that is not positive or not finite; and, as
+validation failures, an inspection value that is NaN or infinite
+(``analyze``, ``validate``), and a record for a component the topology
+does not list (every command; ``simulate-study`` only when the config
+names an ``inspections`` file).  Output files are written only after every
 computing stage has finished, so a failure in one of them writes nothing.
 Each file is then replaced on its own, through a temporary file of its own
 name and a rename: no file is left truncated and concurrent runs do not
@@ -116,28 +119,28 @@ def load_run_config(args) -> RunConfig:
     )
 
 
-def _report_findings(rc: RunConfig) -> list:
-    """Print one ``validation:`` line per finding of ``validate_dataset`` and
-    per inspection value that is NaN or infinite; return the findings."""
-    findings = validate_dataset(rc.dataset, rc.topology) + [
-        f"value {rec.value} for component {rec.component} at time {rec.time} is not finite"
-        for rec in rc.dataset.records
-        if not math.isfinite(rec.value)
-    ]
+def _report_findings(findings: list) -> list:
+    """Print one ``validation:`` line per finding; return the findings."""
     for f in findings:
         print(f"validation: {f}", file=sys.stderr)
     return findings
 
 
-def _diag_rows(report):
-    return [
-        (r.component, "" if r.time is None else r.time, r.value, int(r.flagged), int(r.indeterminate))
-        for r in report.rows
+def _dataset_findings(rc: RunConfig) -> list:
+    """``validate_dataset``'s findings, plus one per inspection value that is
+    NaN or infinite."""
+    return validate_dataset(rc.dataset, rc.topology) + [
+        f"value {rec.value} for component {rec.component} at time {rec.time} is not finite"
+        for rec in rc.dataset.records
+        if not math.isfinite(rec.value)
     ]
 
 
-def _fmt_crossing(v):
-    return "" if v is None else v
+def _diag_rows(report):
+    return [
+        (r.component, r.time, r.value, int(r.flagged), int(r.indeterminate))
+        for r in report.rows
+    ]
 
 
 def run_analysis(rc: RunConfig) -> int:
@@ -152,7 +155,7 @@ def run_analysis(rc: RunConfig) -> int:
     horizon, are ensembles.  The prior check reads the without-learning
     branch's moments, which have the prior law.
     """
-    if _report_findings(rc):
+    if _report_findings(_dataset_findings(rc)):
         return EXIT_FAILURE
 
     observed = rc.dataset.values_vector()
@@ -232,8 +235,7 @@ def run_analysis(rc: RunConfig) -> int:
             os.path.join(out, "remnant_life.csv"),
             ["component", "mean_crossing", "lower_band_crossing", "upper_band_crossing"],
             [
-                (cl.component, _fmt_crossing(cl.mean_crossing),
-                 _fmt_crossing(cl.lower_band_crossing), _fmt_crossing(cl.upper_band_crossing))
+                (cl.component, cl.mean_crossing, cl.lower_band_crossing, cl.upper_band_crossing)
                 for cl in (life.per_component if life else [])
             ],
         )
@@ -309,7 +311,7 @@ def _band_rows(comparison, prior):
 
 
 def run_validate(rc: RunConfig) -> int:
-    if _report_findings(rc):
+    if _report_findings(_dataset_findings(rc)):
         return EXIT_FAILURE
     with _stage("prior-consistency"):
         (moments,) = moments_by_law(
@@ -337,6 +339,8 @@ def run_study(rc: RunConfig, args) -> int:
     design = rc.dataset
     if design is None:
         design = designs.reference_design(rc.topology)
+    elif _report_findings(validate_dataset(design, rc.topology)):  # values are not read
+        return EXIT_FAILURE
     with _stage("simulation-study"):
         study = estimator_study(
             rc.prior, rc.topology, design,

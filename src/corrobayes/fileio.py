@@ -30,7 +30,9 @@ from .system import (
 
 
 def fmt(x) -> str:
-    """Full-precision decimal text for a number."""
+    """Full-precision decimal text for a number; a blank for None."""
+    if x is None:
+        return ""
     if type(x) is float:
         return repr(x)
     if isinstance(x, (float, np.floating)):
@@ -124,7 +126,7 @@ def parse_topology(path) -> SystemTopology:
         position_of[comp] = position
         if has_x0:
             try:
-                x0_of[comp] = float(parts[3])
+                x0_of[comp] = _finite(parts[3])
             except (IndexError, ValueError) as exc:
                 raise ConfigError(f"{path}:{lineno}: bad x0_mm value") from exc
     return SystemTopology(tuple(comps), circuit_of, position_of, x0_of if has_x0 else None)

@@ -79,7 +79,7 @@ from collections.abc import Callable
 import numpy as np
 
 from . import quadrature
-from .errors import ConfigError, InsufficientDataError, ShapeError
+from .errors import ConfigError, ShapeError
 from .linalg import MomentPair
 from .system import (
     InspectionDataset,
@@ -537,7 +537,6 @@ def estimate_moments_by_law(
     n_realizations: int | None = None,
     seed: int | None = None,
     scheme=None,
-    allow_empty_design: bool = False,
 ) -> list:
     """Sample moments under each law (sigma_r, mu_wx) of ``laws`` from one
     shared ensemble; deterministic given seed.
@@ -570,8 +569,6 @@ def estimate_moments_by_law(
         raise ConfigError("a moment pass takes a difference scheme or targets, not both")
     cells = _cells(prior, topology, design, targets)
     points = cells.points
-    if not points and not allow_empty_design:
-        raise InsufficientDataError("design contains no observation points")
 
     # a scheme pass keeps the monthly drawer's streams for its Dbar moments
     scales, blocks = _ensemble(prior, topology, cells, laws, n, seed, monthly=scheme is not None)
@@ -633,7 +630,6 @@ def estimate_moments(
     sigma_r: float | None = None,
     mu_wx: float | None = None,
     scheme=None,
-    allow_empty_design: bool = False,
 ) -> MomentEstimates | DbarMoments:
     """Sample moments under one law; ``sigma_r`` and ``mu_wx`` default to
     the prior's.  The one-law case of ``estimate_moments_by_law``, so with a
@@ -643,7 +639,7 @@ def estimate_moments(
         prior.hyper.mu_wx if mu_wx is None else mu_wx,
     )
     (est,) = estimate_moments_by_law(
-        prior, topology, design, [law], targets, n_realizations, seed, scheme, allow_empty_design,
+        prior, topology, design, [law], targets, n_realizations, seed, scheme,
     )
     return est
 
@@ -869,7 +865,6 @@ def moments_by_law(
     if prior.noise_dist != "gaussian":
         return estimate_moments_by_law(
             prior, topology, design, laws, targets, n_realizations, seed, scheme,
-            allow_empty_design=True,
         )
     if scheme is None:
         return exact_moments(prior, topology, design, laws, targets)

@@ -35,9 +35,7 @@ def test_adjustment_reduces_variance_and_tracks_the_data(topo16, design16, prior
 def test_empty_dataset_leaves_targets_at_their_priors(topo16, prior16):
     empty = designs.design_from_times({}, 20)
     targets = [("zmin", topo16.components[0], 20)]
-    mom = estimate_moments(
-        prior16, topo16, empty, targets, n_realizations=300, seed=3, allow_empty_design=True
-    )
+    mom = estimate_moments(prior16, topo16, empty, targets, n_realizations=300, seed=3)
     beliefs = adjust_from_moments(mom, empty, np.zeros(0))
     (row,) = beliefs.rows_for()
     assert row.adjusted_mean == row.prior_mean
@@ -249,11 +247,12 @@ def _assert_close(a, b, rtol=1e-12):
 def test_blockwise_update_equals_the_whole_array_update_bit_for_bit(noise_dist, monkeypatch):
     mom, ext = _full_run_case(noise_dist)
     n_obs = len(mom.design_points)
-    if noise_dist == "student_t":
-        # 16-row blocks, so the ensemble's 6,208 targets span many blocks too
-        monkeypatch.setattr(adjust, "BLOCK_ELEMENTS", 16 * n_obs)
     assert 8 < adjust.block_rows(n_obs) < len(mom.targets)
     assert adjust.block_rows(n_obs) % 8 == 0
+    if noise_dist == "student_t":
+        # 16-row blocks, thinner than any the rule gives, so the ensemble's
+        # 6,208 targets span many blocks too
+        monkeypatch.setattr(adjust, "block_rows", lambda n_obs: 16)
     beliefs = adjust_from_moments(mom, ext)
     mean, var, discrepancy = reference_update(mom, ext.values_vector())
     assert np.array_equal(beliefs.adjusted_mean, mean)
@@ -265,10 +264,38 @@ def test_blockwise_update_equals_the_whole_array_update_bit_for_bit(noise_dist, 
 @pytest.mark.parametrize("rows", [1, 3, 7])
 def test_ragged_blocks_agree_with_the_whole_array_update(noise_dist, rows, monkeypatch):
     mom, ext = _full_run_case(noise_dist)
-    monkeypatch.setattr(adjust, "BLOCK_ELEMENTS", rows * len(mom.design_points))
-    assert adjust.block_rows(len(mom.design_points)) == rows
+    monkeypatch.setattr(adjust, "block_rows", lambda n_obs: rows)
     beliefs = adjust_from_moments(mom, ext)
     mean, var, discrepancy = reference_update(mom, ext.values_vector())
+    _assert_close(beliefs.adjusted_mean, mean)
+    _assert_close(beliefs.adjusted_var, var)
+    got = _discrepancies(beliefs)
+    assert got.keys() == discrepancy.keys() == {"zmin", "alpha", "x"}
+    for kind, value in discrepancy.items():
+        assert got[kind] == pytest.approx(value, rel=1e-12), kind
+
+
+def test_blocks_are_never_thinner_than_the_observations():
+    for n_obs in range(1, 2001):
+        rows = adjust.block_rows(n_obs)
+        assert rows >= n_obs, n_obs
+        assert rows < 8 or rows % 8 == 0, n_obs
+
+
+def test_square_blocks_agree_with_the_whole_array_update():
+    # 399 observations: the element budget alone would give 328-row blocks
+    topo = designs.four_circuit_topology()
+    prior = make_prior(topo)
+    design = designs.reference_design(topo, total_observations=400, visits=7, monitored=64)
+    data = draw_dataset(prior, topo, design, seed=7, sigma_r=0.0064, mu_wx=0.01, fix_scales=True)
+    targets = _zmin_targets(topo, data.horizon)
+    targets += [(kind, c, data.horizon) for kind in ("alpha", "x") for c in topo.components]
+    (mom,) = exact_moments(prior, topo, data, [(0.0064, 0.01)], targets)
+    n_obs = len(mom.design_points)
+    assert adjust.BLOCK_ELEMENTS // n_obs < n_obs <= adjust.block_rows(n_obs) < len(targets)
+    beliefs = adjust_from_moments(mom, data)
+    assert beliefs.kind_rows["zmin"].tall and not beliefs.kind_rows["x"].tall
+    mean, var, discrepancy = reference_update(mom, data.values_vector())
     _assert_close(beliefs.adjusted_mean, mean)
     _assert_close(beliefs.adjusted_var, var)
     got = _discrepancies(beliefs)
@@ -284,7 +311,7 @@ def test_a_rank_deficient_tall_kind_falls_back_to_a_blockwise_qr(topo16, design1
     targets = [("x", topo16.components[2], design16.horizon)] * 100
     targets += [("zmin", c, design16.horizon) for c in topo16.components[:5]]
     (mom,) = exact_moments(prior16, topo16, data, [(0.0064, 0.01)], targets)
-    monkeypatch.setattr(adjust, "BLOCK_ELEMENTS", 3 * len(mom.design_points))
+    monkeypatch.setattr(adjust, "block_rows", lambda n_obs: 3)
     passes = []
     g_blocks = adjust._g_blocks
     monkeypatch.setattr(adjust, "_g_blocks", lambda *a: passes.append(1) or g_blocks(*a))

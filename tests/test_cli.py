@@ -197,6 +197,45 @@ def test_non_finite_inspection_values_fail_validation_before_any_stage(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_a_non_finite_topology_x0_exits_with_the_config_code_before_any_stage(
+    tmp_path, capsys, monkeypatch, value
+):
+    config = _write_workspace(tmp_path)
+    topo = tmp_path / "topology.csv"
+    header, *rows = topo.read_text().splitlines()
+    rows = [row + (f",{value}" if row.startswith("2,") else ",12.0") for row in rows]
+    topo.write_text("\n".join([header + ",x0_mm", *rows]) + "\n")
+
+    def no_stage(name):
+        raise AssertionError(f"stage {name!r} ran")
+
+    monkeypatch.setattr(cli, "_stage", no_stage)
+    out = tmp_path / "out"
+    code = cli.main(["analyze", "--config", str(config), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "bad x0_mm value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_study_fails_validation_on_an_unknown_component_before_any_stage(
+    tmp_path, capsys, monkeypatch
+):
+    config = _write_workspace(tmp_path)
+    insp = tmp_path / "inspections.csv"
+    insp.write_text(insp.read_text() + "99,5,11.0\n")
+
+    def no_stage(name):
+        raise AssertionError(f"stage {name!r} ran")
+
+    monkeypatch.setattr(cli, "_stage", no_stage)
+    out = tmp_path / "out"
+    code = cli.main(["simulate-study", "--config", str(config), "--out", str(out), *STUDY_TRUTH])
+    assert code == cli.EXIT_FAILURE
+    assert "validation: unknown component 99" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _run_analysis(config, out):
     return cli.main(
         ["analyze", "--config", str(config), "--out", str(out), "--extend-months", "6"]

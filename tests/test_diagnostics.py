@@ -172,7 +172,7 @@ def test_adjustment_diagnostics_report_zero_rows_without_data(topo16, prior16):
     empty = designs.design_from_times({}, 20)
     mom = estimate_moments(
         prior16, topo16, empty, [("x", topo16.components[0], 20)],
-        n_realizations=200, seed=23, allow_empty_design=True,
+        n_realizations=200, seed=23,
     )
     beliefs = adjust_from_moments(mom, empty, np.zeros(0))
     report = diagnostics.adjustment_diagnostics(beliefs)

@@ -7,7 +7,7 @@ import pytest
 
 from corrobayes import designs, simulate, varlearn
 from corrobayes.calibrate import estimator_study
-from corrobayes.errors import ConfigError, InsufficientDataError
+from corrobayes.errors import ConfigError
 from corrobayes.simulate import (
     TARGET_KINDS,
     TargetMoments,
@@ -176,13 +176,11 @@ def test_bad_target_requests_are_rejected(topo16, design16, prior16):
         )
 
 
-def test_empty_design_requires_explicit_opt_in(topo16, prior16):
+def test_an_empty_design_with_a_target_has_no_observation_moments(topo16, prior16):
     empty = designs.design_from_times({}, 10)
-    with pytest.raises(InsufficientDataError):
-        estimate_moments(prior16, topo16, empty, n_realizations=10, seed=0)
     mom = estimate_moments(
         prior16, topo16, empty, targets=[("x", topo16.components[0], 5)],
-        n_realizations=200, seed=0, allow_empty_design=True,
+        n_realizations=200, seed=0,
     )
     assert mom.e_y.shape == (0,)
 
