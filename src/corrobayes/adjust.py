@@ -44,6 +44,11 @@ BAND_CONVENTION = "mean +/- 1.96*sqrt(adjusted variance)"
 ZMIN = TARGET_KINDS.index("zmin")
 
 
+def band_half_width(var: np.ndarray) -> np.ndarray:
+    """BAND_Z standard deviations for each variance; a negative one gives 0."""
+    return BAND_Z * np.sqrt(np.clip(var, 0.0, None))
+
+
 @dataclass(frozen=True)
 class TargetBelief:
     kind: str
@@ -268,7 +273,7 @@ def remnant_life(beliefs: AdjustedBelief, critical: float) -> RemnantLifeEstimat
         raise ShapeError(f"component {comp} beliefs are not on a contiguous monthly grid")
     starts = np.flatnonzero(np.diff(code, prepend=-1))
     mean = beliefs.adjusted_mean[zmin]
-    half = BAND_Z * np.sqrt(np.clip(beliefs.adjusted_var[zmin], 0.0, None))
+    half = band_half_width(beliefs.adjusted_var[zmin])
     crossings = []
     for curve in (mean, mean - half, mean + half):
         at, found = _first_crossings(times, curve, starts, critical)
@@ -326,7 +331,6 @@ def compare_with_without_variance_learning(
     block by block, so neither branch holds a (targets x observations)
     array whole.
     """
-    seed = prior.rng_seed if seed is None else seed
     if calibration is None:
         calibration = calibrate(
             prior, topology, dataset, observed_y, seed=seed, n_realizations=n_realizations

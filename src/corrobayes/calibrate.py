@@ -136,7 +136,7 @@ def calibrate(
     candidates = prior.sigma_r_candidates
     if not candidates:
         raise ConfigError("candidate grid is empty")
-    n, seed = _size_and_seed(prior, n_realizations, seed)
+    n, seed = _size_and_seed(n_realizations, seed)
     if observed_y is None:
         observed_y = dataset.values_vector()
     observed_y = np.asarray(observed_y, dtype=float)
@@ -198,7 +198,7 @@ def estimator_study(
     """
     if replicates < 1:
         raise ConfigError("replicate count must be at least 1")
-    n, seed = _size_and_seed(prior, n_realizations, seed)
+    n, seed = _size_and_seed(n_realizations, seed)
     scheme = varlearn.build_scheme(design, prior.hyper.lam)
     if not scheme.components:
         raise InsufficientDataError("no component has three or more observations")

@@ -14,11 +14,13 @@ Subcommands:
 Exit status: 0 on success (diagnostic warning flags do not fail a run),
 1 on validation or pipeline failure, 2 on configuration errors.  Among
 these, found before any stage runs: a missing key, a malformed value, a
-number that is NaN or infinite (a config value or a topology ``x0_mm``),
+number that is NaN or infinite (a config value, a topology ``x0_mm`` or an
+inspection month), a topology whose component ids mix numbers and names,
 an unknown ``noise_dist`` or ``w_dist``, a negative seed (``seed`` key or
 ``--seed``), a negative ``--extend-months`` or ``extend_months`` key, fewer
-than 2 ``--realizations``, a ``--true-sigr`` that is negative or not
-finite, and a ``--true-wx`` that is not positive or not finite; and, as
+than 2 realizations (``realizations`` key or ``--realizations``), a
+``--true-sigr`` that is negative or not finite, and a ``--true-wx`` that is
+not positive or not finite; and, as
 validation failures, an inspection value that is NaN or infinite
 (``analyze``, ``validate``), and a record for a component the topology
 does not list (every command; ``simulate-study`` only when the config
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import designs, diagnostics, fileio, linalg
-from .adjust import BAND_CONVENTION, BAND_Z, ZMIN, compare_with_without_variance_learning
+from .adjust import BAND_CONVENTION, ZMIN, band_half_width, compare_with_without_variance_learning
 from .calibrate import calibrate, estimator_study
 from .errors import ConfigError
 from .simulate import (
@@ -98,6 +100,12 @@ def load_run_config(args) -> RunConfig:
             raise ConfigError(f"missing required config key {key!r}")
         return os.path.join(os.path.dirname(args.config), config[key])
 
+    def flag_or_key(flag, key):
+        """A run setting: its flag if given, else its config key, else None."""
+        if flag is None and key in config:
+            return fileio._get(config, key, int)
+        return flag
+
     topology = fileio.parse_topology(path_of("topology"))
     prior = fileio.build_prior(config, topology)
     origin = fileio._get(config, "origin_month", int, 1)
@@ -106,12 +114,12 @@ def load_run_config(args) -> RunConfig:
     dataset = None
     if args.command != "simulate-study" or "inspections" in config:
         dataset = fileio.parse_inspections(path_of("inspections"), origin, horizon)
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
-    n, seed = _size_and_seed(prior, args.realizations, args.seed)
-    extend = getattr(args, "extend_months", None)
-    if extend is None:
-        extend = fileio._get(config, "extend_months", int, 0)
+    seed = flag_or_key(args.seed, "seed")
+    if seed is not None and seed < 0:
+        name = "seed" if args.seed is None else "--seed"
+        raise ConfigError(f"{name} must be nonnegative, got {seed}")
+    n, seed = _size_and_seed(flag_or_key(args.realizations, "realizations"), seed)
+    extend = flag_or_key(getattr(args, "extend_months", None), "extend_months") or 0
     if extend < 0:
         raise ConfigError(f"extend_months must be nonnegative, got {extend}")
     return RunConfig(
@@ -297,12 +305,12 @@ def _band_rows(comparison, prior):
     if without.moments.n_realizations is None:
         lo, hi = zmin_quantiles(prior, without.time[zmin], (0.025, 0.975)).T
     else:
-        hi = BAND_Z * np.sqrt(np.clip(without.prior_var[zmin], 0.0, None))
+        hi = band_half_width(without.prior_var[zmin])
         lo = -hi
     columns = [prior_mean + lo, prior_mean, prior_mean + hi]
     for branch in (without, learned):
         mean = branch.adjusted_mean[zmin]
-        half = BAND_Z * np.sqrt(np.clip(branch.adjusted_var[zmin], 0.0, None))
+        half = band_half_width(branch.adjusted_var[zmin])
         columns += [mean - half, mean, mean + half]
     return list(zip(
         without.component[zmin].tolist(), without.time[zmin].tolist(),

@@ -95,7 +95,8 @@ def _component_id(text: str):
 
 
 def parse_topology(path) -> SystemTopology:
-    """Delimited text: component_id,circuit_id,position_in_circuit[,x0_mm]."""
+    """Delimited text: component_id,circuit_id,position_in_circuit[,x0_mm].
+    Component ids are all numbers or all names, since the pipeline sorts them."""
     comps, circuit_of, position_of, x0_of = [], {}, {}, {}
     has_x0 = False
     try:
@@ -129,6 +130,8 @@ def parse_topology(path) -> SystemTopology:
                 x0_of[comp] = _finite(parts[3])
             except (IndexError, ValueError) as exc:
                 raise ConfigError(f"{path}:{lineno}: bad x0_mm value") from exc
+    if len({type(c) for c in comps}) > 1:
+        raise ConfigError(f"{path}: component ids mix numbers and names")
     return SystemTopology(tuple(comps), circuit_of, position_of, x0_of if has_x0 else None)
 
 
@@ -154,7 +157,7 @@ def parse_inspections(path, origin_month: int, horizon: int) -> InspectionDatase
             raise ConfigError(f"{path}:{lineno}: expected 3 columns")
         comp = _component_id(parts[0])
         try:
-            month_raw = float(parts[1])
+            month_raw = _finite(parts[1])
             value = float(parts[2])
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
@@ -232,9 +235,7 @@ def build_prior(config: dict, topology: SystemTopology) -> PriorSpecification:
         locations_per_component=_get(config, "locations_per_component", int, 10),
         x0=x0,
         alpha0=alpha0,
-        ensemble_size=_get(config, "realizations", int, 1000),
         critical_thickness=_get(config, "critical_thickness", _finite, 4.0),
-        rng_seed=_get(config, "seed", int, 0),
         noise_dist=config.get("noise_dist", "gaussian"),
         t_dof=_get(config, "t_dof", _finite, 5.0),
         w_dist=config.get("w_dist", "gamma"),

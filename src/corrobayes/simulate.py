@@ -97,6 +97,10 @@ TARGET_KINDS = ("zmin", "x", "alpha")
 #: in the observed-cell and min-part drawers.
 BLOCK_ELEMENTS = 2**16
 
+#: A pass's ensemble size and seed when its caller gives none.
+DEFAULT_REALIZATIONS = 1000
+DEFAULT_SEED = 0
+
 
 def _as_seedseq(seed) -> np.random.SeedSequence:
     """A fresh SeedSequence: spawning from it never advances the caller's
@@ -164,12 +168,12 @@ def _unit_linear_cov(pi: np.ndarray, lam: float, cells: _Cells) -> np.ndarray:
     return pi[np.ix_(cells.obs_c, cells.obs_c)] * _linear_kernel(cells.obs_t, lam)
 
 
-def _size_and_seed(prior: PriorSpecification, n_realizations, seed):
-    """The ensemble size and the seed of a pass: the prior's unless given."""
-    n = prior.ensemble_size if n_realizations is None else int(n_realizations)
+def _size_and_seed(n_realizations, seed):
+    """The ensemble size and the seed of a pass: the defaults unless given."""
+    n = DEFAULT_REALIZATIONS if n_realizations is None else int(n_realizations)
     if n < 2:
         raise ConfigError("need at least 2 realizations")
-    return n, prior.rng_seed if seed is None else seed
+    return n, DEFAULT_SEED if seed is None else seed
 
 
 def draw_dataset(
@@ -562,7 +566,7 @@ def estimate_moments_by_law(
     for as long as it lives to form target rows from: every law's ensemble
     stays held, (n x observations) and (n x targets) per law.
     """
-    n, seed = _size_and_seed(prior, n_realizations, seed)
+    n, seed = _size_and_seed(n_realizations, seed)
     laws = [(float(sr), float(mu)) for sr, mu in laws]
     targets = tuple(targets)
     if scheme is not None and targets:
@@ -798,7 +802,7 @@ def exact_dbar_moments(
     kept whole, so the variances do not depend on the block size.
     """
     cells, pi, mins, same_y = _exact_setup(prior, topology, design)
-    n, seed = _size_and_seed(prior, n_realizations, seed)
+    n, seed = _size_and_seed(n_realizations, seed)
     obs_t, obs_c = cells.obs_t, cells.obs_c
     yi, yj = np.nonzero(same_y)
     kernel = scheme.kernel(cells.points)

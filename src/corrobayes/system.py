@@ -298,7 +298,8 @@ def validate_dataset(dataset: InspectionDataset, topology: SystemTopology) -> li
 
 @dataclass(frozen=True)
 class PriorSpecification:
-    """Everything the pipeline needs to simulate and adjust.
+    """The beliefs about the system that the pipeline simulates and adjusts
+    from; a run's ensemble size and seed are not among them.
 
     sigma_r is the prior (working) local-corrosion variance; the candidate
     grid is what the Mahalanobis calibration searches over.
@@ -312,9 +313,7 @@ class PriorSpecification:
     locations_per_component: int = 10
     x0: np.ndarray = field(default=None)
     alpha0: np.ndarray = field(default=None)
-    ensemble_size: int = 1000
     critical_thickness: float = 4.0
-    rng_seed: int = 0
     noise_dist: str = "gaussian"
     t_dof: float = 5.0
     w_dist: str = "gamma"
@@ -326,10 +325,6 @@ class PriorSpecification:
             raise ConfigError("sigma_r must be nonnegative")
         if self.locations_per_component < 1:
             raise ConfigError("locations_per_component must be at least 1")
-        if self.ensemble_size < 2:
-            raise ConfigError("ensemble_size must be at least 2")
-        if self.rng_seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.rng_seed}")
         cands = tuple(float(v) for v in self.sigma_r_candidates)
         if not cands:
             cands = default_candidate_grid(self.hyper.mu_wx)

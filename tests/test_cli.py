@@ -147,6 +147,7 @@ STUDY_TRUTH = ["--true-wx", "0.01", "--true-sigr", "0.0064", "--replicates", "5"
         (["analyze", "--seed", "-1"], "", "--seed must be nonnegative"),
         (["analyze"], "seed = -1", "seed must be nonnegative"),
         (["validate", "--realizations", "1"], "", "need at least 2 realizations"),
+        (["validate"], "realizations = 1", "need at least 2 realizations"),
         (["simulate-study", *STUDY_TRUTH, "--true-sigr", "-0.001"], "", "--true-sigr must be"),
         (["simulate-study", *STUDY_TRUTH, "--true-sigr", "nan"], "", "--true-sigr must be"),
         (["simulate-study", *STUDY_TRUTH, "--true-wx", "nan"], "", "--true-wx must be"),
@@ -155,7 +156,7 @@ STUDY_TRUTH = ["--true-wx", "0.01", "--true-sigr", "0.0064", "--replicates", "5"
         (["analyze"], "extend_months = -3", "extend_months must be nonnegative"),
     ],
     ids=[
-        "seed-flag", "seed-key", "realizations-one",
+        "seed-flag", "seed-key", "realizations-one", "realizations-key",
         "true-sigr-negative", "true-sigr-nan", "true-wx-nan", "true-wx-zero",
         "extend-months-flag", "extend-months-key",
     ],
@@ -234,6 +235,44 @@ def test_simulate_study_fails_validation_on_an_unknown_component_before_any_stag
     assert code == cli.EXIT_FAILURE
     assert "validation: unknown component 99" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_component_ids_that_mix_numbers_and_names_exit_with_the_config_code_before_any_stage(
+    tmp_path, capsys, monkeypatch
+):
+    config = _write_workspace(tmp_path)
+    for name in ("topology.csv", "inspections.csv"):
+        path = tmp_path / name
+        header, *rows = path.read_text().splitlines()
+        rows = ["P" + row if row.startswith("7,") else row for row in rows]
+        path.write_text("\n".join([header, *rows]) + "\n")
+
+    def no_stage(name):
+        raise AssertionError(f"stage {name!r} ran")
+
+    monkeypatch.setattr(cli, "_stage", no_stage)
+    out = tmp_path / "out"
+    code = cli.main(["analyze", "--config", str(config), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "component ids mix numbers and names" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_config_reads_the_seed_and_realizations_keys_and_a_flag_overrides_its_key(tmp_path):
+    config = _write_workspace(tmp_path)
+    text = config.read_text()
+
+    def load(*flags):
+        args = cli.build_parser().parse_args(["validate", "--config", str(config), *flags])
+        rc = cli.load_run_config(args)
+        return rc.n_realizations, rc.seed
+
+    config.write_text(text.replace("seed = 3\n", "").replace("realizations = 200\n", ""))
+    assert load() == (1000, 0)
+    config.write_text(text + "realizations = 250\nseed = 9\n")  # a later key overrides
+    assert load() == (250, 9)
+    assert load("--realizations", "40") == (40, 9)
+    assert load("--seed", "5") == (250, 5)
 
 
 def _run_analysis(config, out):

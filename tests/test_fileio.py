@@ -98,6 +98,10 @@ def test_topology_header_and_column_errors(tmp_path):
     bad_pos.write_text("component_id,circuit_id,position_in_circuit\n1,A,first\n")
     with pytest.raises(ConfigError):
         fileio.parse_topology(bad_pos)
+    mixed = tmp_path / "t4.csv"
+    mixed.write_text("component_id,circuit_id,position_in_circuit\n1,A,1\nP2,A,2\n")
+    with pytest.raises(ConfigError, match="mix numbers and names"):
+        fileio.parse_topology(mixed)
 
 
 def _write_inspections_text(path, body):
@@ -131,6 +135,11 @@ def test_inspections_reject_bad_rows(tmp_path):
     _write_inspections_text(cols, "1,3\n")
     with pytest.raises(ConfigError, match="3 columns"):
         fileio.parse_inspections(cols, 1, 10)
+    for month in ("nan", "inf"):
+        bad_month = tmp_path / f"{month}.csv"
+        _write_inspections_text(bad_month, f"1,{month},11.0\n")
+        with pytest.raises(ConfigError, match=f":2: '{month}' is not a finite number"):
+            fileio.parse_inspections(bad_month, 1, 10)
 
 
 def test_fractional_months_are_floored_with_a_warning(tmp_path):
@@ -185,7 +194,6 @@ def test_build_prior_reads_required_keys_and_defaults():
     assert prior.corr.rhoC == 0.5 and prior.corr.nu == 1.0
     assert prior.sigma_r == 0.0064
     assert prior.locations_per_component == 10
-    assert prior.ensemble_size == 1000
     assert np.all(prior.x0 == 12.0) and np.all(prior.alpha0 == -0.01)
     assert len(prior.sigma_r_candidates) > 0  # default candidate grid
 
@@ -194,14 +202,11 @@ def test_build_prior_parses_optional_candidate_grid_and_overrides():
     cfg = dict(FULL_CONFIG)
     cfg.update(
         sigma_r_candidates="0.0016, 0.0064, 0.0256",
-        realizations="250",
-        seed="9",
         nu="2.0",
         noise_dist="student_t",
     )
     prior = fileio.build_prior(cfg, _topology())
     assert prior.sigma_r_candidates == (0.0016, 0.0064, 0.0256)
-    assert prior.ensemble_size == 250 and prior.rng_seed == 9
     assert prior.corr.nu == 2.0 and prior.noise_dist == "student_t"
 
 
