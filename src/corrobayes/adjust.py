@@ -177,26 +177,21 @@ def _g_blocks(moments: MomentEstimates, root: np.ndarray):
 def adjust_from_moments(
     moments: MomentEstimates,
     dataset: InspectionDataset,
-    observed_y: np.ndarray | None = None,
     diagnose: bool = True,
 ) -> AdjustedBelief:
-    """Apply the Bayes linear update given precomputed moments, in whitened
-    data space and block by block over the targets (``block_rows``):
-    E_D(B) = E(B) + G z and var_D(B) = var(B) - rowsum(G * G).
+    """Apply the Bayes linear update given precomputed moments to the
+    dataset's values, in whitened data space and block by block over the
+    targets (``block_rows``): E_D(B) = E(B) + G z and
+    var_D(B) = var(B) - rowsum(G * G).  The dataset's design must be the
+    moments' design.
 
     Without ``diagnose`` nothing is kept of G (``kind_rows`` is None), which
     saves a tall kind's Gram matrix, as costly as G itself."""
-    n_obs = len(moments.design_points)
-    if observed_y is None:
-        observed_y = dataset.values_vector()
-    observed_y = np.asarray(observed_y, dtype=float)
-    if observed_y.shape != (n_obs,):
-        raise ShapeError(
-            f"observed vector has shape {observed_y.shape}, design has {n_obs} points"
-        )
+    if dataset.design_points() != list(moments.design_points):
+        raise ShapeError("the dataset's design is not the design of its moments")
 
     factor = moments.y_moment_pair().factor
-    z = factor.whiten(observed_y - moments.e_y)
+    z = factor.whiten(dataset.values_vector() - moments.e_y)
     root = factor.root
     kind, component, time = moments.target_cells
     prior_mean, adjusted_mean, prior_var, adjusted_var = np.empty((4, len(kind)))
@@ -283,19 +278,12 @@ def remnant_life(beliefs: AdjustedBelief, critical: float) -> RemnantLifeEstimat
     )
 
 
-def _life_or_none(beliefs: AdjustedBelief, critical: float) -> RemnantLifeEstimate | None:
-    try:
-        return remnant_life(beliefs, critical)
-    except ShapeError:
-        return None
-
-
 @dataclass
 class LearningComparison:
     """Paired pipeline runs with and without variance learning.  Each
-    branch's remnant life (None when its zmin targets are not a monthly
-    grid) is computed on first read.  Only the with-learning branch keeps
-    what adjustment diagnostics read."""
+    branch's remnant life is computed on first read, and raises ShapeError
+    when its zmin targets are not a monthly grid.  Only the with-learning
+    branch keeps what adjustment diagnostics read."""
 
     without_learning: AdjustedBelief
     with_learning: AdjustedBelief
@@ -303,12 +291,12 @@ class LearningComparison:
     critical_thickness: float
 
     @cached_property
-    def life_without(self) -> RemnantLifeEstimate | None:
-        return _life_or_none(self.without_learning, self.critical_thickness)
+    def life_without(self) -> RemnantLifeEstimate:
+        return remnant_life(self.without_learning, self.critical_thickness)
 
     @cached_property
-    def life_with(self) -> RemnantLifeEstimate | None:
-        return _life_or_none(self.with_learning, self.critical_thickness)
+    def life_with(self) -> RemnantLifeEstimate:
+        return remnant_life(self.with_learning, self.critical_thickness)
 
 
 def compare_with_without_variance_learning(
@@ -323,6 +311,8 @@ def compare_with_without_variance_learning(
 ) -> LearningComparison:
     """Run adjustment twice, with prior variances and with calibrated ones.
 
+    Every step reads the dataset's values; an ``observed_y`` given in canonical
+    design order replaces them first (``InspectionDataset.with_values``).
     Both branches' moments come from one two-law ``moments_by_law`` call:
     exact under Gaussian noise, and under Student-t noise one two-law
     ensemble on ``seed`` (common random numbers, so paired contrasts are not
@@ -331,10 +321,10 @@ def compare_with_without_variance_learning(
     block by block, so neither branch holds a (targets x observations)
     array whole.
     """
+    if observed_y is not None:
+        dataset = dataset.with_values(observed_y)
     if calibration is None:
-        calibration = calibrate(
-            prior, topology, dataset, observed_y, seed=seed, n_realizations=n_realizations
-        )
+        calibration = calibrate(prior, topology, dataset, seed=seed, n_realizations=n_realizations)
     selected = calibration.selected
     laws = [
         (prior.sigma_r, prior.hyper.mu_wx),
@@ -344,6 +334,6 @@ def compare_with_without_variance_learning(
         prior, topology, dataset, laws, targets, n_realizations, seed
     )
     # only the with-learning branch is diagnosed
-    without = adjust_from_moments(prior_moments, dataset, observed_y, diagnose=False)
-    with_learning = adjust_from_moments(learned_moments, dataset, observed_y)
+    without = adjust_from_moments(prior_moments, dataset, diagnose=False)
+    with_learning = adjust_from_moments(learned_moments, dataset)
     return LearningComparison(without, with_learning, calibration, prior.critical_thickness)

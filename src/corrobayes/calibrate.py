@@ -4,7 +4,9 @@ For each candidate local variance the pipeline (i) takes the Dbar moments
 under the prior, (ii) adjusts the population mean evolution variance
 using the Dbar statistic of the observed data, (iii) computes the observation
 moments under the adjusted variances, and (iv) scores the observed data by
-the discrepancy ratio H.  The candidate whose H is nearest unity wins; ties
+the discrepancy ratio H.  The observed data are the dataset's own values,
+read by both (ii) and (iv), and one difference scheme of its design serves
+every candidate.  The candidate whose H is nearest unity wins; ties
 break toward the smaller local variance.
 
 The two passes take two seeds spawned from the run seed, and both read
@@ -20,9 +22,9 @@ random numbers.
 
 The estimator study shares everything that does not depend on a
 replicate's data: one set of Dbar moments (exact under Gaussian noise, as
-in the learning pass), one Dbar kernel and one factor of var(Dbar) for the
-adjustment.  Its replicates are the realizations of an ensemble at the true
-law, drawn by the same engine as every other ensemble
+in the learning pass), one difference scheme and one factor of var(Dbar)
+for the adjustment.  Its replicates are the realizations of an ensemble at
+the true law, drawn by the same engine as every other ensemble
 (``simulate._run_blocks``) and reduced to their Dbar rows block by block,
 then adjusted together.
 """
@@ -55,8 +57,12 @@ class CandidateRow:
 
 @dataclass
 class CalibrationResult:
+    """One row per candidate, the selected one's index, and the difference
+    scheme every candidate learned with."""
+
     rows: list
     selected_index: int
+    scheme: varlearn.DifferenceScheme
 
     @property
     def selected(self) -> CandidateRow:
@@ -73,7 +79,7 @@ def select_index(h_values) -> int:
     return best
 
 
-def _scan(prior, topology, dataset, observed_y, scheme, candidates, seeds, n_realizations):
+def _scan(prior, topology, dataset, scheme, candidates, seeds, n_realizations):
     """Both passes over ``candidates`` on the pass seeds ``seeds``.  Returns
     one row per candidate."""
     learned = moments_by_law(
@@ -89,6 +95,7 @@ def _scan(prior, topology, dataset, observed_y, scheme, candidates, seeds, n_rea
         )
         for mom in learned
     ]
+    observed = dataset.values_vector()
     rescored = moments_by_law(
         prior, topology, dataset,
         [(sr, mu) for sr, (mu, _) in zip(candidates, adjusted)],
@@ -98,7 +105,7 @@ def _scan(prior, topology, dataset, observed_y, scheme, candidates, seeds, n_rea
         CandidateRow(
             sr, mu, var,
             linalg.mahalanobis_discrepancy(
-                observed_y, mom.y_moment_pair(), sample_size=mom.n_realizations
+                observed, mom.y_moment_pair(), sample_size=mom.n_realizations
             ),
         )
         for sr, (mu, var), mom in zip(candidates, adjusted, rescored)
@@ -109,7 +116,6 @@ def calibrate_candidate(
     prior: PriorSpecification,
     topology: SystemTopology,
     dataset: InspectionDataset,
-    observed_y: np.ndarray,
     scheme,
     sigma_r: float,
     seeds,
@@ -118,9 +124,7 @@ def calibrate_candidate(
     """One grid point: learn mu_wx under this local variance, rescore the
     observed data under the learned law.  With ``calibrate``'s two pass seeds it
     reproduces that candidate's row."""
-    (row,) = _scan(
-        prior, topology, dataset, observed_y, scheme, (sigma_r,), seeds, n_realizations
-    )
+    (row,) = _scan(prior, topology, dataset, scheme, (sigma_r,), seeds, n_realizations)
     return row
 
 
@@ -128,25 +132,18 @@ def calibrate(
     prior: PriorSpecification,
     topology: SystemTopology,
     dataset: InspectionDataset,
-    observed_y: np.ndarray | None = None,
     seed: int | None = None,
     n_realizations: int | None = None,
 ) -> CalibrationResult:
-    """Run the fitting loop over the candidate grid; deterministic per seed."""
+    """Run the fitting loop over the candidate grid on the dataset's values;
+    deterministic per seed."""
     candidates = prior.sigma_r_candidates
     if not candidates:
         raise ConfigError("candidate grid is empty")
     n, seed = _size_and_seed(n_realizations, seed)
-    if observed_y is None:
-        observed_y = dataset.values_vector()
-    observed_y = np.asarray(observed_y, dtype=float)
-
     scheme = varlearn.build_scheme(dataset, prior.hyper.lam)
-    rows = _scan(
-        prior, topology, dataset, observed_y, scheme,
-        candidates, _as_seedseq(seed).spawn(2), n,
-    )
-    return CalibrationResult(rows, select_index([r.h for r in rows]))
+    rows = _scan(prior, topology, dataset, scheme, candidates, _as_seedseq(seed).spawn(2), n)
+    return CalibrationResult(rows, select_index([r.h for r in rows]), scheme)
 
 
 def _sorted_quantile(ordered: np.ndarray, q: float) -> float:
@@ -207,7 +204,6 @@ def estimator_study(
         prior, topology, design, [(true_sigma_r, prior.hyper.mu_wx)],
         n_realizations=n, seed=moment_seed, scheme=scheme,
     )
-    kernel = scheme.kernel(design.design_points())
     # without hypervariance every drawn W_c is exactly the law's mu_wx; the
     # rows carry no prior trend, which Dbar annihilates
     known = replace(prior, hyper=replace(prior.hyper, sigma_wx=0.0, gamma_wx=0.0))
@@ -215,7 +211,7 @@ def estimator_study(
         known, topology, design, [(true_sigma_r, true_mu_wx)], replicates, data_seed
     )
     dbar = varlearn.build_dbar_statistic(
-        np.concatenate([kernel(y) for _, _, y, _, _ in blocks]), scheme, prior.hyper, moments
+        np.concatenate([scheme(y) for _, _, y, _, _ in blocks]), scheme, prior.hyper, moments
     )
     estimates, _ = varlearn.adjust_wx(dbar, prior.hyper)
     ordered = np.sort(estimates)

@@ -24,8 +24,11 @@ not positive or not finite; and, as
 validation failures, an inspection value that is NaN or infinite
 (``analyze``, ``validate``), and a record for a component the topology
 does not list (every command; ``simulate-study`` only when the config
-names an ``inspections`` file).  Output files are written only after every
-computing stage has finished, so a failure in one of them writes nothing.
+names an ``inspections`` file).  A ``--replicates`` below 1 exits 2 at the
+start of the study stage.  An ``--out`` that cannot be written fails the
+``emit`` stage of every command, with exit 1.  Output files are written
+only after every computing stage has finished, so a failure in one of them
+writes nothing.
 Each file is then replaced on its own, through a temporary file of its own
 name and a rename: no file is left truncated and concurrent runs do not
 share a temporary file, but a failure while the files are written can leave
@@ -51,7 +54,6 @@ from .simulate import (
     TARGET_KINDS, _size_and_seed, forecast_extend, moments_by_law, zmin_quantiles,
 )
 from .system import validate_dataset
-from .varlearn import build_scheme
 
 #: ``band_convention_prior`` in run_metadata.txt, by how the moments were made.
 PRIOR_BAND_EXACT = "exact 2.5%/97.5% quantiles of the prior marginal"
@@ -166,13 +168,9 @@ def run_analysis(rc: RunConfig) -> int:
     if _report_findings(_dataset_findings(rc)):
         return EXIT_FAILURE
 
-    observed = rc.dataset.values_vector()
-    scheme = build_scheme(rc.dataset, rc.prior.hyper.lam)
-
     with _stage("calibration"):
         calibration = calibrate(
-            rc.prior, rc.topology, rc.dataset, observed,
-            seed=rc.seed, n_realizations=rc.n_realizations,
+            rc.prior, rc.topology, rc.dataset, seed=rc.seed, n_realizations=rc.n_realizations,
         )
 
     with _stage("adjustment"):
@@ -184,11 +182,12 @@ def run_analysis(rc: RunConfig) -> int:
         targets += [("alpha", c, horizon) for c in rc.topology.components]
         targets += [("x", c, horizon) for c in rc.topology.components]
         comparison = compare_with_without_variance_learning(
-            rc.prior, rc.topology, extended, observed, targets,
+            rc.prior, rc.topology, extended, targets=targets,
             seed=rc.seed, n_realizations=rc.n_realizations,
             calibration=calibration,
         )
 
+    observed = rc.dataset.values_vector()
     with _stage("prior-consistency"):
         prior_moments = comparison.without_learning.moments
         prior_obs = diagnostics.data_discrepancy(observed, prior_moments, "per-observation")
@@ -244,13 +243,13 @@ def run_analysis(rc: RunConfig) -> int:
             ["component", "mean_crossing", "lower_band_crossing", "upper_band_crossing"],
             [
                 (cl.component, cl.mean_crossing, cl.lower_band_crossing, cl.upper_band_crossing)
-                for cl in (life.per_component if life else [])
+                for cl in life.per_component
             ],
         )
         fileio.write_csv(
             os.path.join(out, "skipped_components.csv"),
             ["component"],
-            [(c,) for c in scheme.skipped],
+            [(c,) for c in calibration.scheme.skipped],
         )
         diag_lines = [f"prior_H = {fileio.fmt(prior_h)}", f"final_H = {fileio.fmt(final_h)}"]
         diag_lines += [f"Dis_Y({r.label}) = {fileio.fmt(r.value)}" for r in adj_diag.rows]
@@ -329,12 +328,13 @@ def run_validate(rc: RunConfig) -> int:
         observed = rc.dataset.values_vector()
         report = diagnostics.data_discrepancy(observed, moments, "per-observation")
         prior_h = diagnostics.global_discrepancy(observed, moments)
-    os.makedirs(rc.out_dir, exist_ok=True)
-    fileio.write_csv(
-        os.path.join(rc.out_dir, "prior_discrepancy.csv"),
-        ["component", "t", "discrepancy", "flagged", "indeterminate"],
-        _diag_rows(report),
-    )
+    with _stage("emit"):
+        os.makedirs(rc.out_dir, exist_ok=True)
+        fileio.write_csv(
+            os.path.join(rc.out_dir, "prior_discrepancy.csv"),
+            ["component", "t", "discrepancy", "flagged", "indeterminate"],
+            _diag_rows(report),
+        )
     print(f"dataset valid; prior H = {prior_h:.6g}; {len(report.flagged())} flagged observations")
     return EXIT_OK
 
@@ -355,18 +355,19 @@ def run_study(rc: RunConfig, args) -> int:
             true_mu_wx=args.true_wx, true_sigma_r=args.true_sigr,
             replicates=args.replicates, seed=rc.seed, n_realizations=rc.n_realizations,
         )
-    os.makedirs(rc.out_dir, exist_ok=True)
-    fileio.write_csv(
-        os.path.join(rc.out_dir, "estimator_distribution.csv"),
-        ["replicate", "adjusted_mu_WX"],
-        list(enumerate(study.estimates)),
-    )
-    fileio.write_csv(
-        os.path.join(rc.out_dir, "estimator_summary.csv"),
-        ["mean", "q05", "q95", "true_mu_WX", "true_sigma_r", "replicates", "floored"],
-        [(study.mean, study.q05, study.q95, args.true_wx, args.true_sigr, args.replicates,
-          study.floored)],
-    )
+    with _stage("emit"):
+        os.makedirs(rc.out_dir, exist_ok=True)
+        fileio.write_csv(
+            os.path.join(rc.out_dir, "estimator_distribution.csv"),
+            ["replicate", "adjusted_mu_WX"],
+            list(enumerate(study.estimates)),
+        )
+        fileio.write_csv(
+            os.path.join(rc.out_dir, "estimator_summary.csv"),
+            ["mean", "q05", "q95", "true_mu_WX", "true_sigma_r", "replicates", "floored"],
+            [(study.mean, study.q05, study.q95, args.true_wx, args.true_sigr, args.replicates,
+              study.floored)],
+        )
     print(
         f"estimator over {args.replicates} replicates: mean {study.mean:.6g} "
         f"(sqrt {math.sqrt(study.mean):.4f}), 5% {study.q05:.6g}, 95% {study.q95:.6g}"

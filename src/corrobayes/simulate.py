@@ -57,8 +57,8 @@ prior trend, to two consumers:
   target rows it forms on request from the centered ensemble it keeps;
 * the estimator study (``calibrate.estimator_study``) draws its replicate
   datasets as the realizations of one ensemble at the true law and reduces
-  each block to its Dbar rows with the difference scheme's Dbar kernel
-  (``DifferenceScheme.kernel``), the kernel the ensemble's Dbar moments use.
+  each block to its Dbar rows with the difference scheme, which is its own
+  Dbar kernel and the one the ensemble's Dbar moments use.
 
 The min-part drawer (``_min_blocks``) is not part of the engine: it draws
 the walk and eps_y at the observed cells, all realizations in order from
@@ -497,16 +497,15 @@ def _cov(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.T @ b / (a.shape[0] - 1)
 
 
-def _dbar_moments(scheme, kernel, comp_idx, y, m, w_x, m_wx, hyper) -> DbarMoments:
+def _dbar_moments(scheme, comp_idx, y, m, w_x, m_wx, hyper) -> DbarMoments:
     """The local min-difference moments and the Dbar moments of one law.
 
     ``y`` and ``m`` are the (n, n_obs) observations and their local
-    min-effects; ``kernel`` is the scheme's Dbar kernel for their columns.
-    ``y`` may omit the prior trend: every difference combination
-    annihilates level and slope.
+    min-effects on the scheme's design.  ``y`` may omit the prior trend:
+    every difference combination annihilates level and slope.
     """
     n = y.shape[0]
-    p0, p1, p2 = kernel.p0, kernel.p1, kernel.p2
+    p0, p1, p2 = scheme.p0, scheme.p1, scheme.p2
     # ensemble-sized temporaries are built in place to keep them few
     m1 = m[:, p0]
     m1 -= m[:, p1]
@@ -516,8 +515,8 @@ def _dbar_moments(scheme, kernel, comp_idx, y, m, w_x, m_wx, hyper) -> DbarMomen
     m2_sq = np.einsum("ij,ij->j", m2, m2) / n
     m1m2 = np.einsum("ij,ij->j", m1, m2) / n
     del m1, m2
-    t_eff = np.array([scheme.t_counts[c] - 2 for c in scheme.components], dtype=float)
-    dvec = kernel(y)
+    t_eff = scheme.t_eff
+    dvec = scheme(y)
     # conditional residual: the drawn-variance contribution has known
     # conditional mean (T_c - 2) * W_c, so only the remainder's covariance
     # needs Monte Carlo (law of total variance).
@@ -573,6 +572,8 @@ def estimate_moments_by_law(
         raise ConfigError("a moment pass takes a difference scheme or targets, not both")
     cells = _cells(prior, topology, design, targets)
     points = cells.points
+    if scheme is not None:
+        scheme.check_design(points)
 
     # a scheme pass keeps the monthly drawer's streams for its Dbar moments
     scales, blocks = _ensemble(prior, topology, cells, laws, n, seed, monthly=scheme is not None)
@@ -582,10 +583,9 @@ def estimate_moments_by_law(
         for k, rows, y_b, m_b, _ in blocks:
             y[k][rows], m[k][rows] = y_b, m_b
         comp_idx = {c: i for i, c in enumerate(topology.components)}
-        kernel = scheme.kernel(points)
         # popped, so each law's arrays go once its moments are built
         return [
-            _dbar_moments(scheme, kernel, comp_idx, y.pop(0), m.pop(0), *law_scales, prior.hyper)
+            _dbar_moments(scheme, comp_idx, y.pop(0), m.pop(0), *law_scales, prior.hyper)
             for law_scales in scales
         ]
 
@@ -796,32 +796,31 @@ def exact_dbar_moments(
     cov(W) is the hyperprior's gamma_wx / sigma_wx, and the other scale
     moments are those of the law's drawn W (``quadrature.scale_moments``).
     Only the last term, the fourth moments of the minimum, is simulated:
-    per component, the sample variance of the Dbar kernel applied to
+    per component, the sample variance of the scheme's Dbar rows of
     n_realizations draws of M at the observed cells (``_min_blocks``),
-    from one generator on ``seed`` shared by every law.  The kernel rows are
+    from one generator on ``seed`` shared by every law.  Those rows are
     kept whole, so the variances do not depend on the block size.
     """
     cells, pi, mins, same_y = _exact_setup(prior, topology, design)
+    scheme.check_design(cells.points)
     n, seed = _size_and_seed(n_realizations, seed)
     obs_t, obs_c = cells.obs_t, cells.obs_c
     yi, yj = np.nonzero(same_y)
-    kernel = scheme.kernel(cells.points)
-    p0, p1, p2, k, l, weight = kernel.p0, kernel.p1, kernel.p2, kernel.k, kernel.l, kernel.weight
+    p0, p1, p2, k, l, weight = scheme.p0, scheme.p1, scheme.p2, scheme.k, scheme.l, scheme.weight
     entries = np.arange(len(p0))
     comb = np.zeros((len(p0), len(obs_t)))
     comb[entries, p0], comb[entries, p1], comb[entries, p2] = k - l, l, -k
     lin = comb @ _unit_linear_cov(pi, prior.hyper.lam, cells) @ comb.T
     same = obs_c[p0][:, None] == obs_c[p0]
     # (entries, scheme components) 0/1: sums the entries of each component
-    member = scheme.entry_component_indices()[:, None] == np.arange(len(scheme.components))
-    t_eff = member.sum(axis=0).astype(float)
+    member = scheme.entry_component[:, None] == np.arange(len(scheme.components))
     hyper, sigma_y = prior.hyper, prior.sigma_y
     kk = np.outer(weight, weight)
     cov_w = np.where(same, hyper.sigma_wx, hyper.gamma_wx) * kk
     min_rows = [np.empty((n, len(scheme.components))) for _ in laws]
     for (rows, *_), j, mo in _minima(_min_blocks(prior, seed, n, cells), [sr for sr, _ in laws]):
-        min_rows[j][rows] = kernel(mo)
-    # each law's kernel rows go once their variance is taken
+        min_rows[j][rows] = scheme(mo)
+    # each law's Dbar rows go once their variance is taken
     min_var = [min_rows.pop(0).var(axis=0, ddof=1) for _ in laws]
 
     out = []
@@ -843,9 +842,9 @@ def exact_dbar_moments(
             mm[p0, p0] - 2.0 * mm[p0, p1] + mm[p1, p1],
             mm[p0, p0] - 2.0 * mm[p0, p2] + mm[p2, p2],
             mm[p0, p0] - mm[p0, p1] - mm[p0, p2] + mm[p1, p2],
-            t_eff * ew + (np.diag(bb) / weight) @ member,
+            scheme.t_eff * ew + (np.diag(bb) / weight) @ member,
             0.5 * (dv + dv.T),
-            t_eff * hyper.gamma_wx,
+            scheme.t_eff * hyper.gamma_wx,
         ))
     return out
 

@@ -48,61 +48,61 @@ class SchemeEntry:
     weight: float
 
 
-def _lag_arrays(scheme: DifferenceScheme):
-    """(k, l, K) of every scheme entry, as float arrays."""
-    return tuple(
-        np.array([getattr(e, name) for e in scheme.entries], dtype=float)
-        for name in ("k", "l", "weight")
-    )
-
-
-def _rank_groups(scheme: DifferenceScheme) -> list:
+def _rank_groups(entry_component: np.ndarray) -> list:
     """(entry columns, component columns) of each component's r-th entry, for
-    r = 0, 1, ...; no component appears twice in one group."""
-    comp = scheme.entry_component_indices()
-    rank = np.empty(len(comp), dtype=int)
-    seen = {}
-    for j, c in enumerate(comp):
-        rank[j] = seen.get(c, 0)
-        seen[c] = rank[j] + 1
+    r = 0, 1, ...; no component appears twice in one group.  The entries
+    come component by component, in component order."""
+    rank = np.arange(len(entry_component)) - np.searchsorted(entry_component, entry_component)
     return [
-        (np.flatnonzero(rank == r), comp[rank == r])
-        for r in range(max(seen.values(), default=0))
+        (np.flatnonzero(rank == r), entry_component[rank == r])
+        for r in range(rank.max(initial=-1) + 1)
     ]
 
 
-def _sum_by_component(terms: np.ndarray, groups: list, n_components: int) -> np.ndarray:
-    """(n, n_entries) per-entry terms -> (n, n_components) sums.
+@dataclass(frozen=True, eq=False)
+class DifferenceScheme:
+    """The difference terms of one design, and the Dbar kernel of its
+    observation rows.
 
-    Each component's terms are added one at a time in entry order, so a
-    row's sums do not depend on the other rows and equal the explicit
-    per-entry loop bit for bit (a product with a 0/1 matrix would not).
+    ``points`` is the design's canonical (component, time) order, the column
+    order of every observation row the scheme is applied to; ``entries``
+    holds one ``SchemeEntry`` per term.  ``components`` lists (in canonical
+    order) the components contributing at least one entry, ``t_counts``
+    every component's observation count and ``skipped`` those with fewer
+    than three observations.  The arrays are what variance learning reads of
+    the entries, built once: the row positions p0, p1, p2 of each entry's
+    y_i, y_{i-1}, y_{i-2}, its k, l and weight K_i and its component's index
+    (``entry_component``); each component's entry count T_c - 2
+    (``t_eff``); and the rank groups that sum entries by component.
+
+    Called on an (n, n_obs) array whose rows are observation vectors on the
+    scheme's design, it returns the (n, n_components) array of their Dbar
+    rows; the ensemble moments, ``compute_dbar`` and the estimator study all
+    run through it.
     """
-    out = np.zeros((terms.shape[0], n_components))
-    for cols, comps in groups:
-        out[:, comps] += terms[:, cols]
-    return out
 
+    entries: tuple
+    components: tuple
+    t_counts: dict
+    skipped: tuple
+    points: tuple
+    p0: np.ndarray
+    p1: np.ndarray
+    p2: np.ndarray
+    k: np.ndarray
+    l: np.ndarray
+    weight: np.ndarray
+    entry_component: np.ndarray
+    t_eff: np.ndarray
+    groups: list
 
-class DbarKernel:
-    """Dbar of many datasets at once.
+    def component_index(self) -> dict:
+        return {c: i for i, c in enumerate(self.components)}
 
-    Maps an (n, n_obs) array whose rows are observation vectors, in the
-    order of ``points``, to the (n, n_components) array of their Dbar rows.
-    The ensemble moments, ``compute_dbar`` and the estimator study all run
-    through it.
-    """
-
-    def __init__(self, scheme: DifferenceScheme, points):
-        pos = {pt: j for j, pt in enumerate(points)}
-        #: positions of each entry's y_i, y_{i-1}, y_{i-2} in an observation row
-        self.p0, self.p1, self.p2 = (
-            np.array([pos[(e.component, getattr(e, t))] for e in scheme.entries], dtype=int)
-            for t in ("t0", "t1", "t2")
-        )
-        self.k, self.l, self.weight = _lag_arrays(scheme)
-        self._groups = _rank_groups(scheme)
-        self._n_components = len(scheme.components)
+    def check_design(self, points) -> None:
+        """Raise ShapeError unless ``points`` are the scheme's design points."""
+        if tuple(points) != self.points:
+            raise ShapeError("observation rows are not on the difference scheme's design")
 
     def terms(self, y: np.ndarray) -> np.ndarray:
         """Per-entry (k*Y^(2) - l*Y^(1))^2 / K_i terms."""
@@ -121,36 +121,24 @@ class DbarKernel:
         return comb
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        return _sum_by_component(self.terms(y), self._groups, self._n_components)
+        return self.sum_by_component(self.terms(y))
 
+    def sum_by_component(self, terms: np.ndarray) -> np.ndarray:
+        """(n, n_entries) per-entry terms -> (n, n_components) sums.
 
-@dataclass(frozen=True)
-class DifferenceScheme:
-    """Per-component observation times with lags and weights.
-
-    components lists (in canonical order) the components contributing at
-    least one entry; skipped lists those with fewer than three observations.
-    """
-
-    entries: tuple
-    components: tuple
-    t_counts: dict
-    skipped: tuple
-
-    def component_index(self) -> dict:
-        return {c: i for i, c in enumerate(self.components)}
-
-    def entry_component_indices(self) -> np.ndarray:
-        idx = self.component_index()
-        return np.array([idx[e.component] for e in self.entries], dtype=int)
-
-    def kernel(self, points) -> DbarKernel:
-        """The Dbar kernel for observation rows ordered as ``points``."""
-        return DbarKernel(self, points)
+        Each component's terms are added one at a time in entry order, so a
+        row's sums do not depend on the other rows and equal the explicit
+        per-entry loop bit for bit (a product with a 0/1 matrix would not).
+        """
+        out = np.zeros((terms.shape[0], len(self.components)))
+        for cols, comps in self.groups:
+            out[:, comps] += terms[:, cols]
+        return out
 
 
 def build_scheme(dataset: InspectionDataset, lam: float) -> DifferenceScheme:
-    """Sorted per-component times, lags k_i, l_i and weights K_i."""
+    """Sorted per-component times, lags k_i, l_i and weights K_i, and the
+    arrays the kernel reads of them on the dataset's design."""
     entries = []
     t_counts = {}
     skipped = []
@@ -167,13 +155,27 @@ def build_scheme(dataset: InspectionDataset, lam: float) -> DifferenceScheme:
                 SchemeEntry(comp, times[i], times[i - 1], times[i - 2], k, l, lag_weight(k, l, lam))
             )
     comps = tuple(sorted({e.component for e in entries}))
-    return DifferenceScheme(tuple(entries), comps, t_counts, tuple(skipped))
+    points = tuple(dataset.design_points())
+    pos = {pt: j for j, pt in enumerate(points)}
+    idx = {c: i for i, c in enumerate(comps)}
+    entry_component = np.array([idx[e.component] for e in entries], dtype=int)
+    return DifferenceScheme(
+        tuple(entries), comps, t_counts, tuple(skipped), points,
+        *(
+            np.array([pos[(e.component, getattr(e, t))] for e in entries], dtype=int)
+            for t in ("t0", "t1", "t2")
+        ),
+        *(np.array([getattr(e, a) for e in entries], dtype=float) for a in ("k", "l", "weight")),
+        entry_component,
+        np.bincount(entry_component, minlength=len(comps)).astype(float),
+        _rank_groups(entry_component),
+    )
 
 
 def compute_dbar(dataset: InspectionDataset, scheme: DifferenceScheme) -> np.ndarray:
     """Dbar vector over scheme.components from the dataset's observed values."""
-    y = dataset.values_vector()[None, :]
-    return scheme.kernel(dataset.design_points())(y)[0]
+    scheme.check_design(dataset.design_points())
+    return scheme(dataset.values_vector()[None, :])[0]
 
 
 def _term_expectation(k, l, weight, mu_wx, m1_sq, m2_sq, m1m2, normalized=True):
@@ -213,10 +215,10 @@ def expected_dbar(
                 f"(first entry: component {getattr(first, 'component', '?')})"
             )
     terms = _term_expectation(
-        *_lag_arrays(scheme), hyper.mu_wx,
+        scheme.k, scheme.l, scheme.weight, hyper.mu_wx,
         np.asarray(m_moments.m1_sq), np.asarray(m_moments.m2_sq), np.asarray(m_moments.m1m2),
     )
-    return _sum_by_component(terms[None, :], _rank_groups(scheme), len(scheme.components))[0]
+    return scheme.sum_by_component(terms[None, :])[0]
 
 
 @dataclass
@@ -241,7 +243,7 @@ def build_dbar_statistic(
 
     ``data`` is the observed InspectionDataset, or its Dbar vector, or an
     (n, n_components) array of Dbar rows of n datasets on the scheme's
-    design, already computed by ``scheme.kernel``.  ``moments`` is a
+    design, already computed by the scheme.  ``moments`` is a
     ``simulate.DbarMoments``, or any object with m1_sq/m2_sq/m1m2
     (entry-aligned) and dbar_var (the ensemble variance matrix of Dbar over
     scheme.components).
@@ -255,7 +257,7 @@ def build_dbar_statistic(
         if values.ndim not in (1, 2) or values.shape[-1] != len(scheme.components):
             raise ShapeError("dbar rows do not match scheme components")
     expectation = expected_dbar(scheme, hyper, moments)
-    cross = np.array([(scheme.t_counts[c] - 2) * hyper.gamma_wx for c in scheme.components])
+    cross = scheme.t_eff * hyper.gamma_wx
     variance = np.asarray(moments.dbar_var, dtype=float)
     if variance.shape != (len(scheme.components),) * 2:
         raise ShapeError("dbar variance matrix does not match scheme components")

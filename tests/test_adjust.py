@@ -13,6 +13,8 @@ from corrobayes.adjust import (
     remnant_life,
 )
 from corrobayes.calibrate import calibrate
+from corrobayes.errors import ShapeError
+from corrobayes.system import InspectionDataset
 from corrobayes.simulate import draw_dataset, estimate_moments, exact_moments, forecast_extend
 from conftest import make_prior, small_irregular_design
 from oracle import reference_update
@@ -36,10 +38,21 @@ def test_empty_dataset_leaves_targets_at_their_priors(topo16, prior16):
     empty = designs.design_from_times({}, 20)
     targets = [("zmin", topo16.components[0], 20)]
     mom = estimate_moments(prior16, topo16, empty, targets, n_realizations=300, seed=3)
-    beliefs = adjust_from_moments(mom, empty, np.zeros(0))
+    beliefs = adjust_from_moments(mom, empty)
     (row,) = beliefs.rows_for()
     assert row.adjusted_mean == row.prior_mean
     assert row.adjusted_var == row.prior_var
+
+
+def test_the_dataset_must_be_on_the_design_of_its_moments(topo16, design16, prior16):
+    data = draw_dataset(prior16, topo16, design16, seed=1)
+    targets = [("x", topo16.components[0], design16.horizon)]
+    (mom,) = exact_moments(
+        prior16, topo16, data, [(prior16.sigma_r, prior16.hyper.mu_wx)], targets
+    )
+    fewer = InspectionDataset(data.records[:-1], data.horizon)
+    with pytest.raises(ShapeError, match="design"):
+        adjust_from_moments(mom, fewer)
 
 
 def test_uncorrelated_unobserved_components_stay_at_their_priors(topo16):
@@ -142,6 +155,41 @@ def test_comparison_runs_both_branches_on_shared_targets(topo16, design16):
     assert cmp_.life_with is not None and cmp_.life_without is not None
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_a_given_observed_vector_equals_the_dataset_holding_it_bit_for_bit(topo16, design16):
+    prior = make_prior(topo16, sigma_r_candidates=(0.0016, 0.0064, 0.0256))
+    data = draw_dataset(prior, topo16, design16, seed=11)
+    y2 = data.values_vector() + 0.3 * np.random.default_rng(0).standard_normal(len(data.records))
+    targets = _zmin_targets(topo16, design16.horizon)[:40]
+    targets += [("alpha", c, design16.horizon) for c in topo16.components]
+    given, held = (
+        compare_with_without_variance_learning(
+            prior, topo16, *args, targets, seed=12, n_realizations=100
+        )
+        for args in ((data, y2), (data.with_values(y2), None))
+    )
+    assert given.calibration.selected_index == held.calibration.selected_index
+    assert given.calibration.rows == held.calibration.rows  # learned mu_wx, var_wx and H
+    for branch in ("without_learning", "with_learning"):
+        one, other = getattr(given, branch), getattr(held, branch)
+        for field in ("adjusted_mean", "adjusted_var", "prior_mean", "prior_var"):
+            assert np.array_equal(getattr(one, field), getattr(other, field)), (branch, field)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_remnant_life_of_zmin_targets_off_a_monthly_grid_raises(topo16, design16):
+    prior = make_prior(topo16, sigma_r_candidates=(0.0016, 0.0064))
+    data = draw_dataset(prior, topo16, design16, seed=11)
+    targets = [("zmin", c, t) for c in topo16.components[:2] for t in (1, 3)]
+    cmp_ = compare_with_without_variance_learning(
+        prior, topo16, data, targets=targets, seed=12, n_realizations=100,
+    )
+    with pytest.raises(ShapeError, match="contiguous monthly grid"):
+        cmp_.life_with
+    with pytest.raises(ShapeError, match="contiguous monthly grid"):
+        cmp_.life_without
+
+
 def test_kind_blocks_are_the_rows_of_g_for_contiguous_and_interleaved_kinds(
     topo16, design16, prior16
 ):
@@ -201,7 +249,7 @@ def test_both_branches_equal_their_one_law_adjustments_bit_for_bit(topo16, desig
     )
     for branch, sigma_r, mu_wx in branches:
         (mom,) = exact_moments(prior, topo16, ext, [(sigma_r, mu_wx)], targets)
-        one = adjust_from_moments(mom, ext, observed)
+        one = adjust_from_moments(mom, ext)
         assert np.array_equal(branch.adjusted_mean, one.adjusted_mean)
         assert np.array_equal(branch.adjusted_var, one.adjusted_var)
         assert branch.moments.n_realizations is None

@@ -61,9 +61,7 @@ def test_candidate_call_on_the_pass_seeds_reproduces_the_calibration_rows(topo16
     scheme = varlearn.build_scheme(data, prior.hyper.lam)
     pass_seeds = np.random.SeedSequence(5).spawn(2)  # learning, rescoring
     for sr, expected in zip(grid, result.rows):
-        row = calibrate_candidate(
-            prior, topo16, data, data.values_vector(), scheme, sr, pass_seeds, 200
-        )
+        row = calibrate_candidate(prior, topo16, data, scheme, sr, pass_seeds, 200)
         assert row.sigma_r == expected.sigma_r
         assert row.adjusted_mu_wx == pytest.approx(expected.adjusted_mu_wx, rel=1e-12)
         assert row.adjusted_var_wx == pytest.approx(expected.adjusted_var_wx, rel=1e-12)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from corrobayes import cli, diagnostics, fileio, linalg, simulate
+from corrobayes import cli, diagnostics, fileio, linalg, simulate, varlearn
 
 ARTIFACTS = (
     "prior_discrepancy.csv",
@@ -407,7 +407,7 @@ def _instrumented_analysis(tmp_path, monkeypatch):
     """One analysis run; returns its output directory, the number of its
     simulation passes by kind (``ensemble`` for the blocked engine,
     ``min_part`` for the draw of the minimum behind exact Dbar moments), and
-    the comparison with its observed vector."""
+    the comparison with the observed vector it adjusted on."""
     passes, captured = {"ensemble": 0, "min_part": 0}, {}
     compare = cli.compare_with_without_variance_learning
 
@@ -419,7 +419,7 @@ def _instrumented_analysis(tmp_path, monkeypatch):
         monkeypatch.setattr(simulate, name, counted)
 
     def kept(*args, **kwargs):
-        captured["observed"] = args[3]
+        captured["observed"] = args[2].values_vector()
         captured["comparison"] = compare(*args, **kwargs)
         return captured["comparison"]
 
@@ -561,3 +561,35 @@ def test_simulate_study_falls_back_to_the_reference_design(tmp_path, capsys):
     ]
     assert summary[1].split(",")[-1] == str(sum(e <= 1e-12 for e in estimates))
     assert "estimator over 3 replicates" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate-study"])
+def test_an_unwritable_out_fails_the_emit_stage(tmp_path, capsys, command):
+    # --out names a regular file, so its directory cannot be made
+    config = _write_workspace(tmp_path)
+    out = tmp_path / "taken"
+    out.write_text("")
+    args = [command, "--config", str(config), "--out", str(out)]
+    if command == "simulate-study":
+        args += ["--true-wx", "0.01", "--true-sigr", "0.0064",
+                 "--replicates", "3", "--realizations", "50"]
+    assert cli.main(args) == cli.EXIT_FAILURE
+    assert "error: pipeline stage 'emit' failed" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_an_analysis_builds_one_difference_scheme(tmp_path, monkeypatch):
+    calls, build = [], varlearn.build_scheme
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    # every name bound to the builder, in whichever module imported it
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "corrobayes":
+            for attr, value in list(vars(module).items()):
+                if value is build:
+                    monkeypatch.setattr(module, attr, counted)
+    assert _run_analysis(_write_workspace(tmp_path), tmp_path / "out") == cli.EXIT_OK
+    assert len(calls) == 1

@@ -174,7 +174,7 @@ def test_adjustment_diagnostics_report_zero_rows_without_data(topo16, prior16):
         prior16, topo16, empty, [("x", topo16.components[0], 20)],
         n_realizations=200, seed=23,
     )
-    beliefs = adjust_from_moments(mom, empty, np.zeros(0))
+    beliefs = adjust_from_moments(mom, empty)
     report = diagnostics.adjustment_diagnostics(beliefs)
     (row,) = report.rows
     assert row.value == 0.0 and not row.flagged

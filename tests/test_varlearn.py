@@ -8,7 +8,7 @@ import pytest
 
 from corrobayes import designs, varlearn
 from corrobayes.errors import InsufficientDataError, ShapeError
-from corrobayes.simulate import draw_dataset, estimate_moments
+from corrobayes.simulate import draw_dataset, estimate_moments, exact_dbar_moments
 from corrobayes.system import InspectionDataset, InspectionRecord
 from conftest import make_prior
 
@@ -81,13 +81,33 @@ def test_regular_inspection_terms_equal_the_explicit_second_difference():
     lam = 0.02
     scheme = varlearn.build_scheme(ds, lam)
     assert all(e.k == 1 and e.l == 2 for e in scheme.entries)
-    kernel = scheme.kernel(ds.design_points())
-    (terms,) = kernel.terms(ds.values_vector()[None, :])
+    (terms,) = scheme.terms(ds.values_vector()[None, :])
     explicit = np.array(
         [(values[i] - 2 * values[i - 1] + values[i - 2]) ** 2 for i in range(2, len(values))]
     )
-    assert np.array_equal(terms, explicit / kernel.weight)
-    assert kernel.weight == pytest.approx(lam + 2.0, rel=1e-12)
+    assert np.array_equal(terms, explicit / scheme.weight)
+    assert scheme.weight == pytest.approx(lam + 2.0, rel=1e-12)
+
+
+def test_a_scheme_refuses_rows_of_another_design(topo16, design16, prior16):
+    scheme = varlearn.build_scheme(design16, prior16.hyper.lam)
+    data = draw_dataset(prior16, topo16, design16, seed=1)
+    # one of the scheme's points missing, and one point the scheme lacks
+    fewer = InspectionDataset(data.records[:-1], data.horizon)
+    extra = InspectionDataset(
+        data.records + (InspectionRecord(topo16.components[-1], 1, 12.0),), data.horizon
+    )
+    assert (topo16.components[-1], 1) not in design16.design_points()
+    for other in (fewer, extra):
+        with pytest.raises(ShapeError):
+            varlearn.compute_dbar(other, scheme)
+        with pytest.raises(ShapeError):
+            exact_dbar_moments(
+                prior16, topo16, other, [(prior16.sigma_r, prior16.hyper.mu_wx)], scheme,
+                n_realizations=10, seed=0,
+            )
+        with pytest.raises(ShapeError):
+            estimate_moments(prior16, topo16, other, n_realizations=10, seed=0, scheme=scheme)
 
 
 def test_expected_term_without_local_noise_is_the_weighted_variance():
