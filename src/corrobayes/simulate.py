@@ -18,8 +18,8 @@ moments needed by variance learning are extracted per realization.
 
 What the exact passes and the ensembles both need is defined once: a
 pass's cells with their prior trend (``_cells``), the unit linear
-covariance Pi[c,c'] k(t,t') (``_unit_linear_cov``, on k's integer sums
-``_kernel_sums``), the walk and eps_y at the observed cells
+covariance Pi[c,c'] k(t,t') (``_unit_linear_cov``, on k's integer sums in
+closed form, ``_kernel_sums``), the walk and eps_y at the observed cells
 (``_cell_blocks``), the noisy minimum per law (``_minima``), the exact
 passes' start (``_exact_setup``) and each pass's size and seed
 (``_size_and_seed``); the factors of W_c live in ``system``.
@@ -236,7 +236,9 @@ class MomentEstimates:
     built on request for a run of targets (``target_moments``), so a caller
     that takes them block by block never holds a (targets x observations)
     array: exact moments build only the rows asked for, and an ensemble
-    forms them from the centered ensemble it keeps.
+    forms them from the centered ensemble it keeps.  Exact moments also
+    expose what their rows are made of (``exact_rows``), so a caller can
+    use the rows' structure instead of forming them.
     """
 
     design_points: list
@@ -251,6 +253,11 @@ class MomentEstimates:
     def target_moments(self, rows: slice = slice(None)) -> TargetMoments:
         """The moments of the targets ``rows`` (all of them by default)."""
         return TargetMoments(*self._target_rows(rows))
+
+    @property
+    def exact_rows(self) -> ExactTargetRows | None:
+        """The structure of the exact target rows; None for an ensemble."""
+        return self._target_rows if self.n_realizations is None else None
 
     def y_moment_pair(self) -> MomentPair:
         """(e_y, var_y) as one MomentPair, built on first use, so H, the
@@ -301,12 +308,28 @@ def _draw_scales(prior: PriorSpecification, mu_wx: float, n: int, n_comp: int, s
     return draw_variance_scales(hyper, n_comp, np.random.default_rng(seed), prior.w_dist, size=n)
 
 
-def _kernel_sums(t_max: int):
-    """k's exact integer sums, part[T-1, t-1] = sum_{s<=t} min(T, s) and
-    sums[T-1, t-1] = sum_{u<=T} part[u-1, t-1], for T and t in 1..t_max."""
-    u = np.arange(1, t_max + 1)
-    part = np.minimum.outer(u, u).cumsum(axis=1)
-    return part, part.cumsum(axis=0)
+def _kernel_sums(t: np.ndarray, u: np.ndarray):
+    """k's exact integer sums at months t and u (broadcast together):
+    part(t, u) = sum_{s<=u} min(t, s) and sums(t, u) = sum_{s<=t} part(s, u),
+    in closed form with a = min(t, u) and b = max(t, u):
+    part = a(a+1)/2 + (u - a) t and sums = a(a+1)(2a+1)/6 + (b - a) a(a+1)/2."""
+    # in place, so a (months x observations) call holds few temporaries
+    a = np.minimum(t, u)
+    tri = a + 1
+    tri *= a
+    tri //= 2
+    part = u - a
+    part *= t
+    part += tri
+    sums = np.maximum(t, u)
+    sums -= a
+    sums *= tri
+    a *= 2
+    a += 1
+    a *= tri
+    a //= 3
+    sums += a
+    return part, sums
 
 
 def _linear_kernel(times: np.ndarray, lam: float) -> np.ndarray:
@@ -314,8 +337,8 @@ def _linear_kernel(times: np.ndarray, lam: float) -> np.ndarray:
     has cov(x_{c,t}, x_{c',t'}) = Pi[c,c'] k(t, t') with
     k(t, t') = min(t, t') + lam sum_{u<=t} sum_{u'<=t'} min(u, u')."""
     times = np.asarray(times, dtype=int)
-    _, sums = _kernel_sums(times.max(initial=0))
-    return np.minimum.outer(times, times) + lam * sums[np.ix_(times - 1, times - 1)]
+    sums = _kernel_sums(times[:, None], times)[1]
+    return np.minimum.outer(times, times) + lam * sums
 
 
 def _monthly_blocks(prior, factor_t, root, n, cells):
@@ -704,17 +727,21 @@ def exact_moments(
       v = sigma_r t on its side.
 
     Nothing is drawn, so the moments do not depend on a seed, and the
-    observation moments do not depend on the targets or the horizon.  The
-    target moments are built on request, for the rows asked for
-    (``MomentEstimates.target_moments``); each row is formed entry by entry,
-    so it does not depend on which rows are built with it.
+    observation moments do not depend on the targets or the horizon.  Each
+    record carries, as its ``exact_rows`` (an ``ExactTargetRows``), the
+    targets' cells, Pi, the scale pair (E W, E sqrt(W_c W_c')), lam,
+    sigma_r, the minimum of L normals' moments and v_y at the observed
+    cells: with k's integer sums in closed form (``_kernel_sums``), what
+    every target row is made of.  The target moments are built from them on
+    request, for the rows asked for (``MomentEstimates.target_moments``);
+    each row is formed entry by entry, so it does not depend on which rows
+    are built with it.
     """
     targets = tuple(targets)
     cells, pi, mins, same_y = _exact_setup(prior, topology, design, targets)
     obs_t = cells.obs_t
     lam, sigma_y = prior.hyper.lam, prior.sigma_y
     lin_y = _unit_linear_cov(pi, lam, cells)
-    kernel_sums = _kernel_sums(max(obs_t.max(initial=0), cells.tgt_t.max(initial=0)))
     yi, yj = np.nonzero(same_y)
 
     out = []
@@ -729,42 +756,88 @@ def exact_moments(
             var_y=var_y,
             targets=targets,
             target_cells=(cells.tgt_kind, cells.tgt_id, cells.tgt_t),
-            _target_rows=_exact_target_rows(
-                cells, pi, kernel_sums, lam, mins, sr, (ew, ew_pair), v_y
+            _target_rows=ExactTargetRows(
+                cells, pi, (ew, ew_pair), lam, mins, sr, v_y
             ),
             n_realizations=None,
         ))
     return out
 
 
-def _exact_target_rows(cells, pi, kernel_sums, lam, mins, sr, scale, v_y):
-    """The exact moments of a run of targets under one law, built for those
-    rows alone (see ``exact_moments``); ``scale`` is (E W, E sqrt(W_c W_c'))
-    and ``v_y`` the minimum's variance at one location of each observed cell."""
-    part, sums = kernel_sums
-    obs_t, obs_c = cells.obs_t, cells.obs_c
-    ew, ew_pair = scale
+@dataclass(frozen=True)
+class ExactTargetRows:
+    """The exact target moments of one law (see ``exact_moments``) and what
+    their rows of cov(B,D) are made of.  Every row has the face-splitting
+    form
 
-    def rows(sl):
-        tgt_t, tgt_c = cells.tgt_t[sl], cells.tgt_c[sl]
-        is_alpha, is_zmin = cells.is_alpha[sl], cells.is_zmin[sl]
-        cov_t = lam * sums[np.ix_(tgt_t - 1, obs_t - 1)]
-        cov_t += np.minimum.outer(tgt_t, obs_t)
-        cov_t[is_alpha] = lam * part[np.ix_(tgt_t[is_alpha] - 1, obs_t - 1)]
-        cov_t *= pi[np.ix_(tgt_c, obs_c)]
-        same_t = tgt_c[:, None] == obs_c
-        cov_t *= np.where(same_t, ew, ew_pair)
-        ti, tj = np.nonzero(same_t & is_zmin[:, None])
+        row(c,t)[j] = A[c, c_j] kappa_t[j] + m(c,t)[j]:
+
+    A = Pi o S, S being E W on the diagonal and E sqrt(W_c W_c') off it
+    (``scale_matrix``); kappa_t[j] = k(t, t_j) for zmin and x targets and
+    lam part(t, t_j) for alpha, from k's integer sums (``kernel``); m the
+    minimum's term, nonzero only at component c's own observations and only
+    for zmin (``minimum``).  ``scale`` is (E W, E sqrt(W_c W_c')) and
+    ``v_y`` the minimum's variance at one location of each observed cell.
+
+    Called on a run of targets (a slice or an index array), it gives their
+    means, variances and rows, each row formed entry by entry, so it does
+    not depend on which rows are built with it."""
+
+    cells: _Cells
+    pi: np.ndarray
+    scale: tuple
+    lam: float
+    mins: quadrature.MinOfNormals
+    sigma_r: float
+    v_y: np.ndarray
+
+    def prior(self, sl=slice(None)):
+        """The means and variances of the targets ``sl``."""
+        cells, sr, mins = self.cells, self.sigma_r, self.mins
+        tgt_t, is_alpha, is_zmin = cells.tgt_t[sl], cells.is_alpha[sl], cells.is_zmin[sl]
         v_t = sr * tgt_t
-        cov_t[ti, tj] += _min_cov(mins, sr * np.minimum(tgt_t[ti], obs_t[tj]), v_t[ti], v_y[tj])
-        var_lin_t = np.where(is_alpha, lam * tgt_t, tgt_t + lam * sums[tgt_t - 1, tgt_t - 1])
+        var_lin_t = np.where(
+            is_alpha, self.lam * tgt_t, tgt_t + self.lam * _kernel_sums(tgt_t, tgt_t)[1]
+        )
         return (
             cells.trend_t[sl] + np.where(is_zmin, np.sqrt(v_t) * mins.mean, 0.0),
-            ew * var_lin_t + np.where(is_zmin, v_t * mins.var, 0.0),
-            cov_t,
+            self.scale[0] * var_lin_t + np.where(is_zmin, v_t * mins.var, 0.0),
         )
 
-    return rows
+    def kernel(self, months: np.ndarray, is_alpha: np.ndarray) -> np.ndarray:
+        """kappa (len(months), n_obs) at the observed cells, for targets in
+        ``months`` that are alpha where ``is_alpha``."""
+        obs_t = self.cells.obs_t
+        part, sums = _kernel_sums(months[:, None], obs_t)
+        kappa = self.lam * sums
+        kappa += np.minimum.outer(months, obs_t)
+        kappa[is_alpha] = self.lam * part[is_alpha]
+        return kappa
+
+    def scale_matrix(self) -> np.ndarray:
+        """A = Pi o S over every pair of components."""
+        ew, ew_pair = self.scale
+        return self.pi * np.where(np.eye(len(self.pi), dtype=bool), ew, ew_pair)
+
+    def minimum(self, months: np.ndarray, obs: np.ndarray) -> np.ndarray:
+        """m(c,t)[j] of zmin targets in ``months`` at observations ``obs``
+        of their component (index arrays broadcast together)."""
+        sr = self.sigma_r
+        common = sr * np.minimum(months, self.cells.obs_t[obs])
+        return _min_cov(self.mins, common, sr * months, self.v_y[obs])
+
+    def __call__(self, sl):
+        """The means, variances and rows of the targets ``sl``."""
+        cells, (ew, ew_pair) = self.cells, self.scale
+        obs_t, obs_c = cells.obs_t, cells.obs_c
+        tgt_t, tgt_c = cells.tgt_t[sl], cells.tgt_c[sl]
+        cov_t = self.kernel(tgt_t, cells.is_alpha[sl])
+        cov_t *= self.pi[np.ix_(tgt_c, obs_c)]
+        same_t = tgt_c[:, None] == obs_c
+        cov_t *= np.where(same_t, ew, ew_pair)
+        ti, tj = np.nonzero(same_t & cells.is_zmin[sl][:, None])
+        cov_t[ti, tj] += self.minimum(tgt_t[ti], tj)
+        return (*self.prior(sl), cov_t)
 
 
 def exact_dbar_moments(

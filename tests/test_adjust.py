@@ -301,7 +301,7 @@ def test_blockwise_update_equals_the_whole_array_update_bit_for_bit(noise_dist, 
         # 16-row blocks, thinner than any the rule gives, so the ensemble's
         # 6,208 targets span many blocks too
         monkeypatch.setattr(adjust, "block_rows", lambda n_obs: 16)
-    beliefs = adjust_from_moments(mom, ext)
+    beliefs = adjust._blockwise_update(mom, ext)
     mean, var, discrepancy = reference_update(mom, ext.values_vector())
     assert np.array_equal(beliefs.adjusted_mean, mean)
     assert np.array_equal(beliefs.adjusted_var, var)
@@ -313,7 +313,7 @@ def test_blockwise_update_equals_the_whole_array_update_bit_for_bit(noise_dist, 
 def test_ragged_blocks_agree_with_the_whole_array_update(noise_dist, rows, monkeypatch):
     mom, ext = _full_run_case(noise_dist)
     monkeypatch.setattr(adjust, "block_rows", lambda n_obs: rows)
-    beliefs = adjust_from_moments(mom, ext)
+    beliefs = adjust._blockwise_update(mom, ext)
     mean, var, discrepancy = reference_update(mom, ext.values_vector())
     _assert_close(beliefs.adjusted_mean, mean)
     _assert_close(beliefs.adjusted_var, var)
@@ -341,7 +341,7 @@ def test_square_blocks_agree_with_the_whole_array_update():
     (mom,) = exact_moments(prior, topo, data, [(0.0064, 0.01)], targets)
     n_obs = len(mom.design_points)
     assert adjust.BLOCK_ELEMENTS // n_obs < n_obs <= adjust.block_rows(n_obs) < len(targets)
-    beliefs = adjust_from_moments(mom, data)
+    beliefs = adjust._blockwise_update(mom, data)
     assert beliefs.kind_rows["zmin"].tall and not beliefs.kind_rows["x"].tall
     mean, var, discrepancy = reference_update(mom, data.values_vector())
     _assert_close(beliefs.adjusted_mean, mean)
@@ -363,7 +363,7 @@ def test_a_rank_deficient_tall_kind_falls_back_to_a_blockwise_qr(topo16, design1
     passes = []
     g_blocks = adjust._g_blocks
     monkeypatch.setattr(adjust, "_g_blocks", lambda *a: passes.append(1) or g_blocks(*a))
-    beliefs = adjust_from_moments(mom, data)
+    beliefs = adjust._blockwise_update(mom, data)
     assert beliefs.kind_rows["x"].tall and not beliefs.kind_rows["zmin"].tall
     got = _discrepancies(beliefs)
     assert len(passes) == 2  # the update, then the x rows once more
@@ -391,3 +391,184 @@ def test_the_comparisons_traced_peak_does_not_grow_with_the_forecast_horizon():
         tracemalloc.stop()
     # 6,208 and 11,584 targets against 174 observations
     assert peaks[1] <= 1.2 * peaks[0], peaks
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_the_comparisons_traced_peak_stays_below_the_blockwise_updates():
+    # at 752-row blocks the whole-array-free blockwise update peaked at
+    # 6.7 MB here; the structured update of exact moments at 3.3 MB
+    topo = designs.four_circuit_topology()
+    prior = make_prior(topo, sigma_r_candidates=(0.0016, 0.0064))
+    data = draw_dataset(prior, topo, designs.reference_design(topo), seed=7)
+    calibration = calibrate(prior, topo, data, seed=3, n_realizations=200)
+    ext = forecast_extend(data, 12)
+    targets = _zmin_targets(topo, ext.horizon)
+    targets += [(kind, c, ext.horizon) for kind in ("alpha", "x") for c in topo.components]
+    assert len(targets) == 6208
+    tracemalloc.start()
+    compare_with_without_variance_learning(
+        prior, topo, ext, data.values_vector(), targets, calibration=calibration,
+    )
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 4.5e6, peak
+
+
+def _ragged_case(topo16, prior16):
+    # visit counts 1..6 and 2 across components 0..14; component 15 unobserved
+    comps = topo16.components
+    times = {c: list(range(3 + i % 5, 40, 6))[: 1 + i % 6] for i, c in enumerate(comps[:15])}
+    times[comps[7]] = [4, 31]
+    design = designs.design_from_times(times, 40)
+    data = forecast_extend(draw_dataset(prior16, topo16, design, seed=21), 8)
+    targets = _zmin_targets(topo16, data.horizon)
+    targets += [(kind, c, data.horizon) for kind in ("alpha", "x") for c in comps]
+    return prior16, data, targets, (0.0064, 0.01)
+
+
+def _interleaved_case(topo16, prior16, design16):
+    # kinds interleaved, months and components drawn at random, with repeats
+    rng = np.random.default_rng(5)
+    data = forecast_extend(draw_dataset(prior16, topo16, design16, seed=22), 10)
+    targets = [
+        (("zmin", "x", "alpha")[rng.integers(3)], topo16.components[rng.integers(16)],
+         int(rng.integers(1, data.horizon + 1)))
+        for _ in range(900)
+    ]
+    return prior16, data, targets, (0.0064, 0.01)
+
+
+def _rank_deficient_case(topo16, design16):
+    # fully correlated components with one shared W and no minimum: var(Y)
+    # has rank 14 of 64, so the update takes the spectral factor
+    prior = make_prior(topo16, rho0=1.0, rhoC=0.0, rhoD=0.0, sigma_wx=1e-3, gamma_wx=1e-3,
+                       sigma_y=0.0, sigma_r=0.0)
+    data = forecast_extend(draw_dataset(make_prior(topo16), topo16, design16, seed=3), 4)
+    targets = _zmin_targets(topo16, data.horizon)
+    targets += [("x", c, data.horizon) for c in topo16.components]
+    return prior, data, targets, (0.0, 0.01)
+
+
+def _structured_case(name, topo16, design16):
+    prior16 = make_prior(topo16)
+    if name == "ragged":
+        return _ragged_case(topo16, prior16)
+    if name == "interleaved":
+        return _interleaved_case(topo16, prior16, design16)
+    if name == "rank-deficient":
+        return _rank_deficient_case(topo16, design16)
+    if name == "no-observations":
+        targets = [(kind, c, 12) for c in topo16.components[:4] for kind in ("zmin", "x")]
+        return prior16, designs.design_from_times({}, 12), targets, (0.0064, 0.01)
+    data = forecast_extend(draw_dataset(prior16, topo16, design16, seed=23), 6)
+    targets = _zmin_targets(topo16, data.horizon)
+    targets += [(kind, c, data.horizon) for kind in ("alpha", "x") for c in topo16.components]
+    if name == "floored":
+        return prior16, data, targets, (0.0064, 1e-12)
+    # w_dist-gaussian or w_dist-lognormal
+    return make_prior(topo16, w_dist=name.split("-")[1]), data, targets, (0.0064, 0.01)
+
+
+def _assert_matches_the_whole_array_update(mom, data, rtol=1e-10):
+    """The update of ``mom`` against ``reference_update``, and what it keeps
+    of each kind's rows of G against those rows: a short kind's rows, a tall
+    kind's Gram matrix."""
+    beliefs = adjust_from_moments(mom, data)
+    mean, var, discrepancy = reference_update(mom, data.values_vector())
+    _assert_close(beliefs.adjusted_mean, mean, rtol)
+    _assert_close(beliefs.adjusted_var, var, rtol)
+    got = _discrepancies(beliefs)
+    assert got.keys() == discrepancy.keys()
+    for kind, value in discrepancy.items():
+        assert got[kind] == pytest.approx(value, rel=rtol), kind
+    g = mom.target_moments().cov_targets @ mom.y_moment_pair().factor.root
+    kinds = np.array([kind for kind, _, _ in mom.targets])
+    for kind, held in beliefs.kind_rows.items():
+        rows = g[kinds == kind]
+        assert held.tall == (len(rows) > rows.shape[1])
+        if not rows.shape[1]:  # var(Y) of rank zero
+            assert held.gram.shape == (0, 0)
+        elif held.tall:
+            _assert_close(held.gram, rows.T @ rows, rtol)
+        else:
+            _assert_close(held.rows, rows, rtol)
+    return beliefs
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "ragged", "interleaved", "floored", "w_dist-gaussian", "w_dist-lognormal",
+        "rank-deficient", "no-observations",
+    ],
+)
+def test_the_structured_update_agrees_with_the_whole_array_update(name, topo16, design16):
+    prior, data, targets, law = _structured_case(name, topo16, design16)
+    (mom,) = exact_moments(prior, topo16, data, [law], targets)
+    beliefs = _assert_matches_the_whole_array_update(mom, data)
+    rank = mom.y_moment_pair().factor.rank
+    assert beliefs.kind_rows["zmin"].tall
+    if name == "no-observations":
+        assert rank == 0 and np.array_equal(beliefs.adjusted_var, beliefs.prior_var)
+    if name == "ragged":
+        visits = np.bincount(
+            [topo16.components.index(c) for c, _ in data.design_points()], minlength=16
+        )
+        assert len(set(visits.tolist())) > 3 and 0 < visits[7] < 3 and visits[15] == 0
+    if name == "rank-deficient":
+        assert 0 < rank < len(mom.e_y)
+        assert isinstance(mom.y_moment_pair().factor, linalg._SpectralFactor)
+    else:
+        assert rank == len(mom.e_y)
+
+
+def test_the_structured_update_of_the_full_run_forms_only_short_kinds_rows(monkeypatch):
+    mom, ext = _full_run_case("gaussian")
+    built, target_moments = [], type(mom).target_moments
+
+    def counted(self, rows=slice(None)):
+        out = target_moments(self, rows)
+        built.append(out.cov_targets.shape)
+        return out
+
+    monkeypatch.setattr(type(mom), "target_moments", counted)
+    monkeypatch.setattr(adjust, "_g_blocks", None)  # no block of rows is built
+    adjust_from_moments(mom, ext)
+    monkeypatch.undo()
+    rank = mom.y_moment_pair().factor.rank
+    assert built == [(64, rank), (64, rank)]  # alpha's and x's rows
+    beliefs = _assert_matches_the_whole_array_update(mom, ext)
+    assert beliefs.kind_rows["zmin"].tall and not beliefs.kind_rows["x"].tall
+
+
+def test_a_structured_gram_that_fails_its_certificate_falls_back_to_a_blockwise_qr(
+    topo16, design16, prior16, monkeypatch
+):
+    # 100 copies of one target: their rows of G are one row, so the
+    # closed-form Gram matrix fails its certificate and the rows are read
+    # into R block by block
+    data = draw_dataset(prior16, topo16, design16, seed=5)
+    targets = [("x", topo16.components[2], design16.horizon)] * 100
+    targets += [("zmin", c, design16.horizon) for c in topo16.components[:5]]
+    (mom,) = exact_moments(prior16, topo16, data, [(0.0064, 0.01)], targets)
+    passes = []
+    g_blocks = adjust._g_blocks
+    monkeypatch.setattr(adjust, "_g_blocks", lambda *a: passes.append(1) or g_blocks(*a))
+    beliefs = _assert_matches_the_whole_array_update(mom, data)
+    assert beliefs.kind_rows["x"].tall and not beliefs.kind_rows["zmin"].tall
+    assert len(passes) == 1  # the x rows, read once for the fallback
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_a_calibration_of_another_design_is_refused(topo16, design16):
+    prior = make_prior(topo16, sigma_r_candidates=(0.0016, 0.0064))
+    data = draw_dataset(prior, topo16, design16, seed=11)
+    fewer = InspectionDataset(data.records[:-1], data.horizon)
+    calibration = calibrate(prior, topo16, fewer, seed=12, n_realizations=100)
+    with pytest.raises(ShapeError, match="calibration"):
+        compare_with_without_variance_learning(prior, topo16, data, calibration=calibration)
+    # the horizon-extended copy of the calibrated dataset has its records
+    targets = [("zmin", c, data.horizon + 6) for c in topo16.components]
+    compare_with_without_variance_learning(
+        prior, topo16, forecast_extend(fewer, 6), targets=targets, calibration=calibration,
+    )
