@@ -16,9 +16,10 @@ reads (``simulate.DbarMoments``); the rescoring pass takes every candidate
 at its learned mu_wx.  Under Gaussian noise both are exact, but for the
 fourth moments of the minimum in var(Dbar), which one draw of the local
 walks and eps_y on the first seed serves for every candidate; so H carries
-no Monte Carlo error or finite-ensemble correction.  Under Student-t noise
-each pass is one ensemble on its seed, every candidate seeing the same
-random numbers.
+no Monte Carlo error or finite-ensemble correction, and the rescoring pass
+scores each candidate and drops its var(Y) and factor before it builds the
+next.  Under Student-t noise each pass is one ensemble on its seed, every
+candidate seeing the same random numbers.
 
 The estimator study shares everything that does not depend on a
 replicate's data: one set of Dbar moments (exact under Gaussian noise, as
@@ -96,19 +97,22 @@ def _scan(prior, topology, dataset, scheme, candidates, seeds, n_realizations):
         for mom in learned
     ]
     observed = dataset.values_vector()
+
+    def score(mom):
+        return linalg.mahalanobis_discrepancy(
+            observed, mom.y_moment_pair(), sample_size=mom.n_realizations
+        )
+
     rescored = moments_by_law(
         prior, topology, dataset,
         [(sr, mu) for sr, (mu, _) in zip(candidates, adjusted)],
         n_realizations=n_realizations, seed=seeds[1],
     )
+    # map holds no record once its H is scored, so under Gaussian noise each
+    # candidate's var(Y) and factor go before the next candidate's are built
     return [
-        CandidateRow(
-            sr, mu, var,
-            linalg.mahalanobis_discrepancy(
-                observed, mom.y_moment_pair(), sample_size=mom.n_realizations
-            ),
-        )
-        for sr, (mu, var), mom in zip(candidates, adjusted, rescored)
+        CandidateRow(sr, mu, var, h)
+        for sr, (mu, var), h in zip(candidates, adjusted, map(score, rescored))
     ]
 
 

@@ -311,10 +311,10 @@ def _band_rows(comparison, prior):
         mean = branch.adjusted_mean[zmin]
         half = band_half_width(branch.adjusted_var[zmin])
         columns += [mean - half, mean, mean + half]
-    return list(zip(
+    return zip(
         without.component[zmin].tolist(), without.time[zmin].tolist(),
         *(c.tolist() for c in columns),
-    ))
+    )
 
 
 def run_validate(rc: RunConfig) -> int:

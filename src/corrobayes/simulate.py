@@ -2,10 +2,12 @@
 
 Under Gaussian noise the pipeline reads exact moments (``moments_by_law``):
 the moments of the observations and of the targets have closed forms
-(``exact_moments``), and so do the Dbar moments of variance learning
-(``exact_dbar_moments``) but for the fourth moments of the minimum over
-locations, which it simulates from the local walks and eps_y alone
-(``_min_blocks``).  Under Student-t noise every moment is an ensemble's.
+(``exact_moments``, which yields its records one law at a time), and so do
+the Dbar moments of variance learning (``exact_dbar_moments``, built on the
+difference scheme's one combination, ``DifferenceScheme.combine``) but for
+the fourth moments of the minimum over locations, which it simulates from
+the local walks and eps_y alone (``_min_blocks``).  Under Student-t noise
+every moment is an ensemble's.
 
 Each realization draws variance scales W_c from the variance hyperprior (so
 uncertainty about the variances propagates into var(Y)), runs the
@@ -74,7 +76,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -271,17 +273,17 @@ class MomentEstimates:
 class DbarMoments:
     """What variance learning reads, from a pass with a difference scheme:
     entry-aligned raw moments m1_sq / m2_sq / m1m2 of the local
-    min-differences, the mean and variance of Dbar over the scheme's
-    components, and its covariance with the drawn population mean variance.
-    ``n_realizations`` is the size of the ensemble, or for exact moments
-    (``exact_dbar_moments``) of the draw of the minimum behind var(Dbar).
-    A scheme without entries gives empty arrays."""
+    min-differences, from which ``varlearn.expected_dbar`` forms E Dbar, and
+    the variance of Dbar over the scheme's components and its covariance
+    with the drawn population mean variance.  ``n_realizations`` is the size
+    of the ensemble, or for exact moments (``exact_dbar_moments``) of the
+    draw of the minimum behind var(Dbar).  A scheme without entries gives
+    empty arrays."""
 
     n_realizations: int
     m1_sq: np.ndarray
     m2_sq: np.ndarray
     m1m2: np.ndarray
-    dbar_mean: np.ndarray
     dbar_var: np.ndarray
     mw_dbar_cov: np.ndarray
 
@@ -547,11 +549,9 @@ def _dbar_moments(scheme, comp_idx, y, m, w_x, m_wx, hyper) -> DbarMoments:
     res -= res.mean(axis=0)
     gam, sig = hyper.gamma_wx, hyper.sigma_wx
     dv = gam * np.outer(t_eff, t_eff) + np.diag(t_eff**2 * (sig - gam)) + _cov(res, res)
-    dbar_mean = dvec.mean(axis=0)
+    dvec -= dvec.mean(axis=0)
     mw = m_wx - m_wx.mean()
-    return DbarMoments(
-        n, m1_sq, m2_sq, m1m2, dbar_mean, 0.5 * (dv + dv.T), mw @ (dvec - dbar_mean) / (n - 1)
-    )
+    return DbarMoments(n, m1_sq, m2_sq, m1m2, 0.5 * (dv + dv.T), mw @ dvec / (n - 1))
 
 
 def estimate_moments_by_law(
@@ -707,10 +707,14 @@ def exact_moments(
     design: InspectionDataset,
     laws,
     targets=(),
-) -> list:
+) -> Iterator[MomentEstimates]:
     """Exact moments of the observations and targets under each law
     (sigma_r, mu_wx) of ``laws``: one MomentEstimates per law, with
     ``n_realizations`` None.  Gaussian noise only.
+
+    The inputs are checked at the call; the records are then yielded one
+    law at a time, each built when the caller asks for it, so a caller that
+    drops a record before taking the next never holds two var(Y).
 
     The three parts of Y = trend + sqrt(W_c) x_std + M are independent:
 
@@ -744,13 +748,12 @@ def exact_moments(
     lin_y = _unit_linear_cov(pi, lam, cells)
     yi, yj = np.nonzero(same_y)
 
-    out = []
-    for sr, mu in laws:
+    def record(sr, mu):
         ew, ew_pair, _, _ = quadrature.scale_moments(prior.hyper.with_mean(mu), prior.w_dist)
         v_y, min_cov = _observed_min(mins, sr, sigma_y, obs_t, yi, yj)
         var_y = np.where(same_y, ew, ew_pair) * lin_y
         var_y[yi, yj] += min_cov
-        out.append(MomentEstimates(
+        return MomentEstimates(
             design_points=cells.points,
             e_y=cells.trend_y + np.sqrt(v_y) * mins.mean,
             var_y=var_y,
@@ -760,8 +763,10 @@ def exact_moments(
                 cells, pi, (ew, ew_pair), lam, mins, sr, v_y
             ),
             n_realizations=None,
-        ))
-    return out
+        )
+
+    # the generator itself holds no record between laws
+    return (record(sr, mu) for sr, mu in laws)
 
 
 @dataclass(frozen=True)
@@ -854,18 +859,23 @@ def exact_dbar_moments(
     var(Dbar).  Gaussian noise only.
 
     Entry i (component c, lags k and l, weight K_i) combines the
-    observations as (k - l) y_i + l y_{i-1} - k y_{i-2}, which annihilates
-    the trend and leaves sqrt(W_c) a_i + b_i: a_i the same combination of
-    the unit linear part, Gaussian with A_ij = cov(a_i, a_j) from
-    Pi[c,c'] k(t,t') and A_ii = K_i, and b_i the same combination of the
-    minimum, independent of W and of a.  Then m1_sq, m2_sq, m1m2, E Dbar
-    and E[b_i b_j] follow from e_L and g_L as in ``exact_moments``,
+    observations as (k - l) y_i + l y_{i-1} - k y_{i-2}
+    (``scheme.combine``), which annihilates the trend and leaves
+    sqrt(W_c) a_i + b_i: a_i the same combination of the unit linear part,
+    Gaussian with A_ij = cov(a_i, a_j) from Pi[c,c'] k(t,t') and A_ii = K_i,
+    and b_i the same combination of the minimum, independent of W and of a.
+    A and E[b b'] are C U C' and C E[M M'] C' for the combination C, U the
+    unit linear covariance at the observed cells and E[M M'] from e_L and
+    g_L as in ``exact_moments``; each is formed by combining U's (or
+    E[M M']'s) rows, then its columns.  The m-moments m1_sq, m2_sq, m1m2 are
+    read off E[M M'] (E Dbar follows from them, ``varlearn.expected_dbar``),
     cov(M(W), Dbar_c) = (T_c - 2) gamma_wx, and
 
         K_i K_j cov(term_i, term_j) = cov(W_ci, W_cj) K_i K_j
             + 2 E[W_ci W_cj] A_ij^2 + 4 E[sqrt(W_ci W_cj)] A_ij E[b_i b_j]
-            + [c_i = c_j] cov(b_i^2, b_j^2).
+            + [c_i = c_j] cov(b_i^2, b_j^2),
 
+    summed to components over both axes (``scheme.sum_by_component``).
     cov(W) is the hyperprior's gamma_wx / sigma_wx, and the other scale
     moments are those of the law's drawn W (``quadrature.scale_moments``).
     Only the last term, the fourth moments of the minimum, is simulated:
@@ -877,18 +887,17 @@ def exact_dbar_moments(
     cells, pi, mins, same_y = _exact_setup(prior, topology, design)
     scheme.check_design(cells.points)
     n, seed = _size_and_seed(n_realizations, seed)
-    obs_t, obs_c = cells.obs_t, cells.obs_c
     yi, yj = np.nonzero(same_y)
-    p0, p1, p2, k, l, weight = scheme.p0, scheme.p1, scheme.p2, scheme.k, scheme.l, scheme.weight
-    entries = np.arange(len(p0))
-    comb = np.zeros((len(p0), len(obs_t)))
-    comb[entries, p0], comb[entries, p1], comb[entries, p2] = k - l, l, -k
-    lin = comb @ _unit_linear_cov(pi, prior.hyper.lam, cells) @ comb.T
-    same = obs_c[p0][:, None] == obs_c[p0]
-    # (entries, scheme components) 0/1: sums the entries of each component
-    member = scheme.entry_component[:, None] == np.arange(len(scheme.components))
+    p0, p1, p2 = scheme.p0, scheme.p1, scheme.p2
+
+    def between_entries(u):
+        """C u C' for a symmetric (n_obs x n_obs) u."""
+        return scheme.combine(scheme.combine(u).T)
+
+    lin = between_entries(_unit_linear_cov(pi, prior.hyper.lam, cells))
+    same = scheme.entry_component[:, None] == scheme.entry_component
     hyper, sigma_y = prior.hyper, prior.sigma_y
-    kk = np.outer(weight, weight)
+    kk = np.outer(scheme.weight, scheme.weight)
     cov_w = np.where(same, hyper.sigma_wx, hyper.gamma_wx) * kk
     min_rows = [np.empty((n, len(scheme.components))) for _ in laws]
     for (rows, *_), j, mo in _minima(_min_blocks(prior, seed, n, cells), [sr for sr, _ in laws]):
@@ -899,23 +908,21 @@ def exact_dbar_moments(
     out = []
     for (sr, mu), m_var in zip(laws, min_var):
         ew, root_pair, square, pair = quadrature.scale_moments(hyper.with_mean(mu), prior.w_dist)
-        v_y, min_cov = _observed_min(mins, sr, sigma_y, obs_t, yi, yj)
+        v_y, min_cov = _observed_min(mins, sr, sigma_y, cells.obs_t, yi, yj)
         e_m = np.sqrt(v_y) * mins.mean
         # E[M M'] at the observed cells
         mm = np.outer(e_m, e_m)
         mm[yi, yj] += min_cov
-        bb = comb @ mm @ comb.T
         terms = cov_w + 2.0 * np.where(same, square, pair) * lin * lin
-        terms += 4.0 * np.where(same, ew, root_pair) * lin * bb
+        terms += 4.0 * np.where(same, ew, root_pair) * lin * between_entries(mm)
         terms /= kk
-        dv = member.T @ terms @ member
+        dv = scheme.sum_by_component(scheme.sum_by_component(terms).T)
         dv[np.diag_indices_from(dv)] += m_var
         out.append(DbarMoments(
             n,
             mm[p0, p0] - 2.0 * mm[p0, p1] + mm[p1, p1],
             mm[p0, p0] - 2.0 * mm[p0, p2] + mm[p2, p2],
             mm[p0, p0] - mm[p0, p1] - mm[p0, p2] + mm[p1, p2],
-            scheme.t_eff * ew + (np.diag(bb) / weight) @ member,
             0.5 * (dv + dv.T),
             scheme.t_eff * hyper.gamma_wx,
         ))
@@ -931,13 +938,17 @@ def moments_by_law(
     n_realizations: int | None = None,
     seed=None,
     scheme=None,
-) -> list:
+) -> Iterable:
     """Moments under each law, as the pipeline reads them: with a
     difference scheme the Dbar moments of variance learning, otherwise the
     moments of the observations and targets.  Under Gaussian noise these
     are ``exact_dbar_moments`` and ``exact_moments``; under Student-t noise,
     for which the minimum's moments have no closed form, the ensemble of
-    ``estimate_moments_by_law``."""
+    ``estimate_moments_by_law``.
+
+    The records come in law order and are read once: the exact observation
+    moments are yielded one law at a time (``exact_moments``), the others
+    come as a list.  The inputs are checked at the call either way."""
     if prior.noise_dist != "gaussian":
         return estimate_moments_by_law(
             prior, topology, design, laws, targets, n_realizations, seed, scheme,

@@ -75,10 +75,14 @@ class DifferenceScheme:
     (``entry_component``); each component's entry count T_c - 2
     (``t_eff``); and the rank groups that sum entries by component.
 
-    Called on an (n, n_obs) array whose rows are observation vectors on the
-    scheme's design, it returns the (n, n_components) array of their Dbar
-    rows; the ensemble moments, ``compute_dbar`` and the estimator study all
-    run through it.
+    ``combine`` is the one definition of the difference combination: every
+    Dbar quantity is built on it.  ``terms`` squares it and divides by K_i;
+    called on an (n, n_obs) array whose rows are observation vectors on the
+    scheme's design, the scheme returns the (n, n_components) array of their
+    Dbar rows, which the ensemble moments, ``compute_dbar`` and the
+    estimator study all run through; ``simulate.exact_dbar_moments``
+    combines the rows, then the columns, of (n_obs x n_obs) moment matrices
+    and sums their entries to components with ``sum_by_component``.
     """
 
     entries: tuple
@@ -104,18 +108,17 @@ class DifferenceScheme:
         if tuple(points) != self.points:
             raise ShapeError("observation rows are not on the difference scheme's design")
 
+    def combine(self, y: np.ndarray) -> np.ndarray:
+        """Per-entry (k - l) y_i + l y_{i-1} - k y_{i-2} over the last axis
+        of ``y``, which annihilates level and slope."""
+        out = y[..., self.p0] * (self.k - self.l)
+        out += y[..., self.p1] * self.l
+        out -= y[..., self.p2] * self.k
+        return out
+
     def terms(self, y: np.ndarray) -> np.ndarray:
-        """Per-entry (k*Y^(2) - l*Y^(1))^2 / K_i terms."""
-        # k (y0 - y2) - l (y0 - y1); temporaries are built in place to keep
-        # them few for ensemble-sized inputs
-        comb = y[:, self.p0]
-        comb -= y[:, self.p2]
-        comb *= self.k
-        lag1 = y[:, self.p0]
-        lag1 -= y[:, self.p1]
-        lag1 *= self.l
-        comb -= lag1
-        del lag1
+        """Per-entry combination squared and divided by its weight K_i."""
+        comb = self.combine(y)
         comb *= comb
         comb /= self.weight
         return comb

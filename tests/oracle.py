@@ -1,4 +1,5 @@
-"""Brute-force references: the simulator and the whole-array update.
+"""Brute-force references: the simulator, the whole-array update and the
+dense Dbar moments.
 
 ``simulate_realization`` runs the model forward once and keeps every
 trajectory.  It consumes its stream exactly as ``simulate.draw_dataset``
@@ -7,6 +8,11 @@ paths (levels, rates, walks and the zmin state) as the reference for the
 ensemble engine's moment estimates.  ``reference_update`` is the Bayes
 linear update with every (targets x observations) array held whole, the
 reference for the block-by-block ``adjust.adjust_from_moments``.
+``reference_dbar_moments`` holds the difference combination as a dense
+(entries x observations) matrix and the sum over a component's entries as a
+0/1 (entries x components) matrix, the reference for
+``simulate.exact_dbar_moments``, which builds both on the difference
+scheme's ``combine`` and ``sum_by_component``.
 """
 
 import math
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from corrobayes import linalg
+from corrobayes import linalg, quadrature, simulate
 from corrobayes.errors import DegenerateVarianceError
 from corrobayes.simulate import _correlation_factor
 from corrobayes.system import (
@@ -119,3 +125,51 @@ def reference_update(moments, observed_y):
         except DegenerateVarianceError:
             discrepancy[kind] = None
     return tm.e_targets + g @ z, tm.var_targets - np.einsum("ij,ij->i", g, g), discrepancy
+
+
+def reference_dbar_moments(prior, topology, design, laws, scheme, n_realizations, seed):
+    """The Dbar moments of each law by dense products: with C the (entries
+    x observations) combination and S the 0/1 (entries x components)
+    membership, A = C U C', E[b b'] = C E[M M'] C', var(Dbar) = S' T S for
+    the per-entry covariance terms T, and the minimum's Dbar rows
+    (C m)^2 / K summed by S.  The minimum is drawn as
+    ``simulate.exact_dbar_moments`` draws it.  Returns one dict per law of
+    m1_sq, m2_sq, m1m2, dbar_var and mw_dbar_cov."""
+    cells, pi, mins, same_y = simulate._exact_setup(prior, topology, design)
+    n, seed = simulate._size_and_seed(n_realizations, seed)
+    obs_t, obs_c = cells.obs_t, cells.obs_c
+    yi, yj = np.nonzero(same_y)
+    p0, p1, p2, k, l, weight = scheme.p0, scheme.p1, scheme.p2, scheme.k, scheme.l, scheme.weight
+    entries = np.arange(len(p0))
+    comb = np.zeros((len(p0), len(obs_t)))
+    comb[entries, p0], comb[entries, p1], comb[entries, p2] = k - l, l, -k
+    member = scheme.entry_component[:, None] == np.arange(len(scheme.components))
+    lin = comb @ simulate._unit_linear_cov(pi, prior.hyper.lam, cells) @ comb.T
+    same = obs_c[p0][:, None] == obs_c[p0]
+    hyper = prior.hyper
+    kk = np.outer(weight, weight)
+    min_rows = [[] for _ in laws]
+    blocks = simulate._min_blocks(prior, seed, n, cells)
+    for _, j, mo in simulate._minima(blocks, [sr for sr, _ in laws]):
+        min_rows[j].append(((mo @ comb.T) ** 2 / weight) @ member)
+    out = []
+    for (sr, mu), rows in zip(laws, min_rows):
+        ew, root_pair, square, pair = quadrature.scale_moments(hyper.with_mean(mu), prior.w_dist)
+        v_y, min_cov = simulate._observed_min(mins, sr, prior.sigma_y, obs_t, yi, yj)
+        e_m = np.sqrt(v_y) * mins.mean
+        mm = np.outer(e_m, e_m)
+        mm[yi, yj] += min_cov
+        bb = comb @ mm @ comb.T
+        terms = np.where(same, hyper.sigma_wx, hyper.gamma_wx) * kk
+        terms += 2.0 * np.where(same, square, pair) * lin * lin
+        terms += 4.0 * np.where(same, ew, root_pair) * lin * bb
+        dv = member.T @ (terms / kk) @ member
+        dv += np.diag(np.concatenate(rows).var(axis=0, ddof=1))
+        out.append(dict(
+            m1_sq=mm[p0, p0] - 2.0 * mm[p0, p1] + mm[p1, p1],
+            m2_sq=mm[p0, p0] - 2.0 * mm[p0, p2] + mm[p2, p2],
+            m1m2=mm[p0, p0] - mm[p0, p1] - mm[p0, p2] + mm[p1, p2],
+            dbar_var=0.5 * (dv + dv.T),
+            mw_dbar_cov=scheme.t_eff * hyper.gamma_wx,
+        ))
+    return out

@@ -1,6 +1,7 @@
 """Local-variance calibration by discrepancy ratio."""
 
 import importlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -42,6 +43,27 @@ def test_calibration_is_deterministic_and_orders_rows_by_grid(topo16, design16, 
     assert [r.h for r in a.rows] == [r.h for r in b.rows]
     assert a.selected_index == b.selected_index
     assert a.selected is a.rows[a.selected_index]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_the_calibration_peak_grows_by_less_than_half_a_var_y_per_added_candidate():
+    # one var(Y) of the 174-observation reference design takes 242 KB, and
+    # one law's Dbar rows of the minimum at 200 realizations 46 KB.  Scoring
+    # every candidate before dropping any adds a var(Y) each once the
+    # rescoring pass sets the peak, as it does from 12 candidates on
+    topo = designs.four_circuit_topology()
+    design = designs.reference_design(topo)
+    data = draw_dataset(make_prior(topo), topo, design, seed=7, sigma_r=0.0064, fix_scales=True)
+    grid = tuple(0.01 / 25.0 * 625.0 ** (i / 23.0) for i in range(24))
+    peaks = []
+    for candidates in (grid[::2], grid):
+        prior = make_prior(topo, sigma_r_candidates=candidates)
+        tracemalloc.start()
+        run_calibration(prior, topo, data, seed=3, n_realizations=200)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    var_y = len(design.design_points()) ** 2 * 8
+    assert peaks[1] - peaks[0] < 12 * var_y / 2, peaks
 
 
 def test_empty_candidate_grid_is_rejected(topo16, design16):

@@ -468,7 +468,7 @@ def test_prior_bands_lie_within_monte_carlo_error_of_ensemble_percentiles(tmp_pa
     args = cli.build_parser().parse_args(["analyze", "--config", str(tmp_path / "run.cfg")])
     rc = cli.load_run_config(args)
     prior, topology = rc.prior, rc.topology
-    rows = cli._band_rows(comparison, prior)
+    rows = list(cli._band_rows(comparison, prior))
     targets = [("zmin", row[0], row[1]) for row in rows]
     assert len(rows) == len(topology.components) * 30
     # the share of a large prior-law ensemble below each exact band edge is

@@ -18,7 +18,7 @@ from corrobayes.simulate import (
     forecast_extend,
 )
 from conftest import make_prior, small_irregular_design
-from oracle import simulate_realization
+from oracle import reference_dbar_moments, simulate_realization
 
 
 def test_identical_seeds_give_bit_identical_moments(topo16, design16, prior16):
@@ -109,7 +109,7 @@ def test_dbar_statistics_accumulate_when_a_scheme_is_given(topo16, design16, pri
     # a scheme pass builds only what variance learning reads
     assert isinstance(mom, simulate.DbarMoments) and not hasattr(mom, "var_y")
     n_comp = len(scheme.components)
-    assert mom.dbar_mean.shape == (n_comp,)
+    assert varlearn.expected_dbar(scheme, prior16.hyper, mom).shape == (n_comp,)
     assert mom.dbar_var.shape == (n_comp, n_comp)
     assert np.all(np.diag(mom.dbar_var) > 0)
     assert mom.m1_sq.shape == (len(scheme.entries),)
@@ -123,7 +123,7 @@ def test_a_scheme_without_entries_gives_empty_dbar_moments(topo16, prior16):
     scheme = varlearn.build_scheme(design, prior16.hyper.lam)
     assert not scheme.entries
     mom = estimate_moments(prior16, topo16, design, n_realizations=50, seed=8, scheme=scheme)
-    for name in ("m1_sq", "m2_sq", "m1m2", "dbar_mean", "mw_dbar_cov"):
+    for name in ("m1_sq", "m2_sq", "m1m2", "mw_dbar_cov"):
         assert getattr(mom, name).shape == (0,), name
     assert mom.dbar_var.shape == (0, 0)
 
@@ -139,7 +139,11 @@ def test_expected_dbar_matches_simulation_within_monte_carlo_error(topo16, prior
     )
     expect = varlearn.expected_dbar(scheme, prior16.hyper, mom)
     se = np.sqrt(np.diag(mom.dbar_var) / mom.n_realizations)
-    assert np.all(np.abs(mom.dbar_mean - expect) <= 3 * se)
+    # the Dbar rows of the ensemble those moments were taken from
+    law = [(prior16.sigma_r, prior16.hyper.mu_wx)]
+    _, blocks = simulate._run_blocks(prior16, topo16, design, law, 6000, 9, monthly=True)
+    mean = np.concatenate([scheme(y) for _, _, y, _, _ in blocks]).mean(axis=0)
+    assert np.all(np.abs(mean - expect) <= 3 * se)
 
 
 def test_targets_cover_forecast_months_and_unobserved_components(topo16, prior16):
@@ -257,7 +261,7 @@ def _assert_close(a, b, rtol=1e-12):
 
 
 OBSERVATION_FIELDS = ("e_y", "var_y", *TargetMoments._fields)
-DBAR_FIELDS = ("m1_sq", "m2_sq", "m1m2", "dbar_mean", "dbar_var", "mw_dbar_cov")
+DBAR_FIELDS = ("m1_sq", "m2_sq", "m1m2", "dbar_var", "mw_dbar_cov")
 
 
 def _field(moments, name):
@@ -423,7 +427,7 @@ def test_exact_moments_lie_within_four_standard_errors_of_a_large_ensemble(topo8
 def test_exact_moments_take_every_law_on_its_own(topo16, design16, prior16):
     targets = [("zmin", topo16.components[0], 30), ("alpha", topo16.components[3], 40)]
     laws = [(0.0016, 0.01), (0.0064, 0.004)]
-    many = exact_moments(prior16, topo16, design16, laws, targets)
+    many = list(exact_moments(prior16, topo16, design16, laws, targets))
     for law, est in zip(laws, many):
         (one,) = exact_moments(prior16, topo16, design16, [law], targets)
         for name in OBSERVATION_FIELDS:
@@ -484,6 +488,21 @@ def test_exact_dbar_moments_lie_within_four_standard_errors_of_a_large_ensemble(
         worst[name] = float(np.abs(z).max())
     print(" ".join(f"{name} {z:.2f}" for name, z in worst.items()))
     assert max(worst.values()) < 4.0, worst
+
+
+@pytest.mark.parametrize("hyper", DBAR_CASES.values(), ids=DBAR_CASES.keys())
+def test_exact_dbar_moments_equal_the_dense_products(topo16, design16, hyper):
+    prior = make_prior(topo16, **hyper)
+    scheme = varlearn.build_scheme(design16, prior.hyper.lam)
+    laws = [(0.0016, 0.01), (0.0064, 0.004), (0.0256, 0.03)]
+    got = simulate.exact_dbar_moments(
+        prior, topo16, design16, laws, scheme, n_realizations=300, seed=4
+    )
+    reference = reference_dbar_moments(prior, topo16, design16, laws, scheme, 300, 4)
+    for est, ref in zip(got, reference):
+        for name in ("m1_sq", "m2_sq", "m1m2", "mw_dbar_cov"):
+            assert np.array_equal(getattr(est, name), ref[name]), name
+        _assert_close(est.dbar_var, ref["dbar_var"])
 
 
 def test_exact_dbar_moments_take_every_law_on_its_own_at_any_block_size(
