@@ -3,35 +3,25 @@
 Targets (minimum state, wall thickness, corrosion rate at any component and
 time, including forecast times beyond the data and never-observed components)
 are adjusted against the full observation vector.  Only their first and
-second moments enter, and the minimum over locations reduces to the
-one-dimensional functions of ``quadrature.min_of_normals``, which is what
-keeps the non-linear observation equation tractable.
+second moments enter, and the minimum over locations reduces to its
+moments by month, which is what keeps the non-linear observation equation
+tractable.
 
-``adjust_from_moments`` is the one Bayes linear update: it takes the moments
-of one law, from ``simulate.exact_moments``, ``estimate_moments`` or one
-entry of either's multi-law call.  The paired comparison takes both laws,
-the prior law and the calibrated law, from one ``simulate.moments_by_law``
+``adjust_from_moments`` is the one Bayes linear update: it takes the exact
+moments of one law (``simulate.exact_moments``, or one entry of its
+multi-law call), whose minimum is in closed form under Gaussian noise and
+sampled under Student-t noise.  The paired comparison takes both laws, the
+prior law and the calibrated law, from one ``simulate.moments_by_law``
 call, and each branch is that update on its own law's moments.
 
-The update takes one of two routes, chosen by whether the moments are
-exact, and neither holds a (targets x observations) array whole:
-
-* exact moments (Gaussian noise) go through the structure of their rows,
-  row(c,t)[j] = A[c, c_j] kappa_t[j] + m(c,t)[j]
-  (``simulate.ExactTargetRows``): month by month, the adjusted means and
-  variances are read off R and P = R R', laid out as one (component, visit)
-  tensor per visit count, and no row of cov(B,D) or of G = cov(B,D) R is
-  formed but a short kind's;
-* ensemble moments (Student-t noise, ``estimate_moments``) go over blocks
-  of targets of about ``BLOCK_ELEMENTS`` cross-covariance entries each, and
-  never fewer targets than observations: a block's rows of cov(B,D) are
-  built, turned into rows of G and reduced at once to adjusted means and
-  variances.
-
-What the adjustment diagnostics need of G is kept per kind: its rows when
-they are no more than G's columns, otherwise their Gram matrix G'G, folded
-block by block from an ensemble's rows and built in closed form from exact
-ones.
+The update goes through the structure of the target rows,
+row(c,t)[j] = A[c, c_j] kappa_t[j] + m(c,t)[j] (``simulate.ExactTargetRows``):
+month by month, the adjusted means and variances are read off R and
+P = R R', laid out as one (component, visit) tensor per visit count, and no
+row of cov(B,D) or of G = cov(B,D) R is formed but a short kind's.  What
+the adjustment diagnostics need of G is kept per kind: its rows when they
+are no more than G's columns, otherwise their Gram matrix G'G, built in
+closed form.
 """
 
 from __future__ import annotations
@@ -43,7 +33,7 @@ import numpy as np
 
 from . import linalg
 from .calibrate import CalibrationResult, calibrate
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .simulate import TARGET_KINDS, MomentEstimates, moments_by_law
 from .system import InspectionDataset, PriorSpecification, SystemTopology
 
@@ -72,59 +62,17 @@ class TargetBelief:
     adjusted_var: float
 
 
-#: Element budget (float64 count) of one block's cross-covariance rows in
-#: the blockwise update; ``block_rows`` turns it into targets per block.  Twice
-#: the simulation's budget: 752-row blocks at the reference design's 174
-#: observations, where half of it (376 rows) lets the comparison's traced
-#: peak grow by more than a fifth from 12 to 96 forecast months.
-BLOCK_ELEMENTS = 2**17
-
-
-def block_rows(n_obs: int) -> int:
-    """Targets per block: the larger of ``BLOCK_ELEMENTS`` // n_obs rounded
-    down and n_obs rounded up to a multiple of 8 (752 rows at 174
-    observations, 1,504 at 1,500).  Blocks never thinner than square keep
-    each block's products and Gram folds near the speed of one whole
-    product; whole multiples of 8 rows keep each row's matrix products off
-    BLAS's leftover-row kernels, so a row does not depend on the block it
-    falls in."""
-    rows = max(BLOCK_ELEMENTS // max(1, n_obs), n_obs + 7)
-    return rows - rows % 8
-
-
 class KindRows:
     """What the adjustment diagnostics keep of one kind's rows of G: the
     rows themselves when they are no more than G's columns (rank), otherwise
-    their Gram matrix G'G, into which rows are folded as they arrive
-    (``add``) or which is added whole (``add_gram``).  ``regather`` yields
-    the rows again, block by block, for the rare Gram matrix that fails its
-    certificate."""
+    (``tall``) their Gram matrix G'G, with ``regather``, a function that
+    yields the rows again, block by block, for the rare Gram matrix that
+    fails its certificate."""
 
-    def __init__(self, count: int, rank: int, regather):
-        self.tall = count > rank
-        self.rows = None if self.tall else np.empty((count, rank))
-        self.filled = 0
-        self.gram = np.zeros((rank, rank)) if self.tall else None
-        self.nonzero = False
-        self.regather = regather
-
-    def add(self, g: np.ndarray) -> None:
-        self.nonzero = self.nonzero or bool(g.any())
-        if not self.tall:
-            self.rows[self.filled : self.filled + len(g)] = g
-            self.filled += len(g)
-            return
-        # slices no taller than rank keep BLAS's packing buffers, and so the
-        # peak, small; G has no columns when var(Y) has rank zero
-        step = max(1, len(self.gram))
-        for i in range(0, len(g), step):
-            piece = g[i : i + step]
-            self.gram += piece.T @ piece
-
-    def add_gram(self, gram: np.ndarray) -> None:
-        """Fold in the Gram matrix g'g of rows not added one by one."""
-        self.nonzero = self.nonzero or bool(gram.any())
-        self.gram += gram
+    def __init__(self, rows=None, gram=None, regather=None):
+        self.rows, self.gram, self.regather = rows, gram, regather
+        self.tall = rows is None
+        self.nonzero = bool((gram if self.tall else rows).any())
 
     def discrepancy(self, z: np.ndarray, sample_size) -> float:
         """The kind's adjustment discrepancy, as
@@ -148,8 +96,7 @@ class AdjustedBelief:
     R'(y - E(Y)) and ``kind_rows`` holds, per kind present, in order of first
     appearance, a ``KindRows`` of its rows of G = cov(B,D) R: the rows of a
     short kind (no more rows than G's columns), the Gram matrix G'G of a
-    tall one, folded block by block from ensemble moments and built in
-    closed form from exact ones.  The kind's mean shift is G z and its
+    tall one, built in closed form.  The kind's mean shift is G z and its
     resolved variance G G', which is never formed.  Any R with
     R R' = var(Y)^+ rotates G and z together, so neither G z,
     rowsum(G * G) nor a kind's discrepancy depends on which.
@@ -185,16 +132,6 @@ class AdjustedBelief:
         ]
 
 
-def _g_blocks(moments: MomentEstimates, root: np.ndarray):
-    """(rows, target moments, rows of G = cov(B,D) R) per block of targets."""
-    n_t = len(moments.targets)
-    step = block_rows(root.shape[0])
-    for i0 in range(0, n_t, step):
-        rows = slice(i0, min(i0 + step, n_t))
-        tm = moments.target_moments(rows)
-        yield rows, tm, tm.cov_targets @ root
-
-
 def _kinds_present(kind: np.ndarray) -> list:
     """The kinds present, in order of first appearance, with their row counts."""
     codes, first, counts = np.unique(kind, return_index=True, return_counts=True)
@@ -202,66 +139,16 @@ def _kinds_present(kind: np.ndarray) -> list:
 
 
 def _regather(moments: MomentEstimates, root: np.ndarray, code):
-    """A function that yields one kind's rows of G again, block by block."""
-    kind = moments.target_cells[0]
-    return lambda: (g[kind[rows] == code] for rows, _, g in _g_blocks(moments, root))
+    """A function that yields one kind's rows of G again, in blocks as tall
+    as var(Y) is wide."""
 
+    def blocks():
+        sel = np.flatnonzero(moments.target_cells[0] == code)
+        step = max(1, root.shape[0])
+        for i in range(0, len(sel), step):
+            yield moments.target_moments(sel[i : i + step]).cov_targets @ root
 
-def adjust_from_moments(
-    moments: MomentEstimates,
-    dataset: InspectionDataset,
-    diagnose: bool = True,
-) -> AdjustedBelief:
-    """Apply the Bayes linear update given precomputed moments to the
-    dataset's values, in whitened data space: E_D(B) = E(B) + G z and
-    var_D(B) = var(B) - rowsum(G * G), with G = cov(B,D) R.  The dataset's
-    design must be the moments' design.
-
-    Two routes, chosen by whether the moments are exact:
-
-    * exact moments (``n_realizations`` None) go through the structure of
-      their rows (``_structured_update``), and form no row of cov(B,D) or
-      of G but a short kind's, for its diagnostics;
-    * ensemble moments go block by block over the targets
-      (``_blockwise_update``).
-
-    Without ``diagnose`` nothing is kept of G (``kind_rows`` is None), which
-    saves a tall kind's Gram matrix, as costly as the update itself."""
-    if dataset.design_points() != list(moments.design_points):
-        raise ShapeError("the dataset's design is not the design of its moments")
-    update = _blockwise_update if moments.exact_rows is None else _structured_update
-    return update(moments, dataset, diagnose)
-
-
-def _blockwise_update(
-    moments: MomentEstimates, dataset: InspectionDataset, diagnose: bool = True
-) -> AdjustedBelief:
-    """The update block by block over the targets (``block_rows``): a block's
-    rows of cov(B,D) are built, turned into rows of G and reduced at once to
-    adjusted means and variances, and each kind's rows are added to its
-    ``KindRows``."""
-    factor = moments.y_moment_pair().factor
-    z = factor.whiten(dataset.values_vector() - moments.e_y)
-    root = factor.root
-    kind, component, time = moments.target_cells
-    prior_mean, adjusted_mean, prior_var, adjusted_var = np.empty((4, len(kind)))
-    held = [
-        (k, KindRows(n, root.shape[1], _regather(moments, root, k)))
-        for k, n in _kinds_present(kind) if diagnose
-    ]
-    for rows, tm, g in _g_blocks(moments, root):
-        prior_mean[rows], prior_var[rows] = tm.e_targets, tm.var_targets
-        adjusted_mean[rows] = tm.e_targets + g @ z
-        adjusted_var[rows] = tm.var_targets - np.einsum("ij,ij->i", g, g)
-        kinds = kind[rows]
-        for k, kind_g in held:
-            mask = kinds == k
-            kind_g.add(g if mask.all() else g[mask])
-    kind_rows = {TARGET_KINDS[k]: kind_g for k, kind_g in held} if diagnose else None
-    return AdjustedBelief(
-        kind, component, time, prior_mean, adjusted_mean, prior_var, adjusted_var,
-        z, kind_rows, moments,
-    )
+    return blocks
 
 
 class _VisitLayout:
@@ -297,12 +184,18 @@ class _VisitLayout:
         self.pairs = np.nonzero(self.at[:, None] == self.at)
 
 
-def _structured_update(
-    moments: MomentEstimates, dataset: InspectionDataset, diagnose: bool = True
+def adjust_from_moments(
+    moments: MomentEstimates,
+    dataset: InspectionDataset,
+    diagnose: bool = True,
 ) -> AdjustedBelief:
-    """The update of exact moments through the structure of their rows,
-    row(c,t)[j] = A[c, c_j] kappa_t[j] + m(c,t)[j] (``ExactTargetRows``).
+    """Apply the Bayes linear update given the exact moments of one law to
+    the dataset's values, in whitened data space: E_D(B) = E(B) + G z and
+    var_D(B) = var(B) - rowsum(G * G), with G = cov(B,D) R.  The dataset's
+    design must be the moments' design.
 
+    The update reads the structure of the rows,
+    row(c,t)[j] = A[c, c_j] kappa_t[j] + m(c,t)[j] (``ExactTargetRows``).
     With P = R R' from the factor's root, r = y - E(Y), U the observations'
     component indicator and lin(c,t) = kappa_t o U A[c,:]' the row's linear
     part, month by month and for each kernel (zmin and x share one, alpha
@@ -314,16 +207,23 @@ def _structured_update(
 
     with K_t = U' diag(kappa_t) R and S_t the triangular factor of a QR of
     K_t', so that S_t'S_t = N_t = U' diag(kappa_t) P diag(kappa_t) U.  Read
-    off K_t and S_t, the linear parts keep the accuracy of the blockwise
-    route; as A[c,:] U'(kappa_t o P r) the mean shift lost a digit at
-    platform scale, and as the quadratic form A[c,:] N_t A[c,:]' the
-    variance lost about three on the full run, where the data pin a target
-    down.  R and P are read as one (component, visit) tensor per visit
-    count (``_VisitLayout``), and the largest arrays are (observations x
+    off K_t and S_t, the linear parts keep the accuracy of forming G's rows;
+    as A[c,:] U'(kappa_t o P r) the mean shift lost a digit at platform
+    scale, and as the quadratic form A[c,:] N_t A[c,:]' the variance lost
+    about three on the full run, where the data pin a target down.  R and P
+    are read as one (component, visit) tensor per visit count
+    (``_VisitLayout``), and the largest arrays are (observations x
     observations).  A short kind's rows of G are built for its diagnostics;
     a tall kind's Gram matrix is R' (sum of its rows' outer products) R, in
-    closed form (``_row_gram``)."""
-    ex = moments.exact_rows
+    closed form (``_row_gram``).
+
+    Without ``diagnose`` nothing is kept of G (``kind_rows`` is None), which
+    saves a tall kind's Gram matrix."""
+    if dataset.design_points() != list(moments.design_points):
+        raise ShapeError("the dataset's design is not the design of its moments")
+    ex = moments.rows
+    if ex is None:
+        raise ConfigError("the update reads exact moments (simulate.exact_moments)")
     cells = ex.cells
     factor = moments.y_moment_pair().factor
     z = factor.whiten(dataset.values_vector() - moments.e_y)
@@ -337,12 +237,14 @@ def _structured_update(
         # first, while few target-sized arrays are held
         kind_rows = {}
         for k, count in _kinds_present(kind):
-            held = KindRows(count, root.shape[1], _regather(moments, root, k))
             sel = np.flatnonzero(kind == k)
-            if held.tall:
-                held.add_gram(r.T @ _row_gram(ex, layout, a, sel) @ r)
+            if count > root.shape[1]:
+                held = KindRows(
+                    gram=r.T @ _row_gram(ex, layout, a, sel) @ r,
+                    regather=_regather(moments, root, k),
+                )
             else:
-                held.add(moments.target_moments(sel).cov_targets @ root)
+                held = KindRows(rows=moments.target_moments(sel).cov_targets @ root)
             kind_rows[TARGET_KINDS[k]] = held
 
     shift, resolved = _month_sums(ex, layout, a, r, z)
@@ -356,7 +258,7 @@ def _structured_update(
 
 def _month_sums(ex, layout: _VisitLayout, a: np.ndarray, r: np.ndarray, z: np.ndarray):
     """G z and rowsum(G * G) of every target, month by month and kernel by
-    kernel (see ``_structured_update``), with R in the visit layout."""
+    kernel (see ``adjust_from_moments``), with R in the visit layout."""
     cells = ex.cells
     p, pr = r @ r.T, r @ z
     n, n_comp, starts = len(p), len(layout.comps), layout.offsets[:-1]
@@ -375,7 +277,7 @@ def _month_sums(ex, layout: _VisitLayout, a: np.ndarray, r: np.ndarray, z: np.nd
         kappas = ex.kernel(months, np.array([alpha for *_, alpha in chunk]))[:, layout.perm]
         # the minimum's m(c,t)[j] at every observation j of c, with its
         # terms m P r and 2 m P lin; m P m' is added month by month
-        m = ex.minimum(months[:, None], layout.perm)
+        m = ex.minimum.cross(months[:, None], layout.perm)
         m_shift = np.add.reduceat(m * pr, starts, axis=1)
         m_res = np.add.reduceat(m * (kappas @ p), starts, axis=1)
         m_res *= 2.0
@@ -460,7 +362,7 @@ def _row_gram(ex, layout: _VisitLayout, a: np.ndarray, sel: np.ndarray) -> np.nd
     for i in range(0, len(months), step):
         chunk = slice(i, i + step)
         kappa = ex.kernel(months[chunk], kernel[chunk])[:, obs]
-        m = ex.minimum(months[chunk, None], obs)
+        m = ex.minimum.cross(months[chunk, None], obs)
         m_q = m * counts[chunk][:, comp_of_obs]
         cross += kappa.T @ m_q
         total[jj, kk] += (m_q.T @ m)[jj, kk]
@@ -569,11 +471,11 @@ def compare_with_without_variance_learning(
     otherwise); its values are not checked, so it must be of the same
     values, as a calibration of the dataset whose horizon-extended copy is
     adjusted is.  Both branches' moments come from one two-law
-    ``moments_by_law`` call: exact under Gaussian noise, and under Student-t
-    noise one two-law ensemble on ``seed`` (common random numbers, so
-    paired contrasts are not swamped by Monte Carlo noise).  Either way each
-    branch equals ``adjust_from_moments`` on its own law's one-law call, so
-    neither branch holds a (targets x observations) array whole.
+    ``moments_by_law`` call, exact but for a Student-t minimum, which one
+    draw on ``seed`` serves for both laws (common random numbers, so paired
+    contrasts are not swamped by Monte Carlo noise).  Each branch equals
+    ``adjust_from_moments`` on its own law's one-law call, and neither holds
+    a (targets x observations) array whole.
     """
     if observed_y is not None:
         dataset = dataset.with_values(observed_y)

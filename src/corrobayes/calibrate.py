@@ -15,11 +15,13 @@ the prior mu_wx and builds only the Dbar moments that variance learning
 reads (``simulate.DbarMoments``); the rescoring pass takes every candidate
 at its learned mu_wx.  Under Gaussian noise both are exact, but for the
 fourth moments of the minimum in var(Dbar), which one draw of the local
-walks and eps_y on the first seed serves for every candidate; so H carries
-no Monte Carlo error or finite-ensemble correction, and the rescoring pass
-scores each candidate and drops its var(Y) and factor before it builds the
-next.  Under Student-t noise each pass is one ensemble on its seed, every
-candidate seeing the same random numbers.
+walks and eps_y on the first seed serves for every candidate.  Under
+Student-t noise the learning pass is one ensemble on the first seed, and
+the rescoring pass is exact but for the minimum's moments, read off one
+draw on the second seed; every candidate sees the same random numbers.
+Either way var(Y) is not a sample covariance, so H takes no
+finite-ensemble correction, and the rescoring pass scores each candidate
+and drops its var(Y) and factor before it builds the next.
 
 The estimator study shares everything that does not depend on a
 replicate's data: one set of Dbar moments (exact under Gaussian noise, as
@@ -99,17 +101,15 @@ def _scan(prior, topology, dataset, scheme, candidates, seeds, n_realizations):
     observed = dataset.values_vector()
 
     def score(mom):
-        return linalg.mahalanobis_discrepancy(
-            observed, mom.y_moment_pair(), sample_size=mom.n_realizations
-        )
+        return linalg.mahalanobis_discrepancy(observed, mom.y_moment_pair())
 
     rescored = moments_by_law(
         prior, topology, dataset,
         [(sr, mu) for sr, (mu, _) in zip(candidates, adjusted)],
         n_realizations=n_realizations, seed=seeds[1],
     )
-    # map holds no record once its H is scored, so under Gaussian noise each
-    # candidate's var(Y) and factor go before the next candidate's are built
+    # map holds no record once its H is scored, so each candidate's var(Y)
+    # and factor go before the next candidate's are built
     return [
         CandidateRow(sr, mu, var, h)
         for sr, (mu, var), h in zip(candidates, adjusted, map(score, rescored))

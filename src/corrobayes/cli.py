@@ -11,6 +11,12 @@ Subcommands:
   systems with known truth and reports its distribution.
 * ``validate`` parses the inputs and emits the prior discrepancy report only.
 
+Every moment of the observations and targets is exact under Gaussian noise;
+under Student-t noise it is exact but for the minimum over locations, which
+one draw of the run's ``realizations`` serves per pass, and calibration's
+learning pass is an ensemble.  ``run_metadata.txt`` and the prior bands of
+``trajectory_bands.csv`` follow the noise law.
+
 Exit status: 0 on success (diagnostic warning flags do not fail a run),
 1 on validation or pipeline failure, 2 on configuration errors.  Among
 these, found before any stage runs: a missing key, a malformed value, a
@@ -55,9 +61,11 @@ from .simulate import (
 )
 from .system import validate_dataset
 
-#: ``band_convention_prior`` in run_metadata.txt, by how the moments were made.
+#: ``band_convention_prior`` in run_metadata.txt, by noise law: Gaussian
+#: noise has exact quantiles (``simulate.zmin_quantiles``), Student-t noise
+#: only moments.
 PRIOR_BAND_EXACT = "exact 2.5%/97.5% quantiles of the prior marginal"
-PRIOR_BAND_ENSEMBLE = "prior mean +/- 1.96*sqrt(prior variance)"
+PRIOR_BAND_MOMENTS = "prior mean +/- 1.96*sqrt(prior variance)"
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -160,10 +168,11 @@ def run_analysis(rc: RunConfig) -> int:
     Under Gaussian noise every moment is exact (``simulate.moments_by_law``)
     but one part of var(Dbar) in calibration's learning pass, the fourth
     moments of the minimum, which it simulates from the local walks and
-    eps_y alone.  Under Student-t noise calibration's learning and
-    rescoring passes and the two-law adjustment pass, at the extended
-    horizon, are ensembles.  The prior check reads the without-learning
-    branch's moments, which have the prior law.
+    eps_y alone.  Under Student-t noise calibration's learning pass is an
+    ensemble; its rescoring pass and the two-law adjustment pass, at the
+    extended horizon, are exact but for the minimum's moments, each pass
+    read off one draw.  The prior check reads the without-learning branch's
+    moments, which have the prior law.
     """
     if _report_findings(_dataset_findings(rc)):
         return EXIT_FAILURE
@@ -256,16 +265,16 @@ def run_analysis(rc: RunConfig) -> int:
         fileio.atomic_write_text(
             os.path.join(out, "final_discrepancy.txt"), "\n".join(diag_lines) + "\n"
         )
-        exact = learned_moments.n_realizations is None
+        gaussian = rc.prior.noise_dist == "gaussian"
+        sampled = f"exact, minimum sampled from {rc.n_realizations} draws"
         meta = [
             f"seed = {rc.seed}",
             f"realizations = {rc.n_realizations}",
-            f"observation_moments = {'exact' if exact else 'ensemble'}",
-            # the learning pass is exact exactly when the observation moments are
-            f"learning_moments = {'exact' if exact else 'ensemble'}",
+            f"observation_moments = {'exact' if gaussian else sampled}",
+            f"learning_moments = {'exact' if gaussian else 'ensemble'}",
             f"extend_months = {rc.extend_months}",
             f"band_convention_adjusted = {BAND_CONVENTION}",
-            f"band_convention_prior = {PRIOR_BAND_EXACT if exact else PRIOR_BAND_ENSEMBLE}",
+            f"band_convention_prior = {PRIOR_BAND_EXACT if gaussian else PRIOR_BAND_MOMENTS}",
             "discrepancy_grouping = per-observation rows; per-component aggregates",
             f"selected_sigma_r = {fileio.fmt(sel.sigma_r)}",
             f"selected_mu_WX = {fileio.fmt(sel.adjusted_mu_wx)}",
@@ -295,13 +304,13 @@ def _band_rows(comparison, prior):
     """Per zmin target: the prior band and mean, then each branch's adjusted
     band and mean; both branches share one target list, so their rows align.
 
-    With exact moments the prior band is the exact 2.5%/97.5% quantiles of
-    the target's prior marginal (``simulate.zmin_quantiles``); with ensemble
-    moments (Student-t noise) it is the prior mean +/- 1.96 prior sds."""
+    Under Gaussian noise the prior band is the exact 2.5%/97.5% quantiles
+    of the target's prior marginal (``simulate.zmin_quantiles``); under
+    Student-t noise it is the prior mean +/- 1.96 prior sds."""
     without, learned = comparison.without_learning, comparison.with_learning
     zmin = np.flatnonzero(without.kind == ZMIN)
     prior_mean = without.prior_mean[zmin]
-    if without.moments.n_realizations is None:
+    if prior.noise_dist == "gaussian":
         lo, hi = zmin_quantiles(prior, without.time[zmin], (0.025, 0.975)).T
     else:
         hi = band_half_width(without.prior_var[zmin])

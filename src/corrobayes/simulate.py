@@ -1,13 +1,19 @@
 """Forward simulation, Monte Carlo moment estimation, and exact moments.
 
-Under Gaussian noise the pipeline reads exact moments (``moments_by_law``):
-the moments of the observations and of the targets have closed forms
-(``exact_moments``, which yields its records one law at a time), and so do
-the Dbar moments of variance learning (``exact_dbar_moments``, built on the
-difference scheme's one combination, ``DifferenceScheme.combine``) but for
-the fourth moments of the minimum over locations, which it simulates from
-the local walks and eps_y alone (``_min_blocks``).  Under Student-t noise
-every moment is an ensemble's.
+The pipeline reads its moments through ``moments_by_law``.  The moments of
+the observations and of the targets are ``exact_moments`` under either
+noise law (yielded one law at a time): every innovation has unit variance,
+so the linear part's second moments have closed forms, and only the
+minimum over locations depends on the noise law (``_minimum_law``).  Under
+Gaussian noise its moments are closed forms too; under Student-t noise they
+are read off one draw of one component's local walks and eps_y over the
+horizon (``_minimum_draw``), which every law rescales and every component
+shares, as the walks are iid across components.  The Dbar moments of
+variance learning are ``exact_dbar_moments`` under Gaussian noise (built on
+the difference scheme's one combination, ``DifferenceScheme.combine``), but
+for the fourth moments of the minimum, which it simulates from the local
+walks and eps_y alone (``_min_blocks``); under Student-t noise they are an
+ensemble's.
 
 Each realization draws variance scales W_c from the variance hyperprior (so
 uncertainty about the variances propagates into var(Y)), runs the
@@ -55,16 +61,16 @@ prior trend, to two consumers:
   small next to the noise) and takes the moments in one centered pass of
   matrix products, so they do not depend on the block size: only the Dbar
   moments (``DbarMoments``) for a pass with a difference scheme, only the
-  observation and target moments (``MomentEstimates``) for any other, whose
-  target rows it forms on request from the centered ensemble it keeps;
+  observation moments (``MomentEstimates``) for any other;
 * the estimator study (``calibrate.estimator_study``) draws its replicate
   datasets as the realizations of one ensemble at the true law and reduces
   each block to its Dbar rows with the difference scheme, which is its own
   Dbar kernel and the one the ensemble's Dbar moments use.
 
-The min-part drawer (``_min_blocks``) is not part of the engine: it draws
-the walk and eps_y at the observed cells, all realizations in order from
-one generator, for ``exact_dbar_moments``.
+The engine's targets serve the tests' ensemble oracle of the exact target
+moments.  The min-part drawer (``_min_blocks``) is not part of the engine:
+it draws the walk and eps_y at the observed cells, all realizations in
+order from one generator, for ``exact_dbar_moments``.
 
 ``draw_dataset`` draws one synthetic dataset from one seed, every month of
 every location, with its own fixed stream layout.  The ensembles remain the
@@ -76,7 +82,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -230,17 +236,16 @@ TargetMoments = namedtuple("TargetMoments", "e_targets var_targets cov_targets")
 
 @dataclass
 class MomentEstimates:
-    """Moments of the designed observations and the targets under one law,
-    exact (``n_realizations`` None) or from an ensemble of that size.
+    """Moments of the designed observations and the targets under one law:
+    exact (``exact_moments``, ``n_realizations`` None), or an ensemble's of
+    that size of the observations alone (``estimate_moments``).
 
     ``target_cells`` holds the targets as arrays: kind (an index into
-    ``TARGET_KINDS``), component id and month.  The target moments are
-    built on request for a run of targets (``target_moments``), so a caller
-    that takes them block by block never holds a (targets x observations)
-    array: exact moments build only the rows asked for, and an ensemble
-    forms them from the centered ensemble it keeps.  Exact moments also
-    expose what their rows are made of (``exact_rows``), so a caller can
-    use the rows' structure instead of forming them.
+    ``TARGET_KINDS``), component id and month.  Exact moments carry what
+    their target rows are made of (``rows``, an ``ExactTargetRows``), and
+    build the target moments from it on request for a run of targets
+    (``target_moments``), so a caller that takes them a run at a time never
+    holds a (targets x observations) array.
     """
 
     design_points: list
@@ -248,18 +253,14 @@ class MomentEstimates:
     var_y: np.ndarray
     targets: tuple
     target_cells: tuple  # (kind, component id, month), one entry per target
-    _target_rows: Callable = field(repr=False, compare=False)
+    rows: ExactTargetRows | None = field(repr=False, compare=False)
     n_realizations: int | None
     _y_pair: MomentPair = field(default=None, init=False, repr=False, compare=False)
 
-    def target_moments(self, rows: slice = slice(None)) -> TargetMoments:
-        """The moments of the targets ``rows`` (all of them by default)."""
-        return TargetMoments(*self._target_rows(rows))
-
-    @property
-    def exact_rows(self) -> ExactTargetRows | None:
-        """The structure of the exact target rows; None for an ensemble."""
-        return self._target_rows if self.n_realizations is None else None
+    def target_moments(self, rows=slice(None)) -> TargetMoments:
+        """The moments of the targets ``rows`` (a slice or an index array;
+        all of them by default)."""
+        return TargetMoments(*self.rows(rows))
 
     def y_moment_pair(self) -> MomentPair:
         """(e_y, var_y) as one MomentPair, built on first use, so H, the
@@ -272,15 +273,17 @@ class MomentEstimates:
 @dataclass
 class DbarMoments:
     """What variance learning reads, from a pass with a difference scheme:
-    entry-aligned raw moments m1_sq / m2_sq / m1m2 of the local
-    min-differences, from which ``varlearn.expected_dbar`` forms E Dbar, and
-    the variance of Dbar over the scheme's components and its covariance
-    with the drawn population mean variance.  ``n_realizations`` is the size
-    of the ensemble, or for exact moments (``exact_dbar_moments``) of the
-    draw of the minimum behind var(Dbar).  A scheme without entries gives
-    empty arrays."""
+    E W_c of the law's variance scales (``e_w``, the same for every
+    component) and entry-aligned raw moments m1_sq / m2_sq / m1m2 of the
+    local min-differences, from which ``varlearn.expected_dbar`` forms
+    E Dbar, and the variance of Dbar over the scheme's components and its
+    covariance with the drawn population mean variance.  ``n_realizations``
+    is the size of the ensemble, or for exact moments
+    (``exact_dbar_moments``) of the draw of the minimum behind var(Dbar).  A
+    scheme without entries gives empty arrays."""
 
     n_realizations: int
+    e_w: float
     m1_sq: np.ndarray
     m2_sq: np.ndarray
     m1m2: np.ndarray
@@ -522,8 +525,9 @@ def _cov(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.T @ b / (a.shape[0] - 1)
 
 
-def _dbar_moments(scheme, comp_idx, y, m, w_x, m_wx, hyper) -> DbarMoments:
-    """The local min-difference moments and the Dbar moments of one law.
+def _dbar_moments(scheme, comp_idx, y, m, w_x, m_wx, hyper, e_w) -> DbarMoments:
+    """The local min-difference moments and the Dbar moments of one law,
+    whose scales have mean ``e_w``.
 
     ``y`` and ``m`` are the (n, n_obs) observations and their local
     min-effects on the scheme's design.  ``y`` may omit the prior trend:
@@ -551,7 +555,7 @@ def _dbar_moments(scheme, comp_idx, y, m, w_x, m_wx, hyper) -> DbarMoments:
     dv = gam * np.outer(t_eff, t_eff) + np.diag(t_eff**2 * (sig - gam)) + _cov(res, res)
     dvec -= dvec.mean(axis=0)
     mw = m_wx - m_wx.mean()
-    return DbarMoments(n, m1_sq, m2_sq, m1m2, 0.5 * (dv + dv.T), mw @ dvec / (n - 1))
+    return DbarMoments(n, e_w, m1_sq, m2_sq, m1m2, 0.5 * (dv + dv.T), mw @ dvec / (n - 1))
 
 
 def estimate_moments_by_law(
@@ -559,7 +563,6 @@ def estimate_moments_by_law(
     topology: SystemTopology,
     design: InspectionDataset,
     laws,
-    targets=(),
     n_realizations: int | None = None,
     seed: int | None = None,
     scheme=None,
@@ -572,28 +575,21 @@ def estimate_moments_by_law(
     of a multi-law call, and differences between laws are not Monte Carlo
     noise.  Returns one record per law, in order: with a difference scheme a
     DbarMoments (what variance learning reads, and nothing else), otherwise
-    a MomentEstimates of the observations and the targets.  A pass takes a
-    scheme or targets, not both.
+    a MomentEstimates of the observations.
 
-    A call with targets, a scheme or Student-t noise runs the monthly
-    drawer; any other call runs the observed-cell drawer, which lays out its
-    streams differently (see the module docstring).  Either way the
-    ensemble has the model's exact law and the estimator is the same.
+    A call with a scheme or Student-t noise runs the monthly drawer; any
+    other call runs the observed-cell drawer, which lays out its streams
+    differently (see the module docstring).  Either way the ensemble has the
+    model's exact law and the estimator is the same.
 
-    The ensemble is kept as one array per law of observations and targets
-    (or, for a scheme, local min-effects).  A scheme pass drops each law's
-    arrays as soon as its record is built, so the moments of later laws do
-    not pile up on top of every law's ensemble.  A pass with targets hands
-    each law's arrays, centered in place, to its record, which keeps them
-    for as long as it lives to form target rows from: every law's ensemble
-    stays held, (n x observations) and (n x targets) per law.
+    The ensemble is kept as one array per law of observations (and, for a
+    scheme, local min-effects).  Each law's arrays are dropped as soon as
+    its record is built, so the moments of later laws do not pile up on top
+    of every law's ensemble.
     """
     n, seed = _size_and_seed(n_realizations, seed)
     laws = [(float(sr), float(mu)) for sr, mu in laws]
-    targets = tuple(targets)
-    if scheme is not None and targets:
-        raise ConfigError("a moment pass takes a difference scheme or targets, not both")
-    cells = _cells(prior, topology, design, targets)
+    cells = _cells(prior, topology, design)
     points = cells.points
     if scheme is not None:
         scheme.check_design(points)
@@ -608,50 +604,38 @@ def estimate_moments_by_law(
         comp_idx = {c: i for i, c in enumerate(topology.components)}
         # popped, so each law's arrays go once its moments are built
         return [
-            _dbar_moments(scheme, comp_idx, y.pop(0), m.pop(0), *law_scales, prior.hyper)
-            for law_scales in scales
+            _dbar_moments(
+                scheme, comp_idx, y.pop(0), m.pop(0), *law_scales, prior.hyper,
+                quadrature.scale_moments(prior.hyper.with_mean(mu), prior.w_dist)[0],
+            )
+            for law_scales, (_, mu) in zip(scales, laws)
         ]
 
+    for k, rows, y_b, _, _ in blocks:
+        y[k][rows] = y_b
     out = []
-    tv = [np.empty((n, len(targets))) for _ in laws]
-    for k, rows, y_b, _, t_b in blocks:
-        y[k][rows], tv[k][rows] = y_b, t_b
     for _ in laws:
-        yc, tc = y.pop(0), tv.pop(0)
-        e_y, e_t = yc.mean(axis=0), tc.mean(axis=0)
+        yc = y.pop(0)
+        e_y = yc.mean(axis=0)
         # centered in place: the raw values are not read again
         yc -= e_y
-        tc -= e_t
         var_y = _cov(yc, yc)
         out.append(MomentEstimates(
             design_points=points,
             e_y=e_y + cells.trend_y,
             var_y=0.5 * (var_y + var_y.T),
-            targets=targets,
+            targets=(),
             target_cells=(cells.tgt_kind, cells.tgt_id, cells.tgt_t),
-            _target_rows=_ensemble_target_rows(
-                e_t + cells.trend_t, np.einsum("ij,ij->j", tc, tc) / (n - 1), tc, yc
-            ),
+            rows=None,
             n_realizations=n,
         ))
     return out
-
-
-def _ensemble_target_rows(e_t, var_t, tc, yc):
-    """Target rows from a centered ensemble: their means and variances, and
-    their sample covariance with the observations, formed for the rows asked
-    for.  Without targets the ensemble is not kept."""
-    if not tc.shape[1]:
-        n_obs = yc.shape[1]
-        return lambda rows: (e_t, var_t, np.empty((0, n_obs)))
-    return lambda rows: (e_t[rows], var_t[rows], _cov(tc[:, rows], yc))
 
 
 def estimate_moments(
     prior: PriorSpecification,
     topology: SystemTopology,
     design: InspectionDataset,
-    targets=(),
     n_realizations: int | None = None,
     seed: int | None = None,
     sigma_r: float | None = None,
@@ -666,7 +650,7 @@ def estimate_moments(
         prior.hyper.mu_wx if mu_wx is None else mu_wx,
     )
     (est,) = estimate_moments_by_law(
-        prior, topology, design, [law], targets, n_realizations, seed, scheme,
+        prior, topology, design, [law], n_realizations, seed, scheme,
     )
     return est
 
@@ -680,25 +664,111 @@ def _min_cov(mins, common: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.nda
     return scale * mins.cov(rho)
 
 
-def _observed_min(mins, sr, sigma_y, obs_t, yi, yj):
-    """The minimum M at the observed cells under local variance ``sr``: its
-    variance at one location v_t = sr t + sigma_y, and cov(M_i, M_j) at the
-    cell pairs (yi, yj) of one component."""
-    v = sr * obs_t + sigma_y
-    common = sr * np.minimum(obs_t[yi], obs_t[yj]) + np.where(yi == yj, sigma_y, 0.0)
-    return v, _min_cov(mins, common, v[yi], v[yj])
+class _ClosedFormMinimum:
+    """The minimum's moments under Gaussian noise and local variance
+    ``sigma_r``: M_{c,t} = min_l(r_l(t) + eps_y) is sqrt(v_t) times the
+    minimum of L standard normals, v_t = sigma_r t + sigma_y, whose location
+    pairs at two cells have covariance sigma_r min(t, t') (plus sigma_y for
+    one cell).  So E M = sqrt(v_t) e_L and cov = sqrt(v_t v_t') g_L(rho)
+    (``quadrature.min_of_normals``).  A zmin target carries no eps_y:
+    v = sigma_r t on its side."""
+
+    def __init__(self, mins, sigma_r: float, sigma_y: float, obs_t: np.ndarray):
+        self.mins, self.sigma_r, self.sigma_y, self.obs_t = mins, sigma_r, sigma_y, obs_t
+        self.v_y = sigma_r * obs_t + sigma_y
+
+    def observed(self, yi, yj):
+        """E M at the observed cells, and cov(M_i, M_j) at the cell pairs
+        (yi, yj) of one component."""
+        t = self.obs_t
+        common = self.sigma_r * np.minimum(t[yi], t[yj]) + np.where(yi == yj, self.sigma_y, 0.0)
+        return (
+            np.sqrt(self.v_y) * self.mins.mean,
+            _min_cov(self.mins, common, self.v_y[yi], self.v_y[yj]),
+        )
+
+    def target(self, months):
+        """The mean and variance of a zmin target's minimum in ``months``."""
+        v_t = self.sigma_r * months
+        return np.sqrt(v_t) * self.mins.mean, v_t * self.mins.var
+
+    def cross(self, months, obs):
+        """m(c,t)[j]: the covariance of a zmin target's minimum in ``months``
+        with M at observations ``obs`` of its component (index arrays
+        broadcast together)."""
+        sr = self.sigma_r
+        common = sr * np.minimum(months, self.obs_t[obs])
+        return _min_cov(self.mins, common, sr * months, self.v_y[obs])
+
+
+def _minimum_draw(prior, horizon: int, n: int, seed):
+    """One component's local walks and eps_y over every month of the
+    horizon, n times, from one generator on ``seed``: month by month, n x L
+    walk increments, then n x L eps_y, so a month's draws do not depend on
+    the horizon.  Returns the unit walk (horizon, n, L), its minimum over
+    locations and the scaled eps_y."""
+    rng = np.random.default_rng(_as_seedseq(seed))
+    draw = np.empty((horizon, 2, n, prior.locations_per_component))
+    _fill_noise(rng, draw, prior.noise_dist, prior.t_dof)
+    walk, eps = draw[:, 0], draw[:, 1]
+    np.cumsum(walk, axis=0, out=walk)
+    eps *= math.sqrt(prior.sigma_y)
+    return walk, walk.min(axis=2), eps
+
+
+class _SampledMinimum:
+    """The minimum's moments under local variance ``sigma_r``, read off one
+    draw (``_minimum_draw``): the means of zmin's minimum Z_t (no eps_y) and
+    of M_t (with eps_y) at every month of the horizon, and their joint
+    sample covariance, with Z_t at column t - 1 and M_t at column
+    horizon + t - 1.  The local walks are iid across components, so the
+    minimum's joint law over months is every component's, and one table
+    serves them all."""
+
+    def __init__(self, draw, sigma_r: float, obs_t: np.ndarray):
+        walk, walk_min, eps = draw
+        root = math.sqrt(sigma_r)
+        noisy = walk * root
+        noisy += eps
+        z = np.concatenate([root * walk_min, noisy.min(axis=2)]).T
+        self.mean = z.mean(axis=0)
+        z -= self.mean
+        cov = _cov(z, z)
+        self.cov = 0.5 * (cov + cov.T)
+        self.obs_at = obs_t - 1 + len(walk)
+
+    def observed(self, yi, yj):
+        """As ``_ClosedFormMinimum.observed``."""
+        return self.mean[self.obs_at], self.cov[self.obs_at[yi], self.obs_at[yj]]
+
+    def target(self, months):
+        """As ``_ClosedFormMinimum.target``."""
+        return self.mean[months - 1], self.cov[months - 1, months - 1]
+
+    def cross(self, months, obs):
+        """As ``_ClosedFormMinimum.cross``."""
+        return self.cov[months - 1, self.obs_at[obs]]
+
+
+def _minimum_law(prior, cells: _Cells, n_realizations=None, seed=None):
+    """The moments of the minimum over locations, as a function of the
+    local variance sigma_r: in closed form under Gaussian noise; under
+    Student-t noise, which gives the minimum no closed form, read off one
+    draw (``_minimum_draw``, its size and seed those of the pass) that every
+    sigma_r rescales."""
+    if prior.noise_dist == "gaussian":
+        mins = quadrature.min_of_normals(prior.locations_per_component)
+        return lambda sr: _ClosedFormMinimum(mins, sr, prior.sigma_y, cells.obs_t)
+    n, seed = _size_and_seed(n_realizations, seed)
+    draw = _minimum_draw(prior, cells.horizon, n, seed)
+    return lambda sr: _SampledMinimum(draw, sr, cells.obs_t)
 
 
 def _exact_setup(prior, topology, design, targets=()):
-    """The cells, Pi, the minimum of L normals' moments and which observed
-    cells share a component, the only ones the minimum couples: what both
-    exact passes start from.  Gaussian noise only."""
-    if prior.noise_dist != "gaussian":
-        raise ConfigError("exact moments need Gaussian noise")
+    """The cells, Pi and which observed cells share a component, the only
+    ones the minimum couples: what both exact passes start from."""
     cells = _cells(prior, topology, design, targets)
-    pi = build_correlation(topology, prior.corr)
-    mins = quadrature.min_of_normals(prior.locations_per_component)
-    return cells, pi, mins, cells.obs_c[:, None] == cells.obs_c
+    return cells, build_correlation(topology, prior.corr), cells.obs_c[:, None] == cells.obs_c
 
 
 def exact_moments(
@@ -707,10 +777,12 @@ def exact_moments(
     design: InspectionDataset,
     laws,
     targets=(),
+    n_realizations: int | None = None,
+    seed=None,
 ) -> Iterator[MomentEstimates]:
     """Exact moments of the observations and targets under each law
     (sigma_r, mu_wx) of ``laws``: one MomentEstimates per law, with
-    ``n_realizations`` None.  Gaussian noise only.
+    ``n_realizations`` None.
 
     The inputs are checked at the call; the records are then yielded one
     law at a time, each built when the caller asks for it, so a caller that
@@ -721,47 +793,44 @@ def exact_moments(
     * the linear part: cov = E[sqrt(W_c W_c')] Pi[c,c'] k(t,t'), with k from
       ``_linear_kernel`` and the scale moments from
       ``quadrature.scale_moments``; an alpha target at T has kernel
-      lam sum_{s<=t'} min(T, s) with x_std(t') and variance lam T;
-    * the minimum: M_{c,t} = min_l(r_l(t) + eps_y) is independent across
-      components, and for one component sqrt(v_t) times the minimum of L
-      standard normals, v_t = sigma_r t + sigma_y, whose location pairs at
-      two cells have covariance sigma_r min(t, t') (plus sigma_y for one
-      cell).  So E M = sqrt(v_t) e_L and cov = sqrt(v_t v_t') g_L(rho)
-      (``quadrature.min_of_normals``).  A zmin target carries no eps_y:
-      v = sigma_r t on its side.
+      lam sum_{s<=t'} min(T, s) with x_std(t') and variance lam T.  Every
+      innovation has unit variance under either noise law, so these second
+      moments are exact under Student-t noise too;
+    * the minimum, independent across components (``_minimum_law``): in
+      closed form under Gaussian noise, where nothing is drawn and the
+      moments do not depend on a seed; under Student-t noise read off one
+      draw of ``n_realizations`` one-component walks and eps_y on ``seed``,
+      shared by every law.  A zmin target carries no eps_y.
 
-    Nothing is drawn, so the moments do not depend on a seed, and the
-    observation moments do not depend on the targets or the horizon.  Each
-    record carries, as its ``exact_rows`` (an ``ExactTargetRows``), the
-    targets' cells, Pi, the scale pair (E W, E sqrt(W_c W_c')), lam,
-    sigma_r, the minimum of L normals' moments and v_y at the observed
-    cells: with k's integer sums in closed form (``_kernel_sums``), what
-    every target row is made of.  The target moments are built from them on
-    request, for the rows asked for (``MomentEstimates.target_moments``);
-    each row is formed entry by entry, so it does not depend on which rows
-    are built with it.
+    The observation moments do not depend on the targets or the horizon.
+    Each record carries, as its
+    ``rows`` (an ``ExactTargetRows``), the targets' cells, Pi, the scale
+    pair (E W, E sqrt(W_c W_c')), lam and the minimum's moments: with k's
+    integer sums in closed form (``_kernel_sums``), what every target row is
+    made of.  The target moments are built from them on request, for the
+    rows asked for (``MomentEstimates.target_moments``); each row is formed
+    entry by entry, so it does not depend on which rows are built with it.
     """
     targets = tuple(targets)
-    cells, pi, mins, same_y = _exact_setup(prior, topology, design, targets)
-    obs_t = cells.obs_t
-    lam, sigma_y = prior.hyper.lam, prior.sigma_y
+    cells, pi, same_y = _exact_setup(prior, topology, design, targets)
+    minimum = _minimum_law(prior, cells, n_realizations, seed)
+    lam = prior.hyper.lam
     lin_y = _unit_linear_cov(pi, lam, cells)
     yi, yj = np.nonzero(same_y)
 
     def record(sr, mu):
         ew, ew_pair, _, _ = quadrature.scale_moments(prior.hyper.with_mean(mu), prior.w_dist)
-        v_y, min_cov = _observed_min(mins, sr, sigma_y, obs_t, yi, yj)
+        min_part = minimum(sr)
+        e_m, min_cov = min_part.observed(yi, yj)
         var_y = np.where(same_y, ew, ew_pair) * lin_y
         var_y[yi, yj] += min_cov
         return MomentEstimates(
             design_points=cells.points,
-            e_y=cells.trend_y + np.sqrt(v_y) * mins.mean,
+            e_y=cells.trend_y + e_m,
             var_y=var_y,
             targets=targets,
             target_cells=(cells.tgt_kind, cells.tgt_id, cells.tgt_t),
-            _target_rows=ExactTargetRows(
-                cells, pi, (ew, ew_pair), lam, mins, sr, v_y
-            ),
+            rows=ExactTargetRows(cells, pi, (ew, ew_pair), lam, min_part),
             n_realizations=None,
         )
 
@@ -781,8 +850,8 @@ class ExactTargetRows:
     (``scale_matrix``); kappa_t[j] = k(t, t_j) for zmin and x targets and
     lam part(t, t_j) for alpha, from k's integer sums (``kernel``); m the
     minimum's term, nonzero only at component c's own observations and only
-    for zmin (``minimum``).  ``scale`` is (E W, E sqrt(W_c W_c')) and
-    ``v_y`` the minimum's variance at one location of each observed cell.
+    for zmin (``minimum.cross``).  ``scale`` is (E W, E sqrt(W_c W_c')) and
+    ``minimum`` the law's minimum (``_minimum_law``).
 
     Called on a run of targets (a slice or an index array), it gives their
     means, variances and rows, each row formed entry by entry, so it does
@@ -792,21 +861,19 @@ class ExactTargetRows:
     pi: np.ndarray
     scale: tuple
     lam: float
-    mins: quadrature.MinOfNormals
-    sigma_r: float
-    v_y: np.ndarray
+    minimum: _ClosedFormMinimum | _SampledMinimum
 
     def prior(self, sl=slice(None)):
         """The means and variances of the targets ``sl``."""
-        cells, sr, mins = self.cells, self.sigma_r, self.mins
+        cells = self.cells
         tgt_t, is_alpha, is_zmin = cells.tgt_t[sl], cells.is_alpha[sl], cells.is_zmin[sl]
-        v_t = sr * tgt_t
+        min_mean, min_var = self.minimum.target(tgt_t)
         var_lin_t = np.where(
             is_alpha, self.lam * tgt_t, tgt_t + self.lam * _kernel_sums(tgt_t, tgt_t)[1]
         )
         return (
-            cells.trend_t[sl] + np.where(is_zmin, np.sqrt(v_t) * mins.mean, 0.0),
-            self.scale[0] * var_lin_t + np.where(is_zmin, v_t * mins.var, 0.0),
+            cells.trend_t[sl] + np.where(is_zmin, min_mean, 0.0),
+            self.scale[0] * var_lin_t + np.where(is_zmin, min_var, 0.0),
         )
 
     def kernel(self, months: np.ndarray, is_alpha: np.ndarray) -> np.ndarray:
@@ -824,13 +891,6 @@ class ExactTargetRows:
         ew, ew_pair = self.scale
         return self.pi * np.where(np.eye(len(self.pi), dtype=bool), ew, ew_pair)
 
-    def minimum(self, months: np.ndarray, obs: np.ndarray) -> np.ndarray:
-        """m(c,t)[j] of zmin targets in ``months`` at observations ``obs``
-        of their component (index arrays broadcast together)."""
-        sr = self.sigma_r
-        common = sr * np.minimum(months, self.cells.obs_t[obs])
-        return _min_cov(self.mins, common, sr * months, self.v_y[obs])
-
     def __call__(self, sl):
         """The means, variances and rows of the targets ``sl``."""
         cells, (ew, ew_pair) = self.cells, self.scale
@@ -841,7 +901,7 @@ class ExactTargetRows:
         same_t = tgt_c[:, None] == obs_c
         cov_t *= np.where(same_t, ew, ew_pair)
         ti, tj = np.nonzero(same_t & cells.is_zmin[sl][:, None])
-        cov_t[ti, tj] += self.minimum(tgt_t[ti], tj)
+        cov_t[ti, tj] += self.minimum.cross(tgt_t[ti], tj)
         return (*self.prior(sl), cov_t)
 
 
@@ -856,7 +916,7 @@ def exact_dbar_moments(
 ) -> list:
     """The Dbar moments of variance learning under each law (sigma_r, mu_wx)
     of ``laws``: one DbarMoments per law, exact but for one part of
-    var(Dbar).  Gaussian noise only.
+    var(Dbar).  Gaussian noise only, for the fourth moments below.
 
     Entry i (component c, lags k and l, weight K_i) combines the
     observations as (k - l) y_i + l y_{i-1} - k y_{i-2}
@@ -884,7 +944,10 @@ def exact_dbar_moments(
     from one generator on ``seed`` shared by every law.  Those rows are
     kept whole, so the variances do not depend on the block size.
     """
-    cells, pi, mins, same_y = _exact_setup(prior, topology, design)
+    if prior.noise_dist != "gaussian":
+        raise ConfigError("exact Dbar moments need Gaussian noise")
+    cells, pi, same_y = _exact_setup(prior, topology, design)
+    minimum = _minimum_law(prior, cells)
     scheme.check_design(cells.points)
     n, seed = _size_and_seed(n_realizations, seed)
     yi, yj = np.nonzero(same_y)
@@ -896,7 +959,7 @@ def exact_dbar_moments(
 
     lin = between_entries(_unit_linear_cov(pi, prior.hyper.lam, cells))
     same = scheme.entry_component[:, None] == scheme.entry_component
-    hyper, sigma_y = prior.hyper, prior.sigma_y
+    hyper = prior.hyper
     kk = np.outer(scheme.weight, scheme.weight)
     cov_w = np.where(same, hyper.sigma_wx, hyper.gamma_wx) * kk
     min_rows = [np.empty((n, len(scheme.components))) for _ in laws]
@@ -908,8 +971,7 @@ def exact_dbar_moments(
     out = []
     for (sr, mu), m_var in zip(laws, min_var):
         ew, root_pair, square, pair = quadrature.scale_moments(hyper.with_mean(mu), prior.w_dist)
-        v_y, min_cov = _observed_min(mins, sr, sigma_y, cells.obs_t, yi, yj)
-        e_m = np.sqrt(v_y) * mins.mean
+        e_m, min_cov = minimum(sr).observed(yi, yj)
         # E[M M'] at the observed cells
         mm = np.outer(e_m, e_m)
         mm[yi, yj] += min_cov
@@ -920,6 +982,7 @@ def exact_dbar_moments(
         dv[np.diag_indices_from(dv)] += m_var
         out.append(DbarMoments(
             n,
+            ew,
             mm[p0, p0] - 2.0 * mm[p0, p1] + mm[p1, p1],
             mm[p0, p0] - 2.0 * mm[p0, p2] + mm[p2, p2],
             mm[p0, p0] - mm[p0, p1] - mm[p0, p2] + mm[p1, p2],
@@ -941,22 +1004,22 @@ def moments_by_law(
 ) -> Iterable:
     """Moments under each law, as the pipeline reads them: with a
     difference scheme the Dbar moments of variance learning, otherwise the
-    moments of the observations and targets.  Under Gaussian noise these
-    are ``exact_dbar_moments`` and ``exact_moments``; under Student-t noise,
-    for which the minimum's moments have no closed form, the ensemble of
+    moments of the observations and targets.  The latter are always
+    ``exact_moments``, whose minimum is sampled under Student-t noise from a
+    draw of ``n_realizations`` on ``seed``.  The Dbar moments are
+    ``exact_dbar_moments`` under Gaussian noise; under Student-t noise, for
+    which their fourth moments have no closed form, the ensemble of
     ``estimate_moments_by_law``.
 
-    The records come in law order and are read once: the exact observation
-    moments are yielded one law at a time (``exact_moments``), the others
-    come as a list.  The inputs are checked at the call either way."""
-    if prior.noise_dist != "gaussian":
-        return estimate_moments_by_law(
-            prior, topology, design, laws, targets, n_realizations, seed, scheme,
-        )
+    The records come in law order and are read once: the observation
+    moments are yielded one law at a time (``exact_moments``), the Dbar
+    moments come as a list.  The inputs are checked at the call either way."""
     if scheme is None:
-        return exact_moments(prior, topology, design, laws, targets)
+        return exact_moments(prior, topology, design, laws, targets, n_realizations, seed)
     if tuple(targets):
         raise ConfigError("a moment pass takes a difference scheme or targets, not both")
+    if prior.noise_dist != "gaussian":
+        return estimate_moments_by_law(prior, topology, design, laws, n_realizations, seed, scheme)
     return exact_dbar_moments(prior, topology, design, laws, scheme, n_realizations, seed)
 
 

@@ -199,16 +199,15 @@ def entry_expectation(
     return _term_expectation(entry.k, entry.l, entry.weight, mu_wx, m1_sq, m2_sq, m1m2, normalized)
 
 
-def expected_dbar(
-    scheme: DifferenceScheme,
-    hyper: VarianceHyperprior,
-    m_moments,
-) -> np.ndarray:
-    """Closed-form E(Dbar) per component given simulated local min moments.
+def expected_dbar(scheme: DifferenceScheme, m_moments) -> np.ndarray:
+    """Closed-form E(Dbar) per component: each normalized term's E W_c
+    plus its local min-difference moments.
 
-    ``m_moments`` supplies arrays m1_sq, m2_sq, m1m2 aligned with
-    scheme.entries (a ``simulate.DbarMoments`` works, as does any object
-    with those attributes).
+    ``m_moments`` supplies E W_c of the law's variance scales (``e_w``) and
+    arrays m1_sq, m2_sq, m1m2 aligned with scheme.entries (a
+    ``simulate.DbarMoments`` works, as does any object with those
+    attributes).  E W_c is the hyperprior's mu_wx but for the truncated
+    ``gaussian`` W, whose floor raises it.
     """
     for name in ("m1_sq", "m2_sq", "m1m2"):
         if len(getattr(m_moments, name)) != len(scheme.entries):
@@ -218,7 +217,7 @@ def expected_dbar(
                 f"(first entry: component {getattr(first, 'component', '?')})"
             )
     terms = _term_expectation(
-        scheme.k, scheme.l, scheme.weight, hyper.mu_wx,
+        scheme.k, scheme.l, scheme.weight, m_moments.e_w,
         np.asarray(m_moments.m1_sq), np.asarray(m_moments.m2_sq), np.asarray(m_moments.m1m2),
     )
     return scheme.sum_by_component(terms[None, :])[0]
@@ -247,8 +246,8 @@ def build_dbar_statistic(
     ``data`` is the observed InspectionDataset, or its Dbar vector, or an
     (n, n_components) array of Dbar rows of n datasets on the scheme's
     design, already computed by the scheme.  ``moments`` is a
-    ``simulate.DbarMoments``, or any object with m1_sq/m2_sq/m1m2
-    (entry-aligned) and dbar_var (the ensemble variance matrix of Dbar over
+    ``simulate.DbarMoments``, or any object with e_w, m1_sq/m2_sq/m1m2
+    (entry-aligned) and dbar_var (the variance matrix of Dbar over
     scheme.components).
     """
     if not scheme.components:
@@ -259,7 +258,7 @@ def build_dbar_statistic(
         values = np.asarray(data, dtype=float)
         if values.ndim not in (1, 2) or values.shape[-1] != len(scheme.components):
             raise ShapeError("dbar rows do not match scheme components")
-    expectation = expected_dbar(scheme, hyper, moments)
+    expectation = expected_dbar(scheme, moments)
     cross = scheme.t_eff * hyper.gamma_wx
     variance = np.asarray(moments.dbar_var, dtype=float)
     if variance.shape != (len(scheme.components),) * 2:

@@ -1,13 +1,16 @@
-"""Brute-force references: the simulator, the whole-array update and the
-dense Dbar moments.
+"""Brute-force references: the simulator, the ensemble target moments, the
+whole-array update and the dense Dbar moments.
 
 ``simulate_realization`` runs the model forward once and keeps every
 trajectory.  It consumes its stream exactly as ``simulate.draw_dataset``
 does, so tests compare that drawer against it per seed, and use its full
 paths (levels, rates, walks and the zmin state) as the reference for the
-ensemble engine's moment estimates.  ``reference_update`` is the Bayes
-linear update with every (targets x observations) array held whole, the
-reference for the block-by-block ``adjust.adjust_from_moments``.
+ensemble engine's moment estimates.  ``ensemble_moments`` is the row
+oracle: the sample moments of the observations and targets of one ensemble
+of the library's engine, the reference for ``simulate.exact_moments`` and
+its target rows.  ``reference_update`` is the Bayes linear update with
+every (targets x observations) array held whole, the reference for
+``adjust.adjust_from_moments``, which reads the structure of the rows.
 ``reference_dbar_moments`` holds the difference combination as a dense
 (entries x observations) matrix and the sum over a component's entries as a
 0/1 (entries x components) matrix, the reference for
@@ -102,6 +105,47 @@ def simulate_realization(
     return EnsembleRealization(x, alpha, r, zmin, y, w_x, w_a, m_wx)
 
 
+def ensemble_moments(prior, topology, design, targets, n_realizations, seed, laws=None):
+    """Sample moments of the observations and the targets under each law
+    (sigma_r, mu_wx) of ``laws`` (the prior's one law by default), from one
+    common-random-number ensemble of ``simulate._ensemble`` on ``seed``: one
+    ``simulate.MomentEstimates`` per law, whose target rows are the sample
+    covariances of the centered ensemble it keeps, formed for the rows asked
+    for."""
+    if laws is None:
+        laws = [(prior.sigma_r, prior.hyper.mu_wx)]
+    laws = [(float(sr), float(mu)) for sr, mu in laws]
+    targets, n = tuple(targets), n_realizations
+    cells = simulate._cells(prior, topology, design, targets)
+    _, blocks = simulate._ensemble(prior, topology, cells, laws, n, seed)
+    y = [np.empty((n, len(cells.points))) for _ in laws]
+    tv = [np.empty((n, len(targets))) for _ in laws]
+    for k, rows, y_b, _, t_b in blocks:
+        y[k][rows], tv[k][rows] = y_b, t_b
+    out = []
+    for yc, tc in zip(y, tv):
+        e_y, e_t = yc.mean(axis=0), tc.mean(axis=0)
+        yc -= e_y
+        tc -= e_t
+        var_y = simulate._cov(yc, yc)
+        e_t += cells.trend_t
+        var_t = np.einsum("ij,ij->j", tc, tc) / (n - 1)
+
+        def rows(sl, e_t=e_t, var_t=var_t, tc=tc, yc=yc):
+            return e_t[sl], var_t[sl], simulate._cov(tc[:, sl], yc)
+
+        out.append(simulate.MomentEstimates(
+            design_points=cells.points,
+            e_y=e_y + cells.trend_y,
+            var_y=0.5 * (var_y + var_y.T),
+            targets=targets,
+            target_cells=(cells.tgt_kind, cells.tgt_id, cells.tgt_t),
+            rows=rows,
+            n_realizations=n,
+        ))
+    return out
+
+
 def reference_update(moments, observed_y):
     """The Bayes linear update with every (targets x observations) array
     held whole: G = cov(B,D) R for all targets at once, then each kind's
@@ -135,7 +179,8 @@ def reference_dbar_moments(prior, topology, design, laws, scheme, n_realizations
     (C m)^2 / K summed by S.  The minimum is drawn as
     ``simulate.exact_dbar_moments`` draws it.  Returns one dict per law of
     m1_sq, m2_sq, m1m2, dbar_var and mw_dbar_cov."""
-    cells, pi, mins, same_y = simulate._exact_setup(prior, topology, design)
+    cells, pi, same_y = simulate._exact_setup(prior, topology, design)
+    minimum = simulate._minimum_law(prior, cells)
     n, seed = simulate._size_and_seed(n_realizations, seed)
     obs_t, obs_c = cells.obs_t, cells.obs_c
     yi, yj = np.nonzero(same_y)
@@ -155,8 +200,7 @@ def reference_dbar_moments(prior, topology, design, laws, scheme, n_realizations
     out = []
     for (sr, mu), rows in zip(laws, min_rows):
         ew, root_pair, square, pair = quadrature.scale_moments(hyper.with_mean(mu), prior.w_dist)
-        v_y, min_cov = simulate._observed_min(mins, sr, prior.sigma_y, obs_t, yi, yj)
-        e_m = np.sqrt(v_y) * mins.mean
+        e_m, min_cov = minimum(sr).observed(yi, yj)
         mm = np.outer(e_m, e_m)
         mm[yi, yj] += min_cov
         bb = comb @ mm @ comb.T

@@ -13,11 +13,15 @@ from corrobayes.adjust import (
     remnant_life,
 )
 from corrobayes.calibrate import calibrate
-from corrobayes.errors import ShapeError
+from corrobayes.errors import ConfigError, ShapeError
 from corrobayes.system import InspectionDataset
 from corrobayes.simulate import draw_dataset, estimate_moments, exact_moments, forecast_extend
 from conftest import make_prior, small_irregular_design
 from oracle import reference_update
+
+
+#: The law of ``make_prior``'s priors.
+LAW16 = [(0.08**2, 0.01)]
 
 
 def _zmin_targets(topology, horizon):
@@ -27,7 +31,7 @@ def _zmin_targets(topology, horizon):
 def test_adjustment_reduces_variance_and_tracks_the_data(topo16, design16, prior16):
     data = draw_dataset(prior16, topo16, design16, seed=1)
     targets = [("x", c, design16.horizon) for c in topo16.components]
-    mom = estimate_moments(prior16, topo16, data, targets, n_realizations=1500, seed=2)
+    (mom,) = exact_moments(prior16, topo16, data, LAW16, targets)
     beliefs = adjust_from_moments(mom, data)
     for row in beliefs.rows_for():
         assert row.adjusted_var <= row.prior_var + 1e-12
@@ -37,7 +41,7 @@ def test_adjustment_reduces_variance_and_tracks_the_data(topo16, design16, prior
 def test_empty_dataset_leaves_targets_at_their_priors(topo16, prior16):
     empty = designs.design_from_times({}, 20)
     targets = [("zmin", topo16.components[0], 20)]
-    mom = estimate_moments(prior16, topo16, empty, targets, n_realizations=300, seed=3)
+    (mom,) = exact_moments(prior16, topo16, empty, LAW16, targets)
     beliefs = adjust_from_moments(mom, empty)
     (row,) = beliefs.rows_for()
     assert row.adjusted_mean == row.prior_mean
@@ -53,13 +57,14 @@ def test_the_dataset_must_be_on_the_design_of_its_moments(topo16, design16, prio
     fewer = InspectionDataset(data.records[:-1], data.horizon)
     with pytest.raises(ShapeError, match="design"):
         adjust_from_moments(mom, fewer)
+    # an ensemble's moments carry no target rows to adjust with
+    with pytest.raises(ConfigError, match="exact moments"):
+        adjust_from_moments(estimate_moments(prior16, topo16, data, n_realizations=20), data)
 
 
 def test_uncorrelated_unobserved_components_stay_at_their_priors(topo16):
     # with the between-component correlation switched off, data on one
     # component carries no information about another
-    # hypervariances kept small: with a heavy-tailed scale mixture the Monte
-    # Carlo cross-covariance between unrelated components converges slowly
     prior = make_prior(topo16, rho0=0.0, rhoC=0.0, rhoD=0.0,
                        sigma_wx=2e-5, gamma_wx=1e-5)
     observed = topo16.components[0]
@@ -67,7 +72,7 @@ def test_uncorrelated_unobserved_components_stay_at_their_priors(topo16):
     design = designs.design_from_times({observed: [5, 10, 15, 20]}, 20)
     data = draw_dataset(prior, topo16, design, seed=4)
     targets = [("x", other, 20), ("alpha", other, 20)]
-    mom = estimate_moments(prior, topo16, data, targets, n_realizations=4000, seed=5)
+    (mom,) = exact_moments(prior, topo16, data, [(prior.sigma_r, prior.hyper.mu_wx)], targets)
     beliefs = adjust_from_moments(mom, data)
     for row in beliefs.rows_for():
         shift = abs(row.adjusted_mean - row.prior_mean)
@@ -86,17 +91,13 @@ def test_more_observations_never_inflate_adjusted_variance(topo16, prior16):
         np.array([big_vals[p] for p in d_small.design_points()])
     )
     targets = [("x", topo16.components[0], 40)]
-    # common random numbers: same seed for both moment estimations
     b_small, b_big = (
-        adjust_from_moments(
-            estimate_moments(prior16, topo16, data, targets, n_realizations=4000, seed=7), data
-        )
+        adjust_from_moments(next(exact_moments(prior16, topo16, data, LAW16, targets)), data)
         for data in (data_small, data_big)
     )
     v_small = b_small.adjusted_var[0]
     v_big = b_big.adjusted_var[0]
-    mc_se = 3.0 * v_small / np.sqrt(4000)
-    assert v_big <= v_small + mc_se
+    assert v_big <= v_small * (1.0 + 1e-12)
 
 
 def test_first_crossing_interpolates_linearly():
@@ -127,7 +128,7 @@ def test_remnant_life_reports_band_and_mean_crossings(topo16):
     data = draw_dataset(prior, topo16, design, seed=9)
     ext = forecast_extend(data, 60)
     targets = _zmin_targets(topo16, ext.horizon)
-    mom = estimate_moments(prior, topo16, ext, targets, n_realizations=500, seed=10)
+    (mom,) = exact_moments(prior, topo16, ext, [(prior.sigma_r, prior.hyper.mu_wx)], targets)
     beliefs = adjust_from_moments(mom, ext)
     life = remnant_life(beliefs, critical=4.0)
     assert len(life.per_component) == 16
@@ -200,7 +201,7 @@ def test_kind_blocks_are_the_rows_of_g_for_contiguous_and_interleaved_kinds(
     # 640 zmin rows against 64 observations: held as their Gram matrix
     tall = _zmin_targets(topo16, last) + [("x", c, last) for c in comps]
     for targets in (contiguous, interleaved, tall):
-        mom = estimate_moments(prior16, topo16, data, targets, n_realizations=200, seed=2)
+        (mom,) = exact_moments(prior16, topo16, data, LAW16, targets)
         beliefs = adjust_from_moments(mom, data)
         g = mom.target_moments().cov_targets @ mom.y_moment_pair().factor.root
         kinds = np.array([kind for kind, _, _ in targets])
@@ -209,9 +210,9 @@ def test_kind_blocks_are_the_rows_of_g_for_contiguous_and_interleaved_kinds(
             rows = g[kinds == kind]
             assert held.tall == (rows.shape[0] > rows.shape[1])
             if not held.tall:
-                assert np.array_equal(held.rows, rows), kind
-            assert held.discrepancy(beliefs.z, 200) == linalg.whitened_adjustment_discrepancy(
-                rows, beliefs.z, 200
+                _assert_close(held.rows, rows)
+            assert held.discrepancy(beliefs.z, None) == pytest.approx(
+                linalg.whitened_adjustment_discrepancy(rows, beliefs.z), rel=1e-12
             ), kind
 
 
@@ -261,7 +262,8 @@ def test_both_branches_equal_their_one_law_adjustments_bit_for_bit(topo16, desig
 
 def _full_run_case(noise_dist="gaussian"):
     """The reference design's data, its zmin grid and the last month's alpha
-    and x, and the moments of one law: exact, or a Student-t ensemble."""
+    and x, and the exact moments of one law, whose minimum under Student-t
+    noise is read off 200 draws."""
     topo = designs.four_circuit_topology()
     prior = make_prior(topo, noise_dist=noise_dist, t_dof=6.0)
     data = draw_dataset(
@@ -271,12 +273,7 @@ def _full_run_case(noise_dist="gaussian"):
     ext = forecast_extend(data, 12)
     targets = _zmin_targets(topo, ext.horizon)
     targets += [(kind, c, ext.horizon) for kind in ("alpha", "x") for c in topo.components]
-    if noise_dist == "gaussian":
-        (mom,) = exact_moments(prior, topo, ext, [(0.0064, 0.01)], targets)
-    else:
-        mom = estimate_moments(
-            prior, topo, ext, targets, n_realizations=200, seed=3, sigma_r=0.0064, mu_wx=0.01
-        )
+    (mom,) = exact_moments(prior, topo, ext, [(0.0064, 0.01)], targets, 200, 3)
     return mom, ext
 
 
@@ -292,84 +289,41 @@ def _assert_close(a, b, rtol=1e-12):
 
 
 @pytest.mark.parametrize("noise_dist", ["gaussian", "student_t"])
-def test_blockwise_update_equals_the_whole_array_update_bit_for_bit(noise_dist, monkeypatch):
-    mom, ext = _full_run_case(noise_dist)
-    n_obs = len(mom.design_points)
-    assert 8 < adjust.block_rows(n_obs) < len(mom.targets)
-    assert adjust.block_rows(n_obs) % 8 == 0
-    if noise_dist == "student_t":
-        # 16-row blocks, thinner than any the rule gives, so the ensemble's
-        # 6,208 targets span many blocks too
-        monkeypatch.setattr(adjust, "block_rows", lambda n_obs: 16)
-    beliefs = adjust._blockwise_update(mom, ext)
-    mean, var, discrepancy = reference_update(mom, ext.values_vector())
-    assert np.array_equal(beliefs.adjusted_mean, mean)
-    assert np.array_equal(beliefs.adjusted_var, var)
-    assert _discrepancies(beliefs) == discrepancy
-
-
-@pytest.mark.parametrize("noise_dist", ["gaussian", "student_t"])
 @pytest.mark.parametrize("rows", [1, 3, 7])
 def test_ragged_blocks_agree_with_the_whole_array_update(noise_dist, rows, monkeypatch):
+    # the update reads the targets' months in blocks; blocks of 1, 3 or 7
+    # months leave a ragged last block of the full run's 95 months
     mom, ext = _full_run_case(noise_dist)
-    monkeypatch.setattr(adjust, "block_rows", lambda n_obs: rows)
-    beliefs = adjust._blockwise_update(mom, ext)
-    mean, var, discrepancy = reference_update(mom, ext.values_vector())
-    _assert_close(beliefs.adjusted_mean, mean)
-    _assert_close(beliefs.adjusted_var, var)
-    got = _discrepancies(beliefs)
-    assert got.keys() == discrepancy.keys() == {"zmin", "alpha", "x"}
-    for kind, value in discrepancy.items():
-        assert got[kind] == pytest.approx(value, rel=1e-12), kind
+    monkeypatch.setattr(adjust, "_month_step", lambda n_obs: rows)
+    beliefs = _assert_matches_the_whole_array_update(mom, ext)
+    assert beliefs.kind_rows.keys() == {"zmin", "alpha", "x"}
 
 
-def test_blocks_are_never_thinner_than_the_observations():
-    for n_obs in range(1, 2001):
-        rows = adjust.block_rows(n_obs)
-        assert rows >= n_obs, n_obs
-        assert rows < 8 or rows % 8 == 0, n_obs
+def _counted_regathers(monkeypatch):
+    """How often a tall kind's rows of G are read again."""
+    passes, regather = [], adjust._regather
+
+    def counted(*args):
+        blocks = regather(*args)
+        return lambda: passes.append(1) or blocks()
+
+    monkeypatch.setattr(adjust, "_regather", counted)
+    return passes
 
 
-def test_square_blocks_agree_with_the_whole_array_update():
-    # 399 observations: the element budget alone would give 328-row blocks
-    topo = designs.four_circuit_topology()
-    prior = make_prior(topo)
-    design = designs.reference_design(topo, total_observations=400, visits=7, monitored=64)
-    data = draw_dataset(prior, topo, design, seed=7, sigma_r=0.0064, mu_wx=0.01, fix_scales=True)
-    targets = _zmin_targets(topo, data.horizon)
-    targets += [(kind, c, data.horizon) for kind in ("alpha", "x") for c in topo.components]
-    (mom,) = exact_moments(prior, topo, data, [(0.0064, 0.01)], targets)
-    n_obs = len(mom.design_points)
-    assert adjust.BLOCK_ELEMENTS // n_obs < n_obs <= adjust.block_rows(n_obs) < len(targets)
-    beliefs = adjust._blockwise_update(mom, data)
-    assert beliefs.kind_rows["zmin"].tall and not beliefs.kind_rows["x"].tall
-    mean, var, discrepancy = reference_update(mom, data.values_vector())
-    _assert_close(beliefs.adjusted_mean, mean)
-    _assert_close(beliefs.adjusted_var, var)
-    got = _discrepancies(beliefs)
-    assert got.keys() == discrepancy.keys() == {"zmin", "alpha", "x"}
-    for kind, value in discrepancy.items():
-        assert got[kind] == pytest.approx(value, rel=1e-12), kind
-
-
-def test_a_rank_deficient_tall_kind_falls_back_to_a_blockwise_qr(topo16, design16, prior16, monkeypatch):
-    # 100 copies of one target: their rows of G are one row, so the Gram
-    # matrix fails its certificate and the rows are read again into R
-    data = draw_dataset(prior16, topo16, design16, seed=5)
+def test_a_rank_deficient_tall_kind_falls_back_to_a_blockwise_qr(topo16, design16, monkeypatch):
+    # as below, with the Student-t minimum read off a draw: 100 copies of
+    # one target give one row of G, so the Gram matrix fails its
+    # certificate and the rows are read again into R
+    prior = make_prior(topo16, noise_dist="student_t", t_dof=6.0)
+    data = draw_dataset(prior, topo16, design16, seed=5)
     targets = [("x", topo16.components[2], design16.horizon)] * 100
     targets += [("zmin", c, design16.horizon) for c in topo16.components[:5]]
-    (mom,) = exact_moments(prior16, topo16, data, [(0.0064, 0.01)], targets)
-    monkeypatch.setattr(adjust, "block_rows", lambda n_obs: 3)
-    passes = []
-    g_blocks = adjust._g_blocks
-    monkeypatch.setattr(adjust, "_g_blocks", lambda *a: passes.append(1) or g_blocks(*a))
-    beliefs = adjust._blockwise_update(mom, data)
+    (mom,) = exact_moments(prior, topo16, data, [(0.0064, 0.01)], targets, 300, 4)
+    passes = _counted_regathers(monkeypatch)
+    beliefs = _assert_matches_the_whole_array_update(mom, data)
     assert beliefs.kind_rows["x"].tall and not beliefs.kind_rows["zmin"].tall
-    got = _discrepancies(beliefs)
-    assert len(passes) == 2  # the update, then the x rows once more
-    _, _, discrepancy = reference_update(mom, data.values_vector())
-    for kind, value in discrepancy.items():
-        assert got[kind] == pytest.approx(value, rel=1e-12), kind
+    assert len(passes) == 1
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -457,6 +411,16 @@ def _structured_case(name, topo16, design16):
         return _interleaved_case(topo16, prior16, design16)
     if name == "rank-deficient":
         return _rank_deficient_case(topo16, design16)
+    if name == "many-observations":
+        # 399 observations of 64 components, against 64-observation designs
+        topo = designs.four_circuit_topology()
+        design = designs.reference_design(topo, total_observations=400, visits=7, monitored=64)
+        data = draw_dataset(
+            make_prior(topo), topo, design, seed=7, sigma_r=0.0064, mu_wx=0.01, fix_scales=True
+        )
+        targets = _zmin_targets(topo, data.horizon)
+        targets += [(kind, c, data.horizon) for kind in ("alpha", "x") for c in topo.components]
+        return make_prior(topo), data, targets, (0.0064, 0.01)
     if name == "no-observations":
         targets = [(kind, c, 12) for c in topo16.components[:4] for kind in ("zmin", "x")]
         return prior16, designs.design_from_times({}, 12), targets, (0.0064, 0.01)
@@ -465,6 +429,8 @@ def _structured_case(name, topo16, design16):
     targets += [(kind, c, data.horizon) for kind in ("alpha", "x") for c in topo16.components]
     if name == "floored":
         return prior16, data, targets, (0.0064, 1e-12)
+    if name == "student_t":
+        return make_prior(topo16, noise_dist="student_t", t_dof=6.0), data, targets, (0.0064, 0.01)
     # w_dist-gaussian or w_dist-lognormal
     return make_prior(topo16, w_dist=name.split("-")[1]), data, targets, (0.0064, 0.01)
 
@@ -499,12 +465,13 @@ def _assert_matches_the_whole_array_update(mom, data, rtol=1e-10):
     "name",
     [
         "ragged", "interleaved", "floored", "w_dist-gaussian", "w_dist-lognormal",
-        "rank-deficient", "no-observations",
+        "rank-deficient", "no-observations", "student_t", "many-observations",
     ],
 )
 def test_the_structured_update_agrees_with_the_whole_array_update(name, topo16, design16):
     prior, data, targets, law = _structured_case(name, topo16, design16)
-    (mom,) = exact_moments(prior, topo16, data, [law], targets)
+    topo = designs.four_circuit_topology() if name == "many-observations" else topo16
+    (mom,) = exact_moments(prior, topo, data, [law], targets, 300, 4)
     beliefs = _assert_matches_the_whole_array_update(mom, data)
     rank = mom.y_moment_pair().factor.rank
     assert beliefs.kind_rows["zmin"].tall
@@ -532,7 +499,6 @@ def test_the_structured_update_of_the_full_run_forms_only_short_kinds_rows(monke
         return out
 
     monkeypatch.setattr(type(mom), "target_moments", counted)
-    monkeypatch.setattr(adjust, "_g_blocks", None)  # no block of rows is built
     adjust_from_moments(mom, ext)
     monkeypatch.undo()
     rank = mom.y_moment_pair().factor.rank
@@ -551,9 +517,7 @@ def test_a_structured_gram_that_fails_its_certificate_falls_back_to_a_blockwise_
     targets = [("x", topo16.components[2], design16.horizon)] * 100
     targets += [("zmin", c, design16.horizon) for c in topo16.components[:5]]
     (mom,) = exact_moments(prior16, topo16, data, [(0.0064, 0.01)], targets)
-    passes = []
-    g_blocks = adjust._g_blocks
-    monkeypatch.setattr(adjust, "_g_blocks", lambda *a: passes.append(1) or g_blocks(*a))
+    passes = _counted_regathers(monkeypatch)
     beliefs = _assert_matches_the_whole_array_update(mom, data)
     assert beliefs.kind_rows["x"].tall and not beliefs.kind_rows["zmin"].tall
     assert len(passes) == 1  # the x rows, read once for the fallback

@@ -6,7 +6,7 @@ import importlib.util
 from pathlib import Path
 
 from corrobayes.adjust import adjust_from_moments
-from corrobayes.simulate import draw_dataset, estimate_moments
+from corrobayes.simulate import draw_dataset, estimate_moments, exact_moments
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -35,7 +35,6 @@ def test_the_traced_runs_find_what_the_tracer_reads(topo16, design16, prior16):
     assert mom.targets == ()
     targets = [("zmin", topo16.components[0], 10), ("x", topo16.components[1], 20)]
     data = draw_dataset(prior16, topo16, design16, seed=2)
-    belief = adjust_from_moments(
-        estimate_moments(prior16, topo16, data, targets, n_realizations=60, seed=1), data
-    )
+    law = [(prior16.sigma_r, prior16.hyper.mu_wx)]
+    belief = adjust_from_moments(next(exact_moments(prior16, topo16, data, law, targets)), data)
     assert list(belief.moments.targets) == targets

@@ -144,7 +144,7 @@ def test_estimator_study_equals_a_per_replicate_reference_loop(
         n_realizations=n, seed=moment_seed,
     )
     prior_pair = linalg.MomentPair([hyper.mu_wx], [[hyper.gamma_wx]])
-    data_pair = linalg.MomentPair(varlearn.expected_dbar(scheme, hyper, moments), moments.dbar_var)
+    data_pair = linalg.MomentPair(varlearn.expected_dbar(scheme, moments), moments.dbar_var)
     cross = np.array([[(scheme.t_counts[c] - 2) * hyper.gamma_wx for c in scheme.components]])
     # replicate i is realization i of the engine at the true law with every
     # W_c held at the truth, here drawn one realization per block

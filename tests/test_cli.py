@@ -358,12 +358,17 @@ def test_finite_sample_factor_warns_when_the_ensemble_is_too_small_for_the_rank(
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_validate_writes_the_prior_report_of_analyze(tmp_path):
-    config = _write_workspace(tmp_path)
-    assert _run_analysis(config, tmp_path / "analyze") == cli.EXIT_OK
-    code = cli.main(["validate", "--config", str(config), "--out", str(tmp_path / "validate")])
-    assert code == cli.EXIT_OK
-    name = "prior_discrepancy.csv"
-    assert (tmp_path / "validate" / name).read_bytes() == (tmp_path / "analyze" / name).read_bytes()
+    # under Student-t noise too: a month's draws of the minimum do not
+    # depend on the extended horizon of the analysis
+    for noise in ("", "noise_dist = student_t"):
+        config = _write_workspace(tmp_path, run_extra=noise)
+        assert _run_analysis(config, tmp_path / "analyze") == cli.EXIT_OK
+        code = cli.main(["validate", "--config", str(config), "--out", str(tmp_path / "validate")])
+        assert code == cli.EXIT_OK
+        name = "prior_discrepancy.csv"
+        assert (
+            (tmp_path / "validate" / name).read_bytes() == (tmp_path / "analyze" / name).read_bytes()
+        ), noise
 
 
 def _imported_modules(args, prefix):
@@ -385,12 +390,15 @@ def _imported_modules(args, prefix):
 
 
 def test_analysis_imports_no_scipy(tmp_path):
-    # importing scipy.special costs about a quarter of a second per run
-    config = _write_workspace(tmp_path)
-    args = [
-        "analyze", "--config", str(config), "--out", str(tmp_path / "out"), "--extend-months", "6",
-    ]
-    assert _imported_modules(args, "scipy") == "[]"
+    # importing scipy.special costs about a quarter of a second per run;
+    # the Student-t run samples its minimum instead of integrating it
+    for noise in ("", "noise_dist = student_t"):
+        config = _write_workspace(tmp_path, run_extra=noise)
+        args = [
+            "analyze", "--config", str(config), "--out", str(tmp_path / "out"),
+            "--extend-months", "6",
+        ]
+        assert _imported_modules(args, "scipy") == "[]", noise
 
 
 def test_simulate_study_imports_no_numpy_ma(tmp_path):
@@ -406,12 +414,15 @@ def test_simulate_study_imports_no_numpy_ma(tmp_path):
 def _instrumented_analysis(tmp_path, monkeypatch):
     """One analysis run; returns its output directory, the number of its
     simulation passes by kind (``ensemble`` for the blocked engine,
-    ``min_part`` for the draw of the minimum behind exact Dbar moments), and
-    the comparison with the observed vector it adjusted on."""
-    passes, captured = {"ensemble": 0, "min_part": 0}, {}
+    ``min_part`` for the draw of the minimum behind exact Dbar moments,
+    ``min_draw`` for the draw of a sampled minimum), and the comparison with
+    the observed vector it adjusted on."""
+    passes, captured = {"ensemble": 0, "min_part": 0, "min_draw": 0}, {}
     compare = cli.compare_with_without_variance_learning
 
-    for kind, name in (("ensemble", "_ensemble"), ("min_part", "_min_blocks")):
+    for kind, name in (
+        ("ensemble", "_ensemble"), ("min_part", "_min_blocks"), ("min_draw", "_minimum_draw"),
+    ):
         def counted(*args, _kind=kind, _orig=getattr(simulate, name), **kwargs):
             passes[_kind] += 1
             return _orig(*args, **kwargs)
@@ -437,7 +448,7 @@ def test_analysis_simulates_each_law_once_and_checks_the_prior_on_its_branch(
     # no ensemble: every moment is exact but the fourth moments of the
     # minimum in calibration's learning pass, one draw for every candidate;
     # the prior check simulates nothing of its own
-    assert passes == {"ensemble": 0, "min_part": 1}
+    assert passes == {"ensemble": 0, "min_part": 1, "min_draw": 0}
     prior_h = diagnostics.global_discrepancy(observed, comparison.without_learning.moments)
     final = (out / "final_discrepancy.txt").read_text().splitlines()
     assert final[0] == f"prior_H = {fileio.fmt(prior_h)}"
@@ -445,21 +456,30 @@ def test_analysis_simulates_each_law_once_and_checks_the_prior_on_its_branch(
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-def test_student_t_analysis_keeps_the_rescoring_and_adjustment_ensembles(tmp_path, monkeypatch):
+def test_student_t_analysis_keeps_only_the_learning_ensemble(tmp_path, monkeypatch):
     build = fileio.build_prior
     monkeypatch.setattr(
         cli.fileio, "build_prior",
         lambda *a, **k: dataclasses.replace(build(*a, **k), noise_dist="student_t", t_dof=6.0),
     )
     out, passes, comparison, observed = _instrumented_analysis(tmp_path, monkeypatch)
-    # the learning and rescoring passes, and one two-law pass for both
-    # adjustment branches, whose moments are the ensemble's
-    assert passes == {"ensemble": 3, "min_part": 0}
-    assert comparison.without_learning.moments.n_realizations == 200
+    # the learning pass is an ensemble; the rescoring pass and the two-law
+    # adjustment pass are exact but for the minimum, one draw each
+    assert passes == {"ensemble": 1, "min_part": 0, "min_draw": 2}
+    assert comparison.without_learning.moments.n_realizations is None
     meta = (out / "run_metadata.txt").read_text()
-    assert "observation_moments = ensemble\n" in meta
+    assert "observation_moments = exact, minimum sampled from 200 draws\n" in meta
     assert "learning_moments = ensemble\n" in meta
-    assert f"band_convention_prior = {cli.PRIOR_BAND_ENSEMBLE}\n" in meta
+    assert f"band_convention_prior = {cli.PRIOR_BAND_MOMENTS}\n" in meta
+    # var(Y) is no sample covariance, so H takes no finite-sample correction
+    assert "finite_sample_factor = 1.0\n" in meta
+    # the prior band is the prior mean +/- 1.96 prior sds
+    without = comparison.without_learning
+    zmin = np.flatnonzero(without.kind == cli.ZMIN)
+    args = cli.build_parser().parse_args(["analyze", "--config", str(tmp_path / "run.cfg")])
+    rows = list(cli._band_rows(comparison, cli.load_run_config(args).prior))
+    half = 1.96 * np.sqrt(without.prior_var[zmin])
+    assert np.allclose([row[4] - row[3] for row in rows], half, rtol=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -489,21 +509,39 @@ def test_prior_bands_lie_within_monte_carlo_error_of_ensemble_percentiles(tmp_pa
     assert np.abs(z).max() < 4.0, np.abs(z).max()
 
 
+def _singular_pi(topology, corr):
+    """A singular Pi: components 0-3 and 7 fully correlated, 4-6 on their own."""
+    group = np.isin(np.arange(topology.component_count), [0, 1, 2, 3, 7])
+    return np.where(group[:, None] & group, 1.0, np.eye(topology.component_count))
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize(
     "noise_dist, realizations, var_y_rank",
-    # an exact var(Y) has full rank; a Student-t ensemble of 20 realizations
-    # gives a rank-19 var(Y) of the 32 observations
+    # an exact var(Y) has full rank.  The Student-t case has one W shared
+    # by all components, a singular Pi and a minimum that vanishes
+    # numerically (sigma_y zero, the one candidate sigma_r 1e-30): its 32
+    # observations span the 7 months of components 0-3 and 7, which share
+    # one path, and 4 visits each of components 4-6, so var(Y) has rank
+    # 7 + 12 = 19
     [("gaussian", "200", 32), ("student_t", "20", 19)],
 )
 def test_only_a_rank_deficient_var_y_is_eigendecomposed(
     tmp_path, monkeypatch, noise_dist, realizations, var_y_rank
 ):
-    build = fileio.build_prior
-    monkeypatch.setattr(
-        cli.fileio, "build_prior",
-        lambda *a, **k: dataclasses.replace(build(*a, **k), noise_dist=noise_dist, t_dof=6.0),
-    )
+    if noise_dist == "student_t":
+        build = fileio.build_prior
+
+        def built(*a, **k):
+            prior = build(*a, **k)
+            shared = dataclasses.replace(prior.hyper, gamma_wx=prior.hyper.sigma_wx)
+            return dataclasses.replace(
+                prior, hyper=shared, noise_dist="student_t", t_dof=6.0, sigma_r=1e-30,
+                sigma_y=0.0, sigma_r_candidates=(1e-30,),
+            )
+
+        monkeypatch.setattr(cli.fileio, "build_prior", built)
+        monkeypatch.setattr(simulate, "build_correlation", _singular_pi)
     sizes, eigh = [], np.linalg.eigh
 
     def counted(a, *args, **kwargs):

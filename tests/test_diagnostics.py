@@ -6,7 +6,7 @@ import pytest
 from corrobayes import diagnostics, linalg
 from corrobayes.adjust import adjust_from_moments
 from corrobayes.errors import ConfigError, ShapeError
-from corrobayes.simulate import draw_dataset, estimate_moments
+from corrobayes.simulate import draw_dataset, estimate_moments, exact_moments
 from conftest import make_prior
 
 
@@ -150,9 +150,8 @@ def test_adjustment_diagnostics_flag_a_displaced_system(topo16, design16):
     prior = make_prior(topo16)
     data = draw_dataset(prior, topo16, design16, seed=21)
     targets = [("x", c, design16.horizon) for c in topo16.components]
-    beliefs = adjust_from_moments(
-        estimate_moments(prior, topo16, data, targets, n_realizations=1500, seed=22), data
-    )
+    law = [(prior.sigma_r, prior.hyper.mu_wx)]
+    beliefs = adjust_from_moments(next(exact_moments(prior, topo16, data, law, targets)), data)
     clean = diagnostics.adjustment_diagnostics(beliefs)
     assert all(np.isfinite(r.value) for r in clean.rows if not r.indeterminate)
 
@@ -160,7 +159,7 @@ def test_adjustment_diagnostics_flag_a_displaced_system(topo16, design16):
     # several sigma away forces a mean shift far beyond the resolved variance
     shifted_prior = make_prior(topo16, x0=np.full(16, 12.0 + 5.0))
     shifted = adjust_from_moments(
-        estimate_moments(shifted_prior, topo16, data, targets, n_realizations=1500, seed=22), data
+        next(exact_moments(shifted_prior, topo16, data, law, targets)), data
     )
     report = diagnostics.adjustment_diagnostics(shifted)
     assert any(r.flagged for r in report.rows)
@@ -170,9 +169,9 @@ def test_adjustment_diagnostics_report_zero_rows_without_data(topo16, prior16):
     from corrobayes import designs
 
     empty = designs.design_from_times({}, 20)
-    mom = estimate_moments(
-        prior16, topo16, empty, [("x", topo16.components[0], 20)],
-        n_realizations=200, seed=23,
+    (mom,) = exact_moments(
+        prior16, topo16, empty, [(prior16.sigma_r, prior16.hyper.mu_wx)],
+        [("x", topo16.components[0], 20)],
     )
     beliefs = adjust_from_moments(mom, empty)
     report = diagnostics.adjustment_diagnostics(beliefs)
@@ -185,18 +184,18 @@ def test_adjustment_diagnostics_equal_the_full_resolved_variance_form(
     topo16, design16, n_realizations
 ):
     # reference: the whole n_t x n_t resolved variance, then each kind's block;
-    # 40 realizations leave var(Y) rank-deficient (rank 39 of 64)
-    prior = make_prior(topo16)
+    # under Student-t noise, with the minimum read off 400 or 40 draws
+    prior = make_prior(topo16, noise_dist="student_t", t_dof=6.0)
     data = draw_dataset(prior, topo16, design16, seed=21)
     targets = [("zmin", c, t) for c in topo16.components for t in (10, 40)]
     targets += [("x", c, 40) for c in topo16.components]
+    law = [(prior.sigma_r, prior.hyper.mu_wx)]
     beliefs = adjust_from_moments(
-        estimate_moments(prior, topo16, data, targets, n_realizations=n_realizations, seed=3),
-        data,
+        next(exact_moments(prior, topo16, data, law, targets, n_realizations, 3)), data
     )
     mom = beliefs.moments
     pinv, rank = linalg.pinv_with_rank(mom.var_y)
-    assert rank == min(len(mom.design_points), n_realizations - 1)
+    assert rank == len(mom.design_points)
     tm = mom.target_moments()
     resolved = tm.cov_targets @ pinv @ tm.cov_targets.T
     resolved = 0.5 * (resolved + resolved.T)
@@ -222,8 +221,7 @@ def test_update_h_and_adjustment_diagnostics_share_one_factor_of_var_y(
     data = draw_dataset(prior, topo16, design16, seed=21)
     targets = [("zmin", c, t) for c in topo16.components for t in (10, 40)]
     targets += [("x", c, 40) for c in topo16.components]
-    mom = estimate_moments(prior, topo16, design16, targets=targets,
-                           n_realizations=400, seed=3)
+    (mom,) = exact_moments(prior, topo16, design16, [(prior.sigma_r, prior.hyper.mu_wx)], targets)
     decompositions.clear()  # simulation factors the correlation matrix
     beliefs = adjust_from_moments(mom, data)
     diagnostics.global_discrepancy(data.values_vector(), mom)

@@ -127,8 +127,8 @@ def test_expected_dbar_equals_the_per_entry_loop(topo16, design16, prior16):
     idx = scheme.component_index()
     loop = np.zeros(len(scheme.components))
     for e, m1, m2, m12 in zip(scheme.entries, mom.m1_sq, mom.m2_sq, mom.m1m2):
-        loop[idx[e.component]] += varlearn.entry_expectation(e, prior16.hyper.mu_wx, m1, m2, m12)
-    assert np.array_equal(varlearn.expected_dbar(scheme, prior16.hyper, mom), loop)
+        loop[idx[e.component]] += varlearn.entry_expectation(e, mom.e_w, m1, m2, m12)
+    assert np.array_equal(varlearn.expected_dbar(scheme, mom), loop)
 
 
 def test_expected_dbar_requires_entry_aligned_moments(topo16, design16, prior16):
@@ -140,7 +140,7 @@ def test_expected_dbar_requires_entry_aligned_moments(topo16, design16, prior16)
         m1m2 = np.zeros(3)
 
     with pytest.raises(ShapeError):
-        varlearn.expected_dbar(scheme, prior16.hyper, Bad())
+        varlearn.expected_dbar(scheme, Bad())
 
 
 def test_cross_covariance_equals_tc_minus_two_gamma(topo16, design16, prior16):
