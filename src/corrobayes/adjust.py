@@ -74,12 +74,12 @@ class KindRows:
         self.tall = rows is None
         self.nonzero = bool((gram if self.tall else rows).any())
 
-    def discrepancy(self, z: np.ndarray, sample_size) -> float:
+    def discrepancy(self, z: np.ndarray) -> float:
         """The kind's adjustment discrepancy, as
         ``linalg.whitened_adjustment_discrepancy`` of its rows of G."""
         if not self.tall:
-            return linalg.whitened_adjustment_discrepancy(self.rows, z, sample_size)
-        return linalg.gram_adjustment_discrepancy(self.gram, self.regather, z, sample_size)
+            return linalg.whitened_adjustment_discrepancy(self.rows, z)
+        return linalg.gram_adjustment_discrepancy(self.gram, self.regather, z)
 
 
 @dataclass

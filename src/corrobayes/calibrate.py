@@ -13,20 +13,20 @@ The two passes take two seeds spawned from the run seed, and both read
 ``simulate.moments_by_law``.  The learning pass takes every candidate at
 the prior mu_wx and builds only the Dbar moments that variance learning
 reads (``simulate.DbarMoments``); the rescoring pass takes every candidate
-at its learned mu_wx.  Under Gaussian noise both are exact, but for the
-fourth moments of the minimum in var(Dbar), which one draw of the local
-walks and eps_y on the first seed serves for every candidate.  Under
-Student-t noise the learning pass is one ensemble on the first seed, and
-the rescoring pass is exact but for the minimum's moments, read off one
-draw on the second seed; every candidate sees the same random numbers.
-Either way var(Y) is not a sample covariance, so H takes no
-finite-ensemble correction, and the rescoring pass scores each candidate
-and drops its var(Y) and factor before it builds the next.
+at its learned mu_wx.  Both are exact under either noise law, but for
+what they sample of the minimum over locations: one draw per pass, the
+learning pass's on the first seed and the rescoring pass's on the second,
+serves every candidate, so every candidate sees the same random numbers.
+Under Gaussian noise that is the fourth moments of the minimum in
+var(Dbar) alone; under Student-t noise the minimum's moments in both
+passes.  var(Y) is not a sample covariance, so H takes no finite-ensemble
+correction, and the rescoring pass scores each candidate and drops its
+var(Y) and factor before it builds the next.
 
 The estimator study shares everything that does not depend on a
-replicate's data: one set of Dbar moments (exact under Gaussian noise, as
-in the learning pass), one difference scheme and one factor of var(Dbar)
-for the adjustment.  Its replicates are the realizations of an ensemble at
+replicate's data: one set of Dbar moments (exact, as in the learning
+pass), one difference scheme and one factor of var(Dbar) for the
+adjustment.  Its replicates are the realizations of an ensemble at
 the true law, drawn by the same engine as every other ensemble
 (``simulate._run_blocks``) and reduced to their Dbar rows block by block,
 then adjusted together.

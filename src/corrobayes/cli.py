@@ -13,9 +13,12 @@ Subcommands:
 
 Every moment of the observations and targets is exact under Gaussian noise;
 under Student-t noise it is exact but for the minimum over locations, which
-one draw of the run's ``realizations`` serves per pass, and calibration's
-learning pass is an ensemble.  ``run_metadata.txt`` and the prior bands of
-``trajectory_bands.csv`` follow the noise law.
+one draw of the run's ``realizations`` serves per pass.  Calibration's
+learning pass is exact under either law but for what it samples of the
+minimum: var(Dbar)'s fourth moments of it under Gaussian noise, all its
+moments under Student-t noise.  No pass runs an ensemble.
+``run_metadata.txt`` and the prior bands of ``trajectory_bands.csv`` follow
+the noise law.
 
 Exit status: 0 on success (diagnostic warning flags do not fail a run),
 1 on validation or pipeline failure, 2 on configuration errors.  Among
@@ -168,11 +171,11 @@ def run_analysis(rc: RunConfig) -> int:
     Under Gaussian noise every moment is exact (``simulate.moments_by_law``)
     but one part of var(Dbar) in calibration's learning pass, the fourth
     moments of the minimum, which it simulates from the local walks and
-    eps_y alone.  Under Student-t noise calibration's learning pass is an
-    ensemble; its rescoring pass and the two-law adjustment pass, at the
-    extended horizon, are exact but for the minimum's moments, each pass
-    read off one draw.  The prior check reads the without-learning branch's
-    moments, which have the prior law.
+    eps_y alone.  Under Student-t noise every pass (calibration's learning
+    and rescoring passes, and the two-law adjustment pass at the extended
+    horizon) is exact but for the minimum's moments, each pass read off one
+    draw.  The prior check reads the without-learning branch's moments,
+    which have the prior law.
     """
     if _report_findings(_dataset_findings(rc)):
         return EXIT_FAILURE
@@ -266,12 +269,12 @@ def run_analysis(rc: RunConfig) -> int:
             os.path.join(out, "final_discrepancy.txt"), "\n".join(diag_lines) + "\n"
         )
         gaussian = rc.prior.noise_dist == "gaussian"
-        sampled = f"exact, minimum sampled from {rc.n_realizations} draws"
+        moments = "exact" if gaussian else f"exact, minimum sampled from {rc.n_realizations} draws"
         meta = [
             f"seed = {rc.seed}",
             f"realizations = {rc.n_realizations}",
-            f"observation_moments = {'exact' if gaussian else sampled}",
-            f"learning_moments = {'exact' if gaussian else 'ensemble'}",
+            f"observation_moments = {moments}",
+            f"learning_moments = {moments}",
             f"extend_months = {rc.extend_months}",
             f"band_convention_adjusted = {BAND_CONVENTION}",
             f"band_convention_prior = {PRIOR_BAND_EXACT if gaussian else PRIOR_BAND_MOMENTS}",

@@ -113,7 +113,7 @@ def adjustment_diagnostics(beliefs) -> DiagnosticReport:
             rows.append(DiagnosticRow(kind, None, None, 0.0, False))
             continue
         try:
-            value = kind_g.discrepancy(beliefs.z, beliefs.moments.n_realizations)
+            value = kind_g.discrepancy(beliefs.z)
         except DegenerateVarianceError:
             rows.append(DiagnosticRow(kind, None, None, float("nan"), False, True))
             continue

@@ -239,7 +239,7 @@ def finite_sample_factor(rank: int, sample_size) -> float:
     return (n - rank - 2) / (n - 1)
 
 
-def _rank_normalized(form: float, rank: int, sample_size, name: str) -> float:
+def _rank_normalized(form: float, rank: int, name: str, sample_size=None) -> float:
     """A quadratic form through the pseudo-inverse of a rank-``rank``
     variance, divided by the rank, with the finite-ensemble correction."""
     if rank == 0:
@@ -258,7 +258,7 @@ def mahalanobis_discrepancy(observed, prior: MomentPair, sample_size=None) -> fl
         raise ShapeError(f"observed has length {y.shape[0]} but prior has dimension {prior.dim}")
     f = prior.factor
     form = f.quadratic_form(y - prior.mean)
-    return _rank_normalized(form, f.rank, sample_size, "variance matrix")
+    return _rank_normalized(form, f.rank, "variance matrix", sample_size)
 
 
 def adjustment_discrepancy(adjusted_mean, prior_mean, resolved_var, sample_size=None) -> float:
@@ -276,10 +276,10 @@ def adjustment_discrepancy(adjusted_mean, prior_mean, resolved_var, sample_size=
     if rv.shape[0] != a.shape[0]:
         raise ShapeError("resolved_var dimension does not match means")
     f = _SpectralFactor(rv, "resolved_var")
-    return _rank_normalized(f.quadratic_form(a - p), f.rank, sample_size, "resolved variance")
+    return _rank_normalized(f.quadratic_form(a - p), f.rank, "resolved variance", sample_size)
 
 
-def whitened_adjustment_discrepancy(g, z, sample_size=None) -> float:
+def whitened_adjustment_discrepancy(g, z) -> float:
     """``adjustment_discrepancy`` of the shift G z against the resolved
     variance G G', computed in data space without forming G G'.
 
@@ -292,11 +292,11 @@ def whitened_adjustment_discrepancy(g, z, sample_size=None) -> float:
     g = np.atleast_2d(np.asarray(g, dtype=float))
     z = np.asarray(z, dtype=float)
     if g.shape[0] > g.shape[1]:
-        return gram_adjustment_discrepancy(g.T @ g, lambda: [g], z, sample_size)
-    return _singular_form(g, z, sample_size)
+        return gram_adjustment_discrepancy(g.T @ g, lambda: [g], z)
+    return _singular_form(g, z)
 
 
-def gram_adjustment_discrepancy(gram, blocks, z, sample_size=None) -> float:
+def gram_adjustment_discrepancy(gram, blocks, z) -> float:
     """``whitened_adjustment_discrepancy`` of a tall G held as its Gram
     matrix G'G, with ``blocks`` a function that yields G's rows again, block
     by block.
@@ -311,20 +311,18 @@ def gram_adjustment_discrepancy(gram, blocks, z, sample_size=None) -> float:
     """
     z = np.asarray(z, dtype=float)
     if _certified_full_rank(gram):
-        return _rank_normalized(float(z @ z), gram.shape[0], sample_size, "resolved variance")
+        return _rank_normalized(float(z @ z), gram.shape[0], "resolved variance")
     r = None
     for g in blocks():
         if len(g):
             r = np.linalg.qr(g if r is None else np.vstack([r, g]), mode="r")
-    return _singular_form(r, z, sample_size)
+    return _singular_form(r, z)
 
 
-def _singular_form(g, z, sample_size) -> float:
+def _singular_form(g, z) -> float:
     """|V_r' z|^2 over G's singular values whose squares pass the cutoff,
     rank-normalized."""
     _, s, vt = np.linalg.svd(g, full_matrices=False)
     keep = s * s > DEFAULT_RTOL * (s[0] * s[0] if s.size else 0.0)
     w = vt[keep] @ z
-    return _rank_normalized(
-        float(w @ w), int(np.count_nonzero(keep)), sample_size, "resolved variance"
-    )
+    return _rank_normalized(float(w @ w), int(np.count_nonzero(keep)), "resolved variance")

@@ -1,19 +1,20 @@
 """Forward simulation, Monte Carlo moment estimation, and exact moments.
 
-The pipeline reads its moments through ``moments_by_law``.  The moments of
-the observations and of the targets are ``exact_moments`` under either
-noise law (yielded one law at a time): every innovation has unit variance,
-so the linear part's second moments have closed forms, and only the
-minimum over locations depends on the noise law (``_minimum_law``).  Under
-Gaussian noise its moments are closed forms too; under Student-t noise they
-are read off one draw of one component's local walks and eps_y over the
-horizon (``_minimum_draw``), which every law rescales and every component
-shares, as the walks are iid across components.  The Dbar moments of
-variance learning are ``exact_dbar_moments`` under Gaussian noise (built on
-the difference scheme's one combination, ``DifferenceScheme.combine``), but
-for the fourth moments of the minimum, which it simulates from the local
-walks and eps_y alone (``_min_blocks``); under Student-t noise they are an
-ensemble's.
+The pipeline reads its moments through ``moments_by_law``, one route per
+kind of pass under either noise law.  The moments of the observations and
+of the targets are ``exact_moments`` (yielded one law at a time), and the
+Dbar moments of variance learning are ``exact_dbar_moments`` (built on the
+difference scheme's one combination, ``DifferenceScheme.combine``).  Every
+innovation has unit variance and a symmetric law, so the linear part's
+moments have closed forms; Student-t innovations add only a fourth-cumulant
+term to var(Dbar).  What depends on the noise law beyond that is the
+minimum over locations (``_minimum_law``).  Under Gaussian noise its first
+and second moments are closed forms, and var(Dbar)'s fourth moments of it
+are simulated from the local walks and eps_y at the observed cells alone
+(``_min_blocks``).  Under Student-t noise all of them are read off one draw
+of one component's local walks and eps_y over the horizon
+(``_minimum_draw``), which every law rescales and every component shares,
+as the walks are iid across components.
 
 Each realization draws variance scales W_c from the variance hyperprior (so
 uncertainty about the variances propagates into var(Y)), runs the
@@ -33,9 +34,10 @@ passes' start (``_exact_setup``) and each pass's size and seed
 (``_size_and_seed``); the factors of W_c live in ``system``.
 
 ``_ensemble`` is the one ensemble engine (``_run_blocks`` runs it at a
-design's cells): n realizations of a list of laws (sigma_r, mu_wx), in
-blocks whose noise buffers hold about ``BLOCK_ELEMENTS`` floats, from one
-of two drawers chosen from the pass's own inputs:
+design's observed cells): n realizations of a list of laws
+(sigma_r, mu_wx), in blocks whose noise buffers hold about
+``BLOCK_ELEMENTS`` floats, from one of two drawers chosen from the pass's
+own inputs:
 
 * the monthly drawer serves passes with targets, with a difference scheme or
   with Student-t noise.  From one child stream per realization it draws the
@@ -57,20 +59,21 @@ minimum over locations runs over whole slices.  The engine yields each
 block's observations, local min-effects and targets per law, minus the
 prior trend, to two consumers:
 
-* ``estimate_moments_by_law`` keeps them for the whole ensemble (they are
-  small next to the noise) and takes the moments in one centered pass of
-  matrix products, so they do not depend on the block size: only the Dbar
-  moments (``DbarMoments``) for a pass with a difference scheme, only the
+* ``estimate_moments`` keeps one law's whole ensemble (it is small next to
+  the noise) and takes the moments in one centered pass of matrix products,
+  so they do not depend on the block size: only the Dbar moments
+  (``DbarMoments``) for a pass with a difference scheme, only the
   observation moments (``MomentEstimates``) for any other;
 * the estimator study (``calibrate.estimator_study``) draws its replicate
   datasets as the realizations of one ensemble at the true law and reduces
   each block to its Dbar rows with the difference scheme, which is its own
   Dbar kernel and the one the ensemble's Dbar moments use.
 
-The engine's targets serve the tests' ensemble oracle of the exact target
-moments.  The min-part drawer (``_min_blocks``) is not part of the engine:
-it draws the walk and eps_y at the observed cells, all realizations in
-order from one generator, for ``exact_dbar_moments``.
+The engine's several laws and targets serve the tests' ensemble oracle of
+the exact moments.  The min-part drawer (``_min_blocks``) is not part of
+the engine: it draws the walk and eps_y at the observed cells, all
+realizations in order from one generator, for ``exact_dbar_moments``
+under Gaussian noise.
 
 ``draw_dataset`` draws one synthetic dataset from one seed, every month of
 every location, with its own fixed stream layout.  The ensembles remain the
@@ -278,9 +281,10 @@ class DbarMoments:
     local min-differences, from which ``varlearn.expected_dbar`` forms
     E Dbar, and the variance of Dbar over the scheme's components and its
     covariance with the drawn population mean variance.  ``n_realizations``
-    is the size of the ensemble, or for exact moments
-    (``exact_dbar_moments``) of the draw of the minimum behind var(Dbar).  A
-    scheme without entries gives empty arrays."""
+    is the size of the ensemble (``estimate_moments``), or for exact moments
+    (``exact_dbar_moments``) of the draw of the minimum behind them: behind
+    var(Dbar) alone under Gaussian noise, behind the m-moments too under
+    Student-t noise.  A scheme without entries gives empty arrays."""
 
     n_realizations: int
     e_w: float
@@ -514,10 +518,9 @@ def _ensemble(prior, topology, cells, laws, n, seed, monthly=False):
     return [drawn[mu] for _, mu in laws], blocks()
 
 
-def _run_blocks(prior, topology, design, laws, n, seed, targets=(), monthly=False):
-    """``_ensemble`` at the observed cells of ``design`` and ``targets``."""
-    cells = _cells(prior, topology, design, targets)
-    return _ensemble(prior, topology, cells, laws, n, seed, monthly)
+def _run_blocks(prior, topology, design, laws, n, seed):
+    """``_ensemble`` at the observed cells of ``design``."""
+    return _ensemble(prior, topology, _cells(prior, topology, design), laws, n, seed)
 
 
 def _cov(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -558,80 +561,6 @@ def _dbar_moments(scheme, comp_idx, y, m, w_x, m_wx, hyper, e_w) -> DbarMoments:
     return DbarMoments(n, e_w, m1_sq, m2_sq, m1m2, 0.5 * (dv + dv.T), mw @ dvec / (n - 1))
 
 
-def estimate_moments_by_law(
-    prior: PriorSpecification,
-    topology: SystemTopology,
-    design: InspectionDataset,
-    laws,
-    n_realizations: int | None = None,
-    seed: int | None = None,
-    scheme=None,
-) -> list:
-    """Sample moments under each law (sigma_r, mu_wx) of ``laws`` from one
-    shared ensemble; deterministic given seed.
-
-    Every law sees the same standard-normal noise and the same variance-scale
-    stream (common random numbers), so a one-law call equals that law's entry
-    of a multi-law call, and differences between laws are not Monte Carlo
-    noise.  Returns one record per law, in order: with a difference scheme a
-    DbarMoments (what variance learning reads, and nothing else), otherwise
-    a MomentEstimates of the observations.
-
-    A call with a scheme or Student-t noise runs the monthly drawer; any
-    other call runs the observed-cell drawer, which lays out its streams
-    differently (see the module docstring).  Either way the ensemble has the
-    model's exact law and the estimator is the same.
-
-    The ensemble is kept as one array per law of observations (and, for a
-    scheme, local min-effects).  Each law's arrays are dropped as soon as
-    its record is built, so the moments of later laws do not pile up on top
-    of every law's ensemble.
-    """
-    n, seed = _size_and_seed(n_realizations, seed)
-    laws = [(float(sr), float(mu)) for sr, mu in laws]
-    cells = _cells(prior, topology, design)
-    points = cells.points
-    if scheme is not None:
-        scheme.check_design(points)
-
-    # a scheme pass keeps the monthly drawer's streams for its Dbar moments
-    scales, blocks = _ensemble(prior, topology, cells, laws, n, seed, monthly=scheme is not None)
-    y = [np.empty((n, len(points))) for _ in laws]
-    if scheme is not None:
-        m = [np.empty((n, len(points))) for _ in laws]
-        for k, rows, y_b, m_b, _ in blocks:
-            y[k][rows], m[k][rows] = y_b, m_b
-        comp_idx = {c: i for i, c in enumerate(topology.components)}
-        # popped, so each law's arrays go once its moments are built
-        return [
-            _dbar_moments(
-                scheme, comp_idx, y.pop(0), m.pop(0), *law_scales, prior.hyper,
-                quadrature.scale_moments(prior.hyper.with_mean(mu), prior.w_dist)[0],
-            )
-            for law_scales, (_, mu) in zip(scales, laws)
-        ]
-
-    for k, rows, y_b, _, _ in blocks:
-        y[k][rows] = y_b
-    out = []
-    for _ in laws:
-        yc = y.pop(0)
-        e_y = yc.mean(axis=0)
-        # centered in place: the raw values are not read again
-        yc -= e_y
-        var_y = _cov(yc, yc)
-        out.append(MomentEstimates(
-            design_points=points,
-            e_y=e_y + cells.trend_y,
-            var_y=0.5 * (var_y + var_y.T),
-            targets=(),
-            target_cells=(cells.tgt_kind, cells.tgt_id, cells.tgt_t),
-            rows=None,
-            n_realizations=n,
-        ))
-    return out
-
-
 def estimate_moments(
     prior: PriorSpecification,
     topology: SystemTopology,
@@ -642,17 +571,51 @@ def estimate_moments(
     mu_wx: float | None = None,
     scheme=None,
 ) -> MomentEstimates | DbarMoments:
-    """Sample moments under one law; ``sigma_r`` and ``mu_wx`` default to
-    the prior's.  The one-law case of ``estimate_moments_by_law``, so with a
-    difference scheme it returns a DbarMoments."""
+    """Sample moments under one law, from one ensemble; deterministic given
+    seed.  ``sigma_r`` and ``mu_wx`` default to the prior's.  With a
+    difference scheme it returns a DbarMoments (what variance learning
+    reads, and nothing else), otherwise a MomentEstimates of the
+    observations.
+
+    A call with a scheme or Student-t noise runs the monthly drawer; any
+    other call runs the observed-cell drawer, which lays out its streams
+    differently (see the module docstring).  Either way the ensemble has the
+    model's exact law and the estimator is the same.
+    """
+    n, seed = _size_and_seed(n_realizations, seed)
     law = (
-        prior.sigma_r if sigma_r is None else sigma_r,
-        prior.hyper.mu_wx if mu_wx is None else mu_wx,
+        float(prior.sigma_r if sigma_r is None else sigma_r),
+        float(prior.hyper.mu_wx if mu_wx is None else mu_wx),
     )
-    (est,) = estimate_moments_by_law(
-        prior, topology, design, [law], n_realizations, seed, scheme,
+    cells = _cells(prior, topology, design)
+    if scheme is not None:
+        scheme.check_design(cells.points)
+    # a scheme pass keeps the monthly drawer's streams for its Dbar moments
+    (scales,), blocks = _ensemble(prior, topology, cells, [law], n, seed, scheme is not None)
+    y = np.empty((n, len(cells.points)))
+    if scheme is not None:
+        m = np.empty_like(y)
+        for _, rows, y_b, m_b, _ in blocks:
+            y[rows], m[rows] = y_b, m_b
+        comp_idx = {c: i for i, c in enumerate(topology.components)}
+        e_w = quadrature.scale_moments(prior.hyper.with_mean(law[1]), prior.w_dist)[0]
+        return _dbar_moments(scheme, comp_idx, y, m, *scales, prior.hyper, e_w)
+
+    for _, rows, y_b, _, _ in blocks:
+        y[rows] = y_b
+    e_y = y.mean(axis=0)
+    # centered in place: the raw values are not read again
+    y -= e_y
+    var_y = _cov(y, y)
+    return MomentEstimates(
+        design_points=cells.points,
+        e_y=e_y + cells.trend_y,
+        var_y=0.5 * (var_y + var_y.T),
+        targets=(),
+        target_cells=(cells.tgt_kind, cells.tgt_id, cells.tgt_t),
+        rows=None,
+        n_realizations=n,
     )
-    return est
 
 
 def _min_cov(mins, common: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
@@ -709,33 +672,41 @@ def _minimum_draw(prior, horizon: int, n: int, seed):
     locations and the scaled eps_y."""
     rng = np.random.default_rng(_as_seedseq(seed))
     draw = np.empty((horizon, 2, n, prior.locations_per_component))
-    _fill_noise(rng, draw, prior.noise_dist, prior.t_dof)
+    # a month at a time, so a Student-t fill's temporaries are a month's
+    for month in draw:
+        _fill_noise(rng, month, prior.noise_dist, prior.t_dof)
     walk, eps = draw[:, 0], draw[:, 1]
     np.cumsum(walk, axis=0, out=walk)
     eps *= math.sqrt(prior.sigma_y)
     return walk, walk.min(axis=2), eps
 
 
+def _noisy_minimum(draw, sigma_r: float) -> np.ndarray:
+    """M_t = min over locations of sqrt(sigma_r) walk + eps_y at every month
+    of one draw (``_minimum_draw``): (horizon, n)."""
+    walk, _, eps = draw
+    noisy = walk * math.sqrt(sigma_r)
+    noisy += eps
+    return noisy.min(axis=2)
+
+
 class _SampledMinimum:
     """The minimum's moments under local variance ``sigma_r``, read off one
-    draw (``_minimum_draw``): the means of zmin's minimum Z_t (no eps_y) and
+    draw (``_minimum_draw``) and its ``noisy`` minimum under sigma_r
+    (``_noisy_minimum``): the means of zmin's minimum Z_t (no eps_y) and
     of M_t (with eps_y) at every month of the horizon, and their joint
     sample covariance, with Z_t at column t - 1 and M_t at column
     horizon + t - 1.  The local walks are iid across components, so the
     minimum's joint law over months is every component's, and one table
     serves them all."""
 
-    def __init__(self, draw, sigma_r: float, obs_t: np.ndarray):
-        walk, walk_min, eps = draw
-        root = math.sqrt(sigma_r)
-        noisy = walk * root
-        noisy += eps
-        z = np.concatenate([root * walk_min, noisy.min(axis=2)]).T
+    def __init__(self, draw, sigma_r: float, noisy: np.ndarray, obs_t: np.ndarray):
+        z = np.concatenate([math.sqrt(sigma_r) * draw[1], noisy]).T
         self.mean = z.mean(axis=0)
         z -= self.mean
         cov = _cov(z, z)
         self.cov = 0.5 * (cov + cov.T)
-        self.obs_at = obs_t - 1 + len(walk)
+        self.obs_at = obs_t - 1 + len(draw[1])
 
     def observed(self, yi, yj):
         """As ``_ClosedFormMinimum.observed``."""
@@ -761,7 +732,7 @@ def _minimum_law(prior, cells: _Cells, n_realizations=None, seed=None):
         return lambda sr: _ClosedFormMinimum(mins, sr, prior.sigma_y, cells.obs_t)
     n, seed = _size_and_seed(n_realizations, seed)
     draw = _minimum_draw(prior, cells.horizon, n, seed)
-    return lambda sr: _SampledMinimum(draw, sr, cells.obs_t)
+    return lambda sr: _SampledMinimum(draw, sr, _noisy_minimum(draw, sr), cells.obs_t)
 
 
 def _exact_setup(prior, topology, design, targets=()):
@@ -905,6 +876,28 @@ class ExactTargetRows:
         return (*self.prior(sl), cov_t)
 
 
+def _innovation_fourth_moments(prior, pi, cells, scheme) -> np.ndarray:
+    """The fourth-cumulant part of K_i K_j cov(a_i^2, a_j^2) under Student-t
+    innovations, per unit of E[W_ci W_cj]:
+
+        kappa4 [(F o F)(F o F)']_{c_i c_j}
+            sum_s (h^x_i(s)^2 h^x_j(s)^2 + lam^2 h^a_i(s)^2 h^a_j(s)^2),
+
+    with kappa4 = 6 / (nu - 4) the unit-variance t's excess kurtosis, F the
+    factor that mixes the components' innovations (``_correlation_factor``)
+    and h^x_i(s), h^a_i(s) entry i's combination (``scheme.combine``) of the
+    coefficients of innovation month s in x_std at the observed months: the
+    step 1[s <= t] for eps_x and the ramp (t - s + 1)+ for eps_alpha, whose
+    sqrt(lam) is squared twice."""
+    # t - s + 1 at the observed months t and innovation months s = 1..horizon
+    ahead = cells.obs_t[:, None] - np.arange(cells.horizon)
+    h_x = scheme.combine((ahead > 0).T.astype(float)) ** 2
+    h_a = scheme.combine(np.clip(ahead, 0, None).T.astype(float)) ** 2
+    f_sq = _correlation_factor(pi)[cells.obs_c[scheme.p0]] ** 2
+    time_sum = h_x.T @ h_x + prior.hyper.lam**2 * (h_a.T @ h_a)
+    return 6.0 / (prior.t_dof - 4.0) * (f_sq @ f_sq.T) * time_sum
+
+
 def exact_dbar_moments(
     prior: PriorSpecification,
     topology: SystemTopology,
@@ -915,43 +908,49 @@ def exact_dbar_moments(
     seed=None,
 ) -> list:
     """The Dbar moments of variance learning under each law (sigma_r, mu_wx)
-    of ``laws``: one DbarMoments per law, exact but for one part of
-    var(Dbar).  Gaussian noise only, for the fourth moments below.
+    of ``laws``: one DbarMoments per law, exact but for the minimum's part
+    of var(Dbar), and under Student-t noise the minimum's moments.
 
     Entry i (component c, lags k and l, weight K_i) combines the
     observations as (k - l) y_i + l y_{i-1} - k y_{i-2}
     (``scheme.combine``), which annihilates the trend and leaves
     sqrt(W_c) a_i + b_i: a_i the same combination of the unit linear part,
-    Gaussian with A_ij = cov(a_i, a_j) from Pi[c,c'] k(t,t') and A_ii = K_i,
-    and b_i the same combination of the minimum, independent of W and of a.
-    A and E[b b'] are C U C' and C E[M M'] C' for the combination C, U the
-    unit linear covariance at the observed cells and E[M M'] from e_L and
-    g_L as in ``exact_moments``; each is formed by combining U's (or
+    with A_ij = cov(a_i, a_j) from Pi[c,c'] k(t,t') and A_ii = K_i, and b_i
+    the same combination of the minimum, independent of W and of a.  A and
+    E[b b'] are C U C' and C E[M M'] C' for the combination C, U the unit
+    linear covariance at the observed cells and E[M M'] from the minimum's
+    law as in ``exact_moments``; each is formed by combining U's (or
     E[M M']'s) rows, then its columns.  The m-moments m1_sq, m2_sq, m1m2 are
     read off E[M M'] (E Dbar follows from them, ``varlearn.expected_dbar``),
-    cov(M(W), Dbar_c) = (T_c - 2) gamma_wx, and
+    cov(M(W), Dbar_c) = (T_c - 2) gamma_wx, and, as the innovations are
+    symmetric with unit variance,
 
         K_i K_j cov(term_i, term_j) = cov(W_ci, W_cj) K_i K_j
-            + 2 E[W_ci W_cj] A_ij^2 + 4 E[sqrt(W_ci W_cj)] A_ij E[b_i b_j]
+            + E[W_ci W_cj] (2 A_ij^2 + Q_ij)
+            + 4 E[sqrt(W_ci W_cj)] A_ij E[b_i b_j]
             + [c_i = c_j] cov(b_i^2, b_j^2),
 
     summed to components over both axes (``scheme.sum_by_component``).
-    cov(W) is the hyperprior's gamma_wx / sigma_wx, and the other scale
-    moments are those of the law's drawn W (``quadrature.scale_moments``).
-    Only the last term, the fourth moments of the minimum, is simulated:
-    per component, the sample variance of the scheme's Dbar rows of
-    n_realizations draws of M at the observed cells (``_min_blocks``),
-    from one generator on ``seed`` shared by every law.  Those rows are
-    kept whole, so the variances do not depend on the block size.
+    Q is zero for Gaussian innovations and the fourth-cumulant term of
+    ``_innovation_fourth_moments`` for Student-t ones.  cov(W) is the
+    hyperprior's gamma_wx / sigma_wx, and the other scale moments are those
+    of the law's drawn W (``quadrature.scale_moments``).  The last term,
+    the fourth moments of the minimum, is the per-component sample variance
+    of the scheme's Dbar rows of n_realizations draws of M at the observed
+    cells, from one generator on ``seed`` shared by every law, kept whole
+    so the variances do not depend on a block size.  Under Gaussian noise
+    E[M M'] is closed-form and the draws are ``_min_blocks``' walk
+    increments between visits; under Student-t noise, whose sums of
+    increments are no scaled t, E[M M'] and the draws are both read off
+    one monthly draw (``_minimum_draw``), gathered at the observed months
+    from its (horizon x n) minimum.
     """
-    if prior.noise_dist != "gaussian":
-        raise ConfigError("exact Dbar moments need Gaussian noise")
     cells, pi, same_y = _exact_setup(prior, topology, design)
-    minimum = _minimum_law(prior, cells)
     scheme.check_design(cells.points)
     n, seed = _size_and_seed(n_realizations, seed)
     yi, yj = np.nonzero(same_y)
     p0, p1, p2 = scheme.p0, scheme.p1, scheme.p2
+    sigma_rs = [sr for sr, _ in laws]
 
     def between_entries(u):
         """C u C' for a symmetric (n_obs x n_obs) u."""
@@ -962,20 +961,36 @@ def exact_dbar_moments(
     hyper = prior.hyper
     kk = np.outer(scheme.weight, scheme.weight)
     cov_w = np.where(same, hyper.sigma_wx, hyper.gamma_wx) * kk
-    min_rows = [np.empty((n, len(scheme.components))) for _ in laws]
-    for (rows, *_), j, mo in _minima(_min_blocks(prior, seed, n, cells), [sr for sr, _ in laws]):
-        min_rows[j][rows] = scheme(mo)
-    # each law's Dbar rows go once their variance is taken
-    min_var = [min_rows.pop(0).var(axis=0, ddof=1) for _ in laws]
+    if prior.noise_dist == "gaussian":
+        minimum, fourth = _minimum_law(prior, cells), None
+        min_rows = [np.empty((n, len(scheme.components))) for _ in laws]
+        for (rows, *_), j, mo in _minima(_min_blocks(prior, seed, n, cells), sigma_rs):
+            min_rows[j][rows] = scheme(mo)
+        # each law's Dbar rows go once their variance is taken
+        min_var = [min_rows.pop(0).var(axis=0, ddof=1) for _ in laws]
+        min_parts = ((*minimum(sr).observed(yi, yj), v) for sr, v in zip(sigma_rs, min_var))
+    else:
+        draw = _minimum_draw(prior, cells.horizon, n, seed)
+        fourth = _innovation_fourth_moments(prior, pi, cells, scheme)
+
+        def min_part(sr):
+            """E M, cov(M_i, M_j) and the Dbar rows' variance of one law's minimum."""
+            noisy = _noisy_minimum(draw, sr)
+            m_var = scheme(noisy[cells.obs_t - 1].T).var(axis=0, ddof=1)
+            return (*_SampledMinimum(draw, sr, noisy, cells.obs_t).observed(yi, yj), m_var)
+
+        min_parts = map(min_part, sigma_rs)
 
     out = []
-    for (sr, mu), m_var in zip(laws, min_var):
+    for (sr, mu), (e_m, min_cov, m_var) in zip(laws, min_parts):
         ew, root_pair, square, pair = quadrature.scale_moments(hyper.with_mean(mu), prior.w_dist)
-        e_m, min_cov = minimum(sr).observed(yi, yj)
         # E[M M'] at the observed cells
         mm = np.outer(e_m, e_m)
         mm[yi, yj] += min_cov
-        terms = cov_w + 2.0 * np.where(same, square, pair) * lin * lin
+        w_pair = np.where(same, square, pair)
+        terms = cov_w + 2.0 * w_pair * lin * lin
+        if fourth is not None:
+            terms += w_pair * fourth
         terms += 4.0 * np.where(same, ew, root_pair) * lin * between_entries(mm)
         terms /= kk
         dv = scheme.sum_by_component(scheme.sum_by_component(terms).T)
@@ -1002,14 +1017,11 @@ def moments_by_law(
     seed=None,
     scheme=None,
 ) -> Iterable:
-    """Moments under each law, as the pipeline reads them: with a
-    difference scheme the Dbar moments of variance learning, otherwise the
-    moments of the observations and targets.  The latter are always
-    ``exact_moments``, whose minimum is sampled under Student-t noise from a
-    draw of ``n_realizations`` on ``seed``.  The Dbar moments are
-    ``exact_dbar_moments`` under Gaussian noise; under Student-t noise, for
-    which their fourth moments have no closed form, the ensemble of
-    ``estimate_moments_by_law``.
+    """Moments under each law, as the pipeline reads them, under either
+    noise law: with a difference scheme the Dbar moments of variance
+    learning (``exact_dbar_moments``), otherwise the moments of the
+    observations and targets (``exact_moments``).  Both draw what they
+    sample of the minimum, ``n_realizations`` times on ``seed``.
 
     The records come in law order and are read once: the observation
     moments are yielded one law at a time (``exact_moments``), the Dbar
@@ -1018,8 +1030,6 @@ def moments_by_law(
         return exact_moments(prior, topology, design, laws, targets, n_realizations, seed)
     if tuple(targets):
         raise ConfigError("a moment pass takes a difference scheme or targets, not both")
-    if prior.noise_dist != "gaussian":
-        return estimate_moments_by_law(prior, topology, design, laws, n_realizations, seed, scheme)
     return exact_dbar_moments(prior, topology, design, laws, scheme, n_realizations, seed)
 
 

@@ -12,10 +12,12 @@ its target rows.  ``reference_update`` is the Bayes linear update with
 every (targets x observations) array held whole, the reference for
 ``adjust.adjust_from_moments``, which reads the structure of the rows.
 ``reference_dbar_moments`` holds the difference combination as a dense
-(entries x observations) matrix and the sum over a component's entries as a
-0/1 (entries x components) matrix, the reference for
-``simulate.exact_dbar_moments``, which builds both on the difference
-scheme's ``combine`` and ``sum_by_component``.
+(entries x observations) matrix, each entry's coefficients on every
+innovation as a dense (entries x innovations) matrix and the sum over a
+component's entries as a 0/1 (entries x components) matrix, the reference
+for ``simulate.exact_dbar_moments``, which builds them on the difference
+scheme's ``combine`` and ``sum_by_component`` and factors the innovations'
+fourth-cumulant sum into a component sum and a time sum.
 """
 
 import math
@@ -163,7 +165,7 @@ def reference_update(moments, observed_y):
         rows = g[kinds == kind]
         try:
             discrepancy[kind] = (
-                linalg.whitened_adjustment_discrepancy(rows, z, moments.n_realizations)
+                linalg.whitened_adjustment_discrepancy(rows, z)
                 if rows.any() else 0.0
             )
         except DegenerateVarianceError:
@@ -171,16 +173,37 @@ def reference_update(moments, observed_y):
     return tm.e_targets + g @ z, tm.var_targets - np.einsum("ij,ij->i", g, g), discrepancy
 
 
+def _innovation_coefficients(prior, pi, cells):
+    """The (observations x innovations) coefficients of the unit linear
+    part x_std at the observed cells on the iid unit innovations z mixed by
+    the factor F of Pi: F[c, k] on eps_x (month s, column k) up to month t,
+    and sqrt(lam) F[c, k] (t - s + 1) on eps_alpha (month s, column k)."""
+    months = np.arange(1, cells.horizon + 1)
+    f_obs = _correlation_factor(pi)[cells.obs_c]
+    step = (months <= cells.obs_t[:, None]).astype(float)
+    ramp = np.clip(cells.obs_t[:, None] - months + 1, 0, None).astype(float)
+    n_obs = len(cells.obs_t)
+    return np.hstack([
+        (step[:, :, None] * f_obs[:, None, :]).reshape(n_obs, -1),
+        math.sqrt(prior.hyper.lam) * (ramp[:, :, None] * f_obs[:, None, :]).reshape(n_obs, -1),
+    ])
+
+
 def reference_dbar_moments(prior, topology, design, laws, scheme, n_realizations, seed):
     """The Dbar moments of each law by dense products: with C the (entries
     x observations) combination and S the 0/1 (entries x components)
     membership, A = C U C', E[b b'] = C E[M M'] C', var(Dbar) = S' T S for
     the per-entry covariance terms T, and the minimum's Dbar rows
-    (C m)^2 / K summed by S.  The minimum is drawn as
-    ``simulate.exact_dbar_moments`` draws it.  Returns one dict per law of
-    m1_sq, m2_sq, m1m2, dbar_var and mw_dbar_cov."""
+    (C m)^2 / K summed by S.  Under Student-t noise T gains
+    E[W W'] kappa4 (E o E)(E o E)' for the (entries x innovations)
+    coefficients E = C B (``_innovation_coefficients``), with kappa4 the
+    unit-variance t's fourth moment 3 (nu - 2) / (nu - 4) minus 3.  The
+    minimum is drawn as ``simulate.exact_dbar_moments`` draws it: at the
+    observed cells under Gaussian noise, monthly under Student-t noise,
+    gathered here at the observed months from the whole walk.  Returns one
+    dict per law of m1_sq, m2_sq, m1m2, dbar_var and mw_dbar_cov."""
     cells, pi, same_y = simulate._exact_setup(prior, topology, design)
-    minimum = simulate._minimum_law(prior, cells)
+    minimum = simulate._minimum_law(prior, cells, n_realizations, seed)
     n, seed = simulate._size_and_seed(n_realizations, seed)
     obs_t, obs_c = cells.obs_t, cells.obs_c
     yi, yj = np.nonzero(same_y)
@@ -193,10 +216,21 @@ def reference_dbar_moments(prior, topology, design, laws, scheme, n_realizations
     same = obs_c[p0][:, None] == obs_c[p0]
     hyper = prior.hyper
     kk = np.outer(weight, weight)
+    sigma_rs = [sr for sr, _ in laws]
     min_rows = [[] for _ in laws]
-    blocks = simulate._min_blocks(prior, seed, n, cells)
-    for _, j, mo in simulate._minima(blocks, [sr for sr, _ in laws]):
-        min_rows[j].append(((mo @ comb.T) ** 2 / weight) @ member)
+    fourth = 0.0
+    if prior.noise_dist == "gaussian":
+        blocks = simulate._min_blocks(prior, seed, n, cells)
+        for _, j, mo in simulate._minima(blocks, sigma_rs):
+            min_rows[j].append(((mo @ comb.T) ** 2 / weight) @ member)
+    else:
+        walk, _, eps = simulate._minimum_draw(prior, cells.horizon, n, seed)
+        for j, sr in enumerate(sigma_rs):
+            mo = (walk[obs_t - 1] * math.sqrt(sr) + eps[obs_t - 1]).min(axis=2).T
+            min_rows[j].append(((mo @ comb.T) ** 2 / weight) @ member)
+        nu = prior.t_dof
+        coef_sq = (comb @ _innovation_coefficients(prior, pi, cells)) ** 2
+        fourth = (3.0 * (nu - 2.0) / (nu - 4.0) - 3.0) * coef_sq @ coef_sq.T
     out = []
     for (sr, mu), rows in zip(laws, min_rows):
         ew, root_pair, square, pair = quadrature.scale_moments(hyper.with_mean(mu), prior.w_dist)
@@ -205,7 +239,7 @@ def reference_dbar_moments(prior, topology, design, laws, scheme, n_realizations
         mm[yi, yj] += min_cov
         bb = comb @ mm @ comb.T
         terms = np.where(same, hyper.sigma_wx, hyper.gamma_wx) * kk
-        terms += 2.0 * np.where(same, square, pair) * lin * lin
+        terms += np.where(same, square, pair) * (2.0 * lin * lin + fourth)
         terms += 4.0 * np.where(same, ew, root_pair) * lin * bb
         dv = member.T @ (terms / kk) @ member
         dv += np.diag(np.concatenate(rows).var(axis=0, ddof=1))

@@ -211,7 +211,7 @@ def test_kind_blocks_are_the_rows_of_g_for_contiguous_and_interleaved_kinds(
             assert held.tall == (rows.shape[0] > rows.shape[1])
             if not held.tall:
                 _assert_close(held.rows, rows)
-            assert held.discrepancy(beliefs.z, None) == pytest.approx(
+            assert held.discrepancy(beliefs.z) == pytest.approx(
                 linalg.whitened_adjustment_discrepancy(rows, beliefs.z), rel=1e-12
             ), kind
 

@@ -456,20 +456,20 @@ def test_analysis_simulates_each_law_once_and_checks_the_prior_on_its_branch(
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-def test_student_t_analysis_keeps_only_the_learning_ensemble(tmp_path, monkeypatch):
+def test_student_t_analysis_keeps_no_ensemble(tmp_path, monkeypatch):
     build = fileio.build_prior
     monkeypatch.setattr(
         cli.fileio, "build_prior",
         lambda *a, **k: dataclasses.replace(build(*a, **k), noise_dist="student_t", t_dof=6.0),
     )
     out, passes, comparison, observed = _instrumented_analysis(tmp_path, monkeypatch)
-    # the learning pass is an ensemble; the rescoring pass and the two-law
-    # adjustment pass are exact but for the minimum, one draw each
-    assert passes == {"ensemble": 1, "min_part": 0, "min_draw": 2}
+    # the learning pass, the rescoring pass and the two-law adjustment pass
+    # are exact but for the minimum, one draw each
+    assert passes == {"ensemble": 0, "min_part": 0, "min_draw": 3}
     assert comparison.without_learning.moments.n_realizations is None
     meta = (out / "run_metadata.txt").read_text()
     assert "observation_moments = exact, minimum sampled from 200 draws\n" in meta
-    assert "learning_moments = ensemble\n" in meta
+    assert "learning_moments = exact, minimum sampled from 200 draws\n" in meta
     assert f"band_convention_prior = {cli.PRIOR_BAND_MOMENTS}\n" in meta
     # var(Y) is no sample covariance, so H takes no finite-sample correction
     assert "finite_sample_factor = 1.0\n" in meta
@@ -498,9 +498,9 @@ def test_prior_bands_lie_within_monte_carlo_error_of_ensemble_percentiles(tmp_pa
     months = np.array([t for _, _, t in targets])
     trend = prior.x0[comp] + prior.alpha0[comp] * months
     n = 20000
-    _, blocks = simulate._run_blocks(
-        prior, topology, simulate.forecast_extend(rc.dataset, 6),
-        [(prior.sigma_r, prior.hyper.mu_wx)], n, seed=11, targets=targets,
+    cells = simulate._cells(prior, topology, simulate.forecast_extend(rc.dataset, 6), targets)
+    _, blocks = simulate._ensemble(
+        prior, topology, cells, [(prior.sigma_r, prior.hyper.mu_wx)], n, seed=11
     )
     edges = np.array([[row[2] for row in rows], [row[4] for row in rows]]) - trend
     below = sum((t_b[:, None] < edges).sum(axis=0) for _, _, _, _, t_b in blocks)

@@ -171,17 +171,16 @@ def whitened_adjustments(draw):
     u = np.linalg.qr(rng.standard_normal((n_t, k)))[0]
     v = np.linalg.qr(rng.standard_normal((r, k)))[0]
     g = scale * (u * rng.uniform(0.1, 10.0, k)) @ v.T
-    sample_size = draw(st.sampled_from([None, 200]))
-    return g, rng.standard_normal(r), sample_size
+    return g, rng.standard_normal(r)
 
 
 @settings(max_examples=60, deadline=None)
 @given(whitened_adjustments())
 def test_data_space_adjustment_discrepancy_equals_the_resolved_variance_form(case):
-    g, z, sample_size = case
+    g, z = case
     shift = g @ z
-    ref = linalg.adjustment_discrepancy(shift, np.zeros_like(shift), g @ g.T, sample_size)
-    val = linalg.whitened_adjustment_discrepancy(g, z, sample_size)
+    ref = linalg.adjustment_discrepancy(shift, np.zeros_like(shift), g @ g.T)
+    val = linalg.whitened_adjustment_discrepancy(g, z)
     assert val == pytest.approx(ref, rel=1e-9)
 
 
@@ -220,9 +219,7 @@ def test_certified_full_rank_moments_agree_with_the_eigendecomposition(seed, dim
         linalg.adjusted_variance(prior, data, cross), linalg.adjusted_variance(prior, ref, cross)
     )
     dis = [
-        linalg.whitened_adjustment_discrepancy(
-            cross @ p.factor.root, p.factor.whiten(d - p.mean), 500
-        )
+        linalg.whitened_adjustment_discrepancy(cross @ p.factor.root, p.factor.whiten(d - p.mean))
         for p in (data, ref)
     ]
     assert close(dis[0], dis[1])
@@ -291,9 +288,9 @@ def test_the_gram_shortcut_equals_qr_and_svd_and_falls_back_when_rank_deficient(
     monkeypatch.setattr(
         np.linalg, "svd", lambda *a, **k: calls.append(np.shape(a[0])) or svd(*a, **k)
     )
-    val = linalg.whitened_adjustment_discrepancy(full, z, 200)
+    val = linalg.whitened_adjustment_discrepancy(full, z)
     assert calls == []  # certified: no QR or SVD
-    assert val == pytest.approx(full_form / 12 * (200 - 12 - 2) / 199, rel=1e-12)
-    val = linalg.whitened_adjustment_discrepancy(deficient, z, 200)
+    assert val == pytest.approx(full_form / 12, rel=1e-12)
+    val = linalg.whitened_adjustment_discrepancy(deficient, z)
     assert calls == [(12, 12)]
-    assert val == pytest.approx(low_form / 7 * (200 - 7 - 2) / 199, rel=1e-12)
+    assert val == pytest.approx(low_form / 7, rel=1e-12)

@@ -13,7 +13,6 @@ from corrobayes.simulate import (
     TargetMoments,
     draw_dataset,
     estimate_moments,
-    estimate_moments_by_law,
     exact_moments,
     forecast_extend,
 )
@@ -142,7 +141,8 @@ def test_expected_dbar_matches_simulation_within_monte_carlo_error(topo16):
         se = np.sqrt(np.diag(mom.dbar_var) / mom.n_realizations)
         # the Dbar rows of the ensemble those moments were taken from
         law = [(prior.sigma_r, prior.hyper.mu_wx)]
-        _, blocks = simulate._run_blocks(prior, topo16, design, law, 6000, 9, monthly=True)
+        cells = simulate._cells(prior, topo16, design)
+        _, blocks = simulate._ensemble(prior, topo16, cells, law, 6000, 9, monthly=True)
         mean = np.concatenate([scheme(y) for _, _, y, _, _ in blocks]).mean(axis=0)
         assert np.all(np.abs(mean - expect) <= 3 * se), w_dist
 
@@ -272,33 +272,25 @@ def _field(moments, name):
 
 
 def test_one_law_call_equals_its_slice_of_a_multi_law_call(topo16, design16, prior16):
-    scheme = varlearn.build_scheme(design16, prior16.hyper.lam)
     targets = [("zmin", topo16.components[0], 30), ("alpha", topo16.components[3], 40)]
     laws = [(0.0016, 0.01), (0.0064, 0.004), (0.0256, 0.03)]
-    # the monthly drawer (targets, then a scheme), then the observed-cell
-    # drawer (no targets, no scheme); the last field differs between laws
-    for tg, sch, fields in (
-        (targets, None, OBSERVATION_FIELDS),
-        ((), scheme, DBAR_FIELDS),
-        ((), None, ("e_y", "var_y")),
-    ):
-        if tg:  # the engine's targets, through the row oracle
-            many = ensemble_moments(prior16, topo16, design16, tg, 300, 4, laws)
-            ones = [ensemble_moments(prior16, topo16, design16, tg, 300, 4, [law])[0]
-                    for law in laws]
-        else:
-            many = estimate_moments_by_law(
-                prior16, topo16, design16, laws, n_realizations=300, seed=4, scheme=sch
-            )
-            ones = [
-                estimate_moments(prior16, topo16, design16, n_realizations=300, seed=4,
-                                 sigma_r=sr, mu_wx=mu, scheme=sch)
-                for sr, mu in laws
-            ]
+    # the engine through the row oracle: the monthly drawer (targets), then
+    # the observed-cell drawer (no targets); the last field differs between laws
+    for tg, fields in ((targets, OBSERVATION_FIELDS), ((), ("e_y", "var_y"))):
+        many = ensemble_moments(prior16, topo16, design16, tg, 300, 4, laws)
+        ones = [ensemble_moments(prior16, topo16, design16, tg, 300, 4, [law])[0] for law in laws]
         for one, est in zip(ones, many):
             for name in fields:
                 _assert_close(_field(one, name), _field(est, name))
         assert not np.allclose(_field(many[0], fields[-1]), _field(many[2], fields[-1]))
+    # estimate_moments is the engine's one-law ensemble: the observed-cell
+    # records above, bit for bit
+    for (sr, mu), est in zip(laws, many):
+        one = estimate_moments(
+            prior16, topo16, design16, n_realizations=300, seed=4, sigma_r=sr, mu_wx=mu
+        )
+        for name in fields:
+            assert np.array_equal(_field(one, name), _field(est, name)), name
 
 
 def test_variance_scales_are_drawn_once_per_distinct_mean(topo16, design16, prior16, monkeypatch):
@@ -311,7 +303,7 @@ def test_variance_scales_are_drawn_once_per_distinct_mean(topo16, design16, prio
 
     monkeypatch.setattr(simulate, "_draw_scales", counted)
     laws = [(0.0016, 0.01), (0.0064, 0.03), (0.0256, 0.01), (0.0064, 0.01)]
-    estimate_moments_by_law(prior16, topo16, design16, laws, n_realizations=20, seed=3)
+    simulate._ensemble(prior16, topo16, simulate._cells(prior16, topo16, design16), laws, 20, 3)
     assert drawn == [0.01, 0.03]
 
 
@@ -353,9 +345,10 @@ def test_only_gaussian_passes_without_targets_or_scheme_draw_observed_cells(
     for prior, sch in ((prior16, scheme), (student, None), (prior16, None)):
         estimate_moments(prior, topo16, design16, n_realizations=5, seed=1, scheme=sch)
     assert drawn == ["_monthly_blocks"] * 3 + ["_observed_blocks"]
-    # the estimator study: under Gaussian noise its Dbar moments are exact
-    # but for the draw of the minimum, and its replicate pass reads only the
-    # observations; under Student-t noise both passes are monthly ensembles
+    # the estimator study: its Dbar moments are exact but for the draw of
+    # the minimum (at the observed cells under Gaussian noise, monthly under
+    # Student-t noise), and its replicate pass reads only the observations,
+    # a monthly ensemble under Student-t noise
     drawn.clear()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -363,7 +356,7 @@ def test_only_gaussian_passes_without_targets_or_scheme_draw_observed_cells(
             estimator_study(
                 prior, topo16, design16, 0.01, 0.01, replicates=3, seed=1, n_realizations=5
             )
-    assert drawn == ["_min_blocks", "_observed_blocks"] + ["_monthly_blocks"] * 2
+    assert drawn == ["_min_blocks", "_observed_blocks", "_monthly_blocks"]
 
 
 @pytest.mark.parametrize(
@@ -539,7 +532,12 @@ def test_exact_dbar_moments_lie_within_four_standard_errors_of_a_large_ensemble(
     assert max(worst.values()) < 4.0, worst
 
 
-@pytest.mark.parametrize("hyper", DBAR_CASES.values(), ids=DBAR_CASES.keys())
+#: The dense-product cases: under Student-t noise var(Dbar) gains the
+#: innovations' fourth-cumulant term, and the minimum is read off one draw.
+DENSE_CASES = {**DBAR_CASES, "student-t-scales": dict(noise_dist="student_t", t_dof=6.0)}
+
+
+@pytest.mark.parametrize("hyper", DENSE_CASES.values(), ids=DENSE_CASES.keys())
 def test_exact_dbar_moments_equal_the_dense_products(topo16, design16, hyper):
     prior = make_prior(topo16, **hyper)
     scheme = varlearn.build_scheme(design16, prior.hyper.lam)
@@ -577,17 +575,76 @@ def test_exact_dbar_moments_take_every_law_on_its_own_at_any_block_size(
             assert np.array_equal(getattr(est, name), getattr(single, name)), name
 
 
-def test_student_t_dbar_moments_are_the_ensemble(topo16, design16):
+def test_student_t_dbar_moments_draw_only_the_minimum(topo16, design16, monkeypatch):
+    passes = {name: 0 for name in ("_ensemble", "_min_blocks", "_minimum_draw")}
+    for name in passes:
+        def counted(*args, _name=name, _orig=getattr(simulate, name), **kwargs):
+            passes[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, name, counted)
     prior = make_prior(topo16, noise_dist="student_t", t_dof=6.0)
     scheme = varlearn.build_scheme(design16, prior.hyper.lam)
-    laws = [(0.0064, 0.01)]
-    (got,) = simulate.moments_by_law(
-        prior, topo16, design16, laws, n_realizations=50, seed=3, scheme=scheme
-    )
-    (ensemble,) = estimate_moments_by_law(
-        prior, topo16, design16, laws, n_realizations=50, seed=3, scheme=scheme
-    )
+    laws = [(0.0064, 0.01), (0.0256, 0.004)]
+
+    def run(law_list, seed=3):
+        return simulate.moments_by_law(
+            prior, topo16, design16, law_list, n_realizations=50, seed=seed, scheme=scheme
+        )
+
+    many = run(laws)
+    # one monthly draw of the minimum serves every law; nothing else is drawn
+    assert passes == {"_ensemble": 0, "_min_blocks": 0, "_minimum_draw": 1}
+    assert [m.n_realizations for m in many] == [50, 50]
+    (one,) = run(laws[:1])
+    (other,) = run(laws[:1], seed=4)
     for name in DBAR_FIELDS:
-        assert np.array_equal(getattr(got, name), getattr(ensemble, name)), name
-    with pytest.raises(ConfigError):
-        simulate.exact_dbar_moments(prior, topo16, design16, laws, scheme, n_realizations=50)
+        assert np.array_equal(getattr(one, name), getattr(many[0], name)), name
+    # the m-moments are the sampled minimum's, so they depend on its draw
+    assert not np.any(one.m1_sq == other.m1_sq)
+    assert np.array_equal(one.mw_dbar_cov, other.mw_dbar_cov)
+
+
+@pytest.mark.parametrize(
+    "hyper", [DBAR_CASES["fixed-scales"], DBAR_CASES["gamma-scales"]],
+    ids=["fixed-scales", "gamma-scales"],
+)
+def test_student_t_exact_dbar_moments_lie_within_four_standard_errors_of_a_large_ensemble(
+    topo8, hyper
+):
+    # as the Gaussian check, against 40 Student-t ensembles of 2,500.  At
+    # 12 degrees of freedom the innovations have finite eighth moments,
+    # which batch-means standard errors of a variance need.  The exact side
+    # samples the minimum too, with as much Monte Carlo error per draw as an
+    # ensemble: it is the mean of 40 passes of 10,000 draws, and each z
+    # divides by both sides' batch-means standard errors
+    prior = make_prior(
+        topo8, noise_dist="student_t", t_dof=12.0, locations_per_component=4, **hyper
+    )
+    design = small_irregular_design(topo8, horizon=12, visits=4)
+    scheme = varlearn.build_scheme(design, prior.hyper.lam)
+    law = (0.0064, 0.01)
+    exact = [
+        simulate.exact_dbar_moments(
+            prior, topo8, design, [law], scheme, n_realizations=10_000, seed=70_000 + b
+        )[0]
+        for b in range(40)
+    ]
+    batches = [
+        estimate_moments(
+            prior, topo8, design, n_realizations=2500, seed=8000 + b,
+            sigma_r=law[0], mu_wx=law[1], scheme=scheme,
+        )
+        for b in range(40)
+    ]
+    worst = {}
+    for name in DBAR_FIELDS:
+        sides = [np.array([getattr(m, name) for m in runs]) for runs in (batches, exact)]
+        se = np.sqrt(sum(v.var(axis=0, ddof=1) for v in sides) / 40)
+        diff = sides[0].mean(axis=0) - sides[1].mean(axis=0)
+        # fixed scales give a mw_dbar_cov of exactly zero on both sides
+        z = np.divide(diff, se, out=np.zeros_like(diff), where=se > 0)
+        assert np.all(diff[se == 0] == 0), name
+        worst[name] = float(np.abs(z).max())
+    print(" ".join(f"{name} {z:.2f}" for name, z in worst.items()))
+    assert max(worst.values()) < 4.0, worst
