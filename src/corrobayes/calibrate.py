@@ -28,7 +28,7 @@ replicate's data: one set of Dbar moments (exact, as in the learning
 pass), one difference scheme and one factor of var(Dbar) for the
 adjustment.  Its replicates are the realizations of an ensemble at
 the true law, drawn by the same engine as every other ensemble
-(``simulate._run_blocks``) and reduced to their Dbar rows block by block,
+(``simulate._ensemble``) and reduced to their Dbar rows block by block,
 then adjusted together.
 """
 
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import linalg, varlearn
 from .errors import ConfigError, InsufficientDataError
-from .simulate import _as_seedseq, _run_blocks, _size_and_seed, moments_by_law
+from .simulate import _as_seedseq, _cells, _ensemble, _size_and_seed, moments_by_law
 from .system import VARIANCE_FLOOR, InspectionDataset, PriorSpecification, SystemTopology
 
 
@@ -211,8 +211,9 @@ def estimator_study(
     # without hypervariance every drawn W_c is exactly the law's mu_wx; the
     # rows carry no prior trend, which Dbar annihilates
     known = replace(prior, hyper=replace(prior.hyper, sigma_wx=0.0, gamma_wx=0.0))
-    _, blocks = _run_blocks(
-        known, topology, design, [(true_sigma_r, true_mu_wx)], replicates, data_seed
+    _, blocks = _ensemble(
+        known, topology, _cells(known, topology, design), [(true_sigma_r, true_mu_wx)],
+        replicates, data_seed,
     )
     dbar = varlearn.build_dbar_statistic(
         np.concatenate([scheme(y) for _, _, y, _, _ in blocks]), scheme, prior.hyper, moments

@@ -16,7 +16,8 @@ under Student-t noise it is exact but for the minimum over locations, which
 one draw of the run's ``realizations`` serves per pass.  Calibration's
 learning pass is exact under either law but for what it samples of the
 minimum: var(Dbar)'s fourth moments of it under Gaussian noise, all its
-moments under Student-t noise.  No pass runs an ensemble.
+moments under Student-t noise, read off one monthly draw either way.  No
+pass runs an ensemble.
 ``run_metadata.txt`` and the prior bands of ``trajectory_bands.csv`` follow
 the noise law.
 
@@ -170,12 +171,12 @@ def run_analysis(rc: RunConfig) -> int:
 
     Under Gaussian noise every moment is exact (``simulate.moments_by_law``)
     but one part of var(Dbar) in calibration's learning pass, the fourth
-    moments of the minimum, which it simulates from the local walks and
-    eps_y alone.  Under Student-t noise every pass (calibration's learning
-    and rescoring passes, and the two-law adjustment pass at the extended
-    horizon) is exact but for the minimum's moments, each pass read off one
-    draw.  The prior check reads the without-learning branch's moments,
-    which have the prior law.
+    moments of the minimum, which it reads off one draw of one component's
+    monthly local walks and eps_y.  Under Student-t noise every pass
+    (calibration's learning and rescoring passes, and the two-law
+    adjustment pass at the extended horizon) is exact but for the minimum's
+    moments, each pass read off one such draw.  The prior check reads the
+    without-learning branch's moments, which have the prior law.
     """
     if _report_findings(_dataset_findings(rc)):
         return EXIT_FAILURE

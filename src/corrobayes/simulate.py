@@ -9,12 +9,12 @@ innovation has unit variance and a symmetric law, so the linear part's
 moments have closed forms; Student-t innovations add only a fourth-cumulant
 term to var(Dbar).  What depends on the noise law beyond that is the
 minimum over locations (``_minimum_law``).  Under Gaussian noise its first
-and second moments are closed forms, and var(Dbar)'s fourth moments of it
-are simulated from the local walks and eps_y at the observed cells alone
-(``_min_blocks``).  Under Student-t noise all of them are read off one draw
-of one component's local walks and eps_y over the horizon
-(``_minimum_draw``), which every law rescales and every component shares,
-as the walks are iid across components.
+and second moments are closed forms; var(Dbar)'s fourth moments of it, and
+under Student-t noise all of its moments, are read off one draw of one
+component's local walks and eps_y (``_minimum_draw``), streamed month by
+month, which every law rescales and every component shares, as the walks
+are iid across components.  A sum of monthly increments has the walk's law
+under either noise law, so the one draw serves both.
 
 Each realization draws variance scales W_c from the variance hyperprior (so
 uncertainty about the variances propagates into var(Y)), runs the
@@ -28,13 +28,11 @@ moments needed by variance learning are extracted per realization.
 What the exact passes and the ensembles both need is defined once: a
 pass's cells with their prior trend (``_cells``), the unit linear
 covariance Pi[c,c'] k(t,t') (``_unit_linear_cov``, on k's integer sums in
-closed form, ``_kernel_sums``), the walk and eps_y at the observed cells
-(``_cell_blocks``), the noisy minimum per law (``_minima``), the exact
-passes' start (``_exact_setup``) and each pass's size and seed
-(``_size_and_seed``); the factors of W_c live in ``system``.
+closed form, ``_kernel_sums``), the exact passes' start
+(``_exact_setup``) and each pass's size and seed (``_size_and_seed``); the
+factors of W_c live in ``system``.
 
-``_ensemble`` is the one ensemble engine (``_run_blocks`` runs it at a
-design's observed cells): n realizations of a list of laws
+``_ensemble`` is the one ensemble engine: n realizations of a list of laws
 (sigma_r, mu_wx), in blocks whose noise buffers hold about
 ``BLOCK_ELEMENTS`` floats, from one of two drawers chosen from the pass's
 own inputs:
@@ -70,10 +68,7 @@ prior trend, to two consumers:
   Dbar kernel and the one the ensemble's Dbar moments use.
 
 The engine's several laws and targets serve the tests' ensemble oracle of
-the exact moments.  The min-part drawer (``_min_blocks``) is not part of
-the engine: it draws the walk and eps_y at the observed cells, all
-realizations in order from one generator, for ``exact_dbar_moments``
-under Gaussian noise.
+the exact moments.
 
 ``draw_dataset`` draws one synthetic dataset from one seed, every month of
 every location, with its own fixed stream layout.  The ensembles remain the
@@ -103,9 +98,9 @@ from .system import (
 TARGET_KINDS = ("zmin", "x", "alpha")
 
 #: Element budget (float64 count) of one block's local-walk noise buffer, in
-#: each drawer: a block holds max(1, BLOCK_ELEMENTS // (T * C * L))
-#: realizations in the monthly drawer and max(1, BLOCK_ELEMENTS // (n_obs * L))
-#: in the observed-cell and min-part drawers.
+#: each drawer of the ensemble engine: a block holds
+#: max(1, BLOCK_ELEMENTS // (T * C * L)) realizations in the monthly drawer
+#: and max(1, BLOCK_ELEMENTS // (n_obs * L)) in the observed-cell drawer.
 BLOCK_ELEMENTS = 2**16
 
 #: A pass's ensemble size and seed when its caller gives none.
@@ -420,63 +415,29 @@ def _gap_walk(obs_t, obs_c):
     return walk
 
 
-def _cell_blocks(prior, cells, n, lead, fill):
-    """Standard normals at the observed cells: ``fill(z, i0)`` fills z (b,
-    lead + 2L, n_obs) with realizations i0..i0+b-1, whose rows after the
-    lead become each location's walk (``_gap_walk``), then eps_y.  Yields
-    (rows, unit walk, scaled eps_y, both (b, L, n_obs), lead rows) per block."""
+def _observed_blocks(prior, pi, root, n, cells):
+    """The observed-cell drawer, for Gaussian noise and no targets: child i
+    of ``root`` fills realization i with standard normals (1 + 2L, n_obs)
+    at the observed cells, whose first row becomes the unit linear part
+    through one factor of its covariance, the next L rows each location's
+    walk (``_gap_walk``) and the last L rows eps_y.  Yields blocks as
+    ``_monthly_blocks``."""
+    factor_t = _correlation_factor(_unit_linear_cov(pi, prior.hyper.lam, cells)).T
     n_obs, l_cnt = len(cells.obs_t), prior.locations_per_component
     gap_walk = _gap_walk(cells.obs_t, cells.obs_c)
     root_y = math.sqrt(prior.sigma_y)
     block = max(1, BLOCK_ELEMENTS // max(1, l_cnt * n_obs))
-    z = np.empty((block, lead + 2 * l_cnt, n_obs))
+    z = np.empty((block, 1 + 2 * l_cnt, n_obs))
     for i0 in range(0, n, block):
         b = min(block, n - i0)
-        fill(z[:b], i0)
-        eps = z[:b, lead + l_cnt :]
-        eps *= root_y
-        yield slice(i0, i0 + b), gap_walk(z[:b, lead : lead + l_cnt]), eps, z[:b, :lead]
-
-
-def _observed_blocks(prior, pi, root, n, cells):
-    """The observed-cell drawer, for Gaussian noise and no targets: child i
-    of ``root`` fills realization i of ``_cell_blocks`` with one lead row,
-    the unit linear part at the observed cells through one factor of its
-    covariance.  Yields blocks as ``_monthly_blocks``."""
-    factor_t = _correlation_factor(_unit_linear_cov(pi, prior.hyper.lam, cells)).T
-
-    def fill(z, i0):
-        for j in range(len(z)):
+        for j in range(b):
             np.random.default_rng(_child(root, i0 + j)).standard_normal(out=z[j])
-
-    for rows, walk, eps, z0 in _cell_blocks(prior, cells, n, 1, fill):
+        eps = z[:b, 1 + l_cnt :]
+        eps *= root_y
         # a (1, n_obs) product per realization: a matrix product over the
         # block would round differently for different block sizes
-        yield rows, walk, eps, (z0 @ factor_t)[:, 0], np.empty((len(z0), 0)), 0.0
-
-
-def _min_blocks(prior, seed, n, cells):
-    """The min-part drawer: ``_cell_blocks`` without the linear part, every
-    realization read in order from one generator on ``seed``, so the draws
-    do not depend on the block size."""
-    rng = np.random.default_rng(_as_seedseq(seed))
-    return _cell_blocks(prior, cells, n, 0, lambda z, _: rng.standard_normal(out=z))
-
-
-def _minima(drawer, sigma_rs):
-    """min over locations of sqrt(sr) walk + eps_y for every block (rows,
-    walk, eps_y, ...) of ``drawer`` and every sr of ``sigma_rs``: yields
-    (block, index into sigma_rs, minimum (b, n_obs))."""
-    noisy = np.empty(0)
-    for block in drawer:
-        walk, eps = block[1], block[2]
-        if noisy.shape != walk.shape:
-            noisy = np.empty(walk.shape)
-        for k, sr in enumerate(sigma_rs):
-            np.multiply(walk, math.sqrt(sr), out=noisy)
-            noisy += eps
-            # location-major, so the min runs over whole (b, n_obs) slices
-            yield block, k, noisy.min(axis=1)
+        lin = (z[:b, :1] @ factor_t)[:, 0]
+        yield slice(i0, i0 + b), gap_walk(z[:b, 1 : 1 + l_cnt]), eps, lin, np.empty((b, 0)), 0.0
 
 
 def _ensemble(prior, topology, cells, laws, n, seed, monthly=False):
@@ -507,20 +468,22 @@ def _ensemble(prior, topology, cells, laws, n, seed, monthly=False):
         drawer = _observed_blocks(prior, pi, root, n, cells)
 
     def blocks():
-        for (rows, _, _, lin, tgt_lin, tgt_min), k, mo in _minima(drawer, [sr for sr, _ in laws]):
-            sr, mu = laws[k]
-            root_w = np.sqrt(drawn[mu][0][rows])
-            yield (
-                k, rows, root_w[:, cells.obs_c] * lin + mo, mo,
-                root_w[:, cells.tgt_c] * tgt_lin + math.sqrt(sr) * tgt_min,
-            )
+        noisy = np.empty(0)
+        for rows, walk, eps, lin, tgt_lin, tgt_min in drawer:
+            if noisy.shape != walk.shape:
+                noisy = np.empty(walk.shape)
+            for k, (sr, mu) in enumerate(laws):
+                np.multiply(walk, math.sqrt(sr), out=noisy)
+                noisy += eps
+                # location-major, so the min runs over whole (b, n_obs) slices
+                mo = noisy.min(axis=1)
+                root_w = np.sqrt(drawn[mu][0][rows])
+                yield (
+                    k, rows, root_w[:, cells.obs_c] * lin + mo, mo,
+                    root_w[:, cells.tgt_c] * tgt_lin + math.sqrt(sr) * tgt_min,
+                )
 
     return [drawn[mu] for _, mu in laws], blocks()
-
-
-def _run_blocks(prior, topology, design, laws, n, seed):
-    """``_ensemble`` at the observed cells of ``design``."""
-    return _ensemble(prior, topology, _cells(prior, topology, design), laws, n, seed)
 
 
 def _cov(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -664,49 +627,54 @@ class _ClosedFormMinimum:
         return _min_cov(self.mins, common, sr * months, self.v_y[obs])
 
 
-def _minimum_draw(prior, horizon: int, n: int, seed):
-    """One component's local walks and eps_y over every month of the
-    horizon, n times, from one generator on ``seed``: month by month, n x L
-    walk increments, then n x L eps_y, so a month's draws do not depend on
-    the horizon.  Returns the unit walk (horizon, n, L), its minimum over
-    locations and the scaled eps_y."""
+def _minimum_draw(prior, months: np.ndarray, n: int, seed, sigma_rs):
+    """The minimum over one component's locations, n times, from one
+    generator on ``seed`` read month by month up to the last of ``months``
+    (ascending, from 1): each month n x L walk increments, then n x L eps_y,
+    so a month's draws do not depend on the months after it.  A sum of
+    monthly increments has the walk's law under either noise law.  Only the
+    running walk is held; at ``months`` alone it keeps zmin's unit minimum
+    (len(months), n) and the minimum of sqrt(sr) walk + eps_y for the law
+    at each position of ``sigma_rs`` (len(sigma_rs), len(months), n)."""
     rng = np.random.default_rng(_as_seedseq(seed))
-    draw = np.empty((horizon, 2, n, prior.locations_per_component))
-    # a month at a time, so a Student-t fill's temporaries are a month's
-    for month in draw:
-        _fill_noise(rng, month, prior.noise_dist, prior.t_dof)
-    walk, eps = draw[:, 0], draw[:, 1]
-    np.cumsum(walk, axis=0, out=walk)
-    eps *= math.sqrt(prior.sigma_y)
-    return walk, walk.min(axis=2), eps
-
-
-def _noisy_minimum(draw, sigma_r: float) -> np.ndarray:
-    """M_t = min over locations of sqrt(sigma_r) walk + eps_y at every month
-    of one draw (``_minimum_draw``): (horizon, n)."""
-    walk, _, eps = draw
-    noisy = walk * math.sqrt(sigma_r)
-    noisy += eps
-    return noisy.min(axis=2)
+    l_cnt = prior.locations_per_component
+    zmin = np.empty((len(months), n))
+    noisy = np.empty((len(sigma_rs), len(months), n))
+    month, level = np.empty((2, n, l_cnt)), np.empty((n, l_cnt))
+    walk, eps = np.zeros((n, l_cnt)), month[1]
+    root_y, roots = math.sqrt(prior.sigma_y), [math.sqrt(sr) for sr in sigma_rs]
+    for i, last in enumerate(months):
+        for _ in range(last - (months[i - 1] if i else 0)):
+            # a month at a time, so a Student-t fill's temporaries are a month's
+            _fill_noise(rng, month, prior.noise_dist, prior.t_dof)
+            walk += month[0]
+        eps *= root_y
+        walk.min(axis=1, out=zmin[i])
+        for k, root in enumerate(roots):
+            np.multiply(walk, root, out=level)
+            level += eps
+            level.min(axis=1, out=noisy[k, i])
+    return zmin, noisy
 
 
 class _SampledMinimum:
-    """The minimum's moments under local variance ``sigma_r``, read off one
-    draw (``_minimum_draw``) and its ``noisy`` minimum under sigma_r
-    (``_noisy_minimum``): the means of zmin's minimum Z_t (no eps_y) and
-    of M_t (with eps_y) at every month of the horizon, and their joint
-    sample covariance, with Z_t at column t - 1 and M_t at column
-    horizon + t - 1.  The local walks are iid across components, so the
-    minimum's joint law over months is every component's, and one table
-    serves them all."""
+    """The minimum's moments under one law, read off the minima ``rows`` of
+    one draw (``_minimum_draw``), stacked: their means and joint sample
+    covariance, M at the observed cells being rows ``obs_at``.  The exact
+    moments stack zmin's minimum Z_t (no eps_y) and M_t (with eps_y) at
+    every month t of the horizon, Z_t at row t - 1 and M_t at row
+    horizon + t - 1, which ``target`` and ``cross`` read; the Dbar pass
+    gives M at the observed months alone.  The local walks are iid across
+    components, so the minimum's joint law over months is every
+    component's, and one table serves them all."""
 
-    def __init__(self, draw, sigma_r: float, noisy: np.ndarray, obs_t: np.ndarray):
-        z = np.concatenate([math.sqrt(sigma_r) * draw[1], noisy]).T
+    def __init__(self, rows: list, obs_at: np.ndarray):
+        z = np.concatenate(rows).T
         self.mean = z.mean(axis=0)
         z -= self.mean
         cov = _cov(z, z)
         self.cov = 0.5 * (cov + cov.T)
-        self.obs_at = obs_t - 1 + len(draw[1])
+        self.obs_at = obs_at
 
     def observed(self, yi, yj):
         """As ``_ClosedFormMinimum.observed``."""
@@ -721,18 +689,20 @@ class _SampledMinimum:
         return self.cov[months - 1, self.obs_at[obs]]
 
 
-def _minimum_law(prior, cells: _Cells, n_realizations=None, seed=None):
-    """The moments of the minimum over locations, as a function of the
-    local variance sigma_r: in closed form under Gaussian noise; under
-    Student-t noise, which gives the minimum no closed form, read off one
-    draw (``_minimum_draw``, its size and seed those of the pass) that every
-    sigma_r rescales."""
+def _minimum_law(prior, cells: _Cells, sigma_rs, n_realizations=None, seed=None):
+    """The moments of the minimum over locations of the law at each
+    position k of ``sigma_rs``, as a function of k: in closed form under
+    Gaussian noise; under Student-t noise, which gives the minimum no closed
+    form, read off one draw (``_minimum_draw``, its size and seed those of
+    the pass) at every month of the horizon."""
     if prior.noise_dist == "gaussian":
         mins = quadrature.min_of_normals(prior.locations_per_component)
-        return lambda sr: _ClosedFormMinimum(mins, sr, prior.sigma_y, cells.obs_t)
+        return lambda k: _ClosedFormMinimum(mins, sigma_rs[k], prior.sigma_y, cells.obs_t)
     n, seed = _size_and_seed(n_realizations, seed)
-    draw = _minimum_draw(prior, cells.horizon, n, seed)
-    return lambda sr: _SampledMinimum(draw, sr, _noisy_minimum(draw, sr), cells.obs_t)
+    horizon = cells.horizon
+    zmin, noisy = _minimum_draw(prior, np.arange(1, horizon + 1), n, seed, sigma_rs)
+    obs_at = horizon + cells.obs_t - 1
+    return lambda k: _SampledMinimum([math.sqrt(sigma_rs[k]) * zmin, noisy[k]], obs_at)
 
 
 def _exact_setup(prior, topology, design, targets=()):
@@ -770,8 +740,9 @@ def exact_moments(
     * the minimum, independent across components (``_minimum_law``): in
       closed form under Gaussian noise, where nothing is drawn and the
       moments do not depend on a seed; under Student-t noise read off one
-      draw of ``n_realizations`` one-component walks and eps_y on ``seed``,
-      shared by every law.  A zmin target carries no eps_y.
+      draw of ``n_realizations`` one-component walks and eps_y on ``seed``
+      (``_minimum_draw``), made at the call for every law and kept at every
+      month of the horizon.  A zmin target carries no eps_y.
 
     The observation moments do not depend on the targets or the horizon.
     Each record carries, as its
@@ -782,16 +753,16 @@ def exact_moments(
     rows asked for (``MomentEstimates.target_moments``); each row is formed
     entry by entry, so it does not depend on which rows are built with it.
     """
-    targets = tuple(targets)
+    targets, laws = tuple(targets), list(laws)
     cells, pi, same_y = _exact_setup(prior, topology, design, targets)
-    minimum = _minimum_law(prior, cells, n_realizations, seed)
+    minimum = _minimum_law(prior, cells, [sr for sr, _ in laws], n_realizations, seed)
     lam = prior.hyper.lam
     lin_y = _unit_linear_cov(pi, lam, cells)
     yi, yj = np.nonzero(same_y)
 
-    def record(sr, mu):
+    def record(k, mu):
         ew, ew_pair, _, _ = quadrature.scale_moments(prior.hyper.with_mean(mu), prior.w_dist)
-        min_part = minimum(sr)
+        min_part = minimum(k)
         e_m, min_cov = min_part.observed(yi, yj)
         var_y = np.where(same_y, ew, ew_pair) * lin_y
         var_y[yi, yj] += min_cov
@@ -806,7 +777,7 @@ def exact_moments(
         )
 
     # the generator itself holds no record between laws
-    return (record(sr, mu) for sr, mu in laws)
+    return (record(k, mu) for k, (_, mu) in enumerate(laws))
 
 
 @dataclass(frozen=True)
@@ -937,13 +908,11 @@ def exact_dbar_moments(
     of the law's drawn W (``quadrature.scale_moments``).  The last term,
     the fourth moments of the minimum, is the per-component sample variance
     of the scheme's Dbar rows of n_realizations draws of M at the observed
-    cells, from one generator on ``seed`` shared by every law, kept whole
-    so the variances do not depend on a block size.  Under Gaussian noise
-    E[M M'] is closed-form and the draws are ``_min_blocks``' walk
-    increments between visits; under Student-t noise, whose sums of
-    increments are no scaled t, E[M M'] and the draws are both read off
-    one monthly draw (``_minimum_draw``), gathered at the observed months
-    from its (horizon x n) minimum.
+    cells.  Under either noise law they are one draw on ``seed`` shared by
+    every law (``_minimum_draw``), which keeps each law's M at the observed
+    months alone.  Under Gaussian noise E[M M'] is closed-form; under
+    Student-t noise, whose sums of increments are no scaled t, it is that
+    draw's sample moments.  The two laws differ only there and in Q.
     """
     cells, pi, same_y = _exact_setup(prior, topology, design)
     scheme.check_design(cells.points)
@@ -961,28 +930,19 @@ def exact_dbar_moments(
     hyper = prior.hyper
     kk = np.outer(scheme.weight, scheme.weight)
     cov_w = np.where(same, hyper.sigma_wx, hyper.gamma_wx) * kk
+    # the draw keeps the observed months alone, cell j's at row obs_at[j]
+    months = np.flatnonzero(np.bincount(cells.obs_t))
+    obs_at = np.searchsorted(months, cells.obs_t)
+    _, noisy = _minimum_draw(prior, months, n, seed, sigma_rs)
     if prior.noise_dist == "gaussian":
-        minimum, fourth = _minimum_law(prior, cells), None
-        min_rows = [np.empty((n, len(scheme.components))) for _ in laws]
-        for (rows, *_), j, mo in _minima(_min_blocks(prior, seed, n, cells), sigma_rs):
-            min_rows[j][rows] = scheme(mo)
-        # each law's Dbar rows go once their variance is taken
-        min_var = [min_rows.pop(0).var(axis=0, ddof=1) for _ in laws]
-        min_parts = ((*minimum(sr).observed(yi, yj), v) for sr, v in zip(sigma_rs, min_var))
+        minima, fourth = map(_minimum_law(prior, cells, sigma_rs), range(len(laws))), None
     else:
-        draw = _minimum_draw(prior, cells.horizon, n, seed)
+        minima = (_SampledMinimum([m], obs_at) for m in noisy)
         fourth = _innovation_fourth_moments(prior, pi, cells, scheme)
 
-        def min_part(sr):
-            """E M, cov(M_i, M_j) and the Dbar rows' variance of one law's minimum."""
-            noisy = _noisy_minimum(draw, sr)
-            m_var = scheme(noisy[cells.obs_t - 1].T).var(axis=0, ddof=1)
-            return (*_SampledMinimum(draw, sr, noisy, cells.obs_t).observed(yi, yj), m_var)
-
-        min_parts = map(min_part, sigma_rs)
-
     out = []
-    for (sr, mu), (e_m, min_cov, m_var) in zip(laws, min_parts):
+    for k, ((_, mu), minimum) in enumerate(zip(laws, minima)):
+        e_m, min_cov = minimum.observed(yi, yj)
         ew, root_pair, square, pair = quadrature.scale_moments(hyper.with_mean(mu), prior.w_dist)
         # E[M M'] at the observed cells
         mm = np.outer(e_m, e_m)
@@ -994,7 +954,7 @@ def exact_dbar_moments(
         terms += 4.0 * np.where(same, ew, root_pair) * lin * between_entries(mm)
         terms /= kk
         dv = scheme.sum_by_component(scheme.sum_by_component(terms).T)
-        dv[np.diag_indices_from(dv)] += m_var
+        dv[np.diag_indices_from(dv)] += scheme(noisy[k][obs_at].T).var(axis=0, ddof=1)
         out.append(DbarMoments(
             n,
             ew,

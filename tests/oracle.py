@@ -18,6 +18,8 @@ component's entries as a 0/1 (entries x components) matrix, the reference
 for ``simulate.exact_dbar_moments``, which builds them on the difference
 scheme's ``combine`` and ``sum_by_component`` and factors the innovations'
 fourth-cumulant sum into a component sum and a time sum.
+``minimum_draw`` fills one whole array for the draw of the minimum, the
+reference for ``simulate._minimum_draw``, which streams it month by month.
 """
 
 import math
@@ -189,6 +191,21 @@ def _innovation_coefficients(prior, pi, cells):
     ])
 
 
+def minimum_draw(prior, months, n, seed, sigma_rs):
+    """The minima ``simulate._minimum_draw`` keeps, from one whole
+    (months, 2, n, L) month-major array filled at once on ``seed`` through
+    the last of ``months``: the cumsum of its walk increments, and the
+    minima over locations of the walk and of sqrt(sr) walk + eps_y for each
+    sr of ``sigma_rs``, gathered at ``months``."""
+    rng = np.random.default_rng(simulate._as_seedseq(seed))
+    last = months[-1] if len(months) else 0
+    draw = _noise(rng, (last, 2, n, prior.locations_per_component), prior.noise_dist, prior.t_dof)
+    walk = np.cumsum(draw[:, 0], axis=0)[months - 1]
+    eps = math.sqrt(prior.sigma_y) * draw[months - 1, 1]
+    noisy = np.array([(math.sqrt(sr) * walk + eps).min(axis=2) for sr in sigma_rs])
+    return walk.min(axis=2), noisy
+
+
 def reference_dbar_moments(prior, topology, design, laws, scheme, n_realizations, seed):
     """The Dbar moments of each law by dense products: with C the (entries
     x observations) combination and S the 0/1 (entries x components)
@@ -197,13 +214,12 @@ def reference_dbar_moments(prior, topology, design, laws, scheme, n_realizations
     (C m)^2 / K summed by S.  Under Student-t noise T gains
     E[W W'] kappa4 (E o E)(E o E)' for the (entries x innovations)
     coefficients E = C B (``_innovation_coefficients``), with kappa4 the
-    unit-variance t's fourth moment 3 (nu - 2) / (nu - 4) minus 3.  The
-    minimum is drawn as ``simulate.exact_dbar_moments`` draws it: at the
-    observed cells under Gaussian noise, monthly under Student-t noise,
-    gathered here at the observed months from the whole walk.  Returns one
+    unit-variance t's fourth moment 3 (nu - 2) / (nu - 4) minus 3.  Under
+    either noise law the minimum at the observed months is one whole-array
+    draw (``minimum_draw``); E[M M'] is closed-form under Gaussian noise
+    and that draw's sample moments under Student-t noise.  Returns one
     dict per law of m1_sq, m2_sq, m1m2, dbar_var and mw_dbar_cov."""
     cells, pi, same_y = simulate._exact_setup(prior, topology, design)
-    minimum = simulate._minimum_law(prior, cells, n_realizations, seed)
     n, seed = simulate._size_and_seed(n_realizations, seed)
     obs_t, obs_c = cells.obs_t, cells.obs_c
     yi, yj = np.nonzero(same_y)
@@ -217,24 +233,22 @@ def reference_dbar_moments(prior, topology, design, laws, scheme, n_realizations
     hyper = prior.hyper
     kk = np.outer(weight, weight)
     sigma_rs = [sr for sr, _ in laws]
-    min_rows = [[] for _ in laws]
+    months = np.unique(obs_t)
+    at = np.searchsorted(months, obs_t)
+    _, noisy = minimum_draw(prior, months, n, seed, sigma_rs)
+    min_rows = [((m[at].T @ comb.T) ** 2 / weight) @ member for m in noisy]
     fourth = 0.0
     if prior.noise_dist == "gaussian":
-        blocks = simulate._min_blocks(prior, seed, n, cells)
-        for _, j, mo in simulate._minima(blocks, sigma_rs):
-            min_rows[j].append(((mo @ comb.T) ** 2 / weight) @ member)
+        minima = map(simulate._minimum_law(prior, cells, sigma_rs), range(len(laws)))
     else:
-        walk, _, eps = simulate._minimum_draw(prior, cells.horizon, n, seed)
-        for j, sr in enumerate(sigma_rs):
-            mo = (walk[obs_t - 1] * math.sqrt(sr) + eps[obs_t - 1]).min(axis=2).T
-            min_rows[j].append(((mo @ comb.T) ** 2 / weight) @ member)
+        minima = (simulate._SampledMinimum([m], at) for m in noisy)
         nu = prior.t_dof
         coef_sq = (comb @ _innovation_coefficients(prior, pi, cells)) ** 2
         fourth = (3.0 * (nu - 2.0) / (nu - 4.0) - 3.0) * coef_sq @ coef_sq.T
     out = []
-    for (sr, mu), rows in zip(laws, min_rows):
+    for (_, mu), rows, minimum in zip(laws, min_rows, minima):
         ew, root_pair, square, pair = quadrature.scale_moments(hyper.with_mean(mu), prior.w_dist)
-        e_m, min_cov = minimum(sr).observed(yi, yj)
+        e_m, min_cov = minimum.observed(yi, yj)
         mm = np.outer(e_m, e_m)
         mm[yi, yj] += min_cov
         bb = comb @ mm @ comb.T
@@ -242,7 +256,7 @@ def reference_dbar_moments(prior, topology, design, laws, scheme, n_realizations
         terms += np.where(same, square, pair) * (2.0 * lin * lin + fourth)
         terms += 4.0 * np.where(same, ew, root_pair) * lin * bb
         dv = member.T @ (terms / kk) @ member
-        dv += np.diag(np.concatenate(rows).var(axis=0, ddof=1))
+        dv += np.diag(rows.var(axis=0, ddof=1))
         out.append(dict(
             m1_sq=mm[p0, p0] - 2.0 * mm[p0, p1] + mm[p1, p1],
             m2_sq=mm[p0, p0] - 2.0 * mm[p0, p2] + mm[p2, p2],

@@ -150,8 +150,9 @@ def test_estimator_study_equals_a_per_replicate_reference_loop(
     # W_c held at the truth, here drawn one realization per block
     known = make_prior(topo16, sigma_wx=0.0, gamma_wx=0.0)
     monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 1)
-    ((w_x, _),), blocks = simulate._run_blocks(
-        known, topo16, design16, [(truth["true_sigma_r"], truth["true_mu_wx"])], reps, data_seed
+    ((w_x, _),), blocks = simulate._ensemble(
+        known, topo16, simulate._cells(known, topo16, design16),
+        [(truth["true_sigma_r"], truth["true_mu_wx"])], reps, data_seed,
     )
     assert np.all(w_x == truth["true_mu_wx"])
     # the engine's rows are minus the prior trend, which the study never adds
@@ -180,26 +181,23 @@ def test_estimator_study_equals_a_per_replicate_reference_loop(
 
 def test_estimator_study_does_not_depend_on_the_block_size(topo16, design16, prior16, monkeypatch):
     blocks = []
-    for name in ("_min_blocks", "_observed_blocks"):
-        drawer = getattr(simulate, name)
-        monkeypatch.setattr(
-            simulate, name, lambda *a, _d=drawer, _n=name: (blocks.append(_n) or b for b in _d(*a))
-        )
+    drawer = simulate._observed_blocks
+    monkeypatch.setattr(
+        simulate, "_observed_blocks", lambda *a: (blocks.append(1) or b for b in drawer(*a))
+    )
 
     def run():
         blocks.clear()
         estimates = estimator_study(
             prior16, topo16, design16, 0.01, 0.01, replicates=250, seed=31, n_realizations=250
         ).estimates
-        return [blocks.count("_min_blocks"), blocks.count("_observed_blocks")], estimates
+        return len(blocks), estimates
 
     n_default, default = run()
     monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 1)  # one realization per block
     n_single, single = run()
-    # the draw of the minimum behind var(Dbar) and the replicates each span
-    # several blocks by default
-    assert 1 < n_default[0] < n_single[0] == 250
-    assert 1 < n_default[1] < n_single[1] == 250
+    # the replicates span several blocks by default
+    assert 1 < n_default < n_single == 250
     assert np.array_equal(default, single)
 
 
@@ -211,7 +209,7 @@ def test_estimator_study_without_learnable_components_draws_nothing(topo16, prio
 
     # the package exports a function of the same name as the module
     module = importlib.import_module("corrobayes.calibrate")
-    monkeypatch.setattr(module, "_run_blocks", no_draws)
+    monkeypatch.setattr(module, "_ensemble", no_draws)
     monkeypatch.setattr(module, "moments_by_law", no_draws)
     with pytest.raises(InsufficientDataError):
         estimator_study(

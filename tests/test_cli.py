@@ -414,15 +414,12 @@ def test_simulate_study_imports_no_numpy_ma(tmp_path):
 def _instrumented_analysis(tmp_path, monkeypatch):
     """One analysis run; returns its output directory, the number of its
     simulation passes by kind (``ensemble`` for the blocked engine,
-    ``min_part`` for the draw of the minimum behind exact Dbar moments,
-    ``min_draw`` for the draw of a sampled minimum), and the comparison with
-    the observed vector it adjusted on."""
-    passes, captured = {"ensemble": 0, "min_part": 0, "min_draw": 0}, {}
+    ``min_draw`` for the draw of the minimum behind exact moments), and the
+    comparison with the observed vector it adjusted on."""
+    passes, captured = {"ensemble": 0, "min_draw": 0}, {}
     compare = cli.compare_with_without_variance_learning
 
-    for kind, name in (
-        ("ensemble", "_ensemble"), ("min_part", "_min_blocks"), ("min_draw", "_minimum_draw"),
-    ):
+    for kind, name in (("ensemble", "_ensemble"), ("min_draw", "_minimum_draw")):
         def counted(*args, _kind=kind, _orig=getattr(simulate, name), **kwargs):
             passes[_kind] += 1
             return _orig(*args, **kwargs)
@@ -448,7 +445,7 @@ def test_analysis_simulates_each_law_once_and_checks_the_prior_on_its_branch(
     # no ensemble: every moment is exact but the fourth moments of the
     # minimum in calibration's learning pass, one draw for every candidate;
     # the prior check simulates nothing of its own
-    assert passes == {"ensemble": 0, "min_part": 1, "min_draw": 0}
+    assert passes == {"ensemble": 0, "min_draw": 1}
     prior_h = diagnostics.global_discrepancy(observed, comparison.without_learning.moments)
     final = (out / "final_discrepancy.txt").read_text().splitlines()
     assert final[0] == f"prior_H = {fileio.fmt(prior_h)}"
@@ -465,7 +462,7 @@ def test_student_t_analysis_keeps_no_ensemble(tmp_path, monkeypatch):
     out, passes, comparison, observed = _instrumented_analysis(tmp_path, monkeypatch)
     # the learning pass, the rescoring pass and the two-law adjustment pass
     # are exact but for the minimum, one draw each
-    assert passes == {"ensemble": 0, "min_part": 0, "min_draw": 3}
+    assert passes == {"ensemble": 0, "min_draw": 3}
     assert comparison.without_learning.moments.n_realizations is None
     meta = (out / "run_metadata.txt").read_text()
     assert "observation_moments = exact, minimum sampled from 200 draws\n" in meta

@@ -1,5 +1,6 @@
 """Forward simulation and ensemble moment estimation."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from corrobayes.simulate import (
     forecast_extend,
 )
 from conftest import make_prior, small_irregular_design
-from oracle import ensemble_moments, reference_dbar_moments, simulate_realization
+from oracle import ensemble_moments, minimum_draw, reference_dbar_moments, simulate_realization
 
 
 def test_identical_seeds_give_bit_identical_moments(topo16, design16, prior16):
@@ -333,7 +334,7 @@ def test_only_gaussian_passes_without_targets_or_scheme_draw_observed_cells(
     topo16, design16, prior16, monkeypatch
 ):
     drawn = []
-    for name in ("_monthly_blocks", "_observed_blocks", "_min_blocks"):
+    for name in ("_monthly_blocks", "_observed_blocks", "_minimum_draw"):
         drawer = getattr(simulate, name)
         monkeypatch.setattr(
             simulate, name, lambda *a, _d=drawer, _n=name: drawn.append(_n) or _d(*a)
@@ -345,10 +346,9 @@ def test_only_gaussian_passes_without_targets_or_scheme_draw_observed_cells(
     for prior, sch in ((prior16, scheme), (student, None), (prior16, None)):
         estimate_moments(prior, topo16, design16, n_realizations=5, seed=1, scheme=sch)
     assert drawn == ["_monthly_blocks"] * 3 + ["_observed_blocks"]
-    # the estimator study: its Dbar moments are exact but for the draw of
-    # the minimum (at the observed cells under Gaussian noise, monthly under
-    # Student-t noise), and its replicate pass reads only the observations,
-    # a monthly ensemble under Student-t noise
+    # the estimator study: its Dbar moments are exact but for the monthly
+    # draw of the minimum under either noise law, and its replicate pass
+    # reads only the observations, a monthly ensemble under Student-t noise
     drawn.clear()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -356,7 +356,7 @@ def test_only_gaussian_passes_without_targets_or_scheme_draw_observed_cells(
             estimator_study(
                 prior, topo16, design16, 0.01, 0.01, replicates=3, seed=1, n_realizations=5
             )
-    assert drawn == ["_min_blocks", "_observed_blocks", "_monthly_blocks"]
+    assert drawn == ["_minimum_draw", "_observed_blocks", "_minimum_draw", "_monthly_blocks"]
 
 
 @pytest.mark.parametrize(
@@ -575,15 +575,17 @@ def test_exact_dbar_moments_take_every_law_on_its_own_at_any_block_size(
             assert np.array_equal(getattr(est, name), getattr(single, name)), name
 
 
-def test_student_t_dbar_moments_draw_only_the_minimum(topo16, design16, monkeypatch):
-    passes = {name: 0 for name in ("_ensemble", "_min_blocks", "_minimum_draw")}
+@pytest.mark.parametrize("noise", [{}, dict(noise_dist="student_t", t_dof=6.0)],
+                         ids=["gaussian", "student-t"])
+def test_dbar_moments_draw_only_the_minimum(topo16, design16, monkeypatch, noise):
+    passes = {name: 0 for name in ("_ensemble", "_minimum_draw")}
     for name in passes:
         def counted(*args, _name=name, _orig=getattr(simulate, name), **kwargs):
             passes[_name] += 1
             return _orig(*args, **kwargs)
 
         monkeypatch.setattr(simulate, name, counted)
-    prior = make_prior(topo16, noise_dist="student_t", t_dof=6.0)
+    prior = make_prior(topo16, **noise)
     scheme = varlearn.build_scheme(design16, prior.hyper.lam)
     laws = [(0.0064, 0.01), (0.0256, 0.004)]
 
@@ -594,15 +596,53 @@ def test_student_t_dbar_moments_draw_only_the_minimum(topo16, design16, monkeypa
 
     many = run(laws)
     # one monthly draw of the minimum serves every law; nothing else is drawn
-    assert passes == {"_ensemble": 0, "_min_blocks": 0, "_minimum_draw": 1}
+    assert passes == {"_ensemble": 0, "_minimum_draw": 1}
     assert [m.n_realizations for m in many] == [50, 50]
     (one,) = run(laws[:1])
     (other,) = run(laws[:1], seed=4)
     for name in DBAR_FIELDS:
         assert np.array_equal(getattr(one, name), getattr(many[0], name)), name
-    # the m-moments are the sampled minimum's, so they depend on its draw
-    assert not np.any(one.m1_sq == other.m1_sq)
+    # var(Dbar) reads the draw under either noise law, the m-moments only
+    # under Student-t noise: under Gaussian noise they are closed-form
+    assert not np.any(one.dbar_var.diagonal() == other.dbar_var.diagonal())
+    if noise:
+        assert not np.any(one.m1_sq == other.m1_sq)
+    else:
+        assert np.array_equal(one.m1_sq, other.m1_sq)
     assert np.array_equal(one.mw_dbar_cov, other.mw_dbar_cov)
+
+
+@pytest.mark.parametrize("noise", [{}, dict(noise_dist="student_t", t_dof=6.0)],
+                         ids=["gaussian", "student-t"])
+def test_the_streamed_minimum_draw_equals_the_whole_array_draw(topo16, noise):
+    prior = make_prior(topo16, locations_per_component=4, **noise)
+    sigma_rs = [0.0016, 0.0064, 0.0256]
+    for months in (np.arange(1, 41), np.array([2, 3, 9, 17, 40])):
+        got = simulate._minimum_draw(prior, months, 60, 8, sigma_rs)
+        want = minimum_draw(prior, months, 60, 8, sigma_rs)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("noise", [{}, dict(noise_dist="student_t", t_dof=6.0)],
+                         ids=["gaussian", "student-t"])
+def test_the_learning_pass_peak_does_not_grow_with_the_locations(noise):
+    # the draw of the minimum holds a month of walks: a whole
+    # (horizon x 2 x n x L) draw would grow by 8.0 MB from L = 10 to 40
+    topo = designs.four_circuit_topology()
+    design = designs.reference_design(topo)
+    laws = [(0.01 / 25.0 * 625.0 ** (i / 11.0), 0.01) for i in range(12)]
+    peaks = []
+    for locations in (10, 40):
+        prior = make_prior(topo, locations_per_component=locations, **noise)
+        scheme = varlearn.build_scheme(design, prior.hyper.lam)
+        tracemalloc.start()
+        simulate.moments_by_law(
+            prior, topo, design, laws, n_realizations=200, seed=3, scheme=scheme
+        )
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 0.8e6, peaks
 
 
 @pytest.mark.parametrize(
