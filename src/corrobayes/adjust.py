@@ -41,7 +41,7 @@ from .system import InspectionDataset, PriorSpecification, SystemTopology
 #: the Bayes linear adjusted variance; documented in output metadata).
 BAND_Z = 1.96
 
-BAND_CONVENTION = "mean +/- 1.96*sqrt(adjusted variance)"
+BAND_CONVENTION = f"mean +/- {BAND_Z}*sqrt(adjusted variance)"
 
 ZMIN = TARGET_KINDS.index("zmin")
 

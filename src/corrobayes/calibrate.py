@@ -73,13 +73,9 @@ class CalibrationResult:
 
 
 def select_index(h_values) -> int:
-    """Index minimizing |H - 1|; ties go to the smaller (earlier) candidate."""
-    best, best_dist = 0, abs(h_values[0] - 1.0)
-    for i, h in enumerate(h_values[1:], start=1):
-        d = abs(h - 1.0)
-        if d < best_dist:
-            best, best_dist = i, d
-    return best
+    """Index minimizing |H - 1| over finite H; ties go to the smaller
+    (earlier) candidate, numpy's first minimum."""
+    return int(np.argmin(np.abs(np.asarray(h_values) - 1.0)))
 
 
 def _scan(prior, topology, dataset, scheme, candidates, seeds, n_realizations):

@@ -9,7 +9,8 @@ Subcommands:
   the moments of the without-learning adjustment branch.
 * ``simulate-study`` replicates the variance-learning estimator on synthetic
   systems with known truth and reports its distribution.
-* ``validate`` parses the inputs and emits the prior discrepancy report only.
+* ``validate`` parses the inputs and emits the prior discrepancy report only,
+  ``prior_discrepancy.csv`` as ``analyze`` writes it.
 
 Every moment of the observations and targets is exact under Gaussian noise;
 under Student-t noise it is exact but for the minimum over locations, which
@@ -57,7 +58,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import designs, diagnostics, fileio, linalg
-from .adjust import BAND_CONVENTION, ZMIN, band_half_width, compare_with_without_variance_learning
+from .adjust import (
+    BAND_CONVENTION, BAND_Z, ZMIN, band_half_width, compare_with_without_variance_learning,
+)
 from .calibrate import calibrate, estimator_study
 from .errors import ConfigError
 from .simulate import (
@@ -65,11 +68,12 @@ from .simulate import (
 )
 from .system import validate_dataset
 
-#: ``band_convention_prior`` in run_metadata.txt, by noise law: Gaussian
-#: noise has exact quantiles (``simulate.zmin_quantiles``), Student-t noise
-#: only moments.
-PRIOR_BAND_EXACT = "exact 2.5%/97.5% quantiles of the prior marginal"
-PRIOR_BAND_MOMENTS = "prior mean +/- 1.96*sqrt(prior variance)"
+#: The prior band's probabilities, and ``band_convention_prior`` in
+#: run_metadata.txt by noise law: Gaussian noise has exact quantiles
+#: (``simulate.zmin_quantiles``), Student-t noise only moments.
+PRIOR_BAND_PROBS = (0.025, 0.975)
+PRIOR_BAND_EXACT = "exact {:.1%}/{:.1%} quantiles of the prior marginal".format(*PRIOR_BAND_PROBS)
+PRIOR_BAND_MOMENTS = f"prior mean +/- {BAND_Z}*sqrt(prior variance)"
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -158,11 +162,13 @@ def _dataset_findings(rc: RunConfig) -> list:
     ]
 
 
-def _diag_rows(report):
-    return [
-        (r.component, r.time, r.value, int(r.flagged), int(r.indeterminate))
-        for r in report.rows
-    ]
+def _write_discrepancies(out_dir: str, name: str, report) -> None:
+    """One row per row of a ``diagnostics.data_discrepancy`` report."""
+    fileio.write_csv(
+        os.path.join(out_dir, name),
+        ["component", "t", "discrepancy", "flagged", "indeterminate"],
+        ((r.component, r.time, r.value, int(r.flagged), int(r.indeterminate)) for r in report.rows),
+    )
 
 
 def run_analysis(rc: RunConfig) -> int:
@@ -216,16 +222,8 @@ def run_analysis(rc: RunConfig) -> int:
     with _stage("emit"):
         out = rc.out_dir
         os.makedirs(out, exist_ok=True)
-        fileio.write_csv(
-            os.path.join(out, "prior_discrepancy.csv"),
-            ["component", "t", "discrepancy", "flagged", "indeterminate"],
-            _diag_rows(prior_obs),
-        )
-        fileio.write_csv(
-            os.path.join(out, "prior_discrepancy_components.csv"),
-            ["component", "t", "discrepancy", "flagged", "indeterminate"],
-            _diag_rows(prior_comp),
-        )
+        _write_discrepancies(out, "prior_discrepancy.csv", prior_obs)
+        _write_discrepancies(out, "prior_discrepancy_components.csv", prior_comp)
         fileio.write_csv(
             os.path.join(out, "h_curve.csv"),
             ["sigma_r", "adjusted_mu_WX", "H", "floored"],
@@ -308,14 +306,14 @@ def _band_rows(comparison, prior):
     """Per zmin target: the prior band and mean, then each branch's adjusted
     band and mean; both branches share one target list, so their rows align.
 
-    Under Gaussian noise the prior band is the exact 2.5%/97.5% quantiles
-    of the target's prior marginal (``simulate.zmin_quantiles``); under
-    Student-t noise it is the prior mean +/- 1.96 prior sds."""
+    Under Gaussian noise the prior band is the exact ``PRIOR_BAND_PROBS``
+    quantiles of the target's prior marginal (``simulate.zmin_quantiles``);
+    under Student-t noise it is the prior mean +/- ``BAND_Z`` prior sds."""
     without, learned = comparison.without_learning, comparison.with_learning
     zmin = np.flatnonzero(without.kind == ZMIN)
     prior_mean = without.prior_mean[zmin]
     if prior.noise_dist == "gaussian":
-        lo, hi = zmin_quantiles(prior, without.time[zmin], (0.025, 0.975)).T
+        lo, hi = zmin_quantiles(prior, without.time[zmin], PRIOR_BAND_PROBS).T
     else:
         hi = band_half_width(without.prior_var[zmin])
         lo = -hi
@@ -343,11 +341,7 @@ def run_validate(rc: RunConfig) -> int:
         prior_h = diagnostics.global_discrepancy(observed, moments)
     with _stage("emit"):
         os.makedirs(rc.out_dir, exist_ok=True)
-        fileio.write_csv(
-            os.path.join(rc.out_dir, "prior_discrepancy.csv"),
-            ["component", "t", "discrepancy", "flagged", "indeterminate"],
-            _diag_rows(report),
-        )
+        _write_discrepancies(rc.out_dir, "prior_discrepancy.csv", report)
     print(f"dataset valid; prior H = {prior_h:.6g}; {len(report.flagged())} flagged observations")
     return EXIT_OK
 
@@ -373,7 +367,7 @@ def run_study(rc: RunConfig, args) -> int:
         fileio.write_csv(
             os.path.join(rc.out_dir, "estimator_distribution.csv"),
             ["replicate", "adjusted_mu_WX"],
-            list(enumerate(study.estimates)),
+            enumerate(study.estimates.tolist()),
         )
         fileio.write_csv(
             os.path.join(rc.out_dir, "estimator_summary.csv"),

@@ -30,14 +30,9 @@ from .system import (
 
 
 def fmt(x) -> str:
-    """Full-precision decimal text for a number; a blank for None."""
-    if x is None:
-        return ""
-    if type(x) is float:
-        return repr(x)
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
+    """Full-precision decimal text for a number (a float's ``str`` is its
+    shortest round-trip repr); a blank for None."""
+    return "" if x is None else str(x)
 
 
 @contextlib.contextmanager
@@ -94,26 +89,42 @@ def _component_id(text: str):
         return text
 
 
-def parse_topology(path) -> SystemTopology:
-    """Delimited text: component_id,circuit_id,position_in_circuit[,x0_mm].
-    Component ids are all numbers or all names, since the pipeline sorts them."""
-    comps, circuit_of, position_of, x0_of = [], {}, {}, {}
-    has_x0 = False
+def _rows(path, header_error):
+    """Yield (line number, cells stripped) for each non-blank line of a
+    comma-delimited file, the header line first, once ``header_error`` has
+    mapped that line (None for an empty file) to no message; an unreadable
+    file or a message raises ConfigError."""
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    if not lines:
-        raise ConfigError(f"{path}: empty topology file")
-    header = [h.strip() for h in lines[0].split(",")]
-    if header[:3] != ["component_id", "circuit_id", "position_in_circuit"]:
-        raise ConfigError(f"{path}:1: unexpected header {lines[0]!r}")
-    has_x0 = len(header) > 3 and header[3] == "x0_mm"
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = [p.strip() for p in line.split(",")]
+    message = header_error(lines[0] if lines else None)
+    if message:
+        raise ConfigError(f"{path}{message}")
+    for lineno, line in enumerate(lines, start=1):
+        if lineno == 1 or line.strip():
+            yield lineno, [p.strip() for p in line.split(",")]
+
+
+_TOPOLOGY_HEADER = ["component_id", "circuit_id", "position_in_circuit"]
+
+
+def _topology_header_error(first):
+    if first is None:
+        return ": empty topology file"
+    if [h.strip() for h in first.split(",")][:3] != _TOPOLOGY_HEADER:
+        return f":1: unexpected header {first!r}"
+
+
+def parse_topology(path) -> SystemTopology:
+    """Delimited text: component_id,circuit_id,position_in_circuit[,x0_mm].
+    Component ids are all numbers or all names, since the pipeline sorts them."""
+    comps, circuit_of, position_of, x0_of = [], {}, {}, {}
+    rows = _rows(path, _topology_header_error)
+    _, header = next(rows)
+    has_x0 = header[3:4] == ["x0_mm"]
+    for lineno, parts in rows:
         if len(parts) < 3:
             raise ConfigError(f"{path}:{lineno}: expected at least 3 columns")
         comp = _component_id(parts[0])
@@ -138,21 +149,18 @@ def parse_topology(path) -> SystemTopology:
 INSPECTION_HEADER = "component,month,min_thickness_mm"
 
 
+def _inspection_header_error(first):
+    if (first or "").strip() != INSPECTION_HEADER:
+        return f":1: expected header {INSPECTION_HEADER!r}"
+
+
 def parse_inspections(path, origin_month: int, horizon: int) -> InspectionDataset:
     """Observations with months mapped to indices: t = month - origin + 1."""
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    if not lines or lines[0].strip() != INSPECTION_HEADER:
-        raise ConfigError(f"{path}:1: expected header {INSPECTION_HEADER!r}")
+    rows = _rows(path, _inspection_header_error)
+    next(rows)
     records = []
     seen = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = [p.strip() for p in line.split(",")]
+    for lineno, parts in rows:
         if len(parts) != 3:
             raise ConfigError(f"{path}:{lineno}: expected 3 columns")
         comp = _component_id(parts[0])
@@ -197,6 +205,18 @@ _PRIOR_KEYS = (
     "mu_WX", "sigma_WX", "gamma_WX", "lambda", "sigma_y", "sigma_r", "rho0", "rhoC", "rhoD",
 )
 
+#: Optional keys, each named as the field it sets and read by its parser; a
+#: key the config omits leaves the field's default to its dataclass.
+_CORRELATION_OPTIONS = {"nu": _finite}
+_PRIOR_OPTIONS = {
+    "sigma_r_candidates": lambda text: tuple(_finite(v) for v in text.split(",") if v.strip()),
+    "locations_per_component": int,
+    "critical_thickness": _finite,
+    "noise_dist": str,
+    "t_dof": _finite,
+    "w_dist": str,
+}
+
 
 def _get(config: dict, key: str, conv, default=None):
     if key not in config:
@@ -209,9 +229,9 @@ def _get(config: dict, key: str, conv, default=None):
         raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
-def _floats(text: str) -> tuple:
-    """Comma-separated finite numbers; empty items are skipped."""
-    return tuple(_finite(v) for v in text.split(",") if v.strip())
+def _named(config: dict, options: dict) -> dict:
+    """The options the config names, parsed."""
+    return {key: _get(config, key, conv) for key, conv in options.items() if key in config}
 
 
 def build_prior(config: dict, topology: SystemTopology) -> PriorSpecification:
@@ -221,9 +241,8 @@ def build_prior(config: dict, topology: SystemTopology) -> PriorSpecification:
         vals["mu_WX"], vals["sigma_WX"], vals["gamma_WX"], vals["lambda"]
     )
     corr = CorrelationParams(
-        vals["rho0"], vals["rhoC"], vals["rhoD"], _get(config, "nu", _finite, 1.0)
+        vals["rho0"], vals["rhoC"], vals["rhoD"], **_named(config, _CORRELATION_OPTIONS)
     )
-    candidates = _get(config, "sigma_r_candidates", _floats, ())
     alpha0 = np.full(topology.component_count, _get(config, "alpha0", _finite))
     x0 = topology.initial_thickness(default=_get(config, "x0", _finite) if "x0" in config else None)
     return PriorSpecification(
@@ -231,12 +250,7 @@ def build_prior(config: dict, topology: SystemTopology) -> PriorSpecification:
         corr=corr,
         sigma_y=vals["sigma_y"],
         sigma_r=vals["sigma_r"],
-        sigma_r_candidates=candidates,
-        locations_per_component=_get(config, "locations_per_component", int, 10),
         x0=x0,
         alpha0=alpha0,
-        critical_thickness=_get(config, "critical_thickness", _finite, 4.0),
-        noise_dist=config.get("noise_dist", "gaussian"),
-        t_dof=_get(config, "t_dof", _finite, 5.0),
-        w_dist=config.get("w_dist", "gamma"),
+        **_named(config, _PRIOR_OPTIONS),
     )

@@ -168,22 +168,32 @@ def min_of_normals(count: int) -> MinOfNormals:
     return MinOfNormals(count, mean, var, _cheb_fit(var - 0.5 * _gap_square(count, s)))
 
 
+def _above_floor(m: np.ndarray, s: float):
+    """A 64-point rule in y = sqrt(X) over the mass of X ~ N(m, s^2) above
+    the variance floor, per entry of m, where the integrand is smooth: nodes
+    y and weights, both (len(m), 64), of X's density carried to y."""
+    lo = np.sqrt(np.maximum(m - 12.0 * s, VARIANCE_FLOOR))[:, None]
+    hi = np.sqrt(np.maximum(m + 12.0 * s, 4.0 * VARIANCE_FLOOR))[:, None]
+    y, w = legendre(64, 0.0, 1.0)
+    y = lo + (hi - lo) * y
+    return y, w * (hi - lo) * 2.0 * y * _phi((y * y - m[:, None]) / s) / s
+
+
 def scale_nodes(hyper: VarianceHyperprior, w_dist: str):
     """Nodes and weights (both 1-D) of a rule for the law of one
     component's scale W_c.  Under ``gamma`` and ``lognormal`` W_c = M U_c
     takes the product of a 16-point rule over M and an 8-point rule over
     U_c, and a factor without variance one node.  The truncated
     ``gaussian`` W_c = max(X, floor), X ~ N(mu_wx, sigma_wx), takes one
-    node at the floor for P(X <= floor) and a 64-point rule over the rest."""
+    node at the floor for P(X <= floor) and ``_above_floor``'s rule over the
+    rest."""
     factors = _scale_factors(hyper, w_dist)
     (mu, gam), (_, resid_var) = factors
     if w_dist == "gaussian":
         f, sd = VARIANCE_FLOOR, math.sqrt(gam + resid_var)
         if sd <= 0.0:
             return np.array([max(mu, f)]), np.ones(1)
-        lo, hi = math.sqrt(max(mu - 12.0 * sd, f)), math.sqrt(max(mu + 12.0 * sd, 4.0 * f))
-        y, w = legendre(64, lo, hi)
-        w = w * 2.0 * y * _phi((y * y - mu) / sd) / sd
+        (y,), (w,) = _above_floor(np.array([mu]), sd)
         return np.append(f, y * y), np.append(ndtr((f - mu) / sd), w)
     rules = []
     for (mean, var), size in zip(factors, (16, 8)):
@@ -202,9 +212,8 @@ def scale_nodes(hyper: VarianceHyperprior, w_dist: str):
 
 def _floored_normal(m: np.ndarray, s: float):
     """(E W, E sqrt(W), E W^2) for W = max(X, floor), X ~ N(m, s^2), per
-    entry of m: the first and last in closed form, the second by a
-    64-point rule in y = sqrt(X) over X's mass above the floor, where the
-    integrand is smooth."""
+    entry of m: the first and last in closed form, the second by
+    ``_above_floor``'s rule over X's mass above the floor."""
     f = VARIANCE_FLOOR
     if s <= 0.0:
         w = np.maximum(m, f)
@@ -213,12 +222,8 @@ def _floored_normal(m: np.ndarray, s: float):
     below, dens = ndtr(a), _phi(a)
     mean = f * below + m * (1.0 - below) + s * dens
     square = f * f * below + (m * m + s * s) * (1.0 - below) + s * (m + f) * dens
-    lo = np.sqrt(np.maximum(m - 12.0 * s, f))[:, None]
-    hi = np.sqrt(np.maximum(m + 12.0 * s, 4.0 * f))[:, None]
-    y, wy = legendre(64, 0.0, 1.0)
-    y = lo + (hi - lo) * y
-    above = (wy * (hi - lo) * 2.0 * y * y * _phi((y * y - m[:, None]) / s) / s).sum(axis=1)
-    return mean, math.sqrt(f) * below + above, square
+    y, w = _above_floor(m, s)
+    return mean, math.sqrt(f) * below + (w * y).sum(axis=1), square
 
 
 def scale_moments(hyper: VarianceHyperprior, w_dist: str):

@@ -1,11 +1,18 @@
 """Config, topology, and inspection file parsing plus atomic report writing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from corrobayes import fileio
 from corrobayes.errors import ConfigError
-from corrobayes.system import InspectionDataset, InspectionRecord
+from corrobayes.system import (
+    CorrelationParams,
+    InspectionDataset,
+    InspectionRecord,
+    PriorSpecification,
+)
 
 
 def test_fmt_round_trips_floats_exactly():
@@ -219,3 +226,44 @@ def test_build_prior_reports_the_missing_key():
     cfg["sigma_y"] = "not a number"
     with pytest.raises(ConfigError, match="sigma_y"):
         fileio.build_prior(cfg, _topology())
+
+
+#: For each optional field of the prior's dataclasses: a config value, and
+#: the field value it gives.  x0 and alpha0 are set from their own keys and
+#: the topology, not from their field defaults.
+OPTIONAL_FIELD_VALUES = {
+    "nu": ("2.0", 2.0),
+    "sigma_r_candidates": ("0.0016, 0.0064", (0.0016, 0.0064)),
+    "locations_per_component": ("3", 3),
+    "critical_thickness": ("5.5", 5.5),
+    "noise_dist": ("student_t", "student_t"),
+    "t_dof": ("7.0", 7.0),
+    "w_dist": ("lognormal", "lognormal"),
+}
+
+
+def test_every_optional_prior_field_keeps_its_default_unless_the_config_names_it():
+    topo = _topology()
+    base = fileio.build_prior(dict(FULL_CONFIG), topo)
+    # the dataclasses built with no optional field given
+    corr = CorrelationParams(base.corr.rho0, base.corr.rhoC, base.corr.rhoD)
+    plain = PriorSpecification(
+        hyper=base.hyper, corr=corr, sigma_y=base.sigma_y, sigma_r=base.sigma_r,
+        x0=base.x0, alpha0=base.alpha0,
+    )
+    seen = []
+    owners = (
+        (CorrelationParams, corr, lambda p: p.corr),
+        (PriorSpecification, plain, lambda p: p),
+    )
+    for cls, default, of in owners:
+        for f in dataclasses.fields(cls):
+            if f.default is dataclasses.MISSING or f.name in ("x0", "alpha0"):
+                continue
+            seen.append(f.name)
+            assert getattr(of(base), f.name) == getattr(default, f.name), f.name
+            text, value = OPTIONAL_FIELD_VALUES[f.name]
+            assert value != getattr(default, f.name), f.name
+            named = fileio.build_prior({**FULL_CONFIG, f.name: text}, topo)
+            assert getattr(of(named), f.name) == value, f.name
+    assert sorted(seen) == sorted(OPTIONAL_FIELD_VALUES)
