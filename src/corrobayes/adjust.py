@@ -11,7 +11,7 @@ tractable.
 moments of one law (``simulate.exact_moments``, or one entry of its
 multi-law call), whose minimum is in closed form under Gaussian noise and
 sampled under Student-t noise.  The paired comparison takes both laws, the
-prior law and the calibrated law, from one ``simulate.moments_by_law``
+prior law and the calibrated law, from one ``simulate.exact_moments``
 call, and each branch is that update on its own law's moments.
 
 The update goes through the structure of the target rows,
@@ -34,7 +34,7 @@ import numpy as np
 from . import linalg
 from .calibrate import CalibrationResult, calibrate
 from .errors import ConfigError, ShapeError
-from .simulate import TARGET_KINDS, MomentEstimates, moments_by_law
+from .simulate import TARGET_KINDS, MomentEstimates, exact_moments
 from .system import InspectionDataset, PriorSpecification, SystemTopology
 
 #: Half-width multiplier of the reported 95% bands (Gaussian convention on
@@ -471,7 +471,7 @@ def compare_with_without_variance_learning(
     otherwise); its values are not checked, so it must be of the same
     values, as a calibration of the dataset whose horizon-extended copy is
     adjusted is.  Both branches' moments come from one two-law
-    ``moments_by_law`` call, exact but for a Student-t minimum, which one
+    ``exact_moments`` call, exact but for a Student-t minimum, which one
     draw on ``seed`` serves for both laws (common random numbers, so paired
     contrasts are not swamped by Monte Carlo noise).  Each branch equals
     ``adjust_from_moments`` on its own law's one-law call, and neither holds
@@ -488,7 +488,7 @@ def compare_with_without_variance_learning(
         (prior.sigma_r, prior.hyper.mu_wx),
         (selected.sigma_r, selected.adjusted_mu_wx),
     ]
-    prior_moments, learned_moments = moments_by_law(
+    prior_moments, learned_moments = exact_moments(
         prior, topology, dataset, laws, targets, n_realizations, seed
     )
     # only the with-learning branch is diagnosed

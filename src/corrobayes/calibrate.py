@@ -9,27 +9,27 @@ read by both (ii) and (iv), and one difference scheme of its design serves
 every candidate.  The candidate whose H is nearest unity wins; ties
 break toward the smaller local variance.
 
-The two passes take two seeds spawned from the run seed, and both read
-``simulate.moments_by_law``.  The learning pass takes every candidate at
-the prior mu_wx and builds only the Dbar moments that variance learning
-reads (``simulate.DbarMoments``); the rescoring pass takes every candidate
-at its learned mu_wx.  Both are exact under either noise law, but for
-what they sample of the minimum over locations: one draw per pass, the
-learning pass's on the first seed and the rescoring pass's on the second,
-serves every candidate, so every candidate sees the same random numbers.
-Under Gaussian noise that is the fourth moments of the minimum in
-var(Dbar) alone; under Student-t noise the minimum's moments in both
-passes.  var(Y) is not a sample covariance, so H takes no finite-ensemble
-correction, and the rescoring pass scores each candidate and drops its
-var(Y) and factor before it builds the next.
+The two passes take two seeds spawned from the run seed.  The learning
+pass takes every candidate at the prior mu_wx and reads only the Dbar
+moments that variance learning needs (``simulate.exact_dbar_moments``);
+the rescoring pass takes every candidate at its learned mu_wx and reads
+the observation moments (``simulate.exact_moments``).  Both are exact
+under either noise law, but for what they sample of the minimum over
+locations: one draw per pass, the learning pass's on the first seed and
+the rescoring pass's on the second, serves every candidate, so every
+candidate sees the same random numbers.  Under Gaussian noise that is the
+fourth moments of the minimum in var(Dbar) alone; under Student-t noise
+the minimum's moments in both passes.  var(Y) is not a sample covariance,
+so H takes no finite-ensemble correction, and the rescoring pass scores
+each candidate and drops its var(Y) and factor before it builds the next.
 
 The estimator study shares everything that does not depend on a
 replicate's data: one set of Dbar moments (exact, as in the learning
-pass), one difference scheme and one factor of var(Dbar) for the
-adjustment.  Its replicates are the realizations of an ensemble at
-the true law, drawn by the same engine as every other ensemble
-(``simulate._ensemble``) and reduced to their Dbar rows block by block,
-then adjusted together.
+pass, from ``simulate.exact_dbar_moments``), one difference scheme and
+one factor of var(Dbar) for the adjustment.  Its replicates are the
+realizations of an ensemble at the true law, drawn by the same engine as
+every other ensemble (``simulate._ensemble``) and reduced to their Dbar
+rows block by block, then adjusted together.
 """
 
 from __future__ import annotations
@@ -41,7 +41,9 @@ import numpy as np
 
 from . import linalg, varlearn
 from .errors import ConfigError, InsufficientDataError
-from .simulate import _as_seedseq, _cells, _ensemble, _size_and_seed, moments_by_law
+from .simulate import (
+    _as_seedseq, _cells, _ensemble, _size_and_seed, exact_dbar_moments, exact_moments,
+)
 from .system import VARIANCE_FLOOR, InspectionDataset, PriorSpecification, SystemTopology
 
 
@@ -73,7 +75,7 @@ class CalibrationResult:
 
 
 def select_index(h_values) -> int:
-    """Index minimizing |H - 1| over finite H; ties go to the smaller
+    """Index of the least |H - 1| (``np.argmin``); ties go to the smaller
     (earlier) candidate, numpy's first minimum."""
     return int(np.argmin(np.abs(np.asarray(h_values) - 1.0)))
 
@@ -81,10 +83,10 @@ def select_index(h_values) -> int:
 def _scan(prior, topology, dataset, scheme, candidates, seeds, n_realizations):
     """Both passes over ``candidates`` on the pass seeds ``seeds``.  Returns
     one row per candidate."""
-    learned = moments_by_law(
+    learned = exact_dbar_moments(
         prior, topology, dataset,
         [(sr, prior.hyper.mu_wx) for sr in candidates],
-        n_realizations=n_realizations, seed=seeds[0], scheme=scheme,
+        scheme, n_realizations=n_realizations, seed=seeds[0],
     )
     # the observed Dbar does not depend on the candidate
     observed_dbar = varlearn.compute_dbar(dataset, scheme)
@@ -99,7 +101,7 @@ def _scan(prior, topology, dataset, scheme, candidates, seeds, n_realizations):
     def score(mom):
         return linalg.mahalanobis_discrepancy(observed, mom.y_moment_pair())
 
-    rescored = moments_by_law(
+    rescored = exact_moments(
         prior, topology, dataset,
         [(sr, mu) for sr, (mu, _) in zip(candidates, adjusted)],
         n_realizations=n_realizations, seed=seeds[1],
@@ -184,8 +186,9 @@ def estimator_study(
     """Distribution of the adjusted variance estimate over replicate systems.
 
     Moments (Dbar variance and local min-difference moments) depend only on
-    the design and priors, so they are taken once, from ``moments_by_law``
-    on one seed spawned from ``seed``, and shared by all replicates.
+    the design and priors, so they are taken once, from
+    ``exact_dbar_moments`` on one seed spawned from ``seed``, and shared by
+    all replicates.
     Replicate i is realization i of one ensemble at the true law, rooted at
     the other spawned seed, with every W_c held at ``true_mu_wx``.  Each
     block of that ensemble is reduced to its Dbar rows at once, so only the
@@ -200,9 +203,9 @@ def estimator_study(
     if not scheme.components:
         raise InsufficientDataError("no component has three or more observations")
     moment_seed, data_seed = _as_seedseq(seed).spawn(2)
-    (moments,) = moments_by_law(
-        prior, topology, design, [(true_sigma_r, prior.hyper.mu_wx)],
-        n_realizations=n, seed=moment_seed, scheme=scheme,
+    (moments,) = exact_dbar_moments(
+        prior, topology, design, [(true_sigma_r, prior.hyper.mu_wx)], scheme,
+        n_realizations=n, seed=moment_seed,
     )
     # without hypervariance every drawn W_c is exactly the law's mu_wx; the
     # rows carry no prior trend, which Dbar annihilates

@@ -64,7 +64,7 @@ from .adjust import (
 from .calibrate import calibrate, estimator_study
 from .errors import ConfigError
 from .simulate import (
-    TARGET_KINDS, _size_and_seed, forecast_extend, moments_by_law, zmin_quantiles,
+    TARGET_KINDS, _size_and_seed, exact_moments, forecast_extend, zmin_quantiles,
 )
 from .system import validate_dataset
 
@@ -175,14 +175,16 @@ def run_analysis(rc: RunConfig) -> int:
     """Steps: calibration, paired adjustment, forecasts, prior check,
     diagnostics; then emit all artifacts.
 
-    Under Gaussian noise every moment is exact (``simulate.moments_by_law``)
-    but one part of var(Dbar) in calibration's learning pass, the fourth
-    moments of the minimum, which it reads off one draw of one component's
-    monthly local walks and eps_y.  Under Student-t noise every pass
-    (calibration's learning and rescoring passes, and the two-law
-    adjustment pass at the extended horizon) is exact but for the minimum's
-    moments, each pass read off one such draw.  The prior check reads the
-    without-learning branch's moments, which have the prior law.
+    Calibration's learning pass reads the Dbar moments of
+    ``simulate.exact_dbar_moments``; its rescoring pass and the two-law
+    adjustment pass at the extended horizon read the observation and
+    target moments of ``simulate.exact_moments``.  Under Gaussian noise
+    every moment is exact but one part of var(Dbar) in the learning pass,
+    the fourth moments of the minimum, which it reads off one draw of one
+    component's monthly local walks and eps_y.  Under Student-t noise every
+    pass is exact but for the minimum's moments, each pass read off one
+    such draw.  The prior check reads the without-learning branch's
+    moments, which have the prior law.
     """
     if _report_findings(_dataset_findings(rc)):
         return EXIT_FAILURE
@@ -268,12 +270,14 @@ def run_analysis(rc: RunConfig) -> int:
             os.path.join(out, "final_discrepancy.txt"), "\n".join(diag_lines) + "\n"
         )
         gaussian = rc.prior.noise_dist == "gaussian"
-        moments = "exact" if gaussian else f"exact, minimum sampled from {rc.n_realizations} draws"
+        draws = f"sampled from {rc.n_realizations} draws"
+        observation = "exact" if gaussian else f"exact, minimum {draws}"
+        learning = f"exact, minimum's fourth moments {draws}" if gaussian else observation
         meta = [
             f"seed = {rc.seed}",
             f"realizations = {rc.n_realizations}",
-            f"observation_moments = {moments}",
-            f"learning_moments = {moments}",
+            f"observation_moments = {observation}",
+            f"learning_moments = {learning}",
             f"extend_months = {rc.extend_months}",
             f"band_convention_adjusted = {BAND_CONVENTION}",
             f"band_convention_prior = {PRIOR_BAND_EXACT if gaussian else PRIOR_BAND_MOMENTS}",
@@ -282,8 +286,6 @@ def run_analysis(rc: RunConfig) -> int:
             f"selected_mu_WX = {fileio.fmt(sel.adjusted_mu_wx)}",
             f"selected_floored = {int(sel.floored)}",
             f"var_y_rank = {var_y_rank}",
-            f"finite_sample_factor = "
-            f"{fileio.fmt(linalg.finite_sample_factor(var_y_rank, learned_moments.n_realizations))}",
             f"var_y_dim = {len(learned_moments.design_points)}",
             f"pinv_rtol = {fileio.fmt(linalg.DEFAULT_RTOL)}",
         ]
@@ -332,7 +334,7 @@ def run_validate(rc: RunConfig) -> int:
     if _report_findings(_dataset_findings(rc)):
         return EXIT_FAILURE
     with _stage("prior-consistency"):
-        (moments,) = moments_by_law(
+        (moments,) = exact_moments(
             rc.prior, rc.topology, rc.dataset, [(rc.prior.sigma_r, rc.prior.hyper.mu_wx)],
             n_realizations=rc.n_realizations, seed=rc.seed,
         )

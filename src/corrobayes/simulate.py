@@ -1,14 +1,15 @@
 """Forward simulation, Monte Carlo moment estimation, and exact moments.
 
-The pipeline reads its moments through ``moments_by_law``, one route per
-kind of pass under either noise law.  The moments of the observations and
-of the targets are ``exact_moments`` (yielded one law at a time), and the
-Dbar moments of variance learning are ``exact_dbar_moments`` (built on the
-difference scheme's one combination, ``DifferenceScheme.combine``).  Every
-innovation has unit variance and a symmetric law, so the linear part's
-moments have closed forms; Student-t innovations add only a fourth-cumulant
-term to var(Dbar).  What depends on the noise law beyond that is the
-minimum over locations (``_minimum_law``).  Under Gaussian noise its first
+Every pass of the pipeline calls one of two exact engines, under either
+noise law.  Passes that score or adjust read the moments of the
+observations and targets from ``exact_moments`` (yielded one law at a
+time); passes that learn the mean evolution variance read the Dbar
+moments from ``exact_dbar_moments`` (built on the difference scheme's one
+combination, ``DifferenceScheme.combine``).  Every innovation has unit
+variance and a symmetric law, so the linear part's moments have closed
+forms; Student-t innovations add only a fourth-cumulant term to
+var(Dbar).  What depends on the noise law beyond that is the minimum over
+locations (``_minimum_law``).  Under Gaussian noise its first
 and second moments are closed forms; var(Dbar)'s fourth moments of it, and
 under Student-t noise all of its moments, are read off one draw of one
 component's local walks and eps_y (``_minimum_draw``), streamed month by
@@ -80,7 +81,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -965,32 +966,6 @@ def exact_dbar_moments(
             scheme.t_eff * hyper.gamma_wx,
         ))
     return out
-
-
-def moments_by_law(
-    prior: PriorSpecification,
-    topology: SystemTopology,
-    design: InspectionDataset,
-    laws,
-    targets=(),
-    n_realizations: int | None = None,
-    seed=None,
-    scheme=None,
-) -> Iterable:
-    """Moments under each law, as the pipeline reads them, under either
-    noise law: with a difference scheme the Dbar moments of variance
-    learning (``exact_dbar_moments``), otherwise the moments of the
-    observations and targets (``exact_moments``).  Both draw what they
-    sample of the minimum, ``n_realizations`` times on ``seed``.
-
-    The records come in law order and are read once: the observation
-    moments are yielded one law at a time (``exact_moments``), the Dbar
-    moments come as a list.  The inputs are checked at the call either way."""
-    if scheme is None:
-        return exact_moments(prior, topology, design, laws, targets, n_realizations, seed)
-    if tuple(targets):
-        raise ConfigError("a moment pass takes a difference scheme or targets, not both")
-    return exact_dbar_moments(prior, topology, design, laws, scheme, n_realizations, seed)
 
 
 def zmin_quantiles(prior: PriorSpecification, months, probs) -> np.ndarray:

@@ -210,7 +210,7 @@ def test_estimator_study_without_learnable_components_draws_nothing(topo16, prio
     # the package exports a function of the same name as the module
     module = importlib.import_module("corrobayes.calibrate")
     monkeypatch.setattr(module, "_ensemble", no_draws)
-    monkeypatch.setattr(module, "moments_by_law", no_draws)
+    monkeypatch.setattr(module, "exact_dbar_moments", no_draws)
     with pytest.raises(InsufficientDataError):
         estimator_study(
             prior16, topo16, design, 0.01, 0.01, replicates=5, seed=1, n_realizations=50

@@ -94,7 +94,7 @@ def test_an_interrupt_inside_a_stage_is_not_turned_into_a_stage_failure(tmp_path
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "moments_by_law", interrupted)
+    monkeypatch.setattr(cli, "exact_moments", interrupted)
     out = tmp_path / "out"
     with pytest.raises(KeyboardInterrupt):
         cli.main(["validate", "--config", str(config), "--out", str(out)])
@@ -312,9 +312,8 @@ def test_analysis_artifacts_have_the_documented_headers(tmp_path):
     # 8 components x 4 visits; the exact var(Y) has full rank and needs no
     # finite-ensemble correction
     assert "var_y_rank = 32\n" in meta and "var_y_dim = 32\n" in meta
-    assert "finite_sample_factor = 1.0\n" in meta
     assert "observation_moments = exact\n" in meta
-    assert "learning_moments = exact\n" in meta
+    assert "learning_moments = exact, minimum's fourth moments sampled from 200 draws\n" in meta
     assert f"band_convention_prior = {cli.PRIOR_BAND_EXACT}\n" in meta
     assert "pinv_rtol = 1e-10\n" in meta
     h_rows = [line.split(",") for line in (out / "h_curve.csv").read_text().splitlines()[1:]]
@@ -346,7 +345,7 @@ def test_analysis_at_30_realizations_scores_exact_moments_without_a_finite_sampl
     assert code == cli.EXIT_OK
     assert not [w for w in recwarn if "finite-sample correction off" in str(w.message)]
     meta = (out / "run_metadata.txt").read_text()
-    assert "finite_sample_factor = 1.0\n" in meta and "realizations = 30\n" in meta
+    assert "realizations = 30\n" in meta
 
 
 def test_finite_sample_factor_warns_when_the_ensemble_is_too_small_for_the_rank():
@@ -468,8 +467,6 @@ def test_student_t_analysis_keeps_no_ensemble(tmp_path, monkeypatch):
     assert "observation_moments = exact, minimum sampled from 200 draws\n" in meta
     assert "learning_moments = exact, minimum sampled from 200 draws\n" in meta
     assert f"band_convention_prior = {cli.PRIOR_BAND_MOMENTS}\n" in meta
-    # var(Y) is no sample covariance, so H takes no finite-sample correction
-    assert "finite_sample_factor = 1.0\n" in meta
     # the prior band is the prior mean +/- 1.96 prior sds
     without = comparison.without_learning
     zmin = np.flatnonzero(without.kind == cli.ZMIN)

@@ -169,12 +169,6 @@ def test_bad_target_requests_are_rejected(topo16, design16, prior16):
         exact_moments(prior16, topo16, design16, law, [("nope", topo16.components[0], 1)])
     with pytest.raises(ConfigError):
         exact_moments(prior16, topo16, design16, law, [("x", topo16.components[0], 999)])
-    # a pass takes a difference scheme or targets, not both
-    with pytest.raises(ConfigError):
-        simulate.moments_by_law(
-            prior16, topo16, design16, law, [("x", topo16.components[0], 10)],
-            n_realizations=10, seed=0, scheme=varlearn.build_scheme(design16, prior16.hyper.lam),
-        )
 
 
 def test_an_empty_design_with_a_target_has_no_observation_moments(topo16, prior16):
@@ -590,8 +584,8 @@ def test_dbar_moments_draw_only_the_minimum(topo16, design16, monkeypatch, noise
     laws = [(0.0064, 0.01), (0.0256, 0.004)]
 
     def run(law_list, seed=3):
-        return simulate.moments_by_law(
-            prior, topo16, design16, law_list, n_realizations=50, seed=seed, scheme=scheme
+        return simulate.exact_dbar_moments(
+            prior, topo16, design16, law_list, scheme, n_realizations=50, seed=seed
         )
 
     many = run(laws)
@@ -637,9 +631,7 @@ def test_the_learning_pass_peak_does_not_grow_with_the_locations(noise):
         prior = make_prior(topo, locations_per_component=locations, **noise)
         scheme = varlearn.build_scheme(design, prior.hyper.lam)
         tracemalloc.start()
-        simulate.moments_by_law(
-            prior, topo, design, laws, n_realizations=200, seed=3, scheme=scheme
-        )
+        simulate.exact_dbar_moments(prior, topo, design, laws, scheme, n_realizations=200, seed=3)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] - peaks[0] < 0.8e6, peaks
