@@ -28,8 +28,9 @@ replicate's data: one set of Dbar moments (exact, as in the learning
 pass, from ``simulate.exact_dbar_moments``), one difference scheme and
 one factor of var(Dbar) for the adjustment.  Its replicates are the
 realizations of an ensemble at the true law, drawn by the same engine as
-every other ensemble (``simulate._ensemble``) and reduced to their Dbar
-rows block by block, then adjusted together.
+every other ensemble (``simulate._ensemble``, in lanes on every CPU once a
+replicate is large enough), written as their Dbar rows into one array,
+then adjusted together.
 """
 
 from __future__ import annotations
@@ -191,8 +192,10 @@ def estimator_study(
     all replicates.
     Replicate i is realization i of one ensemble at the true law, rooted at
     the other spawned seed, with every W_c held at ``true_mu_wx``.  Each
-    block of that ensemble is reduced to its Dbar rows at once, so only the
-    (replicates, n_components) Dbar array is kept.  All rows are then
+    block of that ensemble, whichever of the engine's lanes draws it, writes
+    its Dbar rows into its own rows of one (replicates, n_components)
+    array, which is all the study keeps of the replicates; the estimates do
+    not depend on the number of lanes or the block size.  All rows are then
     adjusted together against one factor of var(Dbar), and each estimate
     below the floor is raised to it with a warning.
     """
@@ -210,13 +213,16 @@ def estimator_study(
     # without hypervariance every drawn W_c is exactly the law's mu_wx; the
     # rows carry no prior trend, which Dbar annihilates
     known = replace(prior, hyper=replace(prior.hyper, sigma_wx=0.0, gamma_wx=0.0))
-    _, blocks = _ensemble(
+    dvec = np.empty((replicates, len(scheme.components)))
+
+    def take(_, rows, y, _m, _t):
+        dvec[rows] = scheme(y)
+
+    _ensemble(
         known, topology, _cells(known, topology, design), [(true_sigma_r, true_mu_wx)],
-        replicates, data_seed,
+        replicates, data_seed, take,
     )
-    dbar = varlearn.build_dbar_statistic(
-        np.concatenate([scheme(y) for _, _, y, _, _ in blocks]), scheme, prior.hyper, moments
-    )
+    dbar = varlearn.build_dbar_statistic(dvec, scheme, prior.hyper, moments)
     estimates, _ = varlearn.adjust_wx(dbar, prior.hyper)
     ordered = np.sort(estimates)
     return EstimatorStudy(

@@ -34,15 +34,16 @@ closed form, ``_kernel_sums``), the exact passes' start
 factors of W_c live in ``system``.
 
 ``_ensemble`` is the one ensemble engine: n realizations of a list of laws
-(sigma_r, mu_wx), in blocks whose noise buffers hold about
-``BLOCK_ELEMENTS`` floats, from one of two drawers chosen from the pass's
-own inputs:
+(sigma_r, mu_wx), in blocks whose walk-noise buffers hold about
+``BLOCK_ELEMENTS`` floats between them, from one of two drawers chosen
+from the pass's own inputs:
 
 * the monthly drawer serves passes with targets, with a difference scheme or
-  with Student-t noise.  From one child stream per realization it draws the
-  level and rate noise and the local walk noise of every month, component
-  and location, and eps_y at the observed cells, and forms the unit local
-  walk cumsum(z_r) and the unit-scale level and rate paths once;
+  with Student-t noise.  From one child stream per realization it draws, in
+  one fill, the level and rate noise and the local walk noise of every
+  month, component and location, and eps_y at the observed cells, and forms
+  the unit local walk cumsum(z_r) and the unit-scale level and rate paths
+  once;
 * the observed-cell drawer serves the other passes (Gaussian noise, no
   targets, no scheme), which read nothing but the observations.  It draws
   only at the observed cells: the unit linear part as one Gaussian vector
@@ -54,9 +55,28 @@ own inputs:
 Each law then only rescales a block: the walk by sqrt(sigma_r), the linear
 part by sqrt(W_c) drawn for that law's mu_wx from a separate scale stream
 that all laws share.  The walk and eps_y are held location-major, so the
-minimum over locations runs over whole slices.  The engine yields each
-block's observations, local min-effects and targets per law, minus the
-prior trend, to two consumers:
+minimum over locations runs over whole slices.
+
+The engine runs its blocks in K lanes, K the CPUs the process may run on
+and at most the block count: lane k draws blocks k, k + K, ... on its own
+thread, lane 0 on the caller's, so the lanes overlap the normal fills and
+the blocks' array work, during which numpy releases the interpreter lock.
+Realization i reads child i of the pass's seed whichever lane draws it,
+and every block step is arithmetic per realization, so no value depends on
+K or on the block size.  Each lane reseeds one generator per realization
+at the PCG64 state child i starts from, hashed for all n children at once
+(``_child_states``): a SeedSequence per realization cost about 15 us under
+the lock, the reseed costs about 2.  Below ``LANE_MIN_NORMALS`` standard
+normals per realization the engine runs one lane and starts no thread:
+there the lanes' contention for the lock over reseeding and the blocks'
+Python steps costs more than they overlap.  The lanes split one block's noise budget
+(``BLOCK_ELEMENTS``) in buffers the calling thread allocates, so the noise
+in flight does not grow with K.  Each lane hands each law's observations,
+local min-effects and targets of its block, minus the prior trend, to the
+caller's ``take`` with their rows, and ``take`` writes only those rows of
+arrays the caller owns: no two lanes write one element, and none reads
+another's, so the lanes share no running total and need no lock.  Two
+callers take the rows:
 
 * ``estimate_moments`` keeps one law's whole ensemble (it is small next to
   the noise) and takes the moments in one centered pass of matrix products,
@@ -64,9 +84,10 @@ prior trend, to two consumers:
   (``DbarMoments``) for a pass with a difference scheme, only the
   observation moments (``MomentEstimates``) for any other;
 * the estimator study (``calibrate.estimator_study``) draws its replicate
-  datasets as the realizations of one ensemble at the true law and reduces
-  each block to its Dbar rows with the difference scheme, which is its own
-  Dbar kernel and the one the ensemble's Dbar moments use.
+  datasets as the realizations of one ensemble at the true law and writes
+  each block's Dbar rows, by the difference scheme (its own Dbar kernel and
+  the one the ensemble's Dbar moments use), into one (replicates x
+  components) array.
 
 The engine's several laws and targets serve the tests' ensemble oracle of
 the exact moments.
@@ -79,6 +100,8 @@ oracle the exact moments are tested against.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections import namedtuple
 from dataclasses import dataclass, field
 from collections.abc import Iterator
@@ -98,11 +121,24 @@ from .system import (
 
 TARGET_KINDS = ("zmin", "x", "alpha")
 
-#: Element budget (float64 count) of one block's local-walk noise buffer, in
-#: each drawer of the ensemble engine: a block holds
-#: max(1, BLOCK_ELEMENTS // (T * C * L)) realizations in the monthly drawer
-#: and max(1, BLOCK_ELEMENTS // (n_obs * L)) in the observed-cell drawer.
+#: Element budget (float64 count) of the local-walk noise buffers in flight
+#: in the ensemble engine, shared by its K lanes: each lane's block holds
+#: max(1, BLOCK_ELEMENTS // K // (T * C * L)) realizations in the monthly
+#: drawer and max(1, BLOCK_ELEMENTS // K // (n_obs * L)) in the
+#: observed-cell drawer, so more lanes do not hold more noise.
 BLOCK_ELEMENTS = 2**16
+
+#: The standard normals one realization must draw for the ensemble engine to
+#: run in more than one lane.  Below it the lanes' contention for the
+#: interpreter lock (per-realization reseeding, the blocks' Python steps)
+#: costs more than the overlapped fills save: measured on both drawers, two
+#: lanes lost at 672 normals (observed cells) and 554 (monthly), tied at 836
+#: (monthly) and won from 1,008 (observed cells) and 1,088 (monthly).
+LANE_MIN_NORMALS = 1000
+
+#: PCG64's multiplier and its 128-bit state's mask (``_pcg64_state``).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 #: A pass's ensemble size and seed when its caller gives none.
 DEFAULT_REALIZATIONS = 1000
@@ -306,6 +342,77 @@ def _child(root: np.random.SeedSequence, i: int) -> np.random.SeedSequence:
     )
 
 
+def _words(x) -> list:
+    """An int, or a sequence of them, as numpy's SeedSequence reads it:
+    32-bit words, low word first, one word for 0."""
+    if isinstance(x, (int, np.integer)):
+        x = int(x)
+        words = [x & 0xFFFFFFFF]
+        while x >> 32:
+            x >>= 32
+            words.append(x & 0xFFFFFFFF)
+        return words
+    return [w for v in x for w in _words(v)]
+
+
+def _hash(value, const: int, mult: int):
+    """One hash step of numpy's SeedSequence on uint32 ``value``: the
+    hashed value and the next hash constant."""
+    following = const * mult & 0xFFFFFFFF
+    value = (value ^ np.uint32(const)) * np.uint32(following)
+    return value ^ (value >> np.uint32(16)), following
+
+
+def _child_states(root: np.random.SeedSequence, n: int) -> np.ndarray:
+    """(n, 4) uint64: ``_child(root, i).generate_state(4, np.uint64)`` for
+    i < n, bit for bit, without a SeedSequence per child.
+
+    The children's entropy words differ only in the last, i (one word, as
+    n < 2**32), so numpy's SeedSequence hashing (``mix_entropy``, then
+    ``generate_state``) runs once on arrays of all n children in wrapping
+    uint32 arithmetic."""
+    run, spawn = _words(root.entropy), _words(root.spawn_key + (0,))[:-1]
+    size = root.pool_size
+    # a child's spawn key is never empty, so its run entropy is padded
+    words = [np.full(n, w, np.uint32) for w in run + [0] * (size - len(run)) + spawn]
+    words.append(np.arange(n, dtype=np.uint32))
+    const, pool = 0x43B0D7E5, []
+    for word in words[:size]:
+        hashed, const = _hash(word, const, 0x931E8875)
+        pool.append(hashed)
+
+    def mix(dst, word):
+        nonlocal const
+        hashed, const = _hash(word, const, 0x931E8875)
+        out = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * hashed
+        pool[dst] = out ^ (out >> np.uint32(16))
+
+    for src in range(size):
+        for dst in range(size):
+            if src != dst:
+                mix(dst, pool[src])
+    for word in words[size:]:
+        for dst in range(size):
+            mix(dst, word)
+    state, const = [], 0x8B51F9DD
+    for k in range(8):
+        hashed, const = _hash(pool[k % size], const, 0x58F38DED)
+        state.append(hashed.astype(np.uint64))
+    return np.stack([state[2 * k] | state[2 * k + 1] << np.uint64(32) for k in range(4)], axis=1)
+
+
+def _pcg64_state(words: np.ndarray) -> dict:
+    """The state PCG64 seeds from a SeedSequence's four uint64 words (a row
+    of ``_child_states``), as pcg_setseq_128_srandom_r sets it."""
+    hi, lo, seq_hi, seq_lo = words.tolist()
+    inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+    state = ((inc + (hi << 64 | lo)) * _PCG_MULT + inc) & _MASK128
+    return {
+        "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+        "has_uint32": 0, "uinteger": 0,
+    }
+
+
 def _draw_scales(prior: PriorSpecification, mu_wx: float, n: int, n_comp: int, seed):
     """Variance scales W (n, C) and drawn population means (n,) of one law,
     read from the start of the scale stream ``seed``."""
@@ -346,49 +453,69 @@ def _linear_kernel(times: np.ndarray, lam: float) -> np.ndarray:
     return np.minimum.outer(times, times) + lam * sums
 
 
-def _monthly_blocks(prior, factor_t, root, n, cells):
+#: A drawer of the ensemble engine (``_monthly_blocks`` or
+#: ``_observed_blocks``): the standard normals one realization draws, the
+#: elements of its local-walk noise, and ``lane(block)``, which allocates
+#: one lane's buffers for ``block`` realizations and returns the lane's
+#: block function ``draw(i0, b)``.  That draws realizations i0 .. i0 + b - 1
+#: into those buffers and returns their unit walk (b, L, n_obs), scaled
+#: eps_y (b, L, n_obs), unit linear part (b, n_obs), unit target linear part
+#: (b, n_tgt) and unit target min-effect (b, n_tgt) or 0.
+_Drawer = namedtuple("_Drawer", "normals walk_elements lane")
+
+
+def _monthly_blocks(prior, factor_t, seeds, cells) -> _Drawer:
     """The monthly drawer: every month of every component and location.
 
     Realization i fills eps_alpha (T, C), eps_x (T, C), the local walk noise
     (T, C, L) and eps_y at the observed cells (n_obs, L) from child i of
-    ``root``.  Yields (rows, unit walk (b, L, n_obs), scaled eps_y
-    (b, L, n_obs), unit linear part (b, n_obs), unit target linear part
-    (b, n_tgt), unit target min-effect (b, n_tgt) or 0) per block.
+    the pass's seed, started at ``seeds[i]`` (``_child_states``).
     """
     obs_t, obs_c, tgt_t, tgt_c = cells.obs_t, cells.obs_c, cells.tgt_t, cells.tgt_c
     is_alpha, is_zmin, horizon = cells.is_alpha, cells.is_zmin, cells.horizon
     n_comp, l_cnt = factor_t.shape[0], prior.locations_per_component
     dist, dof = prior.noise_dist, prior.t_dof
     root_lam, root_y = math.sqrt(prior.hyper.lam), math.sqrt(prior.sigma_y)
-    block = max(1, BLOCK_ELEMENTS // (horizon * n_comp * l_cnt))
-    za = np.empty((block, horizon, n_comp))
-    zx = np.empty((block, horizon, n_comp))
-    zr = np.empty((block, horizon, n_comp, l_cnt))
-    zy = np.empty((len(obs_t), l_cnt))
-    eps = np.empty((block, l_cnt, len(obs_t)))
     # flat offsets of the observed cells' walks in one realization, location-major
     gather = ((obs_t - 1) * n_comp + obs_c) * l_cnt + np.arange(l_cnt)[:, None]
-    for i0 in range(0, n, block):
-        b = min(block, n - i0)
-        for j in range(b):
-            rng = np.random.default_rng(_child(root, i0 + j))
-            for buf in (za[j], zx[j], zr[j], zy):
-                _fill_noise(rng, buf, dist, dof)
-            eps[j] = zy.T
-        # unit-scale paths: with W_c the law's variance scale,
-        # alpha_t - alpha0 = sqrt(W_c) a_std and x_t - x0 - alpha0 t = sqrt(W_c) x_std
-        a_std = np.cumsum(za[:b] @ factor_t, axis=1)
-        a_std *= root_lam
-        x_std = np.cumsum(a_std, axis=1)
-        x_std += np.cumsum(zx[:b] @ factor_t, axis=1)
-        walk = np.cumsum(zr[:b], axis=1, out=zr[:b])
-        obs_walk = np.take(walk.reshape(b, -1), gather, axis=1)
-        eps[:b] *= root_y
-        tgt_lin = np.where(is_alpha, a_std[:, tgt_t - 1, tgt_c], x_std[:, tgt_t - 1, tgt_c])
-        tgt_min = 0.0
-        if is_zmin.any():
-            tgt_min = np.where(is_zmin, walk.min(axis=-1)[:, tgt_t - 1, tgt_c], 0.0)
-        yield slice(i0, i0 + b), obs_walk, eps[:b], x_std[:, obs_t - 1, obs_c], tgt_lin, tgt_min
+    parts = (horizon * n_comp, horizon * n_comp, horizon * n_comp * l_cnt)
+    normals = sum(parts) + len(obs_t) * l_cnt
+
+    def lane(block):
+        # one row of noise per realization, filled by one call: eps_alpha,
+        # eps_x, the walk noise and eps_y in stream order, each a view
+        z = np.empty((block, normals))
+        za, zx, zr, zy = np.split(z, np.cumsum(parts), axis=1)
+        za = za.reshape(block, horizon, n_comp)
+        zx = zx.reshape(block, horizon, n_comp)
+        zr = zr.reshape(block, horizon, n_comp, l_cnt)
+        eps = np.empty((block, l_cnt, len(obs_t)))
+        bitgen = np.random.PCG64(0)
+        rng = np.random.Generator(bitgen)
+
+        def draw(i0, b):
+            for j in range(b):
+                bitgen.state = _pcg64_state(seeds[i0 + j])
+                _fill_noise(rng, z[j], dist, dof)
+            eps[:b] = zy[:b].reshape(b, len(obs_t), l_cnt).transpose(0, 2, 1)
+            # unit-scale paths: with W_c the law's variance scale,
+            # alpha_t - alpha0 = sqrt(W_c) a_std and x_t - x0 - alpha0 t = sqrt(W_c) x_std
+            a_std = np.cumsum(za[:b] @ factor_t, axis=1)
+            a_std *= root_lam
+            x_std = np.cumsum(a_std, axis=1)
+            x_std += np.cumsum(zx[:b] @ factor_t, axis=1)
+            walk = np.cumsum(zr[:b], axis=1, out=zr[:b])
+            obs_walk = np.take(walk.reshape(b, -1), gather, axis=1)
+            eps[:b] *= root_y
+            tgt_lin = np.where(is_alpha, a_std[:, tgt_t - 1, tgt_c], x_std[:, tgt_t - 1, tgt_c])
+            tgt_min = 0.0
+            if is_zmin.any():
+                tgt_min = np.where(is_zmin, walk.min(axis=-1)[:, tgt_t - 1, tgt_c], 0.0)
+            return obs_walk, eps[:b], x_std[:, obs_t - 1, obs_c], tgt_lin, tgt_min
+
+        return draw
+
+    return _Drawer(normals, parts[2], lane)
 
 
 def _gap_walk(obs_t, obs_c):
@@ -416,32 +543,50 @@ def _gap_walk(obs_t, obs_c):
     return walk
 
 
-def _observed_blocks(prior, pi, root, n, cells):
+def _observed_blocks(prior, pi, seeds, cells) -> _Drawer:
     """The observed-cell drawer, for Gaussian noise and no targets: child i
-    of ``root`` fills realization i with standard normals (1 + 2L, n_obs)
+    of the pass's seed, started at ``seeds[i]`` (``_child_states``), fills
+    realization i with standard normals (1 + 2L, n_obs)
     at the observed cells, whose first row becomes the unit linear part
     through one factor of its covariance, the next L rows each location's
-    walk (``_gap_walk``) and the last L rows eps_y.  Yields blocks as
-    ``_monthly_blocks``."""
+    walk (``_gap_walk``) and the last L rows eps_y."""
     factor_t = _correlation_factor(_unit_linear_cov(pi, prior.hyper.lam, cells)).T
     n_obs, l_cnt = len(cells.obs_t), prior.locations_per_component
     gap_walk = _gap_walk(cells.obs_t, cells.obs_c)
     root_y = math.sqrt(prior.sigma_y)
-    block = max(1, BLOCK_ELEMENTS // max(1, l_cnt * n_obs))
-    z = np.empty((block, 1 + 2 * l_cnt, n_obs))
-    for i0 in range(0, n, block):
-        b = min(block, n - i0)
-        for j in range(b):
-            np.random.default_rng(_child(root, i0 + j)).standard_normal(out=z[j])
-        eps = z[:b, 1 + l_cnt :]
-        eps *= root_y
-        # a (1, n_obs) product per realization: a matrix product over the
-        # block would round differently for different block sizes
-        lin = (z[:b, :1] @ factor_t)[:, 0]
-        yield slice(i0, i0 + b), gap_walk(z[:b, 1 : 1 + l_cnt]), eps, lin, np.empty((b, 0)), 0.0
+
+    def lane(block):
+        z = np.empty((block, 1 + 2 * l_cnt, n_obs))
+        bitgen = np.random.PCG64(0)
+        rng = np.random.Generator(bitgen)
+
+        def draw(i0, b):
+            for j in range(b):
+                bitgen.state = _pcg64_state(seeds[i0 + j])
+                rng.standard_normal(out=z[j])
+            eps = z[:b, 1 + l_cnt :]
+            eps *= root_y
+            # a (1, n_obs) product per realization: a matrix product over the
+            # block would round differently for different block sizes
+            lin = (z[:b, :1] @ factor_t)[:, 0]
+            return gap_walk(z[:b, 1 : 1 + l_cnt]), eps, lin, np.empty((b, 0)), 0.0
+
+        return draw
+
+    return _Drawer((1 + 2 * l_cnt) * n_obs, l_cnt * n_obs, lane)
 
 
-def _ensemble(prior, topology, cells, laws, n, seed, monthly=False):
+def _lane_count(normals: int, blocks: int) -> int:
+    """The ensemble's lanes: one when a realization draws fewer than
+    ``LANE_MIN_NORMALS`` standard normals, else one per CPU this process
+    may run on, at most one per block."""
+    if normals < LANE_MIN_NORMALS:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, blocks))
+
+
+def _ensemble(prior, topology, cells, laws, n, seed, take, monthly=False):
     """The ensemble engine: n realizations of each law (sigma_r, mu_wx) of
     ``laws`` at the observed cells and targets ``cells``, drawn once in
     blocks and rescaled per law.
@@ -451,11 +596,18 @@ def _ensemble(prior, topology, cells, laws, n, seed, monthly=False):
     monthly drawer runs when there are targets, when ``monthly`` is set or
     when the noise is Student-t; the observed-cell drawer runs otherwise.
 
+    The blocks run in lanes (``_lane_count``): lane k draws blocks k, k + K,
+    ... on its own thread, lane 0 on the caller's, into buffers allocated
+    here for ``BLOCK_ELEMENTS // K`` walk elements each.  Per block and law
+    it calls ``take(law index, rows, observations (b, n_obs), local
+    min-effects (b, n_obs), targets (b, n_tgt))``, the observations and
+    targets minus their prior trend, from the lane's thread: ``take`` may
+    write only those rows of what it fills.  Every lane is joined before
+    the call returns; the first lane to fail stops the others and its
+    exception is raised here.
+
     Returns the laws' variance scales, one (W (n, C), drawn population means
-    (n,)) pair per law, and a generator yielding, per block and law, (law
-    index, rows, observations (b, n_obs), local min-effects (b, n_obs),
-    targets (b, n_tgt)); the observations and targets are minus their prior
-    trend.
+    (n,)) pair per law.
     """
     root = _as_seedseq(seed)
     drawn = {
@@ -463,28 +615,51 @@ def _ensemble(prior, topology, cells, laws, n, seed, monthly=False):
         for mu in dict.fromkeys(mu for _, mu in laws)
     }
     pi = build_correlation(topology, prior.corr)
+    seeds = _child_states(root, n)
     if monthly or len(cells.tgt_c) or prior.noise_dist != "gaussian":
-        drawer = _monthly_blocks(prior, _correlation_factor(pi).T, root, n, cells)
+        drawer = _monthly_blocks(prior, _correlation_factor(pi).T, seeds, cells)
     else:
-        drawer = _observed_blocks(prior, pi, root, n, cells)
+        drawer = _observed_blocks(prior, pi, seeds, cells)
+    walk_elements = max(1, drawer.walk_elements)
+    lanes = _lane_count(drawer.normals, -(-n // max(1, BLOCK_ELEMENTS // walk_elements)))
+    block = min(n, max(1, BLOCK_ELEMENTS // lanes // walk_elements))
+    noisy_shape = (block, prior.locations_per_component, len(cells.obs_t))
+    buffers = [(drawer.lane(block), np.empty(noisy_shape)) for _ in range(lanes)]
+    failed = []
 
-    def blocks():
-        noisy = np.empty(0)
-        for rows, walk, eps, lin, tgt_lin, tgt_min in drawer:
-            if noisy.shape != walk.shape:
-                noisy = np.empty(walk.shape)
-            for k, (sr, mu) in enumerate(laws):
-                np.multiply(walk, math.sqrt(sr), out=noisy)
-                noisy += eps
-                # location-major, so the min runs over whole (b, n_obs) slices
-                mo = noisy.min(axis=1)
-                root_w = np.sqrt(drawn[mu][0][rows])
-                yield (
-                    k, rows, root_w[:, cells.obs_c] * lin + mo, mo,
-                    root_w[:, cells.tgt_c] * tgt_lin + math.sqrt(sr) * tgt_min,
-                )
+    def run(lane):
+        draw, noisy = buffers[lane]
+        try:
+            for i0 in range(lane * block, n, lanes * block):
+                if failed:
+                    return
+                b = min(block, n - i0)
+                rows = slice(i0, i0 + b)
+                walk, eps, lin, tgt_lin, tgt_min = draw(i0, b)
+                for k, (sr, mu) in enumerate(laws):
+                    np.multiply(walk, math.sqrt(sr), out=noisy[:b])
+                    noisy[:b] += eps
+                    # location-major, so the min runs over whole (b, n_obs) slices
+                    mo = noisy[:b].min(axis=1)
+                    root_w = np.sqrt(drawn[mu][0][rows])
+                    take(
+                        k, rows, root_w[:, cells.obs_c] * lin + mo, mo,
+                        root_w[:, cells.tgt_c] * tgt_lin + math.sqrt(sr) * tgt_min,
+                    )
+        except BaseException as exc:  # raised again on the calling thread
+            failed.append(exc)
 
-    return [drawn[mu] for _, mu in laws], blocks()
+    threads = [threading.Thread(target=run, args=(lane,)) for lane in range(1, lanes)]
+    for thread in threads:
+        thread.start()
+    try:
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if failed:
+        raise failed[0]
+    return [drawn[mu] for _, mu in laws]
 
 
 def _cov(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -554,19 +729,23 @@ def estimate_moments(
     cells = _cells(prior, topology, design)
     if scheme is not None:
         scheme.check_design(cells.points)
-    # a scheme pass keeps the monthly drawer's streams for its Dbar moments
-    (scales,), blocks = _ensemble(prior, topology, cells, [law], n, seed, scheme is not None)
     y = np.empty((n, len(cells.points)))
     if scheme is not None:
         m = np.empty_like(y)
-        for _, rows, y_b, m_b, _ in blocks:
+
+        def take(_, rows, y_b, m_b, _t):
             y[rows], m[rows] = y_b, m_b
+
+        # a scheme pass keeps the monthly drawer's streams for its Dbar moments
+        (scales,) = _ensemble(prior, topology, cells, [law], n, seed, take, monthly=True)
         comp_idx = {c: i for i, c in enumerate(topology.components)}
         e_w = quadrature.scale_moments(prior.hyper.with_mean(law[1]), prior.w_dist)[0]
         return _dbar_moments(scheme, comp_idx, y, m, *scales, prior.hyper, e_w)
 
-    for _, rows, y_b, _, _ in blocks:
+    def take(_, rows, y_b, _m, _t):
         y[rows] = y_b
+
+    _ensemble(prior, topology, cells, [law], n, seed, take)
     e_y = y.mean(axis=0)
     # centered in place: the raw values are not read again
     y -= e_y

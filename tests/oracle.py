@@ -121,11 +121,13 @@ def ensemble_moments(prior, topology, design, targets, n_realizations, seed, law
     laws = [(float(sr), float(mu)) for sr, mu in laws]
     targets, n = tuple(targets), n_realizations
     cells = simulate._cells(prior, topology, design, targets)
-    _, blocks = simulate._ensemble(prior, topology, cells, laws, n, seed)
     y = [np.empty((n, len(cells.points))) for _ in laws]
     tv = [np.empty((n, len(targets))) for _ in laws]
-    for k, rows, y_b, _, t_b in blocks:
+
+    def take(k, rows, y_b, _m, t_b):
         y[k][rows], tv[k][rows] = y_b, t_b
+
+    simulate._ensemble(prior, topology, cells, laws, n, seed, take)
     out = []
     for yc, tc in zip(y, tv):
         e_y, e_t = yc.mean(axis=0), tc.mean(axis=0)

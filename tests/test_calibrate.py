@@ -150,9 +150,16 @@ def test_estimator_study_equals_a_per_replicate_reference_loop(
     # W_c held at the truth, here drawn one realization per block
     known = make_prior(topo16, sigma_wx=0.0, gamma_wx=0.0)
     monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 1)
-    ((w_x, _),), blocks = simulate._ensemble(
-        known, topo16, simulate._cells(known, topo16, design16),
-        [(truth["true_sigma_r"], truth["true_mu_wx"])], reps, data_seed,
+    cells = simulate._cells(known, topo16, design16)
+    rows = np.empty((reps, len(cells.points)))
+
+    def take(_, block_rows, y, _m, _t):
+        assert len(y) == 1
+        rows[block_rows] = y
+
+    ((w_x, _),) = simulate._ensemble(
+        known, topo16, cells, [(truth["true_sigma_r"], truth["true_mu_wx"])], reps, data_seed,
+        take,
     )
     assert np.all(w_x == truth["true_mu_wx"])
     # the engine's rows are minus the prior trend, which the study never adds
@@ -163,7 +170,7 @@ def test_estimator_study_equals_a_per_replicate_reference_loop(
         for c, t in design16.design_points()
     ])
     expected, floor_events = [], 0
-    for _, _, (row,), _, _ in blocks:
+    for row in rows:
         dbar = varlearn.compute_dbar(design16.with_values(row + trend), scheme)
         est = float(linalg.adjusted_expectation(prior_pair, data_pair, cross, dbar)[0])
         if est < 1e-12:
@@ -181,16 +188,26 @@ def test_estimator_study_equals_a_per_replicate_reference_loop(
 
 def test_estimator_study_does_not_depend_on_the_block_size(topo16, design16, prior16, monkeypatch):
     blocks = []
-    drawer = simulate._observed_blocks
-    monkeypatch.setattr(
-        simulate, "_observed_blocks", lambda *a: (blocks.append(1) or b for b in drawer(*a))
-    )
+    observed = simulate._observed_blocks
+
+    def counted(*args):
+        # each block's size, appended by whichever lane draws it
+        drawer = observed(*args)
+
+        def lane(block):
+            draw = drawer.lane(block)
+            return lambda i0, b: blocks.append(b) or draw(i0, b)
+
+        return drawer._replace(lane=lane)
+
+    monkeypatch.setattr(simulate, "_observed_blocks", counted)
 
     def run():
         blocks.clear()
         estimates = estimator_study(
             prior16, topo16, design16, 0.01, 0.01, replicates=250, seed=31, n_realizations=250
         ).estimates
+        assert sum(blocks) == 250
         return len(blocks), estimates
 
     n_default, default = run()

@@ -370,15 +370,16 @@ def test_validate_writes_the_prior_report_of_analyze(tmp_path):
         ), noise
 
 
-def _imported_modules(args, prefix):
+def _imported_modules(args, *prefixes):
     """Run the command line in a fresh interpreter; the sorted names of the
-    loaded modules under ``prefix``."""
+    loaded modules under any of ``prefixes``."""
+    under = tuple(prefix + "." for prefix in prefixes)
     script = (
         "import sys\n"
         "from corrobayes import cli\n"
         f"code = cli.main({args!r})\n"
         "assert code == 0, code\n"
-        f"print(sorted(m for m in sys.modules if (m + '.').startswith({prefix + '.'!r})))\n"
+        f"print(sorted(m for m in sys.modules if (m + '.').startswith({under!r})))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run(
@@ -401,13 +402,15 @@ def test_analysis_imports_no_scipy(tmp_path):
 
 
 def test_simulate_study_imports_no_numpy_ma(tmp_path):
-    # np.quantile imports numpy.ma on its first call, about 17 ms
+    # np.quantile imports numpy.ma on its first call, about 17 ms; the
+    # ensemble's lanes are threading threads (numpy imports threading), and
+    # importing concurrent.futures takes about 7 ms
     config = _write_workspace(tmp_path, inspections=False)
     args = [
         "simulate-study", "--config", str(config), "--out", str(tmp_path / "study"),
         "--true-wx", "0.01", "--true-sigr", "0.0064", "--replicates", "20", "--realizations", "50",
     ]
-    assert _imported_modules(args, "numpy.ma") == "[]"
+    assert _imported_modules(args, "numpy.ma", "concurrent", "multiprocessing") == "[]"
 
 
 def _instrumented_analysis(tmp_path, monkeypatch):
@@ -493,11 +496,15 @@ def test_prior_bands_lie_within_monte_carlo_error_of_ensemble_percentiles(tmp_pa
     trend = prior.x0[comp] + prior.alpha0[comp] * months
     n = 20000
     cells = simulate._cells(prior, topology, simulate.forecast_extend(rc.dataset, 6), targets)
-    _, blocks = simulate._ensemble(
-        prior, topology, cells, [(prior.sigma_r, prior.hyper.mu_wx)], n, seed=11
-    )
     edges = np.array([[row[2] for row in rows], [row[4] for row in rows]]) - trend
-    below = sum((t_b[:, None] < edges).sum(axis=0) for _, _, _, _, t_b in blocks)
+    # each block's counts under its own first row, summed once every lane is done
+    counts = {}
+
+    def take(_, block_rows, _y, _m, t_b):
+        counts[block_rows.start] = (t_b[:, None] < edges).sum(axis=0)
+
+    simulate._ensemble(prior, topology, cells, [(prior.sigma_r, prior.hyper.mu_wx)], n, 11, take)
+    below = sum(counts.values())
     p = np.array([[0.025], [0.975]])
     z = (below / n - p) / np.sqrt(p * (1 - p) / n)
     assert np.abs(z).max() < 4.0, np.abs(z).max()

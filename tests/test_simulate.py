@@ -1,5 +1,8 @@
 """Forward simulation and ensemble moment estimation."""
 
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -143,8 +146,13 @@ def test_expected_dbar_matches_simulation_within_monte_carlo_error(topo16):
         # the Dbar rows of the ensemble those moments were taken from
         law = [(prior.sigma_r, prior.hyper.mu_wx)]
         cells = simulate._cells(prior, topo16, design)
-        _, blocks = simulate._ensemble(prior, topo16, cells, law, 6000, 9, monthly=True)
-        mean = np.concatenate([scheme(y) for _, _, y, _, _ in blocks]).mean(axis=0)
+        dvec = np.empty((6000, len(scheme.components)))
+
+        def take(_, rows, y, _m, _t):
+            dvec[rows] = scheme(y)
+
+        simulate._ensemble(prior, topo16, cells, law, 6000, 9, take, monthly=True)
+        mean = dvec.mean(axis=0)
         assert np.all(np.abs(mean - expect) <= 3 * se), w_dist
 
 
@@ -288,6 +296,163 @@ def test_one_law_call_equals_its_slice_of_a_multi_law_call(topo16, design16, pri
             assert np.array_equal(_field(one, name), _field(est, name)), name
 
 
+def _ensemble_rows(prior, topology, design, targets, laws, n, seed):
+    """Every row ``simulate._ensemble`` hands to its ``take``: per law, the
+    (n, n_obs) observations and min-effects and the (n, n_tgt) targets."""
+    cells = simulate._cells(prior, topology, design, targets)
+    widths = (len(cells.points), len(cells.points), len(cells.tgt_t))
+    rows = [[np.full((n, w), np.nan) for w in widths] for _ in laws]
+
+    def take(k, block_rows, *values):
+        for out, value in zip(rows[k], values):
+            out[block_rows] = value
+
+    simulate._ensemble(prior, topology, cells, laws, n, seed, take)
+    return rows
+
+
+def test_ensemble_rows_do_not_depend_on_the_lanes_or_the_block_size(
+    topo16, design16, prior16, monkeypatch
+):
+    # a stress test: lanes switch threads as often as the interpreter lets
+    # them, for a few seconds; a lane that wrote another's rows, or a block
+    # whose arithmetic depended on its size or lane, would change a bit
+    student = make_prior(topo16, noise_dist="student_t", t_dof=6.0)
+    targets = [
+        ("zmin", topo16.components[0], 30), ("x", topo16.components[5], 12),
+        ("alpha", topo16.components[9], 40),
+    ]
+    laws = [(0.0064, 0.01), (0.0256, 0.004)]
+    # the observed-cell drawer, then the monthly drawer under either noise law
+    cases = [(prior16, ()), (prior16, targets), (student, targets)]
+    lanes = {"k": 1}
+    monkeypatch.setattr(simulate, "_lane_count", lambda normals, blocks: lanes["k"])
+    default_block = simulate.BLOCK_ELEMENTS
+    reference = [_ensemble_rows(p, topo16, design16, tg, laws, 120, 8) for p, tg in cases]
+    for rows in reference:
+        assert not any(np.isnan(part).any() for law in rows for part in law)
+    interval = sys.getswitchinterval()
+    deadline = time.monotonic() + 3.0
+    runs = 0
+    sys.setswitchinterval(1e-6)
+    try:
+        while runs == 0 or time.monotonic() < deadline:
+            for (prior, tg), want in zip(cases, reference):
+                for k in (1, 2, 5):
+                    # default blocks (several per lane) and one realization per block
+                    for block in (default_block, 1):
+                        lanes["k"] = k
+                        monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", block)
+                        got = _ensemble_rows(prior, topo16, design16, tg, laws, 120, 8)
+                        for law_got, law_want in zip(got, want):
+                            for part_got, part_want in zip(law_got, law_want):
+                                assert np.array_equal(part_got, part_want), (prior.noise_dist, k, block)
+                        runs += 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs >= 18
+
+
+class _LaneFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("where", ["fill", "take"])
+@pytest.mark.parametrize("failing", [1, 7])
+def test_a_failing_lane_raises_its_error_on_the_caller_and_no_lane_outlives_the_call(
+    topo16, design16, prior16, monkeypatch, where, failing
+):
+    # three lanes of blocks of three: realization 1 is lane 0's (the
+    # caller's thread), realization 7 lane 2's
+    monkeypatch.setattr(simulate, "_lane_count", lambda normals, blocks: 3)
+    monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 9 * 40 * 16 * 10)
+    cells = simulate._cells(prior16, topo16, design16, [("x", topo16.components[0], 5)])
+    laws = [(prior16.sigma_r, prior16.hyper.mu_wx)]
+    before = threading.active_count()
+    seen = []
+    simulate._ensemble(prior16, topo16, cells, laws, 20, 3, lambda _, rows, *v: seen.append(rows))
+    assert sorted(rows.start for rows in seen) == list(range(0, 20, 3))
+    assert threading.active_count() == before
+
+    def take(_, rows, *values):
+        if where == "take" and rows.start <= failing < rows.stop:
+            raise _LaneFailure(f"realization {failing}")
+
+    fill = simulate._fill_noise
+    # the failing realization's generator, as its fill finds it
+    start = np.random.default_rng(simulate._child(simulate._as_seedseq(3), failing))
+
+    def failing_fill(rng, out, dist, dof):
+        if where == "fill" and rng.bit_generator.state == start.bit_generator.state:
+            raise _LaneFailure(f"realization {failing}")
+        fill(rng, out, dist, dof)
+
+    monkeypatch.setattr(simulate, "_fill_noise", failing_fill)
+    with pytest.raises(_LaneFailure, match=f"^realization {failing}$"):
+        simulate._ensemble(prior16, topo16, cells, laws, 20, 3, take)
+    assert threading.active_count() == before
+
+
+def test_lanes_share_one_block_of_noise(topo16, prior16, monkeypatch):
+    # 174 observations: 3,654 normals a realization, above the crossover
+    design = small_irregular_design(topo16, horizon=40, visits=11)
+    cells = simulate._cells(prior16, topo16, design)
+    walk = prior16.locations_per_component * len(cells.points)
+    assert simulate.LANE_MIN_NORMALS <= (1 + 2 * prior16.locations_per_component) * len(cells.points)
+    sizes = []
+    observed = simulate._observed_blocks
+
+    def counted(*args):
+        drawer = observed(*args)
+        return drawer._replace(lane=lambda block: sizes.append(block) or drawer.lane(block))
+
+    monkeypatch.setattr(simulate, "_observed_blocks", counted)
+    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    law = [(prior16.sigma_r, prior16.hyper.mu_wx)]
+    simulate._ensemble(prior16, topo16, cells, law, 1000, 3, lambda *a: None)
+    assert sizes == [simulate.BLOCK_ELEMENTS // 3 // walk] * 3
+    # no more lanes than blocks, and one below the crossover
+    sizes.clear()
+    simulate._ensemble(prior16, topo16, cells, law, 2 * (simulate.BLOCK_ELEMENTS // walk), 3,
+                       lambda *a: None)
+    assert sizes == [simulate.BLOCK_ELEMENTS // 2 // walk] * 2
+    sizes.clear()
+    monkeypatch.setattr(simulate, "LANE_MIN_NORMALS", 10**9)
+    simulate._ensemble(prior16, topo16, cells, law, 1000, 3, lambda *a: None)
+    assert sizes == [simulate.BLOCK_ELEMENTS // walk]
+
+
+@pytest.mark.parametrize("root", [np.random.SeedSequence(1234, spawn_key=(5, 2)), 77],
+                         ids=["spawned", "int"])
+def test_child_i_is_the_ith_spawned_seed_sequence(root):
+    # every realization reads its own child stream, whichever lane draws it
+    for i in (0, 1, 6, 1000):
+        want = simulate._as_seedseq(root).spawn(i + 1)[i].generate_state(4, np.uint64)
+        got = simulate._child(simulate._as_seedseq(root), i).generate_state(4, np.uint64)
+        assert np.array_equal(got, want), i
+
+
+@pytest.mark.parametrize("root", [
+    np.random.SeedSequence(1234, spawn_key=(5, 2)), np.random.SeedSequence(3).spawn(2)[1],
+    np.random.SeedSequence(2**70 + 9, spawn_key=(2**33 + 1,)), np.random.SeedSequence([1, 2, 3, 4, 5]),
+    np.random.SeedSequence(0), np.random.SeedSequence(7, pool_size=8), np.random.SeedSequence(),
+], ids=["spawned", "run-seed", "wide-words", "long-entropy", "zero", "pool-8", "os-entropy"])
+def test_child_states_start_each_realization_where_its_child_stream_starts(root):
+    # the engine reseeds one generator per lane instead of building a
+    # SeedSequence per realization; the words, the state and the draws are
+    # the child's
+    states = simulate._child_states(root, 1200)
+    assert states.shape == (1200, 4)
+    bitgen = np.random.PCG64(0)
+    for i in (0, 1, 2, 7, 255, 256, 1199):
+        want = simulate._child(root, i).generate_state(4, np.uint64)
+        assert np.array_equal(states[i], want), i
+        child = np.random.default_rng(simulate._child(root, i))
+        bitgen.state = simulate._pcg64_state(states[i])
+        assert bitgen.state == child.bit_generator.state, i
+        assert np.array_equal(np.random.Generator(bitgen).standard_normal(5), child.standard_normal(5))
+
+
 def test_variance_scales_are_drawn_once_per_distinct_mean(topo16, design16, prior16, monkeypatch):
     drawn = []
     draw_scales = simulate._draw_scales
@@ -298,7 +463,9 @@ def test_variance_scales_are_drawn_once_per_distinct_mean(topo16, design16, prio
 
     monkeypatch.setattr(simulate, "_draw_scales", counted)
     laws = [(0.0016, 0.01), (0.0064, 0.03), (0.0256, 0.01), (0.0064, 0.01)]
-    simulate._ensemble(prior16, topo16, simulate._cells(prior16, topo16, design16), laws, 20, 3)
+    simulate._ensemble(
+        prior16, topo16, simulate._cells(prior16, topo16, design16), laws, 20, 3, lambda *a: None
+    )
     assert drawn == [0.01, 0.03]
 
 
