@@ -28,7 +28,7 @@ replicate's data: one set of Dbar moments (exact, as in the learning
 pass, from ``simulate.exact_dbar_moments``), one difference scheme and
 one factor of var(Dbar) for the adjustment.  Its replicates are the
 realizations of an ensemble at the true law, drawn by the same engine as
-every other ensemble (``simulate._ensemble``, in lanes on every CPU once a
+every other ensemble (``simulate._ensemble``, in up to two lanes once a
 replicate is large enough), written as their Dbar rows into one array,
 then adjusted together.
 """

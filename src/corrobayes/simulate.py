@@ -57,19 +57,23 @@ part by sqrt(W_c) drawn for that law's mu_wx from a separate scale stream
 that all laws share.  The walk and eps_y are held location-major, so the
 minimum over locations runs over whole slices.
 
-The engine runs its blocks in K lanes, K the CPUs the process may run on
-and at most the block count: lane k draws blocks k, k + K, ... on its own
-thread, lane 0 on the caller's, so the lanes overlap the normal fills and
-the blocks' array work, during which numpy releases the interpreter lock.
-Realization i reads child i of the pass's seed whichever lane draws it,
-and every block step is arithmetic per realization, so no value depends on
-K or on the block size.  Each lane reseeds one generator per realization
-at the PCG64 state child i starts from, hashed for all n children at once
-(``_child_states``): a SeedSequence per realization cost about 15 us under
-the lock, the reseed costs about 2.  Below ``LANE_MIN_NORMALS`` standard
-normals per realization the engine runs one lane and starts no thread:
-there the lanes' contention for the lock over reseeding and the blocks'
-Python steps costs more than they overlap.  The lanes split one block's noise budget
+The engine runs its blocks in K lanes, K the CPUs the process may run on,
+at most ``MAX_LANES`` and at most the block count: each lane, on its own
+thread (lane 0 on the caller's), draws the next block no lane has claimed,
+so the lanes overlap the normal fills and the blocks' array work, during
+which numpy releases the interpreter lock, and a lane slowed by another
+process on its CPU draws fewer blocks instead of holding up the call (a
+fixed split, lane k drawing blocks k, k + K, ..., lost to one thread when
+the machine was busy).  Realization i reads child i of the pass's seed
+whichever lane draws it, and every block step is arithmetic per
+realization, so no value depends on K or on the block size.  Each lane
+reseeds one generator per realization at the PCG64 state child i starts
+from, hashed for all n children at once (``_child_states``): a
+SeedSequence per realization cost about 15 us under the lock, the reseed
+costs about 2.  Below ``LANE_MIN_NORMALS`` standard normals per
+realization the engine runs one lane and starts no thread: there the
+lanes' contention for the lock over reseeding and the blocks' Python steps
+costs more than they overlap.  The lanes split one block's noise budget
 (``BLOCK_ELEMENTS``) in buffers the calling thread allocates, so the noise
 in flight does not grow with K.  Each lane hands each law's observations,
 local min-effects and targets of its block, minus the prior trend, to the
@@ -135,6 +139,12 @@ BLOCK_ELEMENTS = 2**16
 #: lanes lost at 672 normals (observed cells) and 554 (monthly), tied at 836
 #: (monthly) and won from 1,008 (observed cells) and 1,088 (monthly).
 LANE_MIN_NORMALS = 1000
+
+#: The most lanes the ensemble engine runs: two against one is what was
+#: timed, on a 2-CPU machine.  Each further lane would shrink every lane's
+#: block (``BLOCK_ELEMENTS // K``) and add to the per-block Python steps
+#: that hold the interpreter lock, and more lanes have not been timed.
+MAX_LANES = 2
 
 #: PCG64's multiplier and its 128-bit state's mask (``_pcg64_state``).
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -579,11 +589,11 @@ def _observed_blocks(prior, pi, seeds, cells) -> _Drawer:
 def _lane_count(normals: int, blocks: int) -> int:
     """The ensemble's lanes: one when a realization draws fewer than
     ``LANE_MIN_NORMALS`` standard normals, else one per CPU this process
-    may run on, at most one per block."""
+    may run on, at most ``MAX_LANES`` and one per block."""
     if normals < LANE_MIN_NORMALS:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(cpus or 1, blocks))
+    return max(1, min(cpus or 1, blocks, MAX_LANES))
 
 
 def _ensemble(prior, topology, cells, laws, n, seed, take, monthly=False):
@@ -596,15 +606,16 @@ def _ensemble(prior, topology, cells, laws, n, seed, take, monthly=False):
     monthly drawer runs when there are targets, when ``monthly`` is set or
     when the noise is Student-t; the observed-cell drawer runs otherwise.
 
-    The blocks run in lanes (``_lane_count``): lane k draws blocks k, k + K,
-    ... on its own thread, lane 0 on the caller's, into buffers allocated
-    here for ``BLOCK_ELEMENTS // K`` walk elements each.  Per block and law
+    The blocks run in lanes (``_lane_count``): each lane claims the next
+    undrawn block, on its own thread (lane 0 on the caller's), and draws it
+    into buffers allocated here for ``BLOCK_ELEMENTS // K`` walk elements.  Per block and law
     it calls ``take(law index, rows, observations (b, n_obs), local
     min-effects (b, n_obs), targets (b, n_tgt))``, the observations and
     targets minus their prior trend, from the lane's thread: ``take`` may
     write only those rows of what it fills.  Every lane is joined before
     the call returns; the first lane to fail stops the others and its
-    exception is raised here.
+    exception is raised here, and so does an interrupt that reaches the
+    caller while it waits for the lanes.
 
     Returns the laws' variance scales, one (W (n, C), drawn population means
     (n,)) pair per law.
@@ -625,13 +636,15 @@ def _ensemble(prior, topology, cells, laws, n, seed, take, monthly=False):
     block = min(n, max(1, BLOCK_ELEMENTS // lanes // walk_elements))
     noisy_shape = (block, prior.locations_per_component, len(cells.obs_t))
     buffers = [(drawer.lane(block), np.empty(noisy_shape)) for _ in range(lanes)]
-    failed = []
+    failed, starts, claim = [], iter(range(0, n, block)), threading.Lock()
 
     def run(lane):
         draw, noisy = buffers[lane]
         try:
-            for i0 in range(lane * block, n, lanes * block):
-                if failed:
+            while not failed:
+                with claim:
+                    i0 = next(starts, None)
+                if i0 is None:
                     return
                 b = min(block, n - i0)
                 rows = slice(i0, i0 + b)
@@ -656,7 +669,11 @@ def _ensemble(prior, topology, cells, laws, n, seed, take, monthly=False):
         run(0)
     finally:
         for thread in threads:
-            thread.join()
+            while thread.is_alive():
+                try:
+                    thread.join()
+                except BaseException as exc:  # an interrupt: stop the lanes, wait again
+                    failed.insert(0, exc)
     if failed:
         raise failed[0]
     return [drawn[mu] for _, mu in laws]

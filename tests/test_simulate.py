@@ -362,8 +362,8 @@ class _LaneFailure(Exception):
 def test_a_failing_lane_raises_its_error_on_the_caller_and_no_lane_outlives_the_call(
     topo16, design16, prior16, monkeypatch, where, failing
 ):
-    # three lanes of blocks of three: realization 1 is lane 0's (the
-    # caller's thread), realization 7 lane 2's
+    # three lanes of blocks of three; the failing realization raises on
+    # whichever lane claims its block
     monkeypatch.setattr(simulate, "_lane_count", lambda normals, blocks: 3)
     monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 9 * 40 * 16 * 10)
     cells = simulate._cells(prior16, topo16, design16, [("x", topo16.components[0], 5)])
@@ -393,6 +393,48 @@ def test_a_failing_lane_raises_its_error_on_the_caller_and_no_lane_outlives_the_
     assert threading.active_count() == before
 
 
+class _Interrupt(BaseException):
+    pass
+
+
+def test_an_interrupt_while_the_caller_waits_stops_every_lane(
+    topo16, design16, prior16, monkeypatch
+):
+    # three lanes of blocks of three; a lane thread holds its block until
+    # the caller, done with every other block, is interrupted in its first
+    # join
+    monkeypatch.setattr(simulate, "_lane_count", lambda normals, blocks: 3)
+    monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 9 * 40 * 16 * 10)
+    cells = simulate._cells(prior16, topo16, design16, [("x", topo16.components[0], 5)])
+    laws = [(prior16.sigma_r, prior16.hyper.mu_wx)]
+    caller, holding, interrupted = threading.current_thread(), threading.Event(), threading.Event()
+    seen = []
+
+    def take(_, rows, *values):
+        seen.append(rows.start)
+        if threading.current_thread() is caller:
+            holding.wait(10.0)
+        else:
+            holding.set()
+            interrupted.wait(10.0)
+
+    class Thread(threading.Thread):
+        def join(self, timeout=None):
+            if not interrupted.is_set():
+                interrupted.set()
+                raise _Interrupt
+            super().join(timeout)
+
+    monkeypatch.setattr(simulate.threading, "Thread", Thread)
+    before = threading.active_count()
+    with pytest.raises(_Interrupt):
+        simulate._ensemble(prior16, topo16, cells, laws, 20, 3, take)
+    assert threading.active_count() == before
+    assert holding.is_set() and interrupted.is_set()
+    # every block once
+    assert sorted(seen) == list(range(0, 20, 3))
+
+
 def test_lanes_share_one_block_of_noise(topo16, prior16, monkeypatch):
     # 174 observations: 3,654 normals a realization, above the crossover
     design = small_irregular_design(topo16, horizon=40, visits=11)
@@ -407,15 +449,19 @@ def test_lanes_share_one_block_of_noise(topo16, prior16, monkeypatch):
         return drawer._replace(lane=lambda block: sizes.append(block) or drawer.lane(block))
 
     monkeypatch.setattr(simulate, "_observed_blocks", counted)
-    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    cpus = [{0, 1}]
+    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: cpus[0], raising=False)
     law = [(prior16.sigma_r, prior16.hyper.mu_wx)]
     simulate._ensemble(prior16, topo16, cells, law, 1000, 3, lambda *a: None)
-    assert sizes == [simulate.BLOCK_ELEMENTS // 3 // walk] * 3
-    # no more lanes than blocks, and one below the crossover
-    sizes.clear()
-    simulate._ensemble(prior16, topo16, cells, law, 2 * (simulate.BLOCK_ELEMENTS // walk), 3,
-                       lambda *a: None)
     assert sizes == [simulate.BLOCK_ELEMENTS // 2 // walk] * 2
+    # no more lanes than MAX_LANES, than CPUs or than blocks, and one below
+    # the crossover
+    for cpus[0], n, lanes in [(set(range(8)), 1000, 2), ({0}, 1000, 1),
+                              ({0, 1}, simulate.BLOCK_ELEMENTS // walk, 1)]:
+        sizes.clear()
+        simulate._ensemble(prior16, topo16, cells, law, n, 3, lambda *a: None)
+        assert sizes == [min(n, simulate.BLOCK_ELEMENTS // lanes // walk)] * lanes, (cpus, n)
+    cpus[0] = {0, 1}
     sizes.clear()
     monkeypatch.setattr(simulate, "LANE_MIN_NORMALS", 10**9)
     simulate._ensemble(prior16, topo16, cells, law, 1000, 3, lambda *a: None)
