@@ -16,9 +16,11 @@ call, and each branch is that update on its own law's moments.
 
 The update goes through the structure of the target rows,
 row(c,t)[j] = A[c, c_j] kappa_t[j] + m(c,t)[j] (``simulate.ExactTargetRows``):
-month by month, the adjusted means and variances are read off R and
-P = R R', laid out as one (component, visit) tensor per visit count, and no
-row of cov(B,D) or of G = cov(B,D) R is formed but a short kind's.  What
+with R the root of var(Y)'s factor, month by month it forms that month's
+rows of G = cov(B,D) R as G_t = A K_t + M_t, K_t and M_t being kappa_t and
+the minimum's m_t summed over each component's observations of R, and reads
+the adjusted means and variances off them.  Only one month's rows of G are
+held at a time, and no row of cov(B,D) is formed but a short kind's.  What
 the adjustment diagnostics need of G is kept per kind: its rows when they
 are no more than G's columns, otherwise their Gram matrix G'G, built in
 closed form.
@@ -153,14 +155,15 @@ def _regather(moments: MomentEstimates, root: np.ndarray, code):
 
 class _VisitLayout:
     """The observations regrouped by their component's visit count, so that
-    P reads as one (component, visit) tensor per count: ``perm`` orders them
-    group by group, component-major and in time order within a group, and
-    ``groups`` holds each group's (observation slice, component slice,
-    visits) in that order.  ``comps`` are the observed components in that
-    order, ``offsets`` where each one's observations start, ``at`` each
-    reordered observation's position in ``comps``, ``position`` each
-    component's (-1 when it has no observation) and ``pairs`` the index
-    pairs of observations of one component, component by component."""
+    an (observations x k) array reads as one (component, visit, k) tensor
+    per count: ``perm`` orders them group by group, component-major and in
+    time order within a group, and ``groups`` holds each group's
+    (observation slice, component slice, visits) in that order.  ``comps``
+    are the observed components in that order, ``at`` each reordered
+    observation's position in ``comps``, ``position`` each component's (-1
+    when it has no observation) and ``pairs``, which ``_row_gram`` reads,
+    the index pairs of observations of one component, component by
+    component."""
 
     def __init__(self, obs_c: np.ndarray, n_comp: int):
         # a component's observations are consecutive in canonical order
@@ -175,7 +178,7 @@ class _VisitLayout:
         self.at = np.repeat(np.arange(len(visits)), visits)
         self.position = np.full(n_comp, -1)
         self.position[self.comps] = np.arange(len(visits))
-        self.offsets = offsets = np.append(0, np.cumsum(visits))
+        offsets = np.append(0, np.cumsum(visits))
         edges = np.append(np.flatnonzero(np.diff(visits, prepend=0)), len(visits))
         self.groups = [
             (slice(offsets[c0], offsets[c1]), slice(c0, c1), int(visits[c0]))
@@ -196,26 +199,22 @@ def adjust_from_moments(
 
     The update reads the structure of the rows,
     row(c,t)[j] = A[c, c_j] kappa_t[j] + m(c,t)[j] (``ExactTargetRows``).
-    With P = R R' from the factor's root, r = y - E(Y), U the observations'
-    component indicator and lin(c,t) = kappa_t o U A[c,:]' the row's linear
-    part, month by month and for each kernel (zmin and x share one, alpha
-    has its own):
+    With U the observations' component indicator, month by month and for
+    each kernel (zmin and x share one, alpha has its own) it forms
 
-        G z at (c,t) = A[c,:] K_t z + m(c,t) P r,
-        rowsum(G * G) at (c,t) = |S_t A[c,:]'|^2 + 2 m(c,t) P lin(c,t)
-                                 + m(c,t) P m(c,t)',
+        K_t = U' diag(kappa_t) R  and  M_t = U' diag(m_t) R,
 
-    with K_t = U' diag(kappa_t) R and S_t the triangular factor of a QR of
-    K_t', so that S_t'S_t = N_t = U' diag(kappa_t) P diag(kappa_t) U.  Read
-    off K_t and S_t, the linear parts keep the accuracy of forming G's rows;
-    as A[c,:] U'(kappa_t o P r) the mean shift lost a digit at platform
-    scale, and as the quadratic form A[c,:] N_t A[c,:]' the variance lost
-    about three on the full run, where the data pin a target down.  R and P
-    are read as one (component, visit) tensor per visit count
-    (``_VisitLayout``), and the largest arrays are (observations x
-    observations).  A short kind's rows of G are built for its diagnostics;
-    a tall kind's Gram matrix is R' (sum of its rows' outer products) R, in
-    closed form (``_row_gram``).
+    m_t[j] being m(c_j, t), and the month's rows of G,
+
+        G_t[(c,t)] = A[c,:] K_t, plus M_t[c] for a zmin target of an
+        observed component,
+
+    whose G_t z and rowsum(G_t * G_t) are the month's mean shifts and
+    resolved variances.  R is read as one (component, visit) tensor per
+    visit count (``_VisitLayout``).  A short kind's rows of G are built for
+    its diagnostics; a tall kind's Gram matrix is R' (sum of its rows' outer
+    products) R, in closed form (``_row_gram``), whose
+    (observations x observations) arrays are the largest.
 
     Without ``diagnose`` nothing is kept of G (``kind_rows`` is None), which
     saves a tall kind's Gram matrix."""
@@ -258,16 +257,11 @@ def adjust_from_moments(
 
 def _month_sums(ex, layout: _VisitLayout, a: np.ndarray, r: np.ndarray, z: np.ndarray):
     """G z and rowsum(G * G) of every target, month by month and kernel by
-    kernel (see ``adjust_from_moments``), with R in the visit layout."""
+    kernel, from each month's rows G_t = A[c,:] K_t + M_t (see
+    ``adjust_from_moments``), with R in the visit layout."""
     cells = ex.cells
-    p, pr = r @ r.T, r @ z
-    n, n_comp, starts = len(p), len(layout.comps), layout.offsets[:-1]
-    jj, kk = layout.pairs
-    p_own, pair_starts = p[jj, kk], np.flatnonzero(np.diff(layout.at[jj], prepend=-1))
-    # P o A[c_i, c_j], in place: (P o A[c_i, c_j]) kappa_t is P lin(c,t) at
-    # the observations of c
-    p *= a[layout.comps][np.ix_(layout.at, layout.at)]
-    k_t = np.empty((n_comp, r.shape[1]))  # K_t = U' diag(kappa_t) R
+    n, rank = r.shape
+    sums = np.empty((2, len(layout.comps), rank))  # K_t and M_t
     shift, resolved = np.zeros((2, len(cells.tgt_t)))
     per_month = list(_months(cells)) if n else []
     step = _month_step(n)
@@ -275,35 +269,28 @@ def _month_sums(ex, layout: _VisitLayout, a: np.ndarray, r: np.ndarray, z: np.nd
         chunk = per_month[i : i + step]
         months = np.array([t for _, t, _ in chunk])
         kappas = ex.kernel(months, np.array([alpha for *_, alpha in chunk]))[:, layout.perm]
-        # the minimum's m(c,t)[j] at every observation j of c, with its
-        # terms m P r and 2 m P lin; m P m' is added month by month
+        # the minimum's m(c,t)[j] at every observation j of c
         m = ex.minimum.cross(months[:, None], layout.perm)
-        m_shift = np.add.reduceat(m * pr, starts, axis=1)
-        m_res = np.add.reduceat(m * (kappas @ p), starts, axis=1)
-        m_res *= 2.0
-        for (idx, _, _), kappa, m_t, m_shift_t, m_res_t in zip(chunk, kappas, m, m_shift, m_res):
-            for o, c, v in layout.groups:
-                r_g = r[o].reshape(-1, v, r.shape[1])
-                k_t[c] = np.einsum("cvk,cv->ck", r_g, kappa[o].reshape(-1, v))
-            # A[c,:] N_t A[c,:]' as |S_t A[c,:]'|^2, S_t from a QR of K_t'
-            s = np.linalg.qr(k_t.T, mode="r")
-            a_t = a[cells.tgt_c[idx]]
-            shift[idx] = a_t @ (k_t @ z)
-            g = a_t @ s.T
-            resolved[idx] = np.einsum("ij,ij->i", g, g)
-            at = layout.position[cells.tgt_c[idx]]
+        for (idx, _, _), kappa, m_row in zip(chunk, kappas, m):
+            # K_t and M_t, one (component, visit) product per visit count
+            w = np.stack((kappa, m_row))
+            for o, cs, v in layout.groups:
+                w_g = w[:, o].reshape(2, -1, v).swapaxes(0, 1)
+                np.matmul(w_g, r[o].reshape(-1, v, rank), out=sums[:, cs].swapaxes(0, 1))
+            k_t, m_t = sums
+            c = cells.tgt_c[idx]
+            g = a[c] @ k_t
+            at = layout.position[c]
             mine = cells.is_zmin[idx] & (at >= 0)
-            if not mine.any():
-                continue
-            m_res_t += np.add.reduceat(m_t[jj] * p_own * m_t[kk], pair_starts)
-            shift[idx[mine]] += m_shift_t[at[mine]]
-            resolved[idx[mine]] += m_res_t[at[mine]]
+            g[mine] += m_t[at[mine]]
+            shift[idx] = g @ z
+            resolved[idx] = np.einsum("ij,ij->i", g, g)
     return shift, resolved
 
 
 def _month_step(n_obs: int) -> int:
     """Months per chunk of kernel rows: a chunk's (months x observations)
-    rows are at most an eighth of P's size."""
+    rows are at most an eighth of an (observations x observations) array."""
     return max(1, n_obs // 8)
 
 

@@ -8,7 +8,10 @@ Subcommands:
   diagnostics, emitting plot-ready delimited files.  Its prior check reads
   the moments of the without-learning adjustment branch.
 * ``simulate-study`` replicates the variance-learning estimator on synthetic
-  systems with known truth and reports its distribution.
+  systems with known truth and reports its distribution, on the design of
+  the config's ``inspections`` file.  Without that key it runs on
+  ``designs.reference_design(topology)``, which keeps its own 83-month
+  window, so the required ``horizon`` key is read but not used.
 * ``validate`` parses the inputs and emits the prior discrepancy report only,
   ``prior_discrepancy.csv`` as ``analyze`` writes it.
 

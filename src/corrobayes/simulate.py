@@ -463,6 +463,12 @@ def _linear_kernel(times: np.ndarray, lam: float) -> np.ndarray:
     return np.minimum.outer(times, times) + lam * sums
 
 
+def _kernel_diagonal(months: np.ndarray, lam: float) -> np.ndarray:
+    """k(t, t) = t + lam sums(t, t) at the given months: ``_linear_kernel``'s
+    diagonal, without the (months x months) array."""
+    return months + lam * _kernel_sums(months, months)[1]
+
+
 #: A drawer of the ensemble engine (``_monthly_blocks`` or
 #: ``_observed_blocks``): the standard normals one realization draws, the
 #: elements of its local-walk noise, and ``lane(block)``, which allocates
@@ -1007,9 +1013,7 @@ class ExactTargetRows:
         cells = self.cells
         tgt_t, is_alpha, is_zmin = cells.tgt_t[sl], cells.is_alpha[sl], cells.is_zmin[sl]
         min_mean, min_var = self.minimum.target(tgt_t)
-        var_lin_t = np.where(
-            is_alpha, self.lam * tgt_t, tgt_t + self.lam * _kernel_sums(tgt_t, tgt_t)[1]
-        )
+        var_lin_t = np.where(is_alpha, self.lam * tgt_t, _kernel_diagonal(tgt_t, self.lam))
         return (
             cells.trend_t[sl] + np.where(is_zmin, min_mean, 0.0),
             self.scale[0] * var_lin_t + np.where(is_zmin, min_var, 0.0),
@@ -1169,7 +1173,7 @@ def zmin_quantiles(prior: PriorSpecification, months, probs) -> np.ndarray:
     under the prior law (Gaussian noise), the same for every component:
     sqrt(W_c k(t,t)) Z + sqrt(sigma_r t) (M_L - e_L)."""
     months, back = np.unique(np.asarray(months, dtype=int), return_inverse=True)
-    scale = np.sqrt(np.diag(_linear_kernel(months, prior.hyper.lam)))
+    scale = np.sqrt(_kernel_diagonal(months, prior.hyper.lam))
     return quadrature.centered_quantiles(
         prior.hyper, prior.w_dist, prior.locations_per_component,
         scale, np.sqrt(prior.sigma_r * months), probs,

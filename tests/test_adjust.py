@@ -407,6 +407,9 @@ def _structured_case(name, topo16, design16):
     prior16 = make_prior(topo16)
     if name == "ragged":
         return _ragged_case(topo16, prior16)
+    if name == "ragged-student_t":
+        # several visit-count groups with a sampled minimum
+        return _ragged_case(topo16, make_prior(topo16, noise_dist="student_t", t_dof=6.0))
     if name == "interleaved":
         return _interleaved_case(topo16, prior16, design16)
     if name == "rank-deficient":
@@ -464,8 +467,9 @@ def _assert_matches_the_whole_array_update(mom, data, rtol=1e-10):
 @pytest.mark.parametrize(
     "name",
     [
-        "ragged", "interleaved", "floored", "w_dist-gaussian", "w_dist-lognormal",
-        "rank-deficient", "no-observations", "student_t", "many-observations",
+        "ragged", "ragged-student_t", "interleaved", "floored", "w_dist-gaussian",
+        "w_dist-lognormal", "rank-deficient", "no-observations", "student_t",
+        "many-observations",
     ],
 )
 def test_the_structured_update_agrees_with_the_whole_array_update(name, topo16, design16):
@@ -477,7 +481,7 @@ def test_the_structured_update_agrees_with_the_whole_array_update(name, topo16, 
     assert beliefs.kind_rows["zmin"].tall
     if name == "no-observations":
         assert rank == 0 and np.array_equal(beliefs.adjusted_var, beliefs.prior_var)
-    if name == "ragged":
+    if name.startswith("ragged"):
         visits = np.bincount(
             [topo16.components.index(c) for c, _ in data.design_points()], minlength=16
         )
