@@ -20,10 +20,11 @@ with R the root of var(Y)'s factor, month by month it forms that month's
 rows of G = cov(B,D) R as G_t = A K_t + M_t, K_t and M_t being kappa_t and
 the minimum's m_t summed over each component's observations of R, and reads
 the adjusted means and variances off them.  Only one month's rows of G are
-held at a time, and no row of cov(B,D) is formed but a short kind's.  What
-the adjustment diagnostics need of G is kept per kind: its rows when they
-are no more than G's columns, otherwise their Gram matrix G'G, built in
-closed form.
+held at a time, and no row of cov(B,D) is formed: G is formed only as
+A K_t + M_t (``_month_rows``), plus a tall kind's closed-form Gram matrix.
+What the adjustment diagnostics need of G is kept per kind: its rows when
+they are no more than G's columns, otherwise their Gram matrix G'G, built
+in closed form.
 """
 
 from __future__ import annotations
@@ -69,7 +70,9 @@ class KindRows:
     rows themselves when they are no more than G's columns (rank), otherwise
     (``tall``) their Gram matrix G'G, with ``regather``, a function that
     yields the rows again, block by block, for the rare Gram matrix that
-    fails its certificate."""
+    fails its certificate.  The rows, held or yielded again, are the
+    update's month rows A K_t + M_t (``_month_rows``); no row of cov(B,D)
+    is formed."""
 
     def __init__(self, rows=None, gram=None, regather=None):
         self.rows, self.gram, self.regather = rows, gram, regather
@@ -98,10 +101,10 @@ class AdjustedBelief:
     R'(y - E(Y)) and ``kind_rows`` holds, per kind present, in order of first
     appearance, a ``KindRows`` of its rows of G = cov(B,D) R: the rows of a
     short kind (no more rows than G's columns), the Gram matrix G'G of a
-    tall one, built in closed form.  The kind's mean shift is G z and its
-    resolved variance G G', which is never formed.  Any R with
-    R R' = var(Y)^+ rotates G and z together, so neither G z,
-    rowsum(G * G) nor a kind's discrepancy depends on which.
+    tall one, built in closed form; no row of cov(B,D) is formed.  The
+    kind's mean shift is G z and its resolved variance G G', which is never
+    formed.  Any R with R R' = var(Y)^+ rotates G and z together, so
+    neither G z, rowsum(G * G) nor a kind's discrepancy depends on which.
     """
 
     kind: np.ndarray
@@ -140,15 +143,21 @@ def _kinds_present(kind: np.ndarray) -> list:
     return [(codes[i], counts[i]) for i in np.argsort(first)]
 
 
-def _regather(moments: MomentEstimates, root: np.ndarray, code):
-    """A function that yields one kind's rows of G again, in blocks as tall
-    as var(Y) is wide."""
+def _regather(ex, layout: _VisitLayout, a: np.ndarray, r: np.ndarray, code):
+    """A function that yields the rows of G of the targets of kind ``code``
+    again (``_month_rows``), stacked into blocks at least as tall as var(Y)
+    is wide."""
 
     def blocks():
-        sel = np.flatnonzero(moments.target_cells[0] == code)
-        step = max(1, root.shape[0])
-        for i in range(0, len(sel), step):
-            yield moments.target_moments(sel[i : i + step]).cov_targets @ root
+        block = []
+        sel = np.flatnonzero(ex.cells.tgt_kind == code)
+        for _, g in _month_rows(ex, layout, a, r, sel):
+            block.append(g)
+            if sum(map(len, block)) >= len(r):
+                yield np.vstack(block)
+                block = []
+        if block:
+            yield np.vstack(block)
 
     return blocks
 
@@ -211,10 +220,12 @@ def adjust_from_moments(
 
     whose G_t z and rowsum(G_t * G_t) are the month's mean shifts and
     resolved variances.  R is read as one (component, visit) tensor per
-    visit count (``_VisitLayout``).  A short kind's rows of G are built for
-    its diagnostics; a tall kind's Gram matrix is R' (sum of its rows' outer
-    products) R, in closed form (``_row_gram``), whose
-    (observations x observations) arrays are the largest.
+    visit count (``_VisitLayout``).  The month rows (``_month_rows``) are
+    the only rows of G formed: a short kind's are kept for its diagnostics,
+    and a tall kind's are read again only if its Gram matrix, R' (sum of
+    its rows' outer products) R in closed form (``_row_gram``), whose
+    (observations x observations) arrays are the largest, fails its
+    certificate.  No row of cov(B,D) is formed.
 
     Without ``diagnose`` nothing is kept of G (``kind_rows`` is None), which
     saves a tall kind's Gram matrix."""
@@ -223,13 +234,11 @@ def adjust_from_moments(
     ex = moments.rows
     if ex is None:
         raise ConfigError("the update reads exact moments (simulate.exact_moments)")
-    cells = ex.cells
     factor = moments.y_moment_pair().factor
     z = factor.whiten(dataset.values_vector() - moments.e_y)
-    root = factor.root
     kind, component, time = moments.target_cells
-    layout = _VisitLayout(cells.obs_c, len(ex.pi))
-    r = root[layout.perm]
+    layout = _VisitLayout(ex.cells.obs_c, len(ex.pi))
+    r = factor.root[layout.perm]
     a = ex.scale_matrix()[:, layout.comps]
     kind_rows = None
     if diagnose:
@@ -237,16 +246,23 @@ def adjust_from_moments(
         kind_rows = {}
         for k, count in _kinds_present(kind):
             sel = np.flatnonzero(kind == k)
-            if count > root.shape[1]:
+            if count > r.shape[1]:
                 held = KindRows(
                     gram=r.T @ _row_gram(ex, layout, a, sel) @ r,
-                    regather=_regather(moments, root, k),
+                    regather=_regather(ex, layout, a, r, k),
                 )
             else:
-                held = KindRows(rows=moments.target_moments(sel).cov_targets @ root)
+                rows = np.zeros((count, r.shape[1]))
+                for idx, g in _month_rows(ex, layout, a, r, sel):
+                    rows[np.searchsorted(sel, idx)] = g
+                held = KindRows(rows=rows)
             kind_rows[TARGET_KINDS[k]] = held
 
-    shift, resolved = _month_sums(ex, layout, a, r, z)
+    shift, resolved = np.zeros((2, len(kind)))
+    for idx, g in _month_rows(ex, layout, a, r):
+        shift[idx] = g @ z
+        resolved[idx] = np.einsum("ij,ij->i", g, g)
+        del g  # not held while the next month's rows are formed
     prior_mean, prior_var = ex.prior()
     shift += prior_mean
     np.subtract(prior_var, resolved, out=resolved)
@@ -255,15 +271,15 @@ def adjust_from_moments(
     )
 
 
-def _month_sums(ex, layout: _VisitLayout, a: np.ndarray, r: np.ndarray, z: np.ndarray):
-    """G z and rowsum(G * G) of every target, month by month and kernel by
-    kernel, from each month's rows G_t = A[c,:] K_t + M_t (see
-    ``adjust_from_moments``), with R in the visit layout."""
+def _month_rows(ex, layout: _VisitLayout, a: np.ndarray, r: np.ndarray, sel=None):
+    """The rows of G of every target, or of the targets ``sel``, month by
+    month and kernel by kernel, as G_t = A[c,:] K_t + M_t (see
+    ``adjust_from_moments``) with R in the visit layout: yields each month's
+    target indices and its rows."""
     cells = ex.cells
     n, rank = r.shape
     sums = np.empty((2, len(layout.comps), rank))  # K_t and M_t
-    shift, resolved = np.zeros((2, len(cells.tgt_t)))
-    per_month = list(_months(cells)) if n else []
+    per_month = list(_months(cells, sel)) if n else []
     step = _month_step(n)
     for i in range(0, len(per_month), step):
         chunk = per_month[i : i + step]
@@ -283,9 +299,7 @@ def _month_sums(ex, layout: _VisitLayout, a: np.ndarray, r: np.ndarray, z: np.nd
             at = layout.position[c]
             mine = cells.is_zmin[idx] & (at >= 0)
             g[mine] += m_t[at[mine]]
-            shift[idx] = g @ z
-            resolved[idx] = np.einsum("ij,ij->i", g, g)
-    return shift, resolved
+            yield idx, g
 
 
 def _month_step(n_obs: int) -> int:
@@ -294,10 +308,13 @@ def _month_step(n_obs: int) -> int:
     return max(1, n_obs // 8)
 
 
-def _months(cells):
-    """(target indices, month, alpha or not) per month and kernel."""
+def _months(cells, sel=None):
+    """(target indices, month, alpha or not) per month and kernel, of every
+    target or of the targets ``sel``."""
     t, alpha = cells.tgt_t, cells.is_alpha
-    order = np.lexsort((t, alpha))
+    order = np.lexsort((t, alpha)) if sel is None else sel[np.lexsort((t[sel], alpha[sel]))]
+    if not len(order):
+        return
     cuts = np.flatnonzero(np.diff(t[order]) | np.diff(alpha[order])) + 1
     for idx in np.split(order, cuts):
         yield idx, t[idx[0]], alpha[idx[0]]

@@ -274,11 +274,6 @@ def draw_dataset(
     return design.with_values(x[obs_t - 1, obs_c] + zy.min(axis=1)[obs_t - 1, obs_c])
 
 
-#: The moments of a run of targets: their means and variances, and their
-#: covariance with the observations, one row per target.
-TargetMoments = namedtuple("TargetMoments", "e_targets var_targets cov_targets")
-
-
 @dataclass
 class MomentEstimates:
     """Moments of the designed observations and the targets under one law:
@@ -287,10 +282,9 @@ class MomentEstimates:
 
     ``target_cells`` holds the targets as arrays: kind (an index into
     ``TARGET_KINDS``), component id and month.  Exact moments carry what
-    their target rows are made of (``rows``, an ``ExactTargetRows``), and
-    build the target moments from it on request for a run of targets
-    (``target_moments``), so a caller that takes them a run at a time never
-    holds a (targets x observations) array.
+    their target rows are made of (``rows``, an ``ExactTargetRows``), which
+    ``adjust`` reads a month at a time, so no (targets x observations)
+    array is held.
     """
 
     design_points: list
@@ -301,11 +295,6 @@ class MomentEstimates:
     rows: ExactTargetRows | None = field(repr=False, compare=False)
     n_realizations: int | None
     _y_pair: MomentPair = field(default=None, init=False, repr=False, compare=False)
-
-    def target_moments(self, rows=slice(None)) -> TargetMoments:
-        """The moments of the targets ``rows`` (a slice or an index array;
-        all of them by default)."""
-        return TargetMoments(*self.rows(rows))
 
     def y_moment_pair(self) -> MomentPair:
         """(e_y, var_y) as one MomentPair, built on first use, so H, the
@@ -952,9 +941,7 @@ def exact_moments(
     ``rows`` (an ``ExactTargetRows``), the targets' cells, Pi, the scale
     pair (E W, E sqrt(W_c W_c')), lam and the minimum's moments: with k's
     integer sums in closed form (``_kernel_sums``), what every target row is
-    made of.  The target moments are built from them on request, for the
-    rows asked for (``MomentEstimates.target_moments``); each row is formed
-    entry by entry, so it does not depend on which rows are built with it.
+    made of.
     """
     targets, laws = tuple(targets), list(laws)
     cells, pi, same_y = _exact_setup(prior, topology, design, targets)
@@ -985,8 +972,9 @@ def exact_moments(
 
 @dataclass(frozen=True)
 class ExactTargetRows:
-    """The exact target moments of one law (see ``exact_moments``) and what
-    their rows of cov(B,D) are made of.  Every row has the face-splitting
+    """The exact target means and variances of one law (``prior``; see
+    ``exact_moments``) and what their rows of cov(B,D) are made of, which
+    ``adjust`` forms a month at a time.  Every row has the face-splitting
     form
 
         row(c,t)[j] = A[c, c_j] kappa_t[j] + m(c,t)[j]:
@@ -996,11 +984,7 @@ class ExactTargetRows:
     lam part(t, t_j) for alpha, from k's integer sums (``kernel``); m the
     minimum's term, nonzero only at component c's own observations and only
     for zmin (``minimum.cross``).  ``scale`` is (E W, E sqrt(W_c W_c')) and
-    ``minimum`` the law's minimum (``_minimum_law``).
-
-    Called on a run of targets (a slice or an index array), it gives their
-    means, variances and rows, each row formed entry by entry, so it does
-    not depend on which rows are built with it."""
+    ``minimum`` the law's minimum (``_minimum_law``)."""
 
     cells: _Cells
     pi: np.ndarray
@@ -1008,14 +992,14 @@ class ExactTargetRows:
     lam: float
     minimum: _ClosedFormMinimum | _SampledMinimum
 
-    def prior(self, sl=slice(None)):
-        """The means and variances of the targets ``sl``."""
+    def prior(self):
+        """The means and variances of the targets."""
         cells = self.cells
-        tgt_t, is_alpha, is_zmin = cells.tgt_t[sl], cells.is_alpha[sl], cells.is_zmin[sl]
+        tgt_t, is_alpha, is_zmin = cells.tgt_t, cells.is_alpha, cells.is_zmin
         min_mean, min_var = self.minimum.target(tgt_t)
         var_lin_t = np.where(is_alpha, self.lam * tgt_t, _kernel_diagonal(tgt_t, self.lam))
         return (
-            cells.trend_t[sl] + np.where(is_zmin, min_mean, 0.0),
+            cells.trend_t + np.where(is_zmin, min_mean, 0.0),
             self.scale[0] * var_lin_t + np.where(is_zmin, min_var, 0.0),
         )
 
@@ -1033,19 +1017,6 @@ class ExactTargetRows:
         """A = Pi o S over every pair of components."""
         ew, ew_pair = self.scale
         return self.pi * np.where(np.eye(len(self.pi), dtype=bool), ew, ew_pair)
-
-    def __call__(self, sl):
-        """The means, variances and rows of the targets ``sl``."""
-        cells, (ew, ew_pair) = self.cells, self.scale
-        obs_t, obs_c = cells.obs_t, cells.obs_c
-        tgt_t, tgt_c = cells.tgt_t[sl], cells.tgt_c[sl]
-        cov_t = self.kernel(tgt_t, cells.is_alpha[sl])
-        cov_t *= self.pi[np.ix_(tgt_c, obs_c)]
-        same_t = tgt_c[:, None] == obs_c
-        cov_t *= np.where(same_t, ew, ew_pair)
-        ti, tj = np.nonzero(same_t & cells.is_zmin[sl][:, None])
-        cov_t[ti, tj] += self.minimum.cross(tgt_t[ti], tj)
-        return (*self.prior(sl), cov_t)
 
 
 def _innovation_fourth_moments(prior, pi, cells, scheme) -> np.ndarray:

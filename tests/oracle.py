@@ -8,7 +8,10 @@ paths (levels, rates, walks and the zmin state) as the reference for the
 ensemble engine's moment estimates.  ``ensemble_moments`` is the row
 oracle: the sample moments of the observations and targets of one ensemble
 of the library's engine, the reference for ``simulate.exact_moments`` and
-its target rows.  ``reference_update`` is the Bayes linear update with
+its target rows.  ``target_moments`` builds the targets' means, variances
+and rows of cov(B,D) of a moment record, exact or ensemble, each exact row
+entry by entry, the reference for the rows ``adjust`` forms month by month
+as A K_t + M_t.  ``reference_update`` is the Bayes linear update with
 every (targets x observations) array held whole, the reference for
 ``adjust.adjust_from_moments``, which reads the structure of the rows.
 ``reference_dbar_moments`` holds the difference combination as a dense
@@ -23,6 +26,7 @@ reference for ``simulate._minimum_draw``, which streams it month by month.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,6 +156,40 @@ def ensemble_moments(prior, topology, design, targets, n_realizations, seed, law
     return out
 
 
+#: The moments of a run of targets: their means and variances, and their
+#: covariance with the observations, one row per target.
+TargetMoments = namedtuple("TargetMoments", "e_targets var_targets cov_targets")
+
+
+def _exact_rows(ex, sl):
+    """The means, variances and rows of cov(B,D) of the targets ``sl`` of
+    one law's ``simulate.ExactTargetRows``, each row formed entry by entry
+    as A[c, c_j] kappa_t[j] + m(c,t)[j], so it does not depend on which rows
+    are built with it."""
+    cells, (ew, ew_pair) = ex.cells, ex.scale
+    obs_c = cells.obs_c
+    tgt_t, tgt_c = cells.tgt_t[sl], cells.tgt_c[sl]
+    cov_t = ex.kernel(tgt_t, cells.is_alpha[sl])
+    cov_t *= ex.pi[np.ix_(tgt_c, obs_c)]
+    same_t = tgt_c[:, None] == obs_c
+    cov_t *= np.where(same_t, ew, ew_pair)
+    ti, tj = np.nonzero(same_t & cells.is_zmin[sl][:, None])
+    cov_t[ti, tj] += ex.minimum.cross(tgt_t[ti], tj)
+    e_targets, var_targets = ex.prior()
+    return e_targets[sl], var_targets[sl], cov_t
+
+
+def target_moments(moments, sl=slice(None)):
+    """The ``TargetMoments`` of the targets ``sl`` (a slice or an index
+    array; all of them by default) of a moment record: of exact moments,
+    from their ``simulate.ExactTargetRows``; of an ``ensemble_moments``
+    record, from its sample covariances."""
+    rows = moments.rows
+    if isinstance(rows, simulate.ExactTargetRows):
+        return TargetMoments(*_exact_rows(rows, sl))
+    return TargetMoments(*rows(sl))
+
+
 def reference_update(moments, observed_y):
     """The Bayes linear update with every (targets x observations) array
     held whole: G = cov(B,D) R for all targets at once, then each kind's
@@ -161,7 +199,7 @@ def reference_update(moments, observed_y):
     appearance."""
     factor = moments.y_moment_pair().factor
     z = factor.whiten(np.asarray(observed_y, dtype=float) - moments.e_y)
-    tm = moments.target_moments()
+    tm = target_moments(moments)
     g = tm.cov_targets @ factor.root
     kinds = np.array([kind for kind, _, _ in moments.targets])
     discrepancy = {}

@@ -17,7 +17,7 @@ from corrobayes.errors import ConfigError, ShapeError
 from corrobayes.system import InspectionDataset
 from corrobayes.simulate import draw_dataset, estimate_moments, exact_moments, forecast_extend
 from conftest import make_prior, small_irregular_design
-from oracle import reference_update
+from oracle import reference_update, target_moments
 
 
 #: The law of ``make_prior``'s priors.
@@ -144,16 +144,20 @@ def test_comparison_runs_both_branches_on_shared_targets(topo16, design16):
     grid = (0.0016, 0.0064, 0.0256)
     prior = make_prior(topo16, sigma_r_candidates=grid)
     data = draw_dataset(prior, topo16, design16, seed=11)
-    targets = [("zmin", c, design16.horizon) for c in topo16.components]
-    cmp_ = compare_with_without_variance_learning(
-        prior, topo16, design16.with_values(data.values_vector()),
-        data.values_vector(), targets, seed=12, n_realizations=300,
-    )
-    assert cmp_.calibration.selected.sigma_r in grid
-    kinds_wo = [(r.kind, r.component, r.time) for r in cmp_.without_learning.rows_for()]
-    kinds_wl = [(r.kind, r.component, r.time) for r in cmp_.with_learning.rows_for()]
-    assert kinds_wo == kinds_wl == targets
-    assert cmp_.life_with is not None and cmp_.life_without is not None
+    calibration = None
+    for targets in ([("zmin", c, design16.horizon) for c in topo16.components], []):
+        cmp_ = compare_with_without_variance_learning(
+            prior, topo16, design16.with_values(data.values_vector()),
+            data.values_vector(), targets, seed=12, n_realizations=300, calibration=calibration,
+        )
+        calibration = cmp_.calibration
+        assert cmp_.calibration.selected.sigma_r in grid
+        kinds_wo = [(r.kind, r.component, r.time) for r in cmp_.without_learning.rows_for()]
+        kinds_wl = [(r.kind, r.component, r.time) for r in cmp_.with_learning.rows_for()]
+        assert kinds_wo == kinds_wl == targets
+        assert cmp_.life_with is not None and cmp_.life_without is not None
+    # no targets: empty beliefs
+    assert cmp_.with_learning.kind_rows == {} and cmp_.life_with.per_component == []
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -203,7 +207,7 @@ def test_kind_blocks_are_the_rows_of_g_for_contiguous_and_interleaved_kinds(
     for targets in (contiguous, interleaved, tall):
         (mom,) = exact_moments(prior16, topo16, data, LAW16, targets)
         beliefs = adjust_from_moments(mom, data)
-        g = mom.target_moments().cov_targets @ mom.y_moment_pair().factor.root
+        g = target_moments(mom).cov_targets @ mom.y_moment_pair().factor.root
         kinds = np.array([kind for kind, _, _ in targets])
         assert list(beliefs.kind_rows) == list(dict.fromkeys(kinds.tolist()))
         for kind, held in beliefs.kind_rows.items():
@@ -450,7 +454,7 @@ def _assert_matches_the_whole_array_update(mom, data, rtol=1e-10):
     assert got.keys() == discrepancy.keys()
     for kind, value in discrepancy.items():
         assert got[kind] == pytest.approx(value, rel=rtol), kind
-    g = mom.target_moments().cov_targets @ mom.y_moment_pair().factor.root
+    g = target_moments(mom).cov_targets @ mom.y_moment_pair().factor.root
     kinds = np.array([kind for kind, _, _ in mom.targets])
     for kind, held in beliefs.kind_rows.items():
         rows = g[kinds == kind]
@@ -495,19 +499,21 @@ def test_the_structured_update_agrees_with_the_whole_array_update(name, topo16, 
 
 def test_the_structured_update_of_the_full_run_forms_only_short_kinds_rows(monkeypatch):
     mom, ext = _full_run_case("gaussian")
-    built, target_moments = [], type(mom).target_moments
+    passes, month_rows = [], adjust._month_rows
 
-    def counted(self, rows=slice(None)):
-        out = target_moments(self, rows)
-        built.append(out.cov_targets.shape)
-        return out
+    def counted(ex, layout, a, r, sel=None):
+        passes.append(sel)
+        return month_rows(ex, layout, a, r, sel)
 
-    monkeypatch.setattr(type(mom), "target_moments", counted)
-    adjust_from_moments(mom, ext)
-    monkeypatch.undo()
-    rank = mom.y_moment_pair().factor.rank
-    assert built == [(64, rank), (64, rank)]  # alpha's and x's rows
+    monkeypatch.setattr(adjust, "_month_rows", counted)
+    regathers = _counted_regathers(monkeypatch)
     beliefs = _assert_matches_the_whole_array_update(mom, ext)
+    kinds = np.array(adjust.TARGET_KINDS)[mom.target_cells[0]]
+    # alpha's and x's rows, then every target's; the zmin Gram certifies
+    assert [None if sel is None else (len(sel), *set(kinds[sel])) for sel in passes] == [
+        (64, "alpha"), (64, "x"), None,
+    ]
+    assert not regathers
     assert beliefs.kind_rows["zmin"].tall and not beliefs.kind_rows["x"].tall
 
 

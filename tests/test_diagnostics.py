@@ -8,6 +8,7 @@ from corrobayes.adjust import adjust_from_moments
 from corrobayes.errors import ConfigError, ShapeError
 from corrobayes.simulate import draw_dataset, estimate_moments, exact_moments
 from conftest import make_prior
+from oracle import target_moments
 
 
 class _StubMoments:
@@ -196,7 +197,7 @@ def test_adjustment_diagnostics_equal_the_full_resolved_variance_form(
     mom = beliefs.moments
     pinv, rank = linalg.pinv_with_rank(mom.var_y)
     assert rank == len(mom.design_points)
-    tm = mom.target_moments()
+    tm = target_moments(mom)
     resolved = tm.cov_targets @ pinv @ tm.cov_targets.T
     resolved = 0.5 * (resolved + resolved.T)
     expected_var = tm.var_targets - np.diag(resolved)

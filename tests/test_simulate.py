@@ -14,14 +14,20 @@ from corrobayes.calibrate import estimator_study
 from corrobayes.errors import ConfigError
 from corrobayes.simulate import (
     TARGET_KINDS,
-    TargetMoments,
     draw_dataset,
     estimate_moments,
     exact_moments,
     forecast_extend,
 )
 from conftest import make_prior, small_irregular_design
-from oracle import ensemble_moments, minimum_draw, reference_dbar_moments, simulate_realization
+from oracle import (
+    TargetMoments,
+    ensemble_moments,
+    minimum_draw,
+    reference_dbar_moments,
+    simulate_realization,
+    target_moments,
+)
 
 
 def test_identical_seeds_give_bit_identical_moments(topo16, design16, prior16):
@@ -165,7 +171,7 @@ def test_targets_cover_forecast_months_and_unobserved_components(topo16, prior16
     (mom,) = exact_moments(
         prior16, topo16, extended, [(prior16.sigma_r, prior16.hyper.mu_wx)], targets
     )
-    tm = mom.target_moments()
+    tm = target_moments(mom)
     assert tm.e_targets.shape == (3,)
     assert np.all(tm.var_targets > 0)
     assert tm.cov_targets.shape == (3, 3)
@@ -186,7 +192,7 @@ def test_an_empty_design_with_a_target_has_no_observation_moments(topo16, prior1
         [("x", topo16.components[0], 5)],
     )
     assert mom.e_y.shape == (0,)
-    assert mom.target_moments().cov_targets.shape == (1, 0)
+    assert target_moments(mom).cov_targets.shape == (1, 0)
 
 
 def test_draw_dataset_is_deterministic_and_fills_all_points(topo16, design16, prior16):
@@ -250,7 +256,7 @@ def test_kernel_agrees_with_a_brute_force_loop_over_realizations(topo8):
                 mom = estimate_moments(prior, topo8, design, n_realizations=n, seed=321)
             worst.append(max(
                 mean_z(ys, mom.e_y).max(),
-                mean_z(zs, mom.target_moments().e_targets).max() if case else 0.0,
+                mean_z(zs, target_moments(mom).e_targets).max() if case else 0.0,
                 (np.abs(var - np.diag(mom.var_y)) / var_se).max(),
                 (np.abs(lag_cov - mom.var_y[later, later - 1]) / lag_se).max(),
             ))
@@ -270,7 +276,7 @@ DBAR_FIELDS = ("e_w", "m1_sq", "m2_sq", "m1m2", "dbar_var", "mw_dbar_cov")
 def _field(moments, name):
     """A field of a moment record; the target moments are built whole."""
     if name in TargetMoments._fields:
-        return getattr(moments.target_moments(), name)
+        return getattr(target_moments(moments), name)
     return getattr(moments, name)
 
 
@@ -659,7 +665,7 @@ def test_student_t_exact_moments_sample_only_the_minimum(topo16, design16):
     assert np.array_equal(one.var_y[~same], gauss.var_y[~same])
     assert np.array_equal(one.var_y[~same], other.var_y[~same])
     assert not np.any(one.var_y[same] == other.var_y[same])
-    rows, rows_g = one.target_moments(), gauss.target_moments()
+    rows, rows_g = target_moments(one), target_moments(gauss)
     zmin = np.array([kind == "zmin" for kind, _, _ in targets])
     own = np.array([c for _, c, _ in targets])[:, None] == comp
     linear = ~(zmin[:, None] & own)
